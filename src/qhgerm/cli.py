@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from mpmath import mp
+from mpmath import mp, mpc, mpf
 
 from . import engine
 from .engine import (
@@ -137,9 +137,14 @@ def _emit(doc: dict, out) -> None:
     out.write("\n")
 
 
-def _approx_str(value, precision: int) -> str:
+def _approx_str(value, precision: int, chop: bool = False) -> str:
+    """17 significant digits; chop drops components below 2^-precision * |value|."""
     with mp.workprec(precision + 20):
-        return mp.nstr(to_mpc(value) if isinstance(value, GaussianRational) else value, 17)
+        z = to_mpc(value) if isinstance(value, GaussianRational) else value
+        if chop:
+            floor = abs(z) * mpf(2) ** -precision
+            z = mpc(z.real if abs(z.real) > floor else 0, z.imag if abs(z.imag) > floor else 0)
+        return mp.nstr(z, 17)
 
 
 def _scalar_json(scalar, approx: str) -> dict:
@@ -171,9 +176,9 @@ def _match_json(match, precision: int):
                 "shift": {"first": str(match.center_first),
                           "second": str(match.center_second)}}
     if isinstance(match, NumericMatch):
-        return {"numeric": True, "scale": _approx_str(match.scale, precision),
+        return {"numeric": True, "scale": _approx_str(match.scale, precision, chop=True),
                 "shift": None if match.shift is None
-                else _approx_str(match.shift, precision)}
+                else _approx_str(match.shift, precision, chop=True)}
     raise TypeError(f"unexpected match {type(match).__name__}")
 
 
@@ -349,7 +354,7 @@ def _cmd_roots(args, out) -> int:
         for cl in clusters:
             snapped = _snap_gq(cl.center, 10**12)
             exact = ladder.eval(snapped).is_zero
-            value = str(snapped) if exact else _approx_str(cl.center, precision)
+            value = str(snapped) if exact else _approx_str(cl.center, precision, chop=True)
             entries.append(
                 {"value": value, "multiplicity": cl.multiplicity, "exact": exact}
             )
@@ -426,6 +431,13 @@ def _cmd_demo_whitney(args, out) -> int:
     return EXIT_OK
 
 
+def _record_weights(value) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(
+            isinstance(w, int) and not isinstance(w, bool) and w > 0 for w in value)):
+        raise ValueError(f"weights must be two positive integers, got {value!r}")
+    return tuple(value)
+
+
 def _cmd_decide_batch(args, out) -> int:
     if args.path == "-":
         lines = sys.stdin.read().splitlines()
@@ -443,7 +455,7 @@ def _cmd_decide_batch(args, out) -> int:
             item = json.loads(line)
             first = parse_poly(item["first"])
             second = parse_poly(item["second"])
-            weights = tuple(item["weights"]) if "weights" in item else args.weights
+            weights = _record_weights(item["weights"]) if "weights" in item else args.weights
             mode = item.get("mode", args.mode)
             verdict = engine.decide_equivalence(
                 first, second, weights, mode, args.precision, args.tol
@@ -478,8 +490,8 @@ def run(argv=None) -> int:
         args.precision = _default_precision()
     if args.precision < 53:
         parser.error("precision must be at least 53 bits")
-    if not args.tol > 0:
-        parser.error("tol must be positive")
+    if not 0 < args.tol < 1:
+        parser.error("tol must lie strictly between 0 and 1")
     if getattr(args, "branch", None) is not None and args.branch < 0:
         parser.error("branch must be nonnegative")
     try:

@@ -21,9 +21,11 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .errors import (
+    AmbiguousClusteringError,
     BranchOutOfRangeError,
     DegenerateConfigurationError,
     InternalInconsistencyError,
+    NonConvergenceError,
     NotEquivalentVerdictError,
 )
 from .exact import GQ_ONE, GQ_ZERO, GaussianRational, UniPoly, gcd_bezout
@@ -237,15 +239,14 @@ def _side_invariants(analysis: GermAnalysis) -> dict:
 
 
 def _numeric_clusters(ladder: UniPoly, precision: int, tol: float):
-    """Cluster ladder roots, doubling precision while clustering is ambiguous.
+    """Cluster ladder roots, doubling precision while clustering is ambiguous
+    or the root finder does not converge, up to 1024 bits.
 
     The ladder is split into exact square-free parts first, so the root
     finder only ever sees simple roots; each approximation then enters the
     clustering carrying its part's multiplicity as a weight. This keeps
     multiple roots from turning into wide approximation clouds.
     """
-    from .errors import AmbiguousClusteringError
-
     parts = ladder.squarefree_parts()
     prec = precision
     while True:
@@ -257,7 +258,7 @@ def _numeric_clusters(ladder: UniPoly, precision: int, tol: float):
                     approx.append(r)
                     weight.append(mult)
             return cluster_roots(approx, tol, weights=weight)
-        except AmbiguousClusteringError:
+        except (AmbiguousClusteringError, NonConvergenceError):
             if prec >= 1024:
                 raise
             prec = min(2 * prec, 1024)

@@ -9,6 +9,7 @@ global precision; every entry point scopes its own working precision.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -16,6 +17,9 @@ from mpmath import mp, mpc, mpf
 from .errors import AmbiguousClusteringError, NonConvergenceError
 from .exact import GaussianRational, UniPoly
 from .polyio import BivarPoly
+
+_FLOAT_SWEEPS = 200
+_MP_SWEEPS = 600
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,9 @@ def nth_root(value, index: int, branch: int = 0) -> mpc:
 
 
 def _horner(coeffs, z):
-    acc = mpc(0)
-    for c in coeffs:
+    acc = coeffs[0]
+    for c in coeffs[1:]:
         acc = acc * z + c
-    return acc
-
-
-def _horner_abs(coeffs, az):
-    acc = mpf(0)
-    for c in coeffs:
-        acc = acc * az + abs(c)
     return acc
 
 
@@ -89,13 +86,109 @@ def _as_mpc_coeffs(poly) -> list:
     return [mpc(c) for c in poly]
 
 
+def _newton_polygon_starts(coeffs) -> list:
+    """Aberth starting points read off the Newton polygon of the coefficients.
+
+    The upper convex hull of (k, log|a_k|) has one edge per band of root
+    moduli: an edge from k to l holds l - k roots of modulus about
+    (|a_k| / |a_l|)^(1/(l - k)), so that many points go on a circle of that
+    radius (Bini 1996). Angles are offset from one circle to the next.
+    """
+    n = len(coeffs) - 1
+    points = [(n - i, float(mp.log(abs(c)))) for i, c in enumerate(coeffs) if c != 0]
+    hull = []
+    for k, y in reversed(points):
+        while len(hull) >= 2:
+            (k1, y1), (k2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (k - k1) > (y - y1) * (k2 - k1):
+                break
+            hull.pop()
+        hull.append((k, y))
+    starts = []
+    for (k, yk), (l, yl) in zip(hull, hull[1:]):
+        count = l - k
+        radius = mp.exp(mpf(yk - yl) / count)
+        offset = 2 * mp.pi * len(starts) / n + mpf(2) / 5
+        for j in range(count):
+            starts.append(radius * mp.expj(2 * mp.pi * j / count + offset))
+    return starts
+
+
+def _aberth(coeffs, points, limit, max_sweeps):
+    """Aberth-Ehrlich sweeps on points, in place, in the points' own arithmetic.
+
+    Serves Python complex and mpmath mpc alike. A point is settled once
+    |p(z)| <= limit * sum |a_k| |z|^k; a settled point never moves again, so
+    it is not evaluated again. Returns the settled flags, or None when a
+    point turns NaN (hardware floats out of range).
+    """
+    n = len(points)
+    deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+    abs_coeffs = [abs(c) for c in coeffs]
+    settled = [False] * n
+    for _ in range(max_sweeps):
+        moved = False
+        for k in range(n):
+            if settled[k]:
+                continue
+            z = points[k]
+            val = _horner(coeffs, z)
+            if abs(val) <= limit * _horner(abs_coeffs, abs(z)):
+                settled[k] = True
+                continue
+            dval = _horner(deriv, z)
+            if dval == 0:
+                points[k] = z + 1e-3
+                moved = True
+                continue
+            newton = val / dval
+            acc = 0
+            for j in range(n):
+                if j != k:
+                    diff = z - points[j]
+                    if diff == 0:
+                        diff = 1e-30
+                    acc += 1 / diff
+            denom = 1 - newton * acc
+            points[k] = z - (newton if denom == 0 else newton / denom)
+            if points[k] != points[k]:
+                return None
+            moved = True
+        if not moved:
+            break
+    return settled
+
+
+def _float_starts(coeffs, starts):
+    """Refine starting points in hardware complex arithmetic, or None.
+
+    Runs only when every coefficient is a finite double that is zero exactly
+    when the coefficient is; returns None when the points leave the double
+    range, so the caller keeps the unrefined starts.
+    """
+    fcoeffs = [complex(c) for c in coeffs]
+    if not all(cmath.isfinite(f) and (f == 0) == (c == 0) for f, c in zip(fcoeffs, coeffs)):
+        return None
+    points = [complex(z) for z in starts]
+    try:
+        settled = _aberth(fcoeffs, points, len(points) * 2.0**-51, _FLOAT_SWEEPS)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if settled is None or not all(cmath.isfinite(z) for z in points):
+        return None
+    return points
+
+
 def find_roots(poly, precision: int = 128) -> list:
     """All complex roots of a univariate polynomial, with error bounds.
 
-    Accepts a UniPoly or a degree-descending coefficient sequence. Uses the
-    Aberth-Ehrlich simultaneous iteration from perturbed-circle initial
-    guesses, stopping on a backward-error criterion so that multiple roots
-    terminate as tight clusters instead of stalling.
+    Accepts a UniPoly or a degree-descending coefficient sequence. Runs the
+    Aberth-Ehrlich simultaneous iteration from Newton-polygon starting
+    points: first in hardware floats to bring the starts close, then at
+    precision + 40 bits until every root meets the backward-error stop
+    |p(z)| <= 2^-(precision+20) * sum |a_k| |z|^k, so that multiple roots
+    terminate as tight clusters instead of stalling. Only roots that pass
+    the stop at full precision are returned.
     """
     work = precision + 40
     with mp.workprec(work):
@@ -112,55 +205,18 @@ def find_roots(poly, precision: int = 128) -> list:
         n = len(coeffs) - 1
         if n == 0:
             return zeros_out
-        lead = coeffs[0]
-        radius = mpf(1) + max(abs(c / lead) for c in coeffs[1:])
-        points = []
-        for k in range(n):
-            theta = mpf(2) * mp.pi * k / n + mpf(2) / 5
-            r = radius * (mpf(1) / 2 + mpf(2) * k / (5 * max(n, 1)))
-            points.append(r * mp.expj(theta) + mpc(mpf(1) / 7, mpf(1) / 11))
-        deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-        eps_stop = mpf(2) ** (-(precision + 20))
-        settled = [False] * n
-        for _ in range(600):
-            moved = False
-            for k in range(n):
-                z = points[k]
-                val = _horner(coeffs, z)
-                if abs(val) <= eps_stop * _horner_abs(coeffs, abs(z)):
-                    settled[k] = True
-                    continue
-                settled[k] = False
-                dval = _horner(deriv, z)
-                if dval == 0:
-                    points[k] = z + mpf(1) / 1000
-                    moved = True
-                    continue
-                newton = val / dval
-                acc = mpc(0)
-                for j in range(n):
-                    if j != k:
-                        diff = z - points[j]
-                        if diff == 0:
-                            diff = mpf(1) / mpf(10) ** 30
-                        acc += 1 / diff
-                denom = 1 - newton * acc
-                if denom == 0:
-                    step = newton
-                else:
-                    step = newton / denom
-                points[k] = z - step
-                moved = True
-            if all(settled):
-                break
-            if not moved:
-                break
-        if not all(settled):
+        starts = _newton_polygon_starts(coeffs)
+        refined = _float_starts(coeffs, starts)
+        points = starts if refined is None else [mpc(z) for z in refined]
+        settled = _aberth(coeffs, points, mpf(2) ** (-(precision + 20)), _MP_SWEEPS)
+        if settled is None or not all(settled):
             raise NonConvergenceError(
                 "root iteration did not reach the backward-error target",
                 best=list(points),
                 residuals=[abs(_horner(coeffs, z)) for z in points],
             )
+        lead = coeffs[0]
+        deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
         out = list(zeros_out)
         for z in points:
             val = abs(_horner(coeffs, z))

@@ -256,7 +256,11 @@ def analyze_germ(poly: BivarPoly, weights: tuple[int, int] | None = None) -> Ger
     if weights is None:
         sig = infer_weights(poly)
     else:
-        sig = validate_weights(poly, weights[0], weights[1])
+        try:
+            p, q = weights
+        except (TypeError, ValueError):
+            raise ValueError(f"weights must be two positive integers, got {weights!r}") from None
+        sig = validate_weights(poly, p, q)
     form = canonical_decompose(poly, sig)
     if len(poly.terms) == 1:
         germ_class = MONOMIAL_LIKE

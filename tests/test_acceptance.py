@@ -27,7 +27,7 @@ from conftest import (
     synthesize_equivalent,
     tame_witness_scalars,
 )
-from qhgerm import BivarPoly, decide_equivalence, gq
+from qhgerm import BivarPoly, decide_equivalence, gq, parse_poly
 from qhgerm.engine import (
     STATUS_EQUIVALENT,
     STATUS_INEQUIVALENT,
@@ -144,6 +144,21 @@ def test_route_agreement():
         f"200 pairs, ladder degree <= 12, identical verdicts",
     )
     assert ok, disagreements[:5]
+
+
+def test_route_agreement_degree_24():
+    # decimal literals put the pair on the numeric route; the exact route
+    # on the same rationals decides it instantly
+    first = parse_poly("*".join(f"(Y^2-{2 * k}.0*X^3)" for k in range(1, 25)))
+    second = parse_poly("*".join(f"(Y^2-{2 * k}*X^3)" for k in range(1, 25)))
+    verdict = decide_equivalence(first, second)
+    ok = (verdict.mode, verdict.status) == ("numeric", STATUS_EQUIVALENT)
+    record_acceptance(
+        "numeric route on a degree-24 ladder",
+        ok,
+        f"prod (Y^2-2k.0*X^3) vs integer form: {verdict.status} ({verdict.mode})",
+    )
+    assert ok
 
 
 def test_no_common_scale_family():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qhgerm
-from qhgerm import cli
+from qhgerm import NonConvergenceError, cli, engine
 
 PAIR_FIRST = "(Y^2-X^3)*(Y^2-2*X^3)"
 PAIR_SECOND = "(Y^2-3*X^3)*(Y^2-6*X^3)"
@@ -208,6 +208,26 @@ class TestDecide:
         assert code == 64
         assert "two polynomials or --file" in err
 
+    def test_root_finder_failure_is_analysis_error(self, monkeypatch):
+        def never_converges(poly, precision=128):
+            raise NonConvergenceError("stub failure")
+
+        monkeypatch.setattr(engine, "find_roots", never_converges)
+        code, out, err = run_cli("decide", PAIR_FIRST, PAIR_SECOND, "--mode", "numeric")
+        assert code == 66
+        assert out == ""
+        assert err == "error: stub failure\n"
+
+    def test_numeric_values_print_without_noise(self):
+        code, out, _ = run_cli(
+            "decide", "(Y^2-1.5*X^3)*(Y^2-2*X^3)^2*(Y^2-7*X^3)",
+            "(Y^2-3.0*X^3)*(Y^2-4*X^3)^2*(Y^2-14*X^3)", "--json")
+        assert code == 0
+        verdict = json.loads(out)["verdict"]
+        assert verdict["mode"] == "numeric"
+        assert verdict["match"] == {"numeric": True, "scale": "(2.0 + 0.0j)",
+                                    "shift": None}
+
     def test_exact_mode_rejects_decimals(self):
         code, _, err = run_cli("decide", "Y^2 - 1.5*X^4", "Y^2 - X^4",
                                "--mode", "exact")
@@ -236,6 +256,8 @@ class TestDecide:
         ("decide", "Y^2-X^4", "Y^2-4*X^4", "--witness", "--branch", "-1"),
         ("decide", "Y^2-X^4", "Y^2-4*X^4", "--precision", "52"),
         ("decide", "Y^2-X^4", "Y^2-4*X^4", "--tol", "0"),
+        ("decide", "Y^2-X^4", "Y^2-4*X^4", "--tol", "1"),
+        ("decide", "Y^2-X^4", "Y^2-4*X^4", "--tol", "2"),
         ("decide", "Y^2-X^4", "Y^2-4*X^4", "--mode", "sideways"),
     ])
     def test_usage_errors(self, argv):
@@ -353,6 +375,21 @@ class TestBatch:
         code, out, _ = run_cli("decide-batch", "-", stdin=line + "\n")
         assert code == 0
         assert json.loads(out)["status"] == "Equivalent"
+
+
+    def test_bad_weights_record_does_not_end_the_batch(self, tmp_path):
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text(
+            json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND,
+                        "weights": [2]}) + "\n"
+            + json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}) + "\n"
+        )
+        code, out, _ = run_cli("decide-batch", str(batch))
+        assert code == 65
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {
+            "error": "weights must be two positive integers, got [2]", "index": 0}
+        assert records[1]["status"] == "Equivalent"
 
 
 class TestPrecisionEnvironment:

@@ -11,6 +11,7 @@ from qhgerm import (
     AffineMatch,
     BranchOutOfRangeError,
     DegenerateConfigurationError,
+    NonConvergenceError,
     NotEquivalentVerdictError,
     NotQuasihomogeneousError,
     RadicalScalar,
@@ -34,6 +35,8 @@ from qhgerm import (
     whitney_quartic,
     witness_branch_count,
 )
+
+from qhgerm import engine
 
 from conftest import rand_germ, synthesize_equivalent
 
@@ -196,6 +199,39 @@ class TestDecide:
 
     def test_from_text(self):
         assert decide_from_text("Y^2-X^3", "Y^2-5*X^3").status == "Equivalent"
+
+
+class TestNumericRetry:
+    def test_non_convergence_retried_at_higher_precision(self, monkeypatch):
+        calls = []
+        find_roots = engine.find_roots
+
+        def fails_once_at_128(poly, precision=128):
+            calls.append(precision)
+            if precision == 128 and calls.count(128) == 1:
+                raise NonConvergenceError("stub failure")
+            return find_roots(poly, precision)
+
+        monkeypatch.setattr(engine, "find_roots", fails_once_at_128)
+        verdict = decide_equivalence(
+            parse_poly(PAIR_FIRST), parse_poly(PAIR_SECOND), mode="numeric"
+        )
+        assert verdict.status == "Equivalent"
+        assert 256 in calls
+
+    def test_non_convergence_reraised_at_the_cap(self, monkeypatch):
+        calls = []
+
+        def never_converges(poly, precision=128):
+            calls.append(precision)
+            raise NonConvergenceError("stub failure")
+
+        monkeypatch.setattr(engine, "find_roots", never_converges)
+        with pytest.raises(NonConvergenceError):
+            decide_equivalence(
+                parse_poly(PAIR_FIRST), parse_poly(PAIR_SECOND), mode="numeric"
+            )
+        assert calls == [128, 256, 512, 1024]
 
 
 class TestBranchCount:

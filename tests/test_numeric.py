@@ -1,6 +1,7 @@
 """Numeric kernel: root finding, clustering, matching, evaluation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -17,6 +18,7 @@ from qhgerm import (
     parse_poly,
     to_mpc,
 )
+from qhgerm import numeric
 from qhgerm.numeric import ComplexApprox, RootCluster
 
 from conftest import rand_gq
@@ -89,6 +91,60 @@ class TestFindRoots:
 
     def test_constant_has_no_roots(self):
         assert find_roots(UniPoly.from_coeffs([gq(7)]), 128) == []
+
+    @pytest.mark.parametrize("degree", [24, 32])
+    def test_wilkinson_ladder_converges(self, degree):
+        true_roots = [2 * k for k in range(1, degree + 1)]
+        roots = find_roots(UniPoly.from_roots([gq(r) for r in true_roots]), 128)
+        assert len(roots) == degree
+        for r in true_roots:
+            assert any(abs(a.value - r) <= a.err for a in roots)
+
+    @pytest.mark.parametrize("big, tiny", [(200, 150), (400, 350)])
+    def test_out_of_double_range_starts_in_mpmath(self, monkeypatch, big, tiny):
+        # 10^200 overflows the hardware-float sweep (z^2), and 10^400 puts
+        # the coefficients themselves out of double range: either way the
+        # mpmath stage starts from the Newton-polygon points
+        refined = []
+        float_starts = numeric._float_starts
+
+        def spy(coeffs, starts):
+            refined.append(float_starts(coeffs, starts))
+            return refined[-1]
+
+        monkeypatch.setattr(numeric, "_float_starts", spy)
+        true_roots = [Fraction(10**big), Fraction(-3), Fraction(1, 10**tiny)]
+        roots = find_roots(UniPoly.from_roots([gq(r) for r in true_roots]), 128)
+        assert refined == [None]
+        assert len(roots) == 3
+        with mp.workprec(200):
+            for r in true_roots:
+                exact = mpf(r.numerator) / r.denominator
+                nearest = min(abs(a.value - exact) for a in roots)
+                assert nearest <= abs(exact) * mpf(2) ** -100
+
+    def test_newton_polygon_starts_follow_the_root_moduli(self):
+        true_roots = [gq(1), gq(100), gq(0, 100), gq(-100), gq(10**4), gq(10**6)]
+        coeffs = [to_mpc(c) for c in UniPoly.from_roots(true_roots).coeffs]
+        with mp.workprec(128):
+            starts = numeric._newton_polygon_starts(coeffs)
+        assert len(starts) == 6
+        moduli = sorted(abs(z) for z in starts)
+        assert 0.5 < moduli[0] < 2
+        assert all(50 < r < 200 for r in moduli[1:4])
+        assert 5e3 < moduli[4] < 2e4
+        assert 5e5 < moduli[5] < 2e6
+        gaps = [abs(a - b) for i, a in enumerate(starts) for b in starts[i + 1:]]
+        assert min(gaps) > 1
+
+    def test_roots_closer_than_double_resolution_stay_apart(self):
+        near = 1 + Fraction(1, 10**20)
+        roots = find_roots(UniPoly.from_roots([gq(1), gq(near)]), 128)
+        assert len(roots) == 2
+        with mp.workprec(200):
+            for r, approx in zip((Fraction(1), near), roots):
+                assert abs(approx.value - mpf(r.numerator) / r.denominator) <= approx.err
+            assert abs(roots[0].value - roots[1].value) > roots[0].err + roots[1].err
 
 
 class TestClusterRoots:

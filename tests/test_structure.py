@@ -126,6 +126,11 @@ class TestCanonicalDecomposition:
         with pytest.raises(WeightMismatchError):
             analyze_germ(parse_poly("Y^2 - X^3"), weights=(1, 3))
 
+    @pytest.mark.parametrize("weights", [(2,), (2, 3, 6), 2, (0, 3), (2, "3")])
+    def test_weights_must_be_two_positive_integers(self, weights):
+        with pytest.raises(ValueError):
+            analyze_germ(parse_poly("Y^2 - X^3"), weights=weights)
+
 
 class TestClassification:
     def test_four_lines_homogeneous(self):
