@@ -440,13 +440,21 @@ def _record_weights(value) -> tuple[int, int]:
 
 def _cmd_decide_batch(args, out) -> int:
     if args.path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        return _decide_lines(sys.stdin, args, out)
+    with open(args.path, encoding="utf-8") as handle:
+        return _decide_lines(handle, args, out)
+
+
+def _decide_lines(handle, args, out) -> int:
+    """Decide one JSON record per line, reading the handle line by line.
+
+    Each line read is split again with str.splitlines, so records end at the
+    same separators as in the whole text's splitlines ("\r", form feed,
+    U+2028, ...), whichever newline mode the handle has.
+    """
     failed = False
     index = 0
-    for line in lines:
+    for line in (part for chunk in handle for part in chunk.splitlines()):
         line = line.strip()
         if not line:
             continue

@@ -367,10 +367,11 @@ def _mpf_to_fraction(x: mpf) -> Fraction:
     if not mp.isfinite(x):
         raise ValueError("cannot convert a non-finite value")
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
+    if sign:
+        man = -man
+    if exp >= 0:
+        return Fraction(man << exp)
+    return Fraction(man, 1 << -exp)
 
 
 def _snap_gq(z: mpc, max_den: int) -> GaussianRational:

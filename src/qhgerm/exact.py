@@ -1,7 +1,10 @@
 """Exact arithmetic kernel: Gaussian rationals and univariate polynomials.
 
-Rational scalars are fractions.Fraction, which already guarantees an
-arbitrary-precision reduced representation with positive denominator.
+A Gaussian rational is stored as three ints (a, b, d) meaning (a + b*i)/d,
+normalized so that d > 0 and gcd(a, b, d) = 1; equal values therefore have
+equal triples. Each arithmetic result is reduced with one gcd of its three
+ints (none when d = 1), so no fractions.Fraction is built on the arithmetic
+path. The real and imaginary parts are read back as reduced Fractions.
 Everything in this module is immutable and pure.
 """
 
@@ -16,24 +19,34 @@ from .errors import ZeroPolynomialError
 
 Rationalish = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """An element re + im*i of the field Q(i)."""
+    """An element (a + b*i)/d of the field Q(i), with d > 0 and gcd(a, b, d) = 1."""
 
-    re: Fraction = _ZERO
-    im: Fraction = _ZERO
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
+        ra, rd = _ratio(re)
+        ia, id_ = _ratio(im)
+        if rd == id_:
+            d = rd
+        else:
+            # d = lcm of the reduced denominators; gcd(a, b, d) is then 1
+            d = rd // gcd(rd, id_) * id_
+            ra *= d // rd
+            ia *= d // id_
+        _set_a(self, ra)
+        _set_b(self, ia)
+        _set_d(self, d)
 
     @staticmethod
     def of(value, im: Rationalish = 0) -> "GaussianRational":
@@ -42,34 +55,66 @@ class GaussianRational:
             if im:
                 raise ValueError("cannot add an imaginary part to a GaussianRational")
             return value
-        return GaussianRational(_fraction(value), _fraction(im))
+        return GaussianRational(value, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     @property
     def is_rational(self) -> bool:
-        return not self.im
+        return not self.b
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _make, (self.a, self.b, self.d)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _new_triple(self.a, -self.b, self.d)
 
     def norm_sq(self) -> Fraction:
         """The field norm re^2 + im^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm_sq()
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(a * d, -b * d, n)
 
     def __add__(self, other) -> "GaussianRational":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, f = self.d, other.d
+        if d == f:
+            return _make(self.a + other.a, self.b + other.b, d)
+        return _make(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     __radd__ = __add__
 
@@ -77,7 +122,10 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, f = self.d, other.d
+        if d == f:
+            return _make(self.a - other.a, self.b - other.b, d)
+        return _make(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __rsub__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -86,16 +134,16 @@ class GaussianRational:
         return other - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _new_triple(-self.a, -self.b, self.d)
 
     def __mul__(self, other) -> "GaussianRational":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if not b and not e:
+            return _make(a * c, 0, self.d * other.d)
+        return _make(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -127,25 +175,54 @@ class GaussianRational:
         return result
 
     def __str__(self) -> str:
-        if not self.im:
+        if not self.b:
             return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        im = self.im
+        if not self.a:
+            return f"{im}i"
+        sign = "+" if im >= 0 else "-"
+        return f"{self.re}{sign}{abs(im)}i"
+
+
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
+_new = object.__new__
+
+
+def _new_triple(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple that is already normalized."""
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, reduced by the one gcd of the triple."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _new_triple(a, b, d)
 
 
 def _coerce(x):
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(_fraction(x))
+    if isinstance(x, int):
+        return _new_triple(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _new_triple(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
 GQ_ZERO = GaussianRational()
-GQ_ONE = GaussianRational(_ONE)
-GQ_I = GaussianRational(_ZERO, _ONE)
+GQ_ONE = GaussianRational(1)
+GQ_I = GaussianRational(0, 1)
 
 
 def gq(re, im: Rationalish = 0) -> GaussianRational:
@@ -419,14 +496,6 @@ def gcd_bezout(indices: Sequence[int]) -> tuple[int, list[int]]:
     return g, coeffs
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f)
-
-
-def _coeff_needs_parens(c: GaussianRational) -> bool:
-    return not c.is_rational
-
-
 def format_coefficient(c: GaussianRational) -> str:
     """Render a coefficient the way the bivariate printer does.
 
@@ -435,9 +504,9 @@ def format_coefficient(c: GaussianRational) -> str:
     the result re-parses unambiguously.
     """
     if c.is_rational:
-        return _fraction_str(c.re)
+        return str(c.re)
     sign = "+" if c.im >= 0 else "-"
-    return f"({_fraction_str(c.re)}{sign}{_fraction_str(abs(c.im))}i)"
+    return f"({c.re}{sign}{abs(c.im)}i)"
 
 
 def format_unipoly(poly: UniPoly, var: str = "w") -> str:
@@ -459,7 +528,7 @@ def format_unipoly(poly: UniPoly, var: str = "w") -> str:
         if c.is_rational:
             neg = c.re < 0
             mag = abs(c.re)
-            body = _fraction_str(mag) if (mag != 1 or not mono) else ""
+            body = str(mag) if (mag != 1 or not mono) else ""
         else:
             neg = False
             body = format_coefficient(c)

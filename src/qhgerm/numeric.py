@@ -217,9 +217,16 @@ def find_roots(poly, precision: int = 128) -> list:
             )
         lead = coeffs[0]
         deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+        abs_coeffs = [abs(c) for c in coeffs]
+        # the computed |p(z)| can round to 0 at a root that is not exact; add
+        # Horner's rounding bound gamma_2n * sum |a_k| |z|^k (Higham, Accuracy
+        # and Stability, 5.1), with the unit roundoff doubled for complex
+        # products, so that every bound below encloses a true root
+        u = mpf(2) ** (1 - work)
+        gamma = 2 * n * u / (1 - 2 * n * u)
         out = list(zeros_out)
         for z in points:
-            val = abs(_horner(coeffs, z))
+            val = abs(_horner(coeffs, z)) + gamma * _horner(abs_coeffs, abs(z))
             dval = abs(_horner(deriv, z))
             floor = val / (1 + abs(lead) * n)
             if dval > 0:

@@ -12,7 +12,8 @@ Grammar accepted by parse_poly (whitespace allowed between terms and around
     number     := uint ('/' uint | '.' digits)?
 
 Juxtaposition is only read directly after a numeric literal ("2X", "3i",
-"1/2i"); parenthesized groups always need '*'. Decimal literals are exact
+"1/2i"); parenthesized groups always need '*' and nest at most
+MAX_NESTING deep. Decimal literals are exact
 ("0.3" is 3/10) but flag the polynomial as numeric-mode, recording that the
 user did not supply symbolic data. The leading optional sign is a strict
 superset of the documented form so that every printed polynomial re-parses.
@@ -29,6 +30,10 @@ from .exact import GQ_ONE, GQ_ZERO, GaussianRational, format_coefficient
 
 MODE_EXACT = "exact"
 MODE_NUMERIC = "numeric"
+
+# Each parenthesis level takes three parser frames; 200 levels stay well
+# inside Python's default recursion limit of 1000 frames.
+MAX_NESTING = 200
 
 
 def _join_mode(a: str, b: str) -> str:
@@ -188,6 +193,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.saw_decimal = False
 
     def fail(self, message: str, position: int | None = None):
@@ -254,12 +260,16 @@ class _Parser:
     def factor(self) -> tuple[BivarPoly, bool]:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.fail("nesting too deep")
+            self.depth += 1
             self.pos += 1
             inner = self.poly()
             self.skip_ws()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             e = self.maybe_exponent()
             return (inner if e is None else inner**e), False
         if ch in ("X", "Y", "i"):

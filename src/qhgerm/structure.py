@@ -21,7 +21,7 @@ from .errors import (
     WeightMismatchError,
     ZeroPolynomialError,
 )
-from .exact import GQ_ZERO, GaussianRational, UniPoly
+from .exact import GQ_ONE, GQ_ZERO, GaussianRational, UniPoly
 from .polyio import BivarPoly
 
 HOMOGENEOUS = "Homogeneous"
@@ -229,10 +229,30 @@ def _classify_from_form(weights: WeightSignature, form: CanonicalForm) -> str:
         # one distinct root (possibly zero) means c*X^m*(Y - t*X^q)^n, which
         # the non-homogeneous theory excludes
         root = -form.ladder.coeff_from_top(1) / degree
-        if form.ladder == UniPoly.from_roots([root] * degree):
+        if _is_power_of_linear(form.ladder, root):
             return MONOMIAL_LIKE
         return NON_HOMOGENEOUS_QH
     return MONOMIAL_LIKE if degree == 0 else NON_HOMOGENEOUS_QH
+
+
+def _is_power_of_linear(ladder: UniPoly, root: GaussianRational) -> bool:
+    """Whether ladder == (w - root)^degree, in O(degree) products.
+
+    The coefficient k levels below the top of (w - r)^d is C(d, k)*(-r)^k;
+    the comparison stops at the first coefficient that differs.
+    """
+    degree = ladder.degree
+    if ladder.leading != GQ_ONE:
+        return False
+    neg_root = -root
+    power = GQ_ONE
+    binom = 1
+    for k in range(1, degree + 1):
+        binom = binom * (degree - k + 1) // k
+        power = power * neg_root
+        if ladder.coeff_from_top(k) != power * binom:
+            return False
+    return True
 
 
 def ord0(poly: BivarPoly, form: CanonicalForm, weights: WeightSignature) -> int:

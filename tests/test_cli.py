@@ -94,6 +94,13 @@ class TestAnalyze:
         assert err.startswith("parse error:")
         assert "position" in err
 
+    def test_deep_nesting_is_parse_error(self):
+        deep = "(" * 3000 + "Y^2-X^3" + ")" * 3000
+        code, out, err = run_cli("analyze", deep)
+        assert code == 65
+        assert out == ""
+        assert err == "parse error: nesting too deep (at position 200)\n"
+
     @pytest.mark.parametrize("bad", ["2;3", "2,3,4", "a,b"])
     def test_malformed_weights_flag(self, bad):
         code, _, _ = run_cli("analyze", PAIR_FIRST, "--weights", bad)
@@ -390,6 +397,37 @@ class TestBatch:
         assert records[0] == {
             "error": "weights must be two positive integers, got [2]", "index": 0}
         assert records[1]["status"] == "Equivalent"
+
+
+    def test_deeply_nested_record_does_not_end_the_batch(self, tmp_path):
+        deep = "(" * 3000 + "Y^2-X^3" + ")" * 3000
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text(
+            json.dumps({"first": deep, "second": PAIR_SECOND}) + "\n"
+            + json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}) + "\n"
+        )
+        code, out, _ = run_cli("decide-batch", str(batch))
+        assert code == 65
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {
+            "error": "nesting too deep (at position 200)", "index": 0}
+        assert records[1]["status"] == "Equivalent"
+
+    def test_crlf_input_gives_the_same_records(self, tmp_path):
+        lines = [
+            json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}),
+            "",
+            "not json {",
+            json.dumps({"first": "Y^2-X^3", "second": "Y^2-2*X^3"}),
+        ]
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        lf.write_bytes(("\n".join(lines) + "\n").encode())
+        crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        expected = run_cli("decide-batch", str(lf))
+        assert expected[0] == 65
+        assert len(expected[1].splitlines()) == 3
+        assert run_cli("decide-batch", str(crlf)) == expected
+        assert run_cli("decide-batch", "-", stdin="\r\n".join(lines) + "\r\n") == expected
 
 
 class TestPrecisionEnvironment:

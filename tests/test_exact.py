@@ -1,6 +1,9 @@
 """Exact scalar and univariate polynomial arithmetic."""
 
+import copy
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +78,148 @@ class TestGaussianRational:
         for _ in range(n):
             acc = acc * z
         assert z**n == acc
+
+
+# Reference arithmetic on (re, im) pairs of Fractions, the representation the
+# integer-triple kernel replaced.
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    if not n:
+        raise ZeroDivisionError
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_pow(x, n):
+    base = _ref_inverse(x) if n < 0 else x
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        acc = _ref_mul(acc, base)
+    return acc
+
+
+def _ref_str(x):
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"{re}{'+' if im >= 0 else '-'}{abs(im)}i"
+
+
+_REF_BINARY = (
+    (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    (operator.sub, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    (operator.mul, _ref_mul),
+    (operator.truediv, lambda x, y: _ref_mul(x, _ref_inverse(y))),
+)
+
+wide_fractions = st.fractions(max_denominator=10**9)
+gq_operands = st.tuples(wide_fractions, wide_fractions).map(lambda p: (gq(*p), p))
+operands = st.one_of(
+    gq_operands,
+    st.integers(min_value=-10**6, max_value=10**6).map(lambda n: (n, (Fraction(n), Fraction(0)))),
+    wide_fractions.map(lambda f: (f, (f, Fraction(0)))),
+)
+
+
+def _assert_matches(z, ref):
+    assert type(z) is GaussianRational
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    assert (z.re, z.im) == ref
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z == gq(*ref) and hash(z) == hash(gq(*ref))
+    assert str(z) == _ref_str(ref)
+
+
+class TestTripleKernel:
+    @given(gq_operands, operands, st.booleans())
+    def test_binary_operations_match_fraction_pairs(self, x, y, swap):
+        (left, left_ref), (right, right_ref) = (y, x) if swap else (x, y)
+        for op, ref in _REF_BINARY:
+            try:
+                expected = ref(left_ref, right_ref)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            _assert_matches(op(left, right), expected)
+
+    @given(gq_operands, st.integers(min_value=-3, max_value=5))
+    def test_power_matches_fraction_pairs(self, x, n):
+        z, ref = x
+        try:
+            expected = _ref_pow(ref, n)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                z**n
+            return
+        _assert_matches(z**n, expected)
+
+    @given(gq_operands)
+    def test_unary_operations_match_fraction_pairs(self, x):
+        z, (re, im) = x
+        _assert_matches(z, (re, im))
+        _assert_matches(-z, (-re, -im))
+        _assert_matches(z.conjugate(), (re, -im))
+        assert z.norm_sq() == re * re + im * im
+        assert type(z.norm_sq()) is Fraction
+        if z.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                z.inverse()
+        else:
+            _assert_matches(z.inverse(), _ref_inverse((re, im)))
+
+    @given(gq_operands, gq_operands)
+    def test_equal_values_hash_equal(self, x, y):
+        z, w = x[0], y[0]
+        for same in ((z + w) - w, (w + z) - w, (z * w) / w if not w.is_zero else z):
+            assert same == z
+            assert hash(same) == hash(z)
+            assert (same.a, same.b, same.d) == (z.a, z.b, z.d)
+
+    def test_immutable(self):
+        z = gq(Fraction(1, 2), 3)
+        for name in ("a", "b", "d", "re", "im", "other"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 1)
+        with pytest.raises(AttributeError):
+            del z.a
+        assert (z.a, z.b, z.d) == (1, 6, 2)
+
+    def test_equality_only_with_gaussian_rationals(self):
+        assert gq(1) != 1
+        assert gq(Fraction(1, 2)) != Fraction(1, 2)
+        assert gq(Fraction(2, 4), Fraction(3, 6)) == gq(Fraction(1, 2), Fraction(1, 2))
+
+    def test_copy_and_repr(self):
+        z = gq(Fraction(-2, 3), Fraction(5, 4))
+        assert copy.deepcopy(z) == z
+        assert repr(z) == "GaussianRational(re=Fraction(-2, 3), im=Fraction(5, 4))"
+
+    def test_arithmetic_builds_no_fraction(self, monkeypatch):
+        x, y = gq(Fraction(2, 3), Fraction(-5, 7)), gq(Fraction(9, 4))
+        made = []
+        original = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        (x * y + x - 3 * y / x) ** 3 + x**-2 + y.inverse() - x.conjugate() * 2
+        monkeypatch.undo()
+        assert made == []
+
+    def test_multiplication_is_patchable_in_the_class_dict(self):
+        # per-layer tracing replaces these two entries to count products
+        assert "__mul__" in GaussianRational.__dict__
+        assert "__rmul__" in GaussianRational.__dict__
 
 
 class TestUniPoly:

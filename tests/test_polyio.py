@@ -17,7 +17,7 @@ from qhgerm import (
     gq,
     parse_poly,
 )
-from qhgerm.polyio import MODE_EXACT, MODE_NUMERIC, poly_to_json_dict
+from qhgerm.polyio import MAX_NESTING, MODE_EXACT, MODE_NUMERIC, poly_to_json_dict
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=10)
 scalars = st.builds(gq, fractions, fractions)
@@ -105,6 +105,12 @@ class TestParseErrors:
     def test_double_caret(self):
         with pytest.raises(ParseError):
             parse_poly("X^^2")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        assert parse_poly("(" * MAX_NESTING + "X" + ")" * MAX_NESTING) == X
+        with pytest.raises(ParseError, match="nesting too deep") as err:
+            parse_poly("(" * 3000 + "X" + ")" * 3000)
+        assert err.value.position == MAX_NESTING
 
 
 class TestModes:

@@ -1,8 +1,11 @@
 """Weight inference, canonical decomposition, and germ classification."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qhgerm import (
     NotQuasihomogeneousError,
@@ -19,7 +22,9 @@ from qhgerm.structure import (
     HOMOGENEOUS,
     MONOMIAL_LIKE,
     NON_HOMOGENEOUS_QH,
+    CanonicalForm,
     WeightSignature,
+    _classify_from_form,
     height_function,
 )
 
@@ -151,6 +156,44 @@ class TestClassification:
     def test_distinct_parabolas_are_in_scope(self):
         a = analyze_germ(parse_poly("(Y-X^2)*(Y-2*X^2)"))
         assert a.germ_class == NON_HOMOGENEOUS_QH
+
+
+def _class_of_unit_weight_ladder(ladder):
+    sig = WeightSignature(1, 2, 2 * ladder.degree)
+    return _classify_from_form(sig, CanonicalForm(gq(1), 0, None, ladder))
+
+
+def _class_by_expansion(ladder):
+    """The class from expanding (w - r)^d in full, r read off the ladder."""
+    root = -ladder.coeff_from_top(1) / ladder.degree
+    if ladder == UniPoly.from_roots([root] * ladder.degree):
+        return MONOMIAL_LIKE
+    return NON_HOMOGENEOUS_QH
+
+
+class TestRepeatedRootCheck:
+    @pytest.mark.parametrize(
+        "ladder, expected",
+        [
+            (UniPoly.from_roots([gq(3)] * 5), MONOMIAL_LIKE),
+            (UniPoly.from_roots([gq(Fraction(1, 2), 2)] * 4), MONOMIAL_LIKE),
+            (UniPoly.from_roots([gq(0)] * 6), MONOMIAL_LIKE),
+            # (w - 2)^4 = w^4 - 8w^3 + 24w^2 - 32w + 16 with the third coefficient off
+            (UniPoly.from_coeffs([1, -8, 25, -32, 16]), NON_HOMOGENEOUS_QH),
+            (UniPoly.from_coeffs([1, -8, 24, -32, 17]), NON_HOMOGENEOUS_QH),
+            (UniPoly.from_roots([gq(1), gq(2)]), NON_HOMOGENEOUS_QH),
+        ],
+        ids=["real", "gaussian", "zero", "third_coefficient", "last_coefficient", "two_roots"],
+    )
+    def test_matches_full_expansion(self, ladder, expected):
+        assert _class_by_expansion(ladder) == expected
+        assert _class_of_unit_weight_ladder(ladder) == expected
+
+    @given(st.lists(st.sampled_from([gq(0), gq(1), gq(-2), gq(0, 1), gq(Fraction(1, 3), -1)]),
+                    min_size=1, max_size=6))
+    def test_matches_full_expansion_on_root_multisets(self, roots):
+        ladder = UniPoly.from_roots(roots)
+        assert _class_of_unit_weight_ladder(ladder) == _class_by_expansion(ladder)
 
 
 class TestHeight:
