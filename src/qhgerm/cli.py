@@ -24,8 +24,6 @@ from .engine import (
     RadicalScalar,
     ScaleClass,
     ShearTerm,
-    _numeric_clusters,
-    _snap_gq,
 )
 from .errors import (
     BranchOutOfRangeError,
@@ -137,13 +135,12 @@ def _emit(doc: dict, out) -> None:
     out.write("\n")
 
 
-def _approx_str(value, precision: int, chop: bool = False) -> str:
-    """17 significant digits; chop drops components below 2^-precision * |value|."""
+def _approx_str(value, precision: int) -> str:
+    """17 significant digits, without components below 2^-precision * |value|."""
     with mp.workprec(precision + 20):
         z = to_mpc(value) if isinstance(value, GaussianRational) else value
-        if chop:
-            floor = abs(z) * mpf(2) ** -precision
-            z = mpc(z.real if abs(z.real) > floor else 0, z.imag if abs(z.imag) > floor else 0)
+        floor = abs(z) * mpf(2) ** -precision
+        z = mpc(z.real if abs(z.real) > floor else 0, z.imag if abs(z.imag) > floor else 0)
         return mp.nstr(z, 17)
 
 
@@ -160,10 +157,6 @@ def _scalar_json(scalar, approx: str) -> dict:
     raise TypeError(f"unexpected scalar {type(scalar).__name__}")
 
 
-def _scalar_text(scalar) -> str:
-    return str(scalar)
-
-
 def _match_json(match, precision: int):
     if match is None:
         return None
@@ -176,9 +169,9 @@ def _match_json(match, precision: int):
                 "shift": {"first": str(match.center_first),
                           "second": str(match.center_second)}}
     if isinstance(match, NumericMatch):
-        return {"numeric": True, "scale": _approx_str(match.scale, precision, chop=True),
+        return {"numeric": True, "scale": _approx_str(match.scale, precision),
                 "shift": None if match.shift is None
-                else _approx_str(match.shift, precision, chop=True)}
+                else _approx_str(match.shift, precision)}
     raise TypeError(f"unexpected match {type(match).__name__}")
 
 
@@ -192,21 +185,8 @@ def _verdict_json(verdict, precision: int) -> dict:
     }
 
 
-def _witness_numerics(witness, precision: int):
-    with mp.workprec(precision + 20):
-        alpha = engine.scalar_to_mpc(witness.alpha, precision)
-        beta = engine.scalar_to_mpc(witness.beta, precision)
-        if witness.gamma is None:
-            gamma = None
-        elif isinstance(witness.gamma, ShearTerm):
-            gamma = witness.gamma.evaluate(alpha, beta, witness.weights.q)
-        else:
-            gamma = engine.scalar_to_mpc(witness.gamma, precision)
-        return alpha, beta, gamma
-
-
 def _witness_json(witness, precision: int) -> dict:
-    alpha, beta, gamma = _witness_numerics(witness, precision)
+    alpha, beta, gamma = engine.witness_to_mpc(witness, precision)
     doc = {
         "alpha": _scalar_json(witness.alpha, _approx_str(alpha, precision)),
         "beta": _scalar_json(witness.beta, _approx_str(beta, precision)),
@@ -215,7 +195,7 @@ def _witness_json(witness, precision: int) -> dict:
         "scale": _scalar_json(witness.scale, _approx_str(
             engine.scalar_to_mpc(witness.scale, precision), precision)),
         "branch": witness.branch,
-        "direction": witness.direction,
+        "direction": "forward",
         "substitution": _substitution_text(witness),
     }
     return doc
@@ -330,10 +310,10 @@ def _cmd_decide(args, out) -> int:
             out.write(f"match: {json.dumps(match, sort_keys=True)}\n")
         if witness is not None:
             out.write(f"witness: {_substitution_text(witness)}\n")
-            out.write(f"  alpha = {_scalar_text(witness.alpha)}\n")
-            out.write(f"  beta  = {_scalar_text(witness.beta)}\n")
+            out.write(f"  alpha = {witness.alpha}\n")
+            out.write(f"  beta  = {witness.beta}\n")
             if witness.gamma is not None:
-                out.write(f"  gamma = {_scalar_text(witness.gamma)}\n")
+                out.write(f"  gamma = {witness.gamma}\n")
             verdict_word = "pass" if report.passed else "FAIL"
             kind = "exact" if report.exact else "numeric"
             out.write(f"verification: {kind} {verdict_word}")
@@ -346,18 +326,12 @@ def _cmd_decide(args, out) -> int:
 def _cmd_roots(args, out) -> int:
     poly = parse_poly(args.poly)
     analysis = analyze_germ(poly, args.weights)
-    ladder = analysis.canonical.ladder
-    precision = args.precision
-    entries = []
-    if ladder.degree > 0:
-        clusters = _numeric_clusters(ladder, precision, args.tol)
-        for cl in clusters:
-            snapped = _snap_gq(cl.center, 10**12)
-            exact = ladder.eval(snapped).is_zero
-            value = str(snapped) if exact else _approx_str(cl.center, precision, chop=True)
-            entries.append(
-                {"value": value, "multiplicity": cl.multiplicity, "exact": exact}
-            )
+    entries = [
+        {"value": str(value) if exact else _approx_str(value, args.precision),
+         "multiplicity": multiplicity, "exact": exact}
+        for value, multiplicity, exact in engine.ladder_roots(
+            analysis.canonical.ladder, args.precision, args.tol)
+    ]
     w = analysis.weights
     if args.json:
         _emit({
@@ -441,20 +415,16 @@ def _record_weights(value) -> tuple[int, int]:
 def _cmd_decide_batch(args, out) -> int:
     if args.path == "-":
         return _decide_lines(sys.stdin, args, out)
-    with open(args.path, encoding="utf-8") as handle:
+    # newline="\n" ends records at "\n" only, as on stdin; strip() drops a "\r"
+    with open(args.path, encoding="utf-8", newline="\n") as handle:
         return _decide_lines(handle, args, out)
 
 
 def _decide_lines(handle, args, out) -> int:
-    """Decide one JSON record per line, reading the handle line by line.
-
-    Each line read is split again with str.splitlines, so records end at the
-    same separators as in the whole text's splitlines ("\r", form feed,
-    U+2028, ...), whichever newline mode the handle has.
-    """
+    """Decide one JSON record per line, reading the handle line by line."""
     failed = False
     index = 0
-    for line in (part for chunk in handle for part in chunk.splitlines()):
+    for line in handle:
         line = line.strip()
         if not line:
             continue

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .exact import GQ_ONE, GQ_ZERO, GaussianRational, UniPoly, gcd_bezout
 from .numeric import (
+    NumericMatch,
     cluster_roots,
     eval_bivar,
     find_roots,
@@ -55,7 +56,7 @@ STATUS_NOT_APPLICABLE = "NotApplicable"
 MODE_AUTO = "auto"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaleClass:
     """All scales carrying one ladder onto another: the d-th roots of base.
 
@@ -77,7 +78,7 @@ class ScaleClass:
         return self.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineMatch:
     """Affine relation between two root multisets, split into scale and centers.
 
@@ -90,16 +91,27 @@ class AffineMatch:
     center_second: GaussianRational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
+    """A decision with the two germ analyses it was made from.
+
+    match is the exact route's ScaleClass or AffineMatch, or the numeric
+    route's NumericMatch, for an Equivalent verdict and None otherwise.
+    """
+
     status: str
     mode: str
-    invariants: dict
+    first: GermAnalysis
+    second: GermAnalysis
     match: object | None
     reason: str | None
 
+    @property
+    def invariants(self) -> dict:
+        return {"first": _side_invariants(self.first), "second": _side_invariants(self.second)}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class RadicalScalar:
     """The branch-th index-th root of an exact Gaussian rational.
 
@@ -122,7 +134,7 @@ class RadicalScalar:
         return f"({self.base})^(1/{self.index}) branch {self.branch} ~ {self.approx}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShearTerm:
     """Shear coefficient given implicitly as alpha_coeff*alpha^q + beta_coeff*beta.
 
@@ -141,7 +153,7 @@ class ShearTerm:
         return f"({self.alpha_coeff})*alpha^q + ({self.beta_coeff})*beta"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """Coordinate change (alpha*X, beta*Y + gamma*X^q) with second = first o Psi.
 
@@ -157,10 +169,9 @@ class Witness:
     scale: object
     weights: WeightSignature
     branch: int | None
-    direction: str = "forward"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     passed: bool
     exact: bool
@@ -264,6 +275,22 @@ def _numeric_clusters(ladder: UniPoly, precision: int, tol: float):
             prec = min(2 * prec, 1024)
 
 
+def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
+    """Distinct ladder roots as (value, multiplicity, exact) entries.
+
+    value is the GaussianRational root that a cluster center snaps to at
+    denominators up to 10^12 (exact True), else the mpc center (exact False).
+    """
+    if ladder.degree < 1:
+        return []
+    entries = []
+    for cl in _numeric_clusters(ladder, precision, tol):
+        snapped = _snap_gq(cl.center, 10**12)
+        exact = ladder.eval(snapped).is_zero
+        entries.append((snapped if exact else cl.center, cl.multiplicity, exact))
+    return entries
+
+
 def decide_equivalence(
     first: BivarPoly,
     second: BivarPoly,
@@ -291,66 +318,63 @@ def decide_equivalence(
     eff_mode = "numeric" if (mode == "numeric" or (mode == MODE_AUTO and input_numeric)) else "exact"
     first_a = analyze_germ(first, weights)
     second_a = analyze_germ(second, weights)
-    inv = {"first": _side_invariants(first_a), "second": _side_invariants(second_a)}
+
+    def verdict(status, match=None, reason=None):
+        return Verdict(status, eff_mode, first_a, second_a, match, reason)
+
     if first_a.germ_class != NON_HOMOGENEOUS_QH or second_a.germ_class != NON_HOMOGENEOUS_QH:
-        return Verdict(
+        return verdict(
             STATUS_NOT_APPLICABLE,
-            eff_mode,
-            inv,
-            None,
-            "the decision procedure covers only non-homogeneous quasihomogeneous "
+            reason="the decision procedure covers only non-homogeneous quasihomogeneous "
             f"germs; classes here are {first_a.germ_class} and {second_a.germ_class}",
         )
     w1, w2 = first_a.weights, second_a.weights
     if (w1.p, w1.q) != (w2.p, w2.q):
-        return Verdict(
+        return verdict(
             STATUS_NOT_APPLICABLE,
-            eff_mode,
-            inv,
-            None,
-            f"weight types differ: ({w1.p},{w1.q}) vs ({w2.p},{w2.q})",
+            reason=f"weight types differ: ({w1.p},{w1.q}) vs ({w2.p},{w2.q})",
         )
     if w1.nu != w2.nu:
-        return Verdict(
-            STATUS_INEQUIVALENT, eff_mode, inv, None,
-            f"weighted degrees differ: {w1.nu} vs {w2.nu}",
+        return verdict(
+            STATUS_INEQUIVALENT, reason=f"weighted degrees differ: {w1.nu} vs {w2.nu}"
         )
     f1, f2 = first_a.canonical, second_a.canonical
     if f1.m != f2.m:
-        return Verdict(
-            STATUS_INEQUIVALENT, eff_mode, inv, None,
-            f"X-axis multiplicities differ: {f1.m} vs {f2.m}",
+        return verdict(
+            STATUS_INEQUIVALENT, reason=f"X-axis multiplicities differ: {f1.m} vs {f2.m}"
         )
     if f1.m0 != f2.m0:
-        return Verdict(
-            STATUS_INEQUIVALENT, eff_mode, inv, None,
-            f"Y-axis multiplicities differ: {f1.m0} vs {f2.m0}",
+        return verdict(
+            STATUS_INEQUIVALENT, reason=f"Y-axis multiplicities differ: {f1.m0} vs {f2.m0}"
         )
     if f1.ladder_degree != f2.ladder_degree:
         raise InternalInconsistencyError(
             "ladder degrees differ although nu, m, m0 agree"
         )
-    p = w1.p
+    affine = w1.p == 1
     if eff_mode == "exact":
-        if p == 1:
-            match = affine_multiset_match(f1.ladder, f2.ladder)
-            kind = "an affine scale"
-        else:
-            match = linear_multiset_match(f1.ladder, f2.ladder)
-            kind = "a scale"
+        match = _exact_match(first_a, second_a)
     else:
         clusters_first = _numeric_clusters(f1.ladder, precision, tol)
         clusters_second = _numeric_clusters(f2.ladder, precision, tol)
         match = numeric_match(
-            "affine" if p == 1 else "linear", clusters_first, clusters_second, tol
+            "affine" if affine else "linear", clusters_first, clusters_second, tol
         )
-        kind = "an affine scale" if p == 1 else "a scale"
     if match is None:
-        return Verdict(
-            STATUS_INEQUIVALENT, eff_mode, inv, None,
-            f"ladder root configurations are not related by {kind}",
+        kind = "an affine scale" if affine else "a scale"
+        return verdict(
+            STATUS_INEQUIVALENT,
+            reason=f"ladder root configurations are not related by {kind}",
         )
-    return Verdict(STATUS_EQUIVALENT, eff_mode, inv, match, None)
+    return verdict(STATUS_EQUIVALENT, match)
+
+
+def _exact_match(first_a: GermAnalysis, second_a: GermAnalysis):
+    """AffineMatch (p = 1) or ScaleClass (p > 1) of the two ladders, or None."""
+    ladders = first_a.canonical.ladder, second_a.canonical.ladder
+    if first_a.weights.p == 1:
+        return affine_multiset_match(*ladders)
+    return linear_multiset_match(*ladders)
 
 
 def witness_branch_count(verdict: Verdict) -> int:
@@ -655,6 +679,10 @@ def build_witness(
     back to radical scalars on the principal branch. An explicit branch
     selects one root of the scale class and always yields radical form
     (reduced to rationals where the branch happens to be rational).
+
+    The witness is built from the verdict's germ analyses and exact match;
+    a numeric verdict gets the exact match of its analyses first. The
+    verdict must have been decided on first and second.
     """
     if verdict is None:
         verdict = decide_equivalence(first, second)
@@ -662,27 +690,20 @@ def build_witness(
         raise NotEquivalentVerdictError(
             f"cannot build a witness from a {verdict.status} verdict"
         )
-    w = (verdict.invariants["first"]["p"], verdict.invariants["first"]["q"])
-    first_a = analyze_germ(first, w)
-    second_a = analyze_germ(second, w)
-    if w[0] == 1:
-        match = affine_multiset_match(first_a.canonical.ladder, second_a.canonical.ladder)
+    first_a, second_a = verdict.first, verdict.second
+    match = verdict.match
+    if isinstance(match, NumericMatch):
+        match = _exact_match(first_a, second_a)
         if match is None:
             raise NotEquivalentVerdictError(
                 "the exact matcher finds no witness; a numeric verdict on "
                 "rounded input does not support witness construction"
             )
+    if isinstance(match, AffineMatch):
         scale_class = match.scale_class
         centers = (match.center_first, match.center_second)
     else:
-        scale_class = linear_multiset_match(
-            first_a.canonical.ladder, second_a.canonical.ladder
-        )
-        if scale_class is None:
-            raise NotEquivalentVerdictError(
-                "the exact matcher finds no witness; a numeric verdict on "
-                "rounded input does not support witness construction"
-            )
+        scale_class = match
         centers = None
     if branch is not None:
         if not 0 <= branch < scale_class.branch_count:
@@ -709,6 +730,24 @@ def scalar_to_mpc(scalar, precision: int) -> mpc:
     if isinstance(scalar, RadicalScalar):
         return scalar.to_mpc(precision)
     raise TypeError(f"cannot evaluate {type(scalar).__name__} on its own")
+
+
+def witness_to_mpc(witness: Witness, precision: int) -> tuple:
+    """(alpha, beta, gamma) of a witness as mpc at precision + 20 bits.
+
+    gamma is None when the witness has no shear; a ShearTerm is evaluated
+    at the numeric alpha and beta.
+    """
+    with mp.workprec(precision + 20):
+        alpha = scalar_to_mpc(witness.alpha, precision)
+        beta = scalar_to_mpc(witness.beta, precision)
+        if witness.gamma is None:
+            gamma = None
+        elif isinstance(witness.gamma, ShearTerm):
+            gamma = witness.gamma.evaluate(alpha, beta, witness.weights.q)
+        else:
+            gamma = scalar_to_mpc(witness.gamma, precision)
+        return alpha, beta, gamma
 
 
 def verify_witness(
@@ -741,14 +780,7 @@ def verify_witness(
         passed = image == second
         return VerificationReport(passed, True, "0", "0", 0, precision)
     with mp.workprec(precision + 20):
-        alpha_num = scalar_to_mpc(witness.alpha, precision)
-        beta_num = scalar_to_mpc(witness.beta, precision)
-        if witness.gamma is None:
-            gamma_num = None
-        elif isinstance(witness.gamma, ShearTerm):
-            gamma_num = witness.gamma.evaluate(alpha_num, beta_num, q)
-        else:
-            gamma_num = scalar_to_mpc(witness.gamma, precision)
+        alpha_num, beta_num, gamma_num = witness_to_mpc(witness, precision)
         bound = mpf(tol) if tol is not None else mpf(2) ** (-(precision - 48))
         rng = random.Random(seed)
         worst = mpf(0)

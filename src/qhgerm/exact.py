@@ -230,7 +230,7 @@ def gq(re, im: Rationalish = 0) -> GaussianRational:
     return GaussianRational.of(re, im)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniPoly:
     """Univariate polynomial over Q(i), coefficients stored degree-descending.
 
@@ -458,11 +458,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()[0]
 
 
-def taylor_shift(poly: UniPoly, c) -> UniPoly:
-    """Functional alias for UniPoly.shift."""
-    return poly.shift(c)
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b), a and b nonnegative."""
     old_r, r = a, b
@@ -509,22 +504,22 @@ def format_coefficient(c: GaussianRational) -> str:
     return f"({c.re}{sign}{abs(c.im)}i)"
 
 
-def format_unipoly(poly: UniPoly, var: str = "w") -> str:
-    """Deterministic degree-descending rendering, e.g. "w^2 - 3*w + 2"."""
-    if poly.is_zero:
-        return "0"
+def power_str(var: str, k: int) -> str:
+    """The power var^k as printed: "" for k = 0, bare var for k = 1."""
+    if k == 0:
+        return ""
+    return var if k == 1 else f"{var}^{k}"
+
+
+def format_terms(terms: Iterable) -> str:
+    """Join (coefficient, monomial) pairs into "3*w^2 - w + 1/2" style text.
+
+    Rational coefficients carry the sign between terms and a unit
+    coefficient is left out in front of a monomial; others print through
+    format_coefficient. No terms at all print as "0".
+    """
     parts = []
-    d = poly.degree
-    for i, c in enumerate(poly.coeffs):
-        if c.is_zero:
-            continue
-        k = d - i
-        if k == 0:
-            mono = ""
-        elif k == 1:
-            mono = var
-        else:
-            mono = f"{var}^{k}"
+    for c, mono in terms:
         if c.is_rational:
             neg = c.re < 0
             mag = abs(c.re)
@@ -532,12 +527,17 @@ def format_unipoly(poly: UniPoly, var: str = "w") -> str:
         else:
             neg = False
             body = format_coefficient(c)
-        if body and mono:
-            text = f"{body}*{mono}"
-        else:
-            text = body or mono
+        text = f"{body}*{mono}" if (body and mono) else (body or mono)
         if not parts:
             parts.append(("-" if neg else "") + text)
         else:
             parts.append(("- " if neg else "+ ") + text)
-    return " ".join(parts)
+    return " ".join(parts) or "0"
+
+
+def format_unipoly(poly: UniPoly, var: str = "w") -> str:
+    """Deterministic degree-descending rendering, e.g. "w^2 - 3*w + 2"."""
+    d = poly.degree
+    return format_terms(
+        (c, power_str(var, d - i)) for i, c in enumerate(poly.coeffs) if not c.is_zero
+    )

@@ -22,7 +22,7 @@ _FLOAT_SWEEPS = 200
 _MP_SWEEPS = 600
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexApprox:
     """A complex value known to the stated precision, with an error bound."""
 
@@ -31,7 +31,7 @@ class ComplexApprox:
     precision: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootCluster:
     """A group of nearby numeric roots standing for one true root."""
 
@@ -40,7 +40,7 @@ class RootCluster:
     radius: mpf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericMatch:
     """A scale (and optional shift) mapping one root multiset onto another."""
 

@@ -21,12 +21,11 @@ superset of the documented form so that every printed polynomial re-parses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyInputError, NegativeExponentError, ParseError
-from .exact import GQ_ONE, GQ_ZERO, GaussianRational, format_coefficient
+from .exact import GQ_ONE, GQ_ZERO, GaussianRational, format_terms, power_str
 
 MODE_EXACT = "exact"
 MODE_NUMERIC = "numeric"
@@ -40,7 +39,7 @@ def _join_mode(a: str, b: str) -> str:
     return MODE_NUMERIC if MODE_NUMERIC in (a, b) else MODE_EXACT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BivarPoly:
     """Sparse polynomial in X, Y with Gaussian rational coefficients.
 
@@ -348,55 +347,13 @@ def parse_poly(text: str) -> BivarPoly:
 
 
 def _monomial_str(i: int, j: int) -> str:
-    parts = []
-    if i == 1:
-        parts.append("X")
-    elif i > 1:
-        parts.append(f"X^{i}")
-    if j == 1:
-        parts.append("Y")
-    elif j > 1:
-        parts.append(f"Y^{j}")
-    return "*".join(parts)
+    return "*".join(filter(None, (power_str("X", i), power_str("Y", j))))
 
 
-def format_poly(poly: BivarPoly, style: str = "expanded") -> str:
+def format_poly(poly: BivarPoly) -> str:
     """Deterministic rendering; parse_poly(format_poly(P)) == P.
 
     Terms print with X-exponent ascending, then Y-exponent ascending, the
     order the golden outputs use ("Y^2 - X^3", "X*Y^3 - 3*X^2*Y^2 + ...").
     """
-    if style == "json":
-        return json.dumps(poly_to_json_dict(poly), sort_keys=True, separators=(", ", ": "))
-    if style != "expanded":
-        raise ValueError(f"unknown style {style!r}")
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for (i, j) in sorted(poly.terms):
-        c = poly.terms[(i, j)]
-        mono = _monomial_str(i, j)
-        if c.is_rational:
-            neg = c.re < 0
-            mag = abs(c.re)
-            body = str(mag) if (mag != 1 or not mono) else ""
-        else:
-            neg = False
-            body = format_coefficient(c)
-        text = f"{body}*{mono}" if (body and mono) else (body or mono)
-        if not parts:
-            parts.append(("-" if neg else "") + text)
-        else:
-            parts.append(("- " if neg else "+ ") + text)
-    return " ".join(parts)
-
-
-def poly_to_json_dict(poly: BivarPoly) -> dict:
-    """JSON-ready dict with terms in canonical order and exact string parts."""
-    return {
-        "mode": poly.mode,
-        "terms": [
-            {"i": i, "j": j, "re": str(poly.terms[(i, j)].re), "im": str(poly.terms[(i, j)].im)}
-            for (i, j) in sorted(poly.terms)
-        ],
-    }
+    return format_terms((poly.terms[k], _monomial_str(*k)) for k in sorted(poly.terms))

@@ -30,7 +30,7 @@ NON_HOMOGENEOUS_QH = "NonHomogeneousQH"
 NOT_QUASIHOMOGENEOUS = "NotQuasihomogeneous"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightSignature:
     """Coprime weights p <= q and the weighted degree nu of the support line."""
 
@@ -39,28 +39,25 @@ class WeightSignature:
     nu: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     """Data of F = c0 * X^m * Y^m0 * (ladder factors).
 
     For p = 1 the Y-power is absorbed into the ladder as zero roots and m0 is
-    None. ladder is monic; its degree is the total root multiplicity. k is
-    the number of distinct ladder roots when some stage has established it
-    (numeric clustering); exact analysis leaves it None.
+    None. ladder is monic; its degree is the total root multiplicity.
     """
 
     c0: GaussianRational
     m: int
     m0: int | None
     ladder: UniPoly
-    k: int | None = None
 
     @property
     def ladder_degree(self) -> int:
         return self.ladder.degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GermAnalysis:
     """Bundle produced by analyze_germ: everything downstream stages need."""
 
@@ -68,7 +65,6 @@ class GermAnalysis:
     germ_class: str
     canonical: CanonicalForm
     ord_at_origin: int
-    height: UniPoly
 
 
 def _require_nonzero(poly: BivarPoly):
@@ -210,15 +206,6 @@ def canonical_decompose(poly: BivarPoly, weights: WeightSignature) -> CanonicalF
     return form
 
 
-def classify_germ(poly: BivarPoly, weights: WeightSignature) -> str:
-    """Sort a validated germ into the class that drives the decision pipeline."""
-    _require_nonzero(poly)
-    if len(poly.terms) == 1:
-        return MONOMIAL_LIKE
-    form = canonical_decompose(poly, weights)
-    return _classify_from_form(weights, form)
-
-
 def _classify_from_form(weights: WeightSignature, form: CanonicalForm) -> str:
     if weights.p == weights.q:
         return HOMOGENEOUS
@@ -271,7 +258,7 @@ def ord0(poly: BivarPoly, form: CanonicalForm, weights: WeightSignature) -> int:
 
 
 def analyze_germ(poly: BivarPoly, weights: tuple[int, int] | None = None) -> GermAnalysis:
-    """Full structural analysis: weights, class, canonical form, order, height."""
+    """Full structural analysis: weights, class, canonical form, order."""
     _require_nonzero(poly)
     if weights is None:
         sig = infer_weights(poly)
@@ -287,4 +274,4 @@ def analyze_germ(poly: BivarPoly, weights: tuple[int, int] | None = None) -> Ger
     else:
         germ_class = _classify_from_form(sig, form)
     order = ord0(poly, form, sig)
-    return GermAnalysis(sig, germ_class, form, order, height_function(poly))
+    return GermAnalysis(sig, germ_class, form, order)

@@ -235,6 +235,27 @@ class TestDecide:
         assert verdict["match"] == {"numeric": True, "scale": "(2.0 + 0.0j)",
                                     "shift": None}
 
+    def test_witness_approx_drops_sub_precision_noise(self):
+        code, out, _ = run_cli(
+            "decide", "2*X*Y^8 - 2*X^8*Y^6 - 64*X^15*Y^4 + 120*X^22*Y^2",
+            "(0 - 14*i)*X*Y^8 - 1792*X^8*Y^6 + (0 - 7340032*i)*X^15*Y^4"
+            " - 1761607680*X^22*Y^2", "--witness", "--json")
+        assert code == 0
+        witness = json.loads(out)["witness"]
+        approx = [witness[key]["approx"] for key in ("alpha", "beta", "scale")]
+        assert "(0.0 - 2.0882907399781691j)" in approx
+        for text in approx:
+            z = complex(text.replace(" ", ""))
+            assert all(part == 0 or abs(part) > 1e-30 * abs(z) for part in (z.real, z.imag))
+
+    def test_numeric_verdict_witness_is_refused(self):
+        code, out, err = run_cli("decide", "(Y^2-X^3)*(Y^2-1.0000000001*X^3)",
+                                 "(Y^2-X^3)^2", "--witness")
+        assert code == 66
+        assert out == ""
+        assert err == ("error: the exact matcher finds no witness; a numeric verdict "
+                       "on rounded input does not support witness construction\n")
+
     def test_exact_mode_rejects_decimals(self):
         code, _, err = run_cli("decide", "Y^2 - 1.5*X^4", "Y^2 - X^4",
                                "--mode", "exact")
@@ -412,6 +433,31 @@ class TestBatch:
         assert records[0] == {
             "error": "nesting too deep (at position 200)", "index": 0}
         assert records[1]["status"] == "Equivalent"
+
+    def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
+        text = "".join(
+            json.dumps({"id": f"a{sep}b", "first": "Y^2-X^3", "second": "Y^2-8*X^3"},
+                       ensure_ascii=False) + "\n"
+            for sep in ("\u2028", "\u2029"))
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text(text, encoding="utf-8")
+        for result in (run_cli("decide-batch", str(batch)),
+                       run_cli("decide-batch", "-", stdin=text)):
+            code, out, _ = result
+            assert code == 0
+            records = [json.loads(line) for line in out.splitlines()]
+            assert [r["id"] for r in records] == ["a\u2028b", "a\u2029b"]
+            assert [r["status"] for r in records] == ["Equivalent", "Equivalent"]
+
+    def test_lone_carriage_return_reads_alike_from_file_and_stdin(self, tmp_path):
+        text = "\r".join(json.dumps({"first": "Y^2-X^3", "second": "Y^2-8*X^3"})
+                         for _ in range(2)) + "\n"
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_bytes(text.encode())
+        from_file = run_cli("decide-batch", str(batch))
+        assert from_file[0] == 65
+        assert len(from_file[1].splitlines()) == 1
+        assert run_cli("decide-batch", "-", stdin=text) == from_file
 
     def test_crlf_input_gives_the_same_records(self, tmp_path):
         lines = [

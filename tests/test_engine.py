@@ -20,12 +20,14 @@ from qhgerm import (
     UniPoly,
     Witness,
     affine_multiset_match,
+    analyze_germ,
     build_witness,
     cross_ratio,
     decide_equivalence,
     decide_from_text,
     gq,
     j_from_cross_ratio,
+    ladder_roots,
     linear_multiset_match,
     parse_poly,
     scalar_to_mpc,
@@ -295,6 +297,50 @@ class TestWitness:
         with pytest.raises(NotEquivalentVerdictError):
             build_witness(parse_poly("Y^2-X^3"), parse_poly("(Y^2-X^3)^2"))
 
+    def test_numeric_verdict_without_exact_match_gives_no_witness(self):
+        first = parse_poly("(Y^2-X^3)*(Y^2-1.0000000001*X^3)")
+        second = parse_poly("(Y^2-X^3)^2")
+        verdict = decide_equivalence(first, second)
+        assert (verdict.status, verdict.mode) == ("Equivalent", "numeric")
+        with pytest.raises(NotEquivalentVerdictError, match="the exact matcher finds no witness"):
+            build_witness(first, second, verdict)
+
+    def test_numeric_verdict_with_exact_match_gets_a_witness(self):
+        first = parse_poly("(Y-1.5*X^2)*(Y-2*X^2)*(Y+X^2)")
+        second = parse_poly("(Y-3.0*X^2)*(Y-4*X^2)*(Y+2*X^2)")
+        verdict = decide_equivalence(first, second)
+        assert verdict.mode == "numeric"
+        witness = build_witness(first, second, verdict)
+        assert verify_witness(first, second, witness).passed
+
+    @pytest.mark.parametrize("first_text, second_text, rational", [
+        ("(Y-X^2)*(Y-2*X^2)", "Y*(Y-X^2)", True),
+        (PAIR_FIRST, PAIR_SECOND, False),
+    ])
+    def test_decision_is_analyzed_once(self, monkeypatch, first_text, second_text, rational):
+        calls = []
+        original = engine.analyze_germ
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "analyze_germ", counting)
+        first, second = parse_poly(first_text), parse_poly(second_text)
+        verdict = decide_equivalence(first, second)
+        witness = build_witness(first, second, verdict)
+        assert len(calls) == 2
+        assert isinstance(witness.alpha, RadicalScalar) != rational
+        build_witness(first, second, verdict, branch=0)
+        assert len(calls) == 2
+
+    def test_verdict_carries_both_analyses(self):
+        first, second = parse_poly(PAIR_FIRST), parse_poly(PAIR_SECOND)
+        verdict = decide_equivalence(first, second)
+        assert verdict.first == analyze_germ(first)
+        assert verdict.second == analyze_germ(second)
+        assert verdict.invariants["second"]["ladderDegree"] == 2
+
     def test_irrational_shear_uses_scalar_pair(self):
         first = parse_poly("Y*(Y-X^2)")
         second = parse_poly("Y^2 - 2*X^2*Y + 1/2*X^4")
@@ -345,6 +391,18 @@ class TestWitness:
         with mp.workprec(160):
             alpha = scalar_to_mpc(witness.alpha, 128)
             assert abs(alpha**3 - 3) < 1e-30
+
+
+class TestLadderRoots:
+    def test_exact_and_approximate_roots_with_multiplicity(self):
+        entries = ladder_roots(UniPoly.from_roots([1, 1, 3]) * ladder(1, 0, -2), 128, 1e-9)
+        assert sorted((str(v), mult) for v, mult, exact in entries if exact) == [
+            ("1", 2), ("3", 1)]
+        approx = sorted(float(v.real) for v, mult, exact in entries if not exact)
+        assert approx == pytest.approx([-2**0.5, 2**0.5])
+
+    def test_empty_ladder_has_no_roots(self):
+        assert ladder_roots(UniPoly.one(), 128, 1e-9) == []
 
 
 class TestQuarticDemo:

@@ -17,7 +17,6 @@ from qhgerm import (
     UniPoly,
     gcd_bezout,
     gq,
-    taylor_shift,
 )
 from qhgerm.exact import format_coefficient, format_unipoly
 
@@ -252,7 +251,7 @@ class TestUniPoly:
 
     def test_taylor_shift_frozen_case(self):
         poly = UniPoly.from_coeffs([gq(1), gq(-3), gq(2)])
-        assert taylor_shift(poly, gq(Fraction(3, 2))) == UniPoly.from_coeffs(
+        assert poly.shift(gq(Fraction(3, 2))) == UniPoly.from_coeffs(
             [gq(1), gq(0), gq(Fraction(-1, 4))]
         )
 

@@ -17,7 +17,7 @@ from qhgerm import (
     gq,
     parse_poly,
 )
-from qhgerm.polyio import MAX_NESTING, MODE_EXACT, MODE_NUMERIC, poly_to_json_dict
+from qhgerm.polyio import MAX_NESTING, MODE_EXACT, MODE_NUMERIC
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=10)
 scalars = st.builds(gq, fractions, fractions)
@@ -183,13 +183,3 @@ class TestArithmetic:
 
     def test_scale(self):
         assert X.scale(gq(3)) == parse_poly("3*X")
-
-
-class TestJson:
-    def test_shape_and_order(self):
-        doc = poly_to_json_dict(parse_poly("Y^2 - X^3"))
-        assert doc["mode"] == "exact"
-        assert doc["terms"] == [
-            {"i": 0, "j": 2, "re": "1", "im": "0"},
-            {"i": 3, "j": 0, "re": "-1", "im": "0"},
-        ]
