@@ -1,7 +1,8 @@
 """Command line front end: qhgerm analyze | decide | roots | demo-whitney | decide-batch.
 
 Exit codes: 0 Equivalent (or informational success), 1 Inequivalent,
-2 NotApplicable, 64 usage, 65 parse error, 66 analysis error. JSON output
+2 NotApplicable, 64 usage, 65 parse error, 66 analysis error, 141 standard
+output closed by its reader (128 + SIGPIPE). JSON output
 is versioned (schemaVersion 1) and byte-identical across identical
 invocations. QHGERM_PRECISION overrides the default 128-bit precision.
 """
@@ -44,6 +45,7 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_ANALYSIS = 66
+EXIT_BROKEN_PIPE = 141
 
 _STATUS_EXIT = {
     STATUS_EQUIVALENT: EXIT_EQUIVALENT,
@@ -473,7 +475,16 @@ def run(argv=None) -> int:
     if getattr(args, "branch", None) is not None and args.branch < 0:
         parser.error("branch must be nonnegative")
     try:
-        return _DISPATCH[args.command](args, sys.stdout)
+        code = _DISPATCH[args.command](args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Python flushes stdout once more at exit, so
+        # point it at the null device to keep that flush quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE

@@ -28,7 +28,7 @@ from .errors import (
     NonConvergenceError,
     NotEquivalentVerdictError,
 )
-from .exact import GQ_ONE, GQ_ZERO, GaussianRational, UniPoly, gcd_bezout
+from .exact import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, UniPoly, gcd_bezout
 from .numeric import (
     NumericMatch,
     cluster_roots,
@@ -413,71 +413,44 @@ def _gq_bits(g: GaussianRational) -> int:
     )
 
 
-def _int_nth_root(n: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer, by Newton steps."""
-    if n < 2 or k == 1:
-        return n
-    x = 1 << ((n.bit_length() + k - 1) // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+def _exact_root(
+    value: GaussianRational, k: int, first: int, count: int = 1
+) -> GaussianRational | None:
+    """The first Gaussian-rational k-th root of value on branches first,
+    first + 1, ..., first + count - 1, or None.
 
-
-def _rational_nth_root(f: Fraction, k: int) -> Fraction | None:
-    """Exact k-th root of a nonnegative rational, or None if it has none."""
-    if f < 0:
-        return None
-    rn = _int_nth_root(f.numerator, k)
-    rd = _int_nth_root(f.denominator, k)
-    if rn**k != f.numerator or rd**k != f.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-def _root_snap_data(value: GaussianRational, k: int):
-    """(norm of any k-th root, snap bound) or None when no rational root exists.
-
-    A rational k-th root forces the field norm of value to be a perfect
-    rational k-th power, checked here with integer arithmetic; most inputs
-    fail that gate.  When the norm root exists it also caps the denominator
-    any rational root can have (the denominator ideal of a k-th root has
-    norm equal to the k-th root of the norm of the value's denominator
-    ideal), so snapping numeric candidates at the returned bound and
-    rechecking exactly is exhaustive.
+    Write value = A/n with A in Z[i] and n = value.d. A root g has
+    (g*n)^k = A*n^(k-1) in Z[i], and Z[i] is integrally closed, so g*n is a
+    Gaussian integer: the numeric root times n, rounded, is the only
+    candidate, and an exact k-th power decides it. The precision comes from
+    the value alone: |g*n| < 2^bits, so with 64 more bits (and one per
+    doubling of k, for the steps from branch to branch) a true root lies
+    within 2^-32 of its rounding, and a farther one is rejected unpowered.
     """
-    norm = value.norm_sq()
-    rho = _rational_nth_root(norm, k)
-    if rho is None:
-        return None
-    bound = 4 + 4 * _int_nth_root(norm.numerator * norm.denominator, k)
-    return rho, bound
-
-
-def _snap_root(value: GaussianRational, k: int, cand: mpc):
-    """Exact k-th root of value at the approximation cand, or None.
-
-    The norm gate rejects most inputs without any large exact powers; only
-    a candidate whose norm matches the forced root norm gets the full
-    exact confirmation.
-    """
-    data = _root_snap_data(value, k)
-    if data is None:
-        return None
-    rho, bound = data
-    g = _snap_gq(cand, bound)
-    if not g.is_zero and g.norm_sq() == rho and g**k == value:
-        return g
+    n = value.d
+    top = max(abs(value.a).bit_length(), abs(value.b).bit_length()) + 1
+    bits = -(-top // k) + n.bit_length()
+    with mp.workprec(bits + 64 + k.bit_length()):
+        z = mp.root(to_mpc(value), k, first) * n
+        step = mp.expjpi(mpf(2) / k) if count > 1 else 1
+        for _ in range(count):
+            re, im = int(mp.nint(z.real)), int(mp.nint(z.imag))
+            if abs(z - mpc(re, im)) <= mpf(2) ** -32:
+                g = GaussianRational(Fraction(re, n), Fraction(im, n))
+                if g**k == value:
+                    return g
+            z *= step
     return None
 
 
 def _gaussian_roots(value: GaussianRational, k: int) -> list:
-    """All Gaussian-rational k-th roots of value.
+    """All Gaussian-rational k-th roots of value, in branch order.
 
-    The norm gate and denominator cap from _root_snap_data make the branch
-    scan cheap and exhaustive: each numeric branch is snapped at the cap
-    and confirmed exactly, and most inputs never reach the scan at all.
+    Two such roots differ by a k-th root of unity in Q(i), that is by a unit
+    u of Z[i] with u^k = 1: 1 alone for odd k, +-1 for k = 2 mod 4, all four
+    units for k = 0 mod 4. Multiplying by a unit moves a root k/count
+    branches on, so the first k/count branches hold the lowest rational
+    root if there is one, and its unit multiples follow in branch order.
     """
     if k < 1:
         raise ValueError("root index must be positive")
@@ -485,42 +458,28 @@ def _gaussian_roots(value: GaussianRational, k: int) -> list:
         return [GQ_ZERO]
     if k == 1:
         return [value]
-    data = _root_snap_data(value, k)
-    if data is None:
+    count = 4 if k % 4 == 0 else 2 if k % 2 == 0 else 1
+    g = _exact_root(value, k, 0, k // count)
+    if g is None:
         return []
-    rho, bound = data
-    prec = max(320, _gq_bits(value) + 160, 4 * bound.bit_length() + 64)
-    found = []
-    with mp.workprec(prec):
-        z = to_mpc(value)
-        cand = mp.root(z, k, 0)
-        zeta = mp.expjpi(mpf(2) / k)
-        for _ in range(k):
-            g = _snap_gq(cand, bound)
-            if g.norm_sq() == rho and g**k == value and g not in found:
-                found.append(g)
-            cand = cand * zeta
-    return found
+    return [g * u for u in (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I)[:: 4 // count]]
 
 
 def _identify_branch(base: GaussianRational, index: int, target: mpc) -> int:
-    """Which index-th root of base equals target, to working precision."""
+    """Which index-th root of base equals target, to working precision.
+
+    Branch b has argument (Arg(base) + 2*pi*b)/index, so index*arg(target)
+    - Arg(base) is 2*pi*b up to a multiple of 2*pi*index.
+    """
     z = to_mpc(base)
-    principal = mp.root(z, index, 0)
-    zeta = mp.expjpi(mpf(2) / index)
-    best, best_d = 0, abs(principal - target)
-    current = principal
-    for k in range(1, index):
-        current = current * zeta
-        d = abs(current - target)
-        if d < best_d:
-            best, best_d = k, d
-    sep = 2 * abs(principal) * mp.sinpi(mpf(1) / index) if index > 1 else mpf(1)
-    if index > 1 and best_d > sep / 4:
-        raise InternalInconsistencyError(
-            "radical branch identification failed: no root is close enough"
-        )
-    return best
+    branch = int(mp.nint((index * mp.arg(target) - mp.arg(z)) / (2 * mp.pi))) % index
+    if index > 1:
+        root = mp.root(z, index, branch)
+        if abs(root - target) > abs(root) * mp.sinpi(mpf(1) / index) / 2:
+            raise InternalInconsistencyError(
+                "radical branch identification failed: no root is close enough"
+            )
+    return branch
 
 
 def _simplify_scalar(
@@ -528,31 +487,24 @@ def _simplify_scalar(
 ):
     """Reduce an index-th root to the lowest pure-radical form matching target.
 
-    Tries every divisor e of index in ascending order, checking exactly that
-    target^e is a Gaussian rational g with g^(index/e) = base. e = 1 gives a
-    plain GaussianRational. e = index always matches with g = base, so the
-    worst case is the unreduced radical.
+    If target is the b-th index-th root of base, then target^e is the
+    (b mod index/e)-th (index/e)-th root of base for each divisor e of
+    index. The first e in ascending order where that root is a Gaussian
+    rational g gives target = g^(1/e); e = 1 gives a plain
+    GaussianRational, and e = index always matches with g = base.
     """
-    divisors = [e for e in range(1, index + 1) if index % e == 0]
-    for e in divisors:
-        rest = index // e
-        cand = target**e
-        if rest == 1:
-            g = base
-        else:
-            g = _snap_root(base, rest, cand)
-            if g is None:
-                continue
-            # guard against snapping onto a different rest-th root of base
-            sep = 2 * abs(cand) * mp.sinpi(mpf(1) / rest)
-            if abs(cand - to_mpc(g)) > sep / 4:
-                continue
-        if e == 1:
-            return g
-        branch = _identify_branch(g, e, target)
-        approx = mp.nstr(target, 20)
-        return RadicalScalar(g, e, branch, approx, precision)
-    raise InternalInconsistencyError("scalar does not match any root of its base")
+    b = _identify_branch(base, index, target)
+    g, e = base, index
+    for div in range(1, index):
+        if index % div == 0:
+            root = _exact_root(base, index // div, b % (index // div))
+            if root is not None:
+                g, e = root, div
+                break
+    if e == 1:
+        return g
+    branch = _identify_branch(g, e, target)
+    return RadicalScalar(g, e, branch, mp.nstr(target, 20), precision)
 
 
 def _witness_data(first_a: GermAnalysis, second_a: GermAnalysis):
@@ -631,26 +583,20 @@ def _radical_witness(first_a, second_a, scale_class, centers, branch, precision)
         alpha_num, beta_num = hit
         beta = _simplify_scalar(base_beta, m_pow * d, beta_num, precision)
         alpha = _simplify_scalar(base_alpha, w.q * d * m_pow, alpha_num, precision)
-        a_exact = _snap_root(base, d, a_num)
-        if a_exact is not None:
-            scale = a_exact
-        else:
-            scale = _simplify_scalar(base, d, a_num, precision)
+        scale = _simplify_scalar(base, d, a_num, precision)
         gamma = None
         if centers is not None:
             c_first, c_second = centers
-            if a_exact is not None:
-                shift = c_second - a_exact * c_first
-                gamma_base = (-shift) ** (m_pow * d) * base_beta
-                if shift.is_zero:
-                    gamma = GQ_ZERO
-                else:
-                    gamma_num = -to_mpc(shift) * beta_num
-                    gamma = _simplify_scalar(gamma_base, m_pow * d, gamma_num, precision)
-            elif c_first.is_zero:
-                gamma_base = (-c_second) ** (m_pow * d) * base_beta
+            exact_scale = isinstance(scale, GaussianRational)
+            if exact_scale or c_first.is_zero:
+                # the shift c_second - a*c_first is a Gaussian rational; a
+                # zero shift simplifies to gamma = 0
+                shift = c_second - scale * c_first if exact_scale else c_second
                 gamma = _simplify_scalar(
-                    gamma_base, m_pow * d, -to_mpc(c_second) * beta_num, precision
+                    (-shift) ** (m_pow * d) * base_beta,
+                    m_pow * d,
+                    -to_mpc(shift) * beta_num,
+                    precision,
                 )
             elif c_second.is_zero:
                 # gamma = c_first*alpha^q, and (alpha^q)^(d*M) = base_alpha

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,6 +22,7 @@ PAIR_SECOND = "(Y^2-3*X^3)*(Y^2-6*X^3)"
 # first on PYTHONPATH so they import the same tree as this test process.
 PACKAGE_ROOT = Path(qhgerm.__file__).resolve().parent.parent
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv, stdin=None, env=None):
@@ -194,6 +197,36 @@ class TestDecide:
         assert "  alpha = (2)^(1/4) branch 0 ~ (1.1892071150027210667 + 0.0j)" in lines
         assert "  beta  = 1" in lines
         assert "  gamma = (1/2)*alpha^q + (-1)*beta" in lines
+        assert lines[-1].startswith("verification: numeric pass")
+
+    def test_zero_shear_prints_as_zero(self):
+        # both centroids are 0 and the scale is irrational, so the shift is 0
+        argv = ("decide", "Y^2-X^4", "Y^2-2*X^4", "--witness")
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert "  gamma = 0" in lines
+        assert lines[-1].startswith("verification: numeric pass")
+        code, out, _ = run_cli(*argv, "--json")
+        doc = json.loads(out)
+        assert doc["witness"]["gamma"] == {
+            "kind": "rational", "base": "0", "index": 1, "branch": 0,
+            "approx": "(0.0 + 0.0j)",
+        }
+        assert doc["verification"]["pass"] is True
+
+    def test_radical_at_lowest_index_on_a_large_base(self):
+        code, out, _ = run_cli(
+            "decide", "Y^2 - X^3",
+            "30000000000000000019/20000000000000000011*Y^2 - X^3", "--witness",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "  alpha = 1" in lines
+        assert (
+            "  beta  = (30000000000000000019/20000000000000000011)^(1/2) branch 0 ~ "
+            "(1.2247448713915890491 + 0.0j)"
+        ) in lines
         assert lines[-1].startswith("verification: numeric pass")
 
     def test_pair_from_file(self, tmp_path):
@@ -538,6 +571,30 @@ class TestInstalledEntryPoint:
         proc = self._run([])
         assert proc.returncode == 64
 
+    def test_reader_closing_early_exits_141_quietly(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        record = {"first": PAIR_FIRST, "second": PAIR_SECOND}
+        path.write_text("".join(
+            json.dumps(dict(record, id=f"pair-{n:03d}")) + "\n" for n in range(400)))
+        proc = subprocess.Popen(self._command() + ["decide-batch", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=self._env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert json.loads(first)["id"] == "pair-000"
+        assert err == b""
+        assert proc.returncode == 141
+
+    def test_closed_pipe_before_output_exits_141_quietly(self):
+        proc = subprocess.Popen(
+            self._command() + ["decide", PAIR_FIRST, PAIR_SECOND, "--witness", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self._env())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == 141
+
     @pytest.mark.skipif(not PYPROJECT.is_file(),
                         reason="pyproject.toml is not beside the tests")
     def test_console_script_targets_run(self):
@@ -545,3 +602,37 @@ class TestInstalledEntryPoint:
         with PYPROJECT.open("rb") as handle:
             scripts = tomllib.load(handle)["project"]["scripts"]
         assert scripts["qhgerm"] == "qhgerm.cli:run"
+
+
+def _readme_examples():
+    """(command, expected stdout) for every `$ qhgerm ...` block of README.md."""
+    if not README.is_file():
+        return []
+    examples = []
+    lines = README.read_text(encoding="utf-8").splitlines()
+    for n, line in enumerate(lines):
+        match = re.fullmatch(r"    \$ (qhgerm .*)", line)
+        if match is None:
+            continue
+        output = []
+        for follow in lines[n + 1:]:
+            if not follow.startswith("    ") or follow.lstrip().startswith("$ "):
+                break
+            output.append(follow[4:] + "\n")
+        examples.append((match.group(1), "".join(output)))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadme:
+    @pytest.mark.skipif(not README.is_file(), reason="README.md is not beside the tests")
+    def test_examples_are_found(self):
+        assert len(README_EXAMPLES) >= 5
+
+    @pytest.mark.parametrize("command,expected", README_EXAMPLES,
+                             ids=[command for command, _ in README_EXAMPLES])
+    def test_example_output_is_byte_exact(self, command, expected):
+        _, out, _ = run_cli(*shlex.split(command)[1:])
+        assert out == expected

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from mpmath import mp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from qhgerm import (
     AffineMatch,
@@ -39,6 +41,8 @@ from qhgerm import (
 )
 
 from qhgerm import engine
+from qhgerm.errors import InternalInconsistencyError
+from qhgerm.numeric import nth_root, to_mpc
 
 from conftest import rand_germ, synthesize_equivalent
 
@@ -251,6 +255,68 @@ class TestBranchCount:
         )
         with pytest.raises(ValueError):
             witness_branch_count(verdict)
+
+
+_PART = st.integers(-(2**128), 2**128)
+_DEN = st.integers(1, 2**128)
+_NONZERO_GQ = st.builds(
+    lambda a, b, d, e: gq(Fraction(a, d), Fraction(b, e)), _PART, _PART, _DEN, _DEN
+).filter(lambda g: not g.is_zero)
+
+
+def _branch_of(value, k, root):
+    """Index of the nth_root branch of value nearest to root, by scanning all k."""
+    z = to_mpc(root)
+    return min(range(k), key=lambda b: abs(nth_root(value, k, b) - z))
+
+
+class TestExactRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(g=_NONZERO_GQ, k=st.integers(1, 24))
+    def test_roots_are_the_unit_multiples_in_branch_order(self, g, k):
+        value = g**k
+        roots = engine._gaussian_roots(value, k)
+        units = [u for u in (gq(1), gq(0, 1), gq(-1), gq(0, -1)) if u**k == gq(1)]
+        assert len(roots) == len(units)
+        assert set(roots) == {g * u for u in units}
+        with mp.workprec(64):
+            branches = [_branch_of(value, k, r) for r in roots]
+        assert branches == sorted(set(branches))
+
+    @pytest.mark.parametrize("root,k", [
+        (gq(0, -1), 3), (gq(0, -3), 5), (gq(-3, 2), 6), (gq(1, 1), 8)])
+    def test_lowest_root_on_the_last_scanned_branch(self, root, k):
+        # e.g. -i is branch 2 of the cube roots of i, and the scan covers 0..2
+        found = engine._gaussian_roots(root**k, k)
+        assert found[0] == root
+        with mp.workprec(64):
+            assert _branch_of(root**k, k, root) == k // len(found) - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=_NONZERO_GQ, k=st.integers(2, 24))
+    def test_three_times_a_power_has_no_root(self, g, k):
+        # 3 is a Gaussian prime, so 3*g^k has 3-adic valuation 1 mod k
+        assert engine._gaussian_roots(3 * g**k, k) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=_NONZERO_GQ, e=st.integers(1, 24), data=st.data())
+    def test_identify_branch_inverts_nth_root(self, base, e, data):
+        b = data.draw(st.integers(0, e - 1))
+        with mp.workprec(128):
+            assert engine._identify_branch(base, e, nth_root(base, e, b)) == b
+
+    def test_identify_branch_rejects_a_point_between_roots(self):
+        with mp.workprec(128):
+            between = mp.expjpi(mpf(1) / 4)  # halfway between 1 and i
+            with pytest.raises(InternalInconsistencyError):
+                engine._identify_branch(gq(1), 4, between)
+
+    def test_root_precision_comes_from_the_value(self):
+        # 1 + 2^-300 needs about 300 bits to tell from 1; the caller's 53 do not
+        g = gq(1) + gq(Fraction(1, 2**300))
+        with mp.workprec(53):
+            assert engine._gaussian_roots(g**7, 7) == [g]
+            assert engine._gaussian_roots(g**7 + gq(Fraction(1, 2**2200)), 7) == []
 
 
 class TestWitness:
