@@ -466,19 +466,22 @@ def _gaussian_roots(value: GaussianRational, k: int) -> list:
 
 
 def _identify_branch(base: GaussianRational, index: int, target: mpc) -> int:
-    """Which index-th root of base equals target, to working precision.
+    """Which index-th root of base equals target.
 
     Branch b has argument (Arg(base) + 2*pi*b)/index, so index*arg(target)
-    - Arg(base) is 2*pi*b up to a multiple of 2*pi*index.
+    - Arg(base) is 2*pi*b up to a multiple of 2*pi*index. Neighbouring
+    roots lie 2*pi/index apart in argument, so index.bit_length() bits tell
+    them apart, whatever the size of base; 64 more are the guard margin.
     """
-    z = to_mpc(base)
-    branch = int(mp.nint((index * mp.arg(target) - mp.arg(z)) / (2 * mp.pi))) % index
-    if index > 1:
-        root = mp.root(z, index, branch)
-        if abs(root - target) > abs(root) * mp.sinpi(mpf(1) / index) / 2:
-            raise InternalInconsistencyError(
-                "radical branch identification failed: no root is close enough"
-            )
+    with mp.workprec(index.bit_length() + 64):
+        z = to_mpc(base)
+        branch = int(mp.nint((index * mp.arg(target) - mp.arg(z)) / (2 * mp.pi))) % index
+        if index > 1:
+            root = mp.root(z, index, branch)
+            if abs(root - target) > abs(root) * mp.sinpi(mpf(1) / index) / 2:
+                raise InternalInconsistencyError(
+                    "radical branch identification failed: no root is close enough"
+                )
     return branch
 
 
@@ -729,16 +732,18 @@ def verify_witness(
         alpha_num, beta_num, gamma_num = witness_to_mpc(witness, precision)
         bound = mpf(tol) if tol is not None else mpf(2) ** (-(precision - 48))
         rng = random.Random(seed)
-        worst = mpf(0)
+        points, images = [], []
         for _ in range(samples):
             x = mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
             y = mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
-            px = alpha_num * x
             py = beta_num * y
             if gamma_num is not None:
                 py = py + gamma_num * x**q
-            left = eval_bivar(first, px, py, precision)
-            right = eval_bivar(second, x, y, precision)
+            points.append((x, y))
+            images.append((alpha_num * x, py))
+        worst = mpf(0)
+        lefts = eval_bivar(first, images, precision)
+        for left, right in zip(lefts, eval_bivar(second, points, precision)):
             residual = abs(left.value - right.value)
             scale = 1 + max(abs(left.value), abs(right.value))
             worst = max(worst, residual / scale)

@@ -13,7 +13,8 @@ Grammar accepted by parse_poly (whitespace allowed between terms and around
 
 Juxtaposition is only read directly after a numeric literal ("2X", "3i",
 "1/2i"); parenthesized groups always need '*' and nest at most
-MAX_NESTING deep. Decimal literals are exact
+MAX_NESTING deep. Exponents, and the total degree of every product and
+power, are at most MAX_DEGREE. Decimal literals are exact
 ("0.3" is 3/10) but flag the polynomial as numeric-mode, recording that the
 user did not supply symbolic data. The leading optional sign is a strict
 superset of the documented form so that every printed polynomial re-parses.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import EmptyInputError, NegativeExponentError, ParseError
 from .exact import GQ_ONE, GQ_ZERO, GaussianRational, format_terms, power_str
@@ -33,6 +35,12 @@ MODE_NUMERIC = "numeric"
 # Each parenthesis level takes three parser frames; 200 levels stay well
 # inside Python's default recursion limit of 1000 frames.
 MAX_NESTING = 200
+
+# Bound on every exponent and on the total degree of every product and
+# power, checked before expanding; the cost of expansion and of the ladder
+# grows with the degree, while the largest degree in the tests and the
+# benchmark corpora is 74.
+MAX_DEGREE = 1000
 
 
 def _join_mode(a: str, b: str) -> str:
@@ -140,10 +148,8 @@ class BivarPoly:
 
     def evaluate(self, x, y) -> GaussianRational:
         """Exact evaluation at a point of Q(i)^2."""
-        x = GaussianRational.of(x)
-        y = GaussianRational.of(y)
-        xp = _power_cache(x, {i for i, _ in self.terms})
-        yp = _power_cache(y, {j for _, j in self.terms})
+        xp = power_table(GaussianRational.of(x), {i for i, _ in self.terms})
+        yp = power_table(GaussianRational.of(y), {j for _, j in self.terms})
         acc = GQ_ZERO
         for (i, j), c in self.terms.items():
             acc = acc + c * xp[i] * yp[j]
@@ -164,12 +170,25 @@ class BivarPoly:
         return format_poly(self)
 
 
-def _power_cache(z: GaussianRational, exponents) -> dict:
-    top = max(exponents, default=0)
-    powers = [GQ_ONE]
-    for _ in range(top):
-        powers.append(powers[-1] * z)
-    return powers
+def power_table(z, exponents) -> dict:
+    """{e: z**e for e in exponents}, for any z with ** and *.
+
+    Starts from z**low, the lowest exponent, and steps by z**gap, where gap
+    is the gcd of the differences to low: one multiplication per exponent
+    on a weighted line.
+    """
+    exps = sorted(set(exponents))
+    low = exps[0] if exps else 0
+    gap = 0
+    for e in exps:
+        gap = gcd(gap, e - low)
+    power, step, at = z**low, z**gap, low
+    table = {}
+    for e in exps:
+        while at < e:
+            power, at = power * step, at + gap
+        table[e] = power
+    return table
 
 
 def _poly_powers(p: BivarPoly, top: int) -> list:
@@ -237,28 +256,34 @@ class _Parser:
             acc = acc + t if op == "+" else acc - t
         return acc
 
+    def limit_degree(self, degree: int, what: str, position: int):
+        if degree > MAX_DEGREE:
+            self.fail(f"{what} {degree} exceeds the limit {MAX_DEGREE}", position)
+
     def term(self) -> BivarPoly:
-        acc, was_number = self.factor()
+        start = self.pos
+        acc, was_number, degree = self.factor()
         while True:
-            ch = self.peek()
-            if was_number and ch in ("X", "Y", "i"):
-                acc = acc * self.symbol_factor()
-                was_number = False
-                continue
-            save = self.pos
-            self.skip_ws()
-            if self.peek() == "*":
+            if was_number and self.peek() in ("X", "Y", "i"):
+                (f, f_degree), was_number = self.symbol_factor(), False
+            else:
+                save = self.pos
+                self.skip_ws()
+                if self.peek() != "*":
+                    self.pos = save
+                    return acc
                 self.pos += 1
                 self.skip_ws()
-                f, was_number = self.factor()
-                acc = acc * f
-                continue
-            self.pos = save
-            return acc
+                f, was_number, f_degree = self.factor()
+            degree += f_degree
+            self.limit_degree(degree, "degree", start)
+            acc = acc * f
 
-    def factor(self) -> tuple[BivarPoly, bool]:
+    def factor(self) -> tuple[BivarPoly, bool, int]:
+        """A factor, whether it is a number literal, and its total degree."""
         ch = self.peek()
         if ch == "(":
+            start = self.pos
             if self.depth == MAX_NESTING:
                 self.fail("nesting too deep")
             self.depth += 1
@@ -270,25 +295,30 @@ class _Parser:
             self.pos += 1
             self.depth -= 1
             e = self.maybe_exponent()
-            return (inner if e is None else inner**e), False
+            degree = max(map(sum, inner.terms), default=0)
+            if e is None:
+                return inner, False, degree
+            self.limit_degree(degree * e, "degree", start)
+            return inner**e, False, degree * e
         if ch in ("X", "Y", "i"):
-            return self.symbol_factor(), False
+            f, degree = self.symbol_factor()
+            return f, False, degree
         if ch.isdigit():
-            return self.number(), True
+            return self.number(), True, 0
         if ch == "":
             self.fail("unexpected end of input")
         self.fail(f"expected 'X', 'Y', 'i', a number, or '(', got {ch!r}")
 
-    def symbol_factor(self) -> BivarPoly:
+    def symbol_factor(self) -> tuple[BivarPoly, int]:
         ch = self.peek()
         self.pos += 1
         e = self.maybe_exponent()
         e = 1 if e is None else e
         if ch == "X":
-            return BivarPoly.monomial(e, 0)
+            return BivarPoly({(e, 0): GQ_ONE}), e
         if ch == "Y":
-            return BivarPoly.monomial(0, e)
-        return BivarPoly.constant(GaussianRational(Fraction(0), Fraction(1)) ** e)
+            return BivarPoly({(0, e): GQ_ONE}), e
+        return BivarPoly.constant(GaussianRational(Fraction(0), Fraction(1)) ** e), 0
 
     def maybe_exponent(self) -> int | None:
         save = self.pos
@@ -302,7 +332,10 @@ class _Parser:
             raise NegativeExponentError(self.pos)
         if not self.peek().isdigit():
             self.fail("expected an unsigned integer exponent")
-        return self.uint()
+        start = self.pos
+        e = self.uint()
+        self.limit_degree(e, "exponent", start)
+        return e
 
     def uint(self) -> int:
         start = self.pos

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,22 @@ class TestAnalyze:
         assert code == 65
         assert out == ""
         assert err == "parse error: nesting too deep (at position 200)\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Y^30000000 - X^30000000", "exponent 30000000 exceeds the limit 1000 (at position 2)"),
+            ("(X+Y)^100000", "exponent 100000 exceeds the limit 1000 (at position 6)"),
+            ("(X^10+Y)^200", "degree 2000 exceeds the limit 1000 (at position 0)"),
+        ],
+    )
+    def test_degree_over_the_limit_is_parse_error(self, text, message):
+        start = time.perf_counter()
+        code, out, err = run_cli("analyze", text)
+        assert time.perf_counter() - start < 5
+        assert code == 65
+        assert out == ""
+        assert err == f"parse error: {message}\n"
 
     @pytest.mark.parametrize("bad", ["2;3", "2,3,4", "a,b"])
     def test_malformed_weights_flag(self, bad):
@@ -466,6 +483,25 @@ class TestBatch:
         assert records[0] == {
             "error": "nesting too deep (at position 200)", "index": 0}
         assert records[1]["status"] == "Equivalent"
+
+    def test_record_over_the_degree_limit_does_not_end_the_batch(self, tmp_path):
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text(
+            json.dumps({"first": "Y^30000000 - X^30000000", "second": PAIR_SECOND}) + "\n"
+            + json.dumps({"first": PAIR_FIRST, "second": "(X+Y)^100000"}) + "\n"
+            + json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}) + "\n"
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli("decide-batch", str(batch))
+        assert time.perf_counter() - start < 5
+        assert code == 65
+        assert "Traceback" not in err
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[:2] == [
+            {"error": "exponent 30000000 exceeds the limit 1000 (at position 2)", "index": 0},
+            {"error": "exponent 100000 exceeds the limit 1000 (at position 6)", "index": 1},
+        ]
+        assert records[2]["status"] == "Equivalent"
 
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
         text = "".join(

@@ -1,6 +1,7 @@
 """Equivalence decisions, witness construction, and the quartic demo."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -451,6 +452,31 @@ class TestWitness:
             witness.branch,
         )
         assert not verify_witness(first, second, bad).passed
+
+    @pytest.mark.parametrize(
+        "first, second, field",
+        [
+            ("Y^2 - X^3", "5*Y^2 - 5*X^3", "alpha"),
+            ("Y^2 - X^3", "5*Y^2 - 5*X^3", "beta"),
+            ("Y*(Y-X^2)", "Y^2 - 2*X^2*Y + 1/2*X^4", "gamma"),
+        ],
+    )
+    def test_nudged_radical_witness_fails_sampling(self, first, second, field):
+        # one scalar off by a relative 2^-50: the sampled check must see it,
+        # far above its tolerance, not only the exact path
+        first, second = parse_poly(first), parse_poly(second)
+        witness = build_witness(first, second)
+        assert verify_witness(first, second, witness).passed
+        nudge = gq(1 + Fraction(1, 2**50))
+        scalar = getattr(witness, field)
+        if isinstance(scalar, ShearTerm):
+            bad = replace(scalar, alpha_coeff=scalar.alpha_coeff * nudge)
+        else:
+            assert isinstance(scalar, RadicalScalar)
+            bad = replace(scalar, base=scalar.base * nudge)
+        report = verify_witness(first, second, replace(witness, **{field: bad}))
+        assert not report.passed and not report.exact
+        assert mpf(report.max_residual) > 1e6 * mpf(report.tol)
 
     def test_scalar_to_mpc_round_trip(self):
         witness = build_witness(parse_poly(PAIR_FIRST), parse_poly(PAIR_SECOND))

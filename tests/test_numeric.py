@@ -8,6 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from qhgerm import (
     AmbiguousClusteringError,
+    BivarPoly,
     UniPoly,
     cluster_roots,
     eval_bivar,
@@ -240,6 +241,28 @@ class TestNumericMatch:
             numeric_match("projective", [], [])
 
 
+def dyadic_points(rng, count, scale):
+    """Points (x, y) of Gaussian rationals with parts k/16, |k| <= scale.
+
+    Dyadic parts convert to mpc without rounding, so a bound reported for
+    the mpc point must cover the whole drift from the exact value.
+    """
+    def part():
+        return Fraction(rng.randint(-scale, scale), 16)
+
+    return [(gq(part(), part()), gq(part(), part())) for _ in range(count)]
+
+
+def assert_eval_within_bound(poly, points):
+    """eval_bivar at 128 bits stays within err + 2^-140 of exact evaluation."""
+    approx = eval_bivar(poly, [(to_mpc(x), to_mpc(y)) for x, y in points], precision=128)
+    assert len(approx) == len(points)
+    for value, (x, y) in zip(approx, points):
+        with mp.workprec(320):
+            drift = abs(value.value - to_mpc(poly.evaluate(x, y)))
+        assert drift <= value.err + mpf(2) ** -140
+
+
 class TestEvalBivar:
     def test_error_bound_against_exact(self):
         from qhgerm import BivarPoly
@@ -257,15 +280,63 @@ class TestEvalBivar:
             # reported bound must cover the whole numeric drift
             x = gq(Fraction(rng.randint(-31, 31), 16), Fraction(rng.randint(-31, 31), 16))
             y = gq(Fraction(rng.randint(-31, 31), 16), Fraction(rng.randint(-31, 31), 16))
-            approx = eval_bivar(poly, to_mpc(x), to_mpc(y), precision=128)
+            (approx,) = eval_bivar(poly, [(to_mpc(x), to_mpc(y))], precision=128)
             exact = poly.evaluate(x, y)
             with mp.workprec(320):
                 drift = abs(approx.value - to_mpc(exact))
             assert drift <= approx.err + mpf(2) ** -140
 
     def test_zero_polynomial(self):
-        approx = eval_bivar(parse_poly("X") - parse_poly("X"), mpc(2), mpc(3), 128)
+        (approx,) = eval_bivar(parse_poly("X") - parse_poly("X"), [(mpc(2), mpc(3))], 128)
         assert approx.value == 0 and approx.err == 0
+
+    def test_no_points_and_many_points(self):
+        zero = parse_poly("X") - parse_poly("X")
+        assert eval_bivar(zero, [], 128) == []
+        assert eval_bivar(parse_poly("Y^2 - X^3"), [], 128) == []
+        approx = eval_bivar(zero, [(mpc(2), mpc(3)), (mpc(0), mpc(1, -1)), (1, 2)], 128)
+        assert [(a.value, a.err) for a in approx] == [(0, 0)] * 3
+
+    def test_sparse_exponents_up_to_64(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            terms = {
+                (rng.randint(0, 64), rng.randint(0, 64)): rand_gq(rng, 7)
+                for _ in range(rng.randint(1, 6))
+            }
+            assert_eval_within_bound(BivarPoly.from_terms(terms), dyadic_points(rng, 3, 24))
+
+    def test_uneven_gaps(self):
+        poly = parse_poly("3*X^64*Y + (1-2i)*X^3*Y^17 - X^10 + 1/3*Y^64 + 5*X*Y^2")
+        assert_eval_within_bound(poly, dyadic_points(random.Random(5), 6, 24))
+
+    def test_weighted_line(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            p, q = rng.choice([(1, 2), (2, 3), (3, 4), (2, 7), (3, 5), (1, 9)])
+            nu = p * q * rng.randint(1, 8)
+            line = [(i, (nu - p * i) // q) for i in range(nu // p + 1) if (nu - p * i) % q == 0]
+            chosen = rng.sample(line, rng.randint(1, len(line)))
+            terms = {(i, j): rand_gq(rng, 9) for i, j in chosen}
+            assert_eval_within_bound(BivarPoly.from_terms(terms), dyadic_points(rng, 4, 24))
+
+    def test_points_outside_the_unit_bidisk(self):
+        rng = random.Random(41)
+        poly = parse_poly("Y^7 - 2*X^5*Y^4 + (3+1/2i)*X^10*Y + X^15")
+        points = dyadic_points(rng, 8, 64)
+        assert any(abs(to_mpc(x)) > 1 for x, _ in points)
+        assert any(abs(to_mpc(y)) > 1 for _, y in points)
+        assert_eval_within_bound(poly, points)
+
+    def test_batch_matches_one_point_calls(self):
+        rng = random.Random(43)
+        poly = parse_poly("X*Y^6 + (-4+7/9i)*X^13*Y^3 + (-12-14/3i)*X^25")
+        points = [(to_mpc(x), to_mpc(y)) for x, y in dyadic_points(rng, 8, 40)]
+        batch = eval_bivar(poly, points, 128)
+        assert len(batch) == len(points)
+        for approx, point in zip(batch, points):
+            (alone,) = eval_bivar(poly, [point], 128)
+            assert (approx.value, approx.err) == (alone.value, alone.err)
 
 
 class TestToMpc:

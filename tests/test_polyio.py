@@ -17,7 +17,7 @@ from qhgerm import (
     gq,
     parse_poly,
 )
-from qhgerm.polyio import MAX_NESTING, MODE_EXACT, MODE_NUMERIC
+from qhgerm.polyio import MAX_DEGREE, MAX_NESTING, MODE_EXACT, MODE_NUMERIC, power_table
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=10)
 scalars = st.builds(gq, fractions, fractions)
@@ -106,6 +106,29 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_poly("X^^2")
 
+    def test_degree_up_to_the_limit_parses(self):
+        assert parse_poly(f"X^{MAX_DEGREE}") == BivarPoly.monomial(MAX_DEGREE, 0)
+        assert parse_poly("X^500*Y^500") == BivarPoly.monomial(500, 500)
+        assert parse_poly(f"(X^10+Y)^{MAX_DEGREE // 10}").terms[(MAX_DEGREE, 0)] == gq(1)
+        assert parse_poly(f"(2)^{MAX_DEGREE}") == BivarPoly.constant(2**MAX_DEGREE)
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            (f"Y^{MAX_DEGREE + 1}", f"exponent {MAX_DEGREE + 1}", 2),
+            (f"Y - (2)^{MAX_DEGREE + 1}", f"exponent {MAX_DEGREE + 1}", 8),
+            (f"Y - i^{MAX_DEGREE + 1}", f"exponent {MAX_DEGREE + 1}", 6),
+            ("Y^2 - X^600*Y^401", f"degree {MAX_DEGREE + 1}", 6),
+            ("Y + 3X^501*Y^500", f"degree {MAX_DEGREE + 1}", 4),
+            ("Y^2 - (X^10+Y)^101", "degree 1010", 6),
+            ("(X+Y)^2 * X^999", f"degree {MAX_DEGREE + 1}", 0),
+        ],
+    )
+    def test_degree_over_the_limit_is_a_parse_error(self, text, message, position):
+        with pytest.raises(ParseError, match=f"{message} exceeds the limit") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
     def test_deep_nesting_is_a_parse_error(self):
         assert parse_poly("(" * MAX_NESTING + "X" + ")" * MAX_NESTING) == X
         with pytest.raises(ParseError, match="nesting too deep") as err:
@@ -176,6 +199,24 @@ class TestArithmetic:
             assert image.is_zero
         else:
             assert image == BivarPoly.constant(value)
+
+    @given(scalars, st.sets(st.integers(min_value=0, max_value=40), max_size=6))
+    def test_power_table_matches_pow(self, z, exponents):
+        assert power_table(z, exponents) == {e: z**e for e in exponents}
+
+    def test_power_table_steps_by_the_gap(self):
+        calls = []
+
+        class Counted(int):
+            def __pow__(self, e):
+                return Counted(int(self) ** e)
+
+            def __mul__(self, other):
+                calls.append(other)
+                return Counted(int(self) * other)
+
+        assert power_table(Counted(2), [5, 8, 14, 11]) == {5: 32, 8: 256, 11: 2048, 14: 16384}
+        assert calls == [8, 8, 8]
 
     def test_pow_repeated_product(self):
         f = parse_poly("X + Y")
