@@ -28,6 +28,7 @@ from .engine import (
 )
 from .errors import (
     BranchOutOfRangeError,
+    NotEquivalentVerdictError,
     ParseError,
     QhgermError,
 )
@@ -282,11 +283,18 @@ def _cmd_decide(args, out) -> int:
     )
     witness = None
     report = None
+    refusal = None
     if verdict.status == STATUS_EQUIVALENT and args.witness:
-        witness = engine.build_witness(first, second, verdict, args.branch, precision)
-        report = engine.verify_witness(
-            first, second, witness, precision=precision, seed=args.seed
-        )
+        try:
+            witness = engine.build_witness(first, second, verdict, args.branch, precision)
+        except NotEquivalentVerdictError as exc:
+            # a numeric verdict the exact matcher cannot back: print the
+            # verdict as without --witness, then report the refusal
+            refusal = exc
+        else:
+            report = engine.verify_witness(
+                first, second, witness, precision=precision, seed=args.seed
+            )
     if args.json:
         doc = {
             "schemaVersion": SCHEMA_VERSION,
@@ -322,6 +330,8 @@ def _cmd_decide(args, out) -> int:
             if not report.exact:
                 out.write(f" (max residual {report.max_residual})")
             out.write("\n")
+    if refusal is not None:
+        raise refusal
     return _STATUS_EXIT[verdict.status]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from mpmath import mp, mpc, mpf
 
@@ -249,16 +250,16 @@ def _side_invariants(analysis: GermAnalysis) -> dict:
     }
 
 
-def _numeric_clusters(ladder: UniPoly, precision: int, tol: float):
-    """Cluster ladder roots, doubling precision while clustering is ambiguous
-    or the root finder does not converge, up to 1024 bits.
+def _numeric_clusters(parts, precision: int, tol: float):
+    """Cluster the roots of a ladder given as its square-free parts, doubling
+    precision while clustering is ambiguous or the root finder does not
+    converge, up to 1024 bits.
 
-    The ladder is split into exact square-free parts first, so the root
-    finder only ever sees simple roots; each approximation then enters the
-    clustering carrying its part's multiplicity as a weight. This keeps
-    multiple roots from turning into wide approximation clouds.
+    The root finder only ever sees the simple roots of one exact part; each
+    approximation then enters the clustering carrying its part's
+    multiplicity as a weight. This keeps multiple roots from turning into
+    wide approximation clouds.
     """
-    parts = ladder.squarefree_parts()
     prec = precision
     while True:
         try:
@@ -278,17 +279,57 @@ def _numeric_clusters(ladder: UniPoly, precision: int, tol: float):
 def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
     """Distinct ladder roots as (value, multiplicity, exact) entries.
 
-    value is the GaussianRational root that a cluster center snaps to at
-    denominators up to 10^12 (exact True), else the mpc center (exact False).
+    value is the GaussianRational root of a cluster (exact True) when
+    _snap_root finds one on the square-free part of the cluster's
+    multiplicity, else the mpc center (exact False).
     """
     if ladder.degree < 1:
         return []
+    parts = ladder.squarefree_parts()
+    part_of = {mult: factor for factor, mult in parts}
+    den = lcm(*(c.d for c in ladder.monic()[0].coeffs))
     entries = []
-    for cl in _numeric_clusters(ladder, precision, tol):
-        snapped = _snap_gq(cl.center, 10**12)
-        exact = ladder.eval(snapped).is_zero
+    for cl in _numeric_clusters(parts, precision, tol):
+        part = part_of.get(cl.multiplicity)
+        snapped = None if part is None else _snap_root(part, cl.center, den, tol)
+        exact = snapped is not None
         entries.append((snapped if exact else cl.center, cl.multiplicity, exact))
     return entries
+
+
+def _snap_root(part: UniPoly, center: mpc, den: int, tol: float) -> GaussianRational | None:
+    """The root of part in Q(i) at a cluster center, or None.
+
+    den*r is a Gaussian integer for every root r of the ladder in Q(i), den
+    the lcm of the denominators of the monic ladder (rational root theorem
+    in Z[i]). Newton steps on the square-free part take the center to bits
+    enough that den*z rounds to den*r: an evaluation rounds by about
+    n * sum |a_k| |z|^k units of the last place, which moves the root by
+    that over |p'(z)|, so the bits come from the size of den * z and of
+    that ratio, plus 64. The candidate must be a root of part, so of
+    exactly the cluster's multiplicity, and lie within tol * (1 + |center|)
+    of the center, the closeness numeric_match asks of paired clusters.
+    """
+    with mp.workprec(64):
+        coeffs = [to_mpc(c) for c in part.coeffs]
+        mag = mp.polyval([abs(c) for c in coeffs], abs(center))
+        slope = abs(mp.polyval(coeffs, center, derivative=True)[1])
+        if slope == 0:
+            return None
+        bits = (den * int(part.degree * mag / slope + abs(center) + 1)).bit_length() + 64
+    with mp.workprec(bits):
+        coeffs = [to_mpc(c) for c in part.coeffs]
+        z = mpc(center)
+        for _ in range(bits.bit_length()):
+            value, slope = mp.polyval(coeffs, z, derivative=True)
+            if slope == 0:
+                break
+            z -= value / slope
+        re, im = (round(_mpf_to_fraction(x) * den) for x in (z.real, z.imag))
+        snapped = GaussianRational(Fraction(re, den), Fraction(im, den))
+        if abs(to_mpc(snapped) - center) > tol * (1 + abs(center)):
+            return None
+    return snapped if part.eval(snapped).is_zero else None
 
 
 def decide_equivalence(
@@ -355,8 +396,8 @@ def decide_equivalence(
     if eff_mode == "exact":
         match = _exact_match(first_a, second_a)
     else:
-        clusters_first = _numeric_clusters(f1.ladder, precision, tol)
-        clusters_second = _numeric_clusters(f2.ladder, precision, tol)
+        clusters_first = _numeric_clusters(f1.ladder.squarefree_parts(), precision, tol)
+        clusters_second = _numeric_clusters(f2.ladder.squarefree_parts(), precision, tol)
         match = numeric_match(
             "affine" if affine else "linear", clusters_first, clusters_second, tol
         )
@@ -396,12 +437,6 @@ def _mpf_to_fraction(x: mpf) -> Fraction:
     if exp >= 0:
         return Fraction(man << exp)
     return Fraction(man, 1 << -exp)
-
-
-def _snap_gq(z: mpc, max_den: int) -> GaussianRational:
-    re = _mpf_to_fraction(z.real).limit_denominator(max_den)
-    im = _mpf_to_fraction(z.imag).limit_denominator(max_den)
-    return GaussianRational(re, im)
 
 
 def _gq_bits(g: GaussianRational) -> int:

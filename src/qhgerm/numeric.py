@@ -119,22 +119,23 @@ def _aberth(coeffs, points, limit, max_sweeps):
 
     Serves Python complex and mpmath mpc alike. A point is settled once
     |p(z)| <= limit * sum |a_k| |z|^k; a settled point never moves again, so
-    it is not evaluated again. Returns the settled flags, or None when a
-    point turns NaN (hardware floats out of range).
+    it is not evaluated again. Returns per point the pair (|p(z)|,
+    sum |a_k| |z|^k) from the evaluation that settled it, None where
+    unsettled; or None when a point turns NaN (hardware floats out of range).
     """
     n = len(points)
     deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
     abs_coeffs = [abs(c) for c in coeffs]
-    settled = [False] * n
+    settled = [None] * n
     for _ in range(max_sweeps):
         moved = False
         for k in range(n):
-            if settled[k]:
+            if settled[k] is not None:
                 continue
             z = points[k]
             val = _horner(coeffs, z)
-            if abs(val) <= limit * _horner(abs_coeffs, abs(z)):
-                settled[k] = True
+            if abs(val) <= limit * (mag := _horner(abs_coeffs, abs(z))):
+                settled[k] = (abs(val), mag)
                 continue
             dval = _horner(deriv, z)
             if dval == 0:
@@ -217,7 +218,6 @@ def find_roots(poly, precision: int = 128) -> list:
             )
         lead = coeffs[0]
         deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-        abs_coeffs = [abs(c) for c in coeffs]
         # the computed |p(z)| can round to 0 at a root that is not exact; add
         # Horner's rounding bound gamma_2n * sum |a_k| |z|^k (Higham, Accuracy
         # and Stability, 5.1), with the unit roundoff doubled for complex
@@ -225,8 +225,8 @@ def find_roots(poly, precision: int = 128) -> list:
         u = mpf(2) ** (1 - work)
         gamma = 2 * n * u / (1 - 2 * n * u)
         out = list(zeros_out)
-        for z in points:
-            val = abs(_horner(coeffs, z)) + gamma * _horner(abs_coeffs, abs(z))
+        for z, (pval, mag) in zip(points, settled):
+            val = pval + gamma * mag
             dval = abs(_horner(deriv, z))
             floor = val / (1 + abs(lead) * n)
             if dval > 0:
@@ -272,9 +272,12 @@ def cluster_roots(roots, tol: float, weights=None) -> list:
             a = parent[a]
         return a
 
+    # each distance is measured once; linkage, diameters and gaps read it
+    dist = {}
     for a in range(n):
         for b in range(a + 1, n):
-            if abs(values[a] - values[b]) <= max(t, errs[a] + errs[b]):
+            dist[a, b] = dist[b, a] = d = abs(values[a] - values[b])
+            if d <= max(t, errs[a] + errs[b]):
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[ra] = rb
@@ -283,23 +286,19 @@ def cluster_roots(roots, tol: float, weights=None) -> list:
         groups.setdefault(find(a), []).append(a)
     clusters = []
     for idxs in groups.values():
-        members = [values[a] for a in idxs]
         total = sum(weights[a] for a in idxs)
         center = sum(values[a] * weights[a] for a in idxs) / total
-        radius = max((abs(v - center) for v in members), default=mpf(0))
-        diameter = mpf(0)
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                diameter = max(diameter, abs(members[x] - members[y]))
-        clusters.append((center, members, total, radius, diameter))
-    for _, members, _, _, diameter in clusters:
+        radius = max((abs(values[a] - center) for a in idxs), default=mpf(0))
+        diameter = max((dist[a, b] for a in idxs for b in idxs if a < b), default=mpf(0))
+        clusters.append((center, idxs, total, radius, diameter))
+    for _, _, _, _, diameter in clusters:
         if diameter > t / 2:
             raise AmbiguousClusteringError(
                 f"cluster diameter {diameter} exceeds half the tolerance {t}"
             )
     for a in range(len(clusters)):
         for b in range(a + 1, len(clusters)):
-            gap = min(abs(x - y) for x in clusters[a][1] for y in clusters[b][1])
+            gap = min(dist[x, y] for x in clusters[a][1] for y in clusters[b][1])
             if gap < 2 * t:
                 raise AmbiguousClusteringError(
                     f"inter-cluster gap {gap} is below twice the tolerance {t}"
@@ -372,11 +371,11 @@ def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
         if pairing is None:
             return None
         return NumericMatch(mpc(1), None, pairing, tol)
-    candidates = []
-    for ca in nonzero_a:
-        for cb in nonzero_b:
-            if ca.multiplicity == cb.multiplicity:
-                candidates.append(cb.center / ca.center)
+    # every scale carries the first nonzero cluster of A onto a nonzero
+    # cluster of B of equal multiplicity, so that anchor gives O(n) candidates
+    anchor = nonzero_a[0]
+    candidates = (cb.center / anchor.center for cb in nonzero_b
+                  if cb.multiplicity == anchor.multiplicity)
     for a in candidates:
         mapped = [(a * c.center, c.multiplicity) for c in a_cl]
         pairing = _greedy_pairing(mapped, b_cl, t)

@@ -14,7 +14,8 @@ Grammar accepted by parse_poly (whitespace allowed between terms and around
 Juxtaposition is only read directly after a numeric literal ("2X", "3i",
 "1/2i"); parenthesized groups always need '*' and nest at most
 MAX_NESTING deep. Exponents, and the total degree of every product and
-power, are at most MAX_DEGREE. Decimal literals are exact
+power, are at most MAX_DEGREE; numerators and denominators have at most
+MAX_COEFF_BITS bits. Decimal literals are exact
 ("0.3" is 3/10) but flag the polynomial as numeric-mode, recording that the
 user did not supply symbolic data. The leading optional sign is a strict
 superset of the documented form so that every printed polynomial re-parses.
@@ -41,6 +42,21 @@ MAX_NESTING = 200
 # grows with the degree, while the largest degree in the tests and the
 # benchmark corpora is 74.
 MAX_DEGREE = 1000
+
+# Bound on the bits of every numerator and denominator, checked on each
+# digit string, before expanding each power and on the parsed result. A
+# ladder coefficient is the ratio of two input coefficients, so it stays
+# under 8192 bits (2467 digits), inside Python's default limit of 4300
+# digits for converting an int to text.
+MAX_COEFF_BITS = 4096
+
+
+def _coeff_bits(poly: "BivarPoly") -> int:
+    # the bit length of an OR is that of its largest operand
+    top = 0
+    for c in poly.terms.values():
+        top |= abs(c.a) | abs(c.b) | c.d
+    return top.bit_length()
 
 
 def _join_mode(a: str, b: str) -> str:
@@ -232,6 +248,7 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail(f"unexpected input {self.text[self.pos]!r}")
+        self.limit_bits(_coeff_bits(result), "coefficient of", 0)
         mode = MODE_NUMERIC if self.saw_decimal else MODE_EXACT
         return BivarPoly(result.terms, mode)
 
@@ -259,6 +276,10 @@ class _Parser:
     def limit_degree(self, degree: int, what: str, position: int):
         if degree > MAX_DEGREE:
             self.fail(f"{what} {degree} exceeds the limit {MAX_DEGREE}", position)
+
+    def limit_bits(self, bits: int, what: str, position: int):
+        if bits > MAX_COEFF_BITS:
+            self.fail(f"{what} {bits} bits exceeds the limit {MAX_COEFF_BITS} bits", position)
 
     def term(self) -> BivarPoly:
         start = self.pos
@@ -299,6 +320,10 @@ class _Parser:
             if e is None:
                 return inner, False, degree
             self.limit_degree(degree * e, "degree", start)
+            # estimate: a coefficient of inner**e sums at most terms**e
+            # products of e coefficients of inner
+            bits = e * (_coeff_bits(inner) + len(inner.terms).bit_length())
+            self.limit_bits(bits, "power with coefficients of up to", start)
             return inner**e, False, degree * e
         if ch in ("X", "Y", "i"):
             f, degree = self.symbol_factor()
@@ -341,6 +366,11 @@ class _Parser:
         start = self.pos
         while self.peek().isdigit():
             self.pos += 1
+        # past its first digit a number gains over 3 bits a digit: refuse a
+        # longer string unconverted (the result check sees the rest)
+        if self.pos - start > MAX_COEFF_BITS // 3:
+            self.fail(f"number of {self.pos - start} digits exceeds the limit "
+                      f"{MAX_COEFF_BITS} bits", start)
         return int(self.text[start : self.pos])
 
     def number(self) -> BivarPoly:
@@ -360,11 +390,10 @@ class _Parser:
             if not self.peek().isdigit():
                 self.fail("expected digits after the decimal point")
             fstart = self.pos
-            while self.peek().isdigit():
-                self.pos += 1
-            digits = self.text[fstart : self.pos]
+            fraction = self.uint()
             self.saw_decimal = True
-            value = Fraction(int(str(whole) + digits), 10 ** len(digits))
+            scale = 10 ** (self.pos - fstart)
+            value = Fraction(whole * scale + fraction, scale)
             return BivarPoly.constant(value)
         return BivarPoly.constant(whole)
 

@@ -121,6 +121,27 @@ class TestAnalyze:
         assert out == ""
         assert err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("((2)^1000)^1000*Y^2 - X^3",
+             "power with coefficients of up to 1002000 bits exceeds the limit 4096 bits "
+             "(at position 0)"),
+            ("(((2)^1000)^1000)^4*Y^2 - X^3",
+             "power with coefficients of up to 1002000 bits exceeds the limit 4096 bits "
+             "(at position 1)"),
+            ("1" * 5000 + "*Y^2 - X^3",
+             "number of 5000 digits exceeds the limit 4096 bits (at position 0)"),
+        ],
+    )
+    def test_coefficient_over_the_limit_is_parse_error(self, text, message):
+        start = time.perf_counter()
+        code, out, err = run_cli("analyze", text)
+        assert time.perf_counter() - start < 1
+        assert code == 65
+        assert out == ""
+        assert err == f"parse error: {message}\n"
+
     @pytest.mark.parametrize("bad", ["2;3", "2,3,4", "a,b"])
     def test_malformed_weights_flag(self, bad):
         code, _, _ = run_cli("analyze", PAIR_FIRST, "--weights", bad)
@@ -299,12 +320,24 @@ class TestDecide:
             assert all(part == 0 or abs(part) > 1e-30 * abs(z) for part in (z.real, z.imag))
 
     def test_numeric_verdict_witness_is_refused(self):
-        code, out, err = run_cli("decide", "(Y^2-X^3)*(Y^2-1.0000000001*X^3)",
-                                 "(Y^2-X^3)^2", "--witness")
+        pair = ("(Y^2-X^3)*(Y^2-1.0000000001*X^3)", "(Y^2-X^3)^2")
+        code, out, err = run_cli("decide", *pair, "--witness")
         assert code == 66
-        assert out == ""
+        # the verdict prints as without --witness; the refusal goes to stderr
+        assert out == run_cli("decide", *pair)[1]
+        assert out.startswith("verdict: Equivalent (numeric)\n")
         assert err == ("error: the exact matcher finds no witness; a numeric verdict "
                        "on rounded input does not support witness construction\n")
+
+    def test_numeric_verdict_witness_is_refused_json(self):
+        pair = ("(Y^2-X^3)*(Y^2-1.0000000001*X^3)", "(Y^2-X^3)^2")
+        code, out, err = run_cli("decide", *pair, "--witness", "--json")
+        assert code == 66
+        assert out == run_cli("decide", *pair, "--json")[1]
+        doc = json.loads(out)
+        assert doc["verdict"]["status"] == "Equivalent"
+        assert "witness" not in doc and "verification" not in doc
+        assert err.startswith("error: the exact matcher finds no witness")
 
     def test_exact_mode_rejects_decimals(self):
         code, _, err = run_cli("decide", "Y^2 - 1.5*X^4", "Y^2 - X^4",
@@ -360,6 +393,13 @@ class TestRoots:
         assert [r["multiplicity"] for r in roots] == [1, 1]
         assert roots[0]["value"].startswith("(0.2928932")
         assert roots[1]["value"].startswith("(1.7071067")
+
+    def test_denominator_over_ten_to_the_twelve_is_exact(self):
+        code, out, _ = run_cli("roots", "(Y^2 - 1/10000000000001*X^3)*(Y^2-X^3)")
+        assert code == 0
+        assert out == ("class: NonHomogeneousQH\n"
+                       "root 1/10000000000001 multiplicity 1 (exact)\n"
+                       "root 1 multiplicity 1 (exact)\n")
 
     def test_text_output(self):
         code, out, _ = run_cli("roots", "(Y-X^2)^3*X")
@@ -502,6 +542,22 @@ class TestBatch:
             {"error": "exponent 100000 exceeds the limit 1000 (at position 6)", "index": 1},
         ]
         assert records[2]["status"] == "Equivalent"
+
+    def test_record_over_the_coefficient_limit_does_not_end_the_batch(self, tmp_path):
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text(
+            json.dumps({"first": "((2)^1000)^1000*Y^2 - X^3", "second": PAIR_SECOND}) + "\n"
+            + json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}) + "\n"
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli("decide-batch", str(batch))
+        assert time.perf_counter() - start < 1
+        assert code == 65
+        assert err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {"error": "power with coefficients of up to 1002000 bits exceeds "
+                                       "the limit 4096 bits (at position 0)", "index": 0}
+        assert records[1]["status"] == "Equivalent"
 
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
         text = "".join(

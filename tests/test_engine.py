@@ -496,6 +496,38 @@ class TestLadderRoots:
     def test_empty_ladder_has_no_roots(self):
         assert ladder_roots(UniPoly.one(), 128, 1e-9) == []
 
+    @pytest.mark.parametrize("root", [
+        gq(Fraction(1, 10**13 + 1)),
+        gq(Fraction(1, 10**12 + 3), Fraction(2, 10**12 + 3)),
+        gq(Fraction(-7, 9999999999971), Fraction(10**13, 9999999999971)),
+    ])
+    def test_thirteen_digit_denominators_are_exact(self, root):
+        entries = ladder_roots(UniPoly.from_roots([root, gq(1)]), 128, 1e-9)
+        assert sorted((str(v), mult, exact) for v, mult, exact in entries) == sorted(
+            [(str(root), 1, True), ("1", 1, True)])
+
+    def test_denominator_past_the_center_precision_is_exact(self):
+        # the monic ladder has denominators up to 81^10, about 2^63: the
+        # cluster centers must be refined before 81^10 * center rounds
+        roots = [gq(Fraction(4096 + 7 * k, 81)) for k in range(10)]
+        entries = ladder_roots(UniPoly.from_roots(roots), 128, 1e-9)
+        assert sorted(str(v) for v, _, exact in entries if exact) == sorted(map(str, roots))
+
+    def test_irrational_root_within_tol_of_a_candidate_stays_approximate(self):
+        # the root 10^-12 makes L = 10^12, so round(L*sqrt(2))/L lies within
+        # 10^-12 of sqrt(2) and only the exact evaluation rejects it
+        poly = UniPoly.from_roots([gq(Fraction(1, 10**12))]) * ladder(1, 0, -2)
+        entries = ladder_roots(poly, 128, 1e-9)
+        assert sorted((mult, exact) for _, mult, exact in entries) == [
+            (1, False), (1, False), (1, True)]
+
+    def test_merged_roots_are_not_one_exact_root(self):
+        # 1 and 1 + 10^-10 fall into one cluster of multiplicity 2; neither
+        # is a double root, so the cluster stays approximate
+        entries = ladder_roots(UniPoly.from_roots([gq(1), gq(1 + Fraction(1, 10**10))]),
+                               128, 1e-9)
+        assert [(mult, exact) for _, mult, exact in entries] == [(2, False)]
+
 
 class TestQuarticDemo:
     def test_expansion(self):

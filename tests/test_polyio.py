@@ -17,7 +17,14 @@ from qhgerm import (
     gq,
     parse_poly,
 )
-from qhgerm.polyio import MAX_DEGREE, MAX_NESTING, MODE_EXACT, MODE_NUMERIC, power_table
+from qhgerm.polyio import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_NESTING,
+    MODE_EXACT,
+    MODE_NUMERIC,
+    power_table,
+)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=10)
 scalars = st.builds(gq, fractions, fractions)
@@ -126,6 +133,30 @@ class TestParseErrors:
     )
     def test_degree_over_the_limit_is_a_parse_error(self, text, message, position):
         with pytest.raises(ParseError, match=f"{message} exceeds the limit") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
+    def test_coefficients_up_to_the_limit_parse(self):
+        top = 2**MAX_COEFF_BITS - 1
+        assert parse_poly(f"{top}*X").terms == {(1, 0): gq(top)}
+        assert parse_poly(f"1/{top}*X - {top}").coeff(1, 0) == gq(Fraction(1, top))
+        assert parse_poly("((2)^1000)^4") == BivarPoly.constant(2**4000)
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            (f"{2**MAX_COEFF_BITS}*X", f"coefficient of {MAX_COEFF_BITS + 1} bits", 0),
+            (f"X - 1/{2**MAX_COEFF_BITS}", f"coefficient of {MAX_COEFF_BITS + 1} bits", 0),
+            ("X - 1" + "0" * 1400, "number of 1401 digits", 4),
+            ("X - 0." + "1" * 1400, "number of 1400 digits", 6),
+            ("Y^" + "9" * 5000, "number of 5000 digits", 2),
+            ("Y^2 - ((2)^1000)^1000*X^3", "power with coefficients of up to 1002000 bits", 6),
+            ("(2)^1000*" * 5 + "X", "coefficient of 5001 bits", 0),
+        ],
+    )
+    def test_coefficient_over_the_limit_is_a_parse_error(self, text, message, position):
+        with pytest.raises(ParseError, match=f"{message} exceeds the limit {MAX_COEFF_BITS}") \
+                as err:
             parse_poly(text)
         assert err.value.position == position
 
