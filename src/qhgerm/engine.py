@@ -288,16 +288,19 @@ def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
     parts = ladder.squarefree_parts()
     part_of = {mult: factor for factor, mult in parts}
     den = lcm(*(c.d for c in ladder.monic()[0].coeffs))
+    clusters = _numeric_clusters(parts, precision, tol)
+    centers = [cl.center for cl in clusters]
     entries = []
-    for cl in _numeric_clusters(parts, precision, tol):
+    for cl in clusters:
         part = part_of.get(cl.multiplicity)
-        snapped = None if part is None else _snap_root(part, cl.center, den, tol)
+        snapped = None if part is None else _snap_root(part, cl.center, centers, den, tol)
         exact = snapped is not None
         entries.append((snapped if exact else cl.center, cl.multiplicity, exact))
     return entries
 
 
-def _snap_root(part: UniPoly, center: mpc, den: int, tol: float) -> GaussianRational | None:
+def _snap_root(part: UniPoly, center: mpc, centers: list, den: int,
+               tol: float) -> GaussianRational | None:
     """The root of part in Q(i) at a cluster center, or None.
 
     den*r is a Gaussian integer for every root r of the ladder in Q(i), den
@@ -306,9 +309,11 @@ def _snap_root(part: UniPoly, center: mpc, den: int, tol: float) -> GaussianRati
     enough that den*z rounds to den*r: an evaluation rounds by about
     n * sum |a_k| |z|^k units of the last place, which moves the root by
     that over |p'(z)|, so the bits come from the size of den * z and of
-    that ratio, plus 64. The candidate must be a root of part, so of
-    exactly the cluster's multiplicity, and lie within tol * (1 + |center|)
-    of the center, the closeness numeric_match asks of paired clusters.
+    that ratio, plus 64. The refined z must lie nearest this cluster's
+    center among all centers, so it is this cluster's root, and the
+    candidate must be a root of part, so of exactly the cluster's
+    multiplicity, within tol/2 of z: any other root of the ladder lies in
+    another cluster, at least 2*tol away.
     """
     with mp.workprec(64):
         coeffs = [to_mpc(c) for c in part.coeffs]
@@ -327,7 +332,9 @@ def _snap_root(part: UniPoly, center: mpc, den: int, tol: float) -> GaussianRati
             z -= value / slope
         re, im = (round(_mpf_to_fraction(x) * den) for x in (z.real, z.imag))
         snapped = GaussianRational(Fraction(re, den), Fraction(im, den))
-        if abs(to_mpc(snapped) - center) > tol * (1 + abs(center)):
+        if abs(z - center) > min(abs(z - c) for c in centers):
+            return None
+        if abs(to_mpc(snapped) - z) > tol / 2:
             return None
     return snapped if part.eval(snapped).is_zero else None
 

@@ -272,11 +272,15 @@ def cluster_roots(roots, tol: float, weights=None) -> list:
             a = parent[a]
         return a
 
-    # each distance is measured once; linkage, diameters and gaps read it
-    dist = {}
+    # each distance is measured once and kept when below 2*tol, the only
+    # ones a gap check can fail on; a longer one within a cluster fails the
+    # diameter check, which measures it again for its message
+    close = {}
     for a in range(n):
         for b in range(a + 1, n):
-            dist[a, b] = dist[b, a] = d = abs(values[a] - values[b])
+            d = abs(values[a] - values[b])
+            if d < 2 * t:
+                close[a, b] = d
             if d <= max(t, errs[a] + errs[b]):
                 ra, rb = find(a), find(b)
                 if ra != rb:
@@ -284,26 +288,26 @@ def cluster_roots(roots, tol: float, weights=None) -> list:
     groups = {}
     for a in range(n):
         groups.setdefault(find(a), []).append(a)
-    clusters = []
+    out = []
     for idxs in groups.values():
         total = sum(weights[a] for a in idxs)
         center = sum(values[a] * weights[a] for a in idxs) / total
         radius = max((abs(values[a] - center) for a in idxs), default=mpf(0))
-        diameter = max((dist[a, b] for a in idxs for b in idxs if a < b), default=mpf(0))
-        clusters.append((center, idxs, total, radius, diameter))
-    for _, _, _, _, diameter in clusters:
+        diameter = max((close.get((a, b)) or abs(values[a] - values[b])
+                        for a in idxs for b in idxs if a < b), default=mpf(0))
         if diameter > t / 2:
             raise AmbiguousClusteringError(
                 f"cluster diameter {diameter} exceeds half the tolerance {t}"
             )
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            gap = min(dist[x, y] for x in clusters[a][1] for y in clusters[b][1])
-            if gap < 2 * t:
-                raise AmbiguousClusteringError(
-                    f"inter-cluster gap {gap} is below twice the tolerance {t}"
-                )
-    out = [RootCluster(c, total, r) for (c, _, total, r, _) in clusters]
+        out.append(RootCluster(center, total, radius))
+    # the first pair of clusters with members closer than 2*tol, least first
+    cid = {a: k for k, idxs in enumerate(groups.values()) for a in idxs}
+    gaps = sorted((min(cid[a], cid[b]), max(cid[a], cid[b]), d)
+                  for (a, b), d in close.items() if cid[a] != cid[b])
+    if gaps:
+        raise AmbiguousClusteringError(
+            f"inter-cluster gap {gaps[0][2]} is below twice the tolerance {t}"
+        )
     out.sort(key=lambda cl: (cl.center.real, cl.center.imag))
     return out
 
@@ -331,11 +335,11 @@ def _greedy_pairing(mapped, targets, tol):
 def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
     """Brute-force multiset matcher over root clusters.
 
-    mode "linear" searches a with a*A = B; mode "affine" reduces to the
-    linear problem after centering both multisets on their multiplicity
-    weighted centroids. Returns a NumericMatch or None. This is the
-    independent oracle for the exact coefficient-level matcher, so it shares
-    no code with it.
+    mode "linear" tries the scales a = cb/ca, row by row over pairs of
+    nonzero clusters of equal multiplicity, for a*A = B; "affine" reduces
+    to it after centering both sides on their multiplicity weighted
+    centroids. Returns the first NumericMatch the greedy pairing accepts,
+    or None. The oracle for the exact matcher, it shares no code with it.
     """
     if mode not in ("linear", "affine"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -371,13 +375,10 @@ def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
         if pairing is None:
             return None
         return NumericMatch(mpc(1), None, pairing, tol)
-    # every scale carries the first nonzero cluster of A onto a nonzero
-    # cluster of B of equal multiplicity, so that anchor gives O(n) candidates
-    anchor = nonzero_a[0]
-    candidates = (cb.center / anchor.center for cb in nonzero_b
-                  if cb.multiplicity == anchor.multiplicity)
+    candidates = (cb.center / ca.center for ca in nonzero_a for cb in nonzero_b
+                  if ca.multiplicity == cb.multiplicity)
     for a in candidates:
-        mapped = [(a * c.center, c.multiplicity) for c in a_cl]
+        mapped = ((a * c.center, c.multiplicity) for c in a_cl)
         pairing = _greedy_pairing(mapped, b_cl, t)
         if pairing is not None:
             return NumericMatch(a, None, pairing, tol)

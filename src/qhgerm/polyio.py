@@ -44,17 +44,19 @@ MAX_NESTING = 200
 MAX_DEGREE = 1000
 
 # Bound on the bits of every numerator and denominator, checked on each
-# digit string, before expanding each power and on the parsed result. A
+# digit string, before expanding each power, after each product and sum,
+# and on the parsed result, so no step works on longer numbers than twice
+# the bound (and a power's estimate). A
 # ladder coefficient is the ratio of two input coefficients, so it stays
 # under 8192 bits (2467 digits), inside Python's default limit of 4300
 # digits for converting an int to text.
 MAX_COEFF_BITS = 4096
 
 
-def _coeff_bits(poly: "BivarPoly") -> int:
+def _coeff_bits(coeffs) -> int:
     # the bit length of an OR is that of its largest operand
     top = 0
-    for c in poly.terms.values():
+    for c in coeffs:
         top |= abs(c.a) | abs(c.b) | c.d
     return top.bit_length()
 
@@ -248,7 +250,7 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail(f"unexpected input {self.text[self.pos]!r}")
-        self.limit_bits(_coeff_bits(result), "coefficient of", 0)
+        self.limit_bits(_coeff_bits(result.terms.values()), "coefficient of", 0)
         mode = MODE_NUMERIC if self.saw_decimal else MODE_EXACT
         return BivarPoly(result.terms, mode)
 
@@ -269,8 +271,14 @@ class _Parser:
                 break
             self.pos += 1
             self.skip_ws()
+            start = self.pos
             t = self.term()
+            size = len(acc.terms) + len(t.terms)
             acc = acc + t if op == "+" else acc - t
+            if len(acc.terms) < size:
+                # t shares a monomial with acc: check the coefficients it changed
+                bits = _coeff_bits(acc.coeff(i, j) for i, j in t.terms)
+                self.limit_bits(bits, "sum with coefficients of", start)
         return acc
 
     def limit_degree(self, degree: int, what: str, position: int):
@@ -286,7 +294,7 @@ class _Parser:
         acc, was_number, degree = self.factor()
         while True:
             if was_number and self.peek() in ("X", "Y", "i"):
-                (f, f_degree), was_number = self.symbol_factor(), False
+                (f, f_degree), was_number, symbol = self.symbol_factor(), False, True
             else:
                 save = self.pos
                 self.skip_ws()
@@ -295,10 +303,15 @@ class _Parser:
                     return acc
                 self.pos += 1
                 self.skip_ws()
+                symbol = self.peek() in ("X", "Y", "i")
                 f, was_number, f_degree = self.factor()
             degree += f_degree
             self.limit_degree(degree, "degree", start)
             acc = acc * f
+            # a unit monomial (X^a, Y^b, i^c) leaves coefficient sizes alone
+            if not symbol:
+                bits = _coeff_bits(acc.terms.values())
+                self.limit_bits(bits, "product with coefficients of", start)
 
     def factor(self) -> tuple[BivarPoly, bool, int]:
         """A factor, whether it is a number literal, and its total degree."""
@@ -322,7 +335,7 @@ class _Parser:
             self.limit_degree(degree * e, "degree", start)
             # estimate: a coefficient of inner**e sums at most terms**e
             # products of e coefficients of inner
-            bits = e * (_coeff_bits(inner) + len(inner.terms).bit_length())
+            bits = e * (_coeff_bits(inner.terms.values()) + len(inner.terms).bit_length())
             self.limit_bits(bits, "power with coefficients of up to", start)
             return inner**e, False, degree * e
         if ch in ("X", "Y", "i"):

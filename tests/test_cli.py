@@ -132,6 +132,9 @@ class TestAnalyze:
              "(at position 1)"),
             ("1" * 5000 + "*Y^2 - X^3",
              "number of 5000 digits exceeds the limit 4096 bits (at position 0)"),
+            ("(2)^1000*" * 1000 + "Y^2 - X^3",
+             "product with coefficients of 5001 bits exceeds the limit 4096 bits "
+             "(at position 0)"),
         ],
     )
     def test_coefficient_over_the_limit_is_parse_error(self, text, message):

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from qhgerm import (
     AffineMatch,
@@ -527,6 +527,28 @@ class TestLadderRoots:
         entries = ladder_roots(UniPoly.from_roots([gq(1), gq(1 + Fraction(1, 10**10))]),
                                128, 1e-9)
         assert [(mult, exact) for _, mult, exact in entries] == [(2, False)]
+
+    @pytest.mark.parametrize("big", [10**4, 10**8, 10**12])
+    def test_irrational_root_beside_a_large_integer_root_stays_approximate(self, big):
+        # (w - N)((w - N + 13)^2 - 170): N + sqrt(170) - 13 lies 0.0384 from
+        # the integer root N, and L = 1, so the rounding of its Newton limit
+        # is N, a root of the same part; it is not this cluster's root
+        a = 13 - big
+        poly = UniPoly.from_roots([gq(big)]) * ladder(1, 2 * a, a * a - 170)
+        entries = ladder_roots(poly, 128, 1e-9)
+        assert [str(v) for v, _, exact in entries if exact] == [str(big)]
+        approx = sorted(float(v.real - big) for v, _, exact in entries if not exact)
+        assert approx == pytest.approx([-13 - 170**0.5, 170**0.5 - 13], abs=1e-3)
+
+    def test_newton_limit_nearer_another_center_is_not_snapped(self):
+        # started from a poor center 0.001 from N, Newton reaches N, which
+        # lies nearest the other cluster's center: no exact root for this one
+        big = 10**8
+        a = 13 - big
+        part = UniPoly.from_roots([gq(big)]) * ladder(1, 2 * a, a * a - 170)
+        poor, other = mpc(big + 0.001), mpc(big)
+        assert engine._snap_root(part, other, [other, poor], 1, 1e-9) == gq(big)
+        assert engine._snap_root(part, poor, [other, poor], 1, 1e-9) is None
 
 
 class TestQuarticDemo:

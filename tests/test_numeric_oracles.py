@@ -170,6 +170,16 @@ def test_cluster_roots_is_brute_force_single_linkage(seed):
     assert got == want
 
 
+def test_pair_linked_by_error_disks_beyond_2tol_fails_the_diameter_check():
+    # 3e-9 apart, linked by errors of 2e-9 each: a distance that is not kept
+    # for the gap checks still sets the diameter
+    roots = [ComplexApprox(mpc(1), mpf(2e-9), 128), ComplexApprox(mpc(1 + 3e-9), mpf(2e-9), 128)]
+    with mp.workprec(168):
+        got = outcome(cluster_roots, roots, 1e-9, [1, 1])
+        assert got == outcome(reference_clusters, roots, 1e-9, [1, 1])
+    assert got[1].startswith("cluster diameter 0.0000000030000")
+
+
 def test_cluster_oracle_meets_both_exceptions_and_clean_cases():
     kinds = set()
     for seed in range(60):
@@ -251,6 +261,10 @@ def random_side(rng):
         centers.append((mpc(rng.randint(-8, 8), rng.randint(-8, 8)) / 2, rng.randint(1, 3)))
     if rng.random() < 0.3:
         centers.append((mpc(0), rng.randint(1, 3)))
+    elif rng.random() < 0.3:
+        # a cluster just past the zero threshold: a scale read off it is off
+        # by a large factor, so only another row's scale may pair the rest
+        centers.append((mpc(rng.uniform(2e-9, 5e-9), rng.uniform(-2e-9, 2e-9)), 1))
     distinct = []
     for z, mult in centers:
         if all(abs(z - w) > 1e-3 for w, _ in distinct):
@@ -259,14 +273,22 @@ def random_side(rng):
 
 
 def related_side(rng, side, affine):
-    """The image of side under a scale (and shift), or a near miss."""
+    """The image of side under a scale (and shift), maybe moved within tol,
+    or a near miss."""
     scale = mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
     shift = mpc(rng.randint(-4, 4), rng.randint(-4, 4)) / 4 if affine else mpc(0)
     image = [RootCluster(scale * c.center + shift, c.multiplicity, c.radius) for c in side]
+    nonzero = [k for k, c in enumerate(side) if abs(c.center) > 1e-9]
+    if nonzero and rng.random() < 0.4:
+        # move the image of the first nonzero cluster within tol: the scale
+        # read off it errs by that over its modulus, times |c| elsewhere
+        k = min(nonzero, key=lambda k: (side[k].center.real, side[k].center.imag))
+        offset = rng.choice((-0.9e-9, 0.9e-9)) * (1 + abs(image[k].center))
+        image[k] = RootCluster(image[k].center + offset, image[k].multiplicity, image[k].radius)
     roll = rng.random()
     if roll < 0.25:
         slot = rng.randrange(len(image))
-        moved = image[slot].center + mpc(rng.choice((1e-7, 0.3, 1)), 0)
+        moved = image[slot].center + mpc(rng.choice((5e-10, 2e-9, 1e-7, 0.3, 1)), 0)
         image[slot] = RootCluster(moved, image[slot].multiplicity, image[slot].radius)
     elif roll < 0.35 and len(image) > 1:
         first, last = image[0], image[-1]
@@ -290,6 +312,20 @@ def test_numeric_match_equals_the_all_pairs_search(mode):
         assert got == want, seed
         found, missed = found + (got is not None), missed + (got is None)
     assert found > 60 and missed > 20
+
+
+@pytest.mark.parametrize("mode", ["linear", "affine"])
+@pytest.mark.parametrize("side_a, side_b", [
+    ([3e-9, 1], [3.5e-9, 1]),
+    ([0.001, 10], [0.001 + 5e-10, 10]),
+])
+def test_match_within_tol_that_the_first_row_misses(mode, side_a, side_b):
+    # the scale read off the first nonzero cluster is off by |c|/|first|
+    # times its error elsewhere; a later row's scale pairs every cluster
+    a = [RootCluster(mpc(z), 1, mpf(0)) for z in side_a]
+    b = [RootCluster(mpc(z), 1, mpf(0)) for z in side_b]
+    got = numeric_match(mode, a, b)
+    assert got is not None and got == all_pairs_match(mode, a, b)
 
 
 def test_numeric_match_all_zero_and_symmetric_corners():

@@ -147,11 +147,19 @@ class TestParseErrors:
         [
             (f"{2**MAX_COEFF_BITS}*X", f"coefficient of {MAX_COEFF_BITS + 1} bits", 0),
             (f"X - 1/{2**MAX_COEFF_BITS}", f"coefficient of {MAX_COEFF_BITS + 1} bits", 0),
+            (f"1/3*X + 1/{2**(MAX_COEFF_BITS - 1)}*X",
+             f"sum with coefficients of {MAX_COEFF_BITS + 1} bits", 8),
             ("X - 1" + "0" * 1400, "number of 1401 digits", 4),
             ("X - 0." + "1" * 1400, "number of 1400 digits", 6),
             ("Y^" + "9" * 5000, "number of 5000 digits", 2),
             ("Y^2 - ((2)^1000)^1000*X^3", "power with coefficients of up to 1002000 bits", 6),
-            ("(2)^1000*" * 5 + "X", "coefficient of 5001 bits", 0),
+            ("(2)^1000*" * 5 + "X", "product with coefficients of 5001 bits", 0),
+            # each product is checked, so a long one stops at its fifth factor
+            ("(2)^1000*" * 1000 + "Y^2 - X^3", "product with coefficients of 5001 bits", 0),
+            ("Y^2 - " + "1.1*" * 2000 + "X^3", "product with coefficients of 4100 bits", 6),
+            # a product that a later term cancels is refused all the same
+            ("(2)^1000*" * 5 + "X - " + "(2)^1000*" * 5 + "X + Y^2 - X^3",
+             "product with coefficients of 5001 bits", 0),
         ],
     )
     def test_coefficient_over_the_limit_is_a_parse_error(self, text, message, position):
@@ -159,6 +167,12 @@ class TestParseErrors:
                 as err:
             parse_poly(text)
         assert err.value.position == position
+
+    def test_sum_whose_denominators_grow_is_a_parse_error(self):
+        text = " + ".join(f"1/{k}" for k in range(3, 3000, 2)) + " + Y^2 - X^3"
+        with pytest.raises(ParseError, match="sum with coefficients of 409[7-9] bits") as err:
+            parse_poly(text)
+        assert text[err.value.position - 3:err.value.position] == " + "
 
     def test_deep_nesting_is_a_parse_error(self):
         assert parse_poly("(" * MAX_NESTING + "X" + ")" * MAX_NESTING) == X
