@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-from mpmath import mp, mpc, mpf
-
 from . import engine
 from .engine import (
     STATUS_EQUIVALENT,
@@ -47,6 +45,11 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_ANALYSIS = 66
 EXIT_BROKEN_PIPE = 141
+
+# Upper bound on --precision and QHGERM_PRECISION. At 16384 bits a radical
+# witness fails on Python's 4300-digit limit for converting an int to text,
+# and a decimal input at ten million bits runs for more than 25 s.
+MAX_PRECISION = 8192
 
 _STATUS_EXIT = {
     STATUS_EQUIVALENT: EXIT_EQUIVALENT,
@@ -90,7 +93,7 @@ def _build_parser() -> _ArgumentParser:
                         help="fix the weights instead of inferring them")
     common.add_argument("--mode", choices=("exact", "numeric", "auto"), default="auto")
     common.add_argument("--precision", type=int, default=None, metavar="BITS",
-                        help="working precision in bits (>= 53, default 128)")
+                        help=f"working precision in bits (53 to {MAX_PRECISION}, default 128)")
     common.add_argument("--tol", type=float, default=engine.DEFAULT_TOL, metavar="X",
                         help="numeric clustering/matching tolerance")
     common.add_argument("--seed", type=int, default=0, metavar="N",
@@ -140,6 +143,7 @@ def _emit(doc: dict, out) -> None:
 
 def _approx_str(value, precision: int) -> str:
     """17 significant digits, without components below 2^-precision * |value|."""
+    from mpmath import mp, mpc, mpf
     with mp.workprec(precision + 20):
         z = to_mpc(value) if isinstance(value, GaussianRational) else value
         floor = abs(z) * mpf(2) ** -precision
@@ -480,6 +484,8 @@ def run(argv=None) -> int:
         args.precision = _default_precision()
     if args.precision < 53:
         parser.error("precision must be at least 53 bits")
+    if args.precision > MAX_PRECISION:
+        parser.error(f"precision must be at most {MAX_PRECISION} bits")
     if not 0 < args.tol < 1:
         parser.error("tol must lie strictly between 0 and 1")
     if getattr(args, "branch", None) is not None and args.branch < 0:

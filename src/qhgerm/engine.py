@@ -18,8 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-from mpmath import mp, mpc, mpf
+from typing import TYPE_CHECKING
 
 from .errors import (
     AmbiguousClusteringError,
@@ -46,6 +45,9 @@ from .structure import (
     WeightSignature,
     analyze_germ,
 )
+
+if TYPE_CHECKING:
+    from mpmath import mpc, mpf
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOL = 1e-9
@@ -127,6 +129,7 @@ class RadicalScalar:
     precision: int
 
     def to_mpc(self, precision: int | None = None) -> mpc:
+        from mpmath import mp
         prec = precision or self.precision
         with mp.workprec(prec + 20):
             return nth_root(to_mpc(self.base), self.index, self.branch)
@@ -315,6 +318,7 @@ def _snap_root(part: UniPoly, center: mpc, centers: list, den: int,
     multiplicity, within tol/2 of z: any other root of the ladder lies in
     another cluster, at least 2*tol away.
     """
+    from mpmath import mp, mpc
     with mp.workprec(64):
         coeffs = [to_mpc(c) for c in part.coeffs]
         mag = mp.polyval([abs(c) for c in coeffs], abs(center))
@@ -436,6 +440,7 @@ def witness_branch_count(verdict: Verdict) -> int:
 
 
 def _mpf_to_fraction(x: mpf) -> Fraction:
+    from mpmath import mp
     if not mp.isfinite(x):
         raise ValueError("cannot convert a non-finite value")
     sign, man, exp, _ = x._mpf_
@@ -469,6 +474,7 @@ def _exact_root(
     doubling of k, for the steps from branch to branch) a true root lies
     within 2^-32 of its rounding, and a farther one is rejected unpowered.
     """
+    from mpmath import mp, mpc, mpf
     n = value.d
     top = max(abs(value.a).bit_length(), abs(value.b).bit_length()) + 1
     bits = -(-top // k) + n.bit_length()
@@ -515,6 +521,7 @@ def _identify_branch(base: GaussianRational, index: int, target: mpc) -> int:
     roots lie 2*pi/index apart in argument, so index.bit_length() bits tell
     them apart, whatever the size of base; 64 more are the guard margin.
     """
+    from mpmath import mp, mpf
     with mp.workprec(index.bit_length() + 64):
         z = to_mpc(base)
         branch = int(mp.nint((index * mp.arg(target) - mp.arg(z)) / (2 * mp.pi))) % index
@@ -538,6 +545,7 @@ def _simplify_scalar(
     rational g gives target = g^(1/e); e = 1 gives a plain
     GaussianRational, and e = index always matches with g = base.
     """
+    from mpmath import mp
     b = _identify_branch(base, index, target)
     g, e = base, index
     for div in range(1, index):
@@ -595,6 +603,7 @@ def _radical_witness(first_a, second_a, scale_class, centers, branch, precision)
     a complex solution on every branch, found by sweeping root branches
     numerically and then identifying each scalar exactly as a pure radical.
     """
+    from mpmath import mp, mpf
     w, m, e_pow, m_pow, r0 = _witness_data(first_a, second_a)
     c0, d0 = first_a.canonical.c0, second_a.canonical.c0
     d = scale_class.d
@@ -715,6 +724,7 @@ def _scalar_is_rational(scalar) -> bool:
 
 
 def scalar_to_mpc(scalar, precision: int) -> mpc:
+    from mpmath import mp
     if isinstance(scalar, GaussianRational):
         with mp.workprec(precision + 20):
             return to_mpc(scalar)
@@ -729,6 +739,7 @@ def witness_to_mpc(witness: Witness, precision: int) -> tuple:
     gamma is None when the witness has no shear; a ShearTerm is evaluated
     at the numeric alpha and beta.
     """
+    from mpmath import mp
     with mp.workprec(precision + 20):
         alpha = scalar_to_mpc(witness.alpha, precision)
         beta = scalar_to_mpc(witness.beta, precision)
@@ -770,6 +781,7 @@ def verify_witness(
         image = first.substitute(x_image, y_image)
         passed = image == second
         return VerificationReport(passed, True, "0", "0", 0, precision)
+    from mpmath import mp, mpc, mpf
     with mp.workprec(precision + 20):
         alpha_num, beta_num, gamma_num = witness_to_mpc(witness, precision)
         bound = mpf(tol) if tol is not None else mpf(2) ** (-(precision - 48))

@@ -5,18 +5,24 @@ root clustering with an explicit unsafe-regime guard, brute-force multiset
 matchers used as the independent oracle for the exact engine, and batched
 bivariate evaluation with an error bound. Nothing here mutates mpmath's
 global precision; every entry point scopes its own working precision.
+
+mpmath is imported by each function that does mpmath arithmetic, on entry,
+not by this module: the exact route never needs it, so a process that
+decides exact input does not pay for loading it.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-
-from mpmath import mp, mpc, mpf
+from typing import TYPE_CHECKING
 
 from .errors import AmbiguousClusteringError, NonConvergenceError
 from .exact import GaussianRational, UniPoly
 from .polyio import BivarPoly, power_table
+
+if TYPE_CHECKING:
+    from mpmath import mpc, mpf
 
 _FLOAT_SWEEPS = 200
 _MP_SWEEPS = 600
@@ -52,6 +58,7 @@ class NumericMatch:
 
 def to_mpc(value) -> mpc:
     """Convert a GaussianRational (or number) to mpc at the current precision."""
+    from mpmath import mpc, mpf
     if isinstance(value, GaussianRational):
         re = mpf(value.re.numerator) / mpf(value.re.denominator)
         im = mpf(value.im.numerator) / mpf(value.im.denominator)
@@ -65,6 +72,7 @@ def nth_root(value, index: int, branch: int = 0) -> mpc:
     Branch k has argument (Arg(value) + 2*pi*k)/index with the principal
     argument in (-pi, pi].
     """
+    from mpmath import mp, mpc
     if index < 1:
         raise ValueError("root index must be positive")
     z = to_mpc(value)
@@ -81,6 +89,7 @@ def _horner(coeffs, z):
 
 
 def _as_mpc_coeffs(poly) -> list:
+    from mpmath import mpc
     if isinstance(poly, UniPoly):
         return [to_mpc(c) for c in poly.coeffs]
     return [mpc(c) for c in poly]
@@ -94,6 +103,7 @@ def _newton_polygon_starts(coeffs) -> list:
     (|a_k| / |a_l|)^(1/(l - k)), so that many points go on a circle of that
     radius (Bini 1996). Angles are offset from one circle to the next.
     """
+    from mpmath import mp, mpf
     n = len(coeffs) - 1
     points = [(n - i, float(mp.log(abs(c)))) for i, c in enumerate(coeffs) if c != 0]
     hull = []
@@ -191,6 +201,7 @@ def find_roots(poly, precision: int = 128) -> list:
     terminate as tight clusters instead of stalling. Only roots that pass
     the stop at full precision are returned.
     """
+    from mpmath import mp, mpc, mpf
     work = precision + 40
     with mp.workprec(work):
         coeffs = _as_mpc_coeffs(poly)
@@ -252,6 +263,7 @@ def cluster_roots(roots, tol: float, weights=None) -> list:
     whose diameter exceeds tol/2, either of which means the tolerance cannot
     be trusted to separate true roots from approximation scatter.
     """
+    from mpmath import mpc, mpf
     values = [r.value if isinstance(r, ComplexApprox) else mpc(r) for r in roots]
     errs = [r.err if isinstance(r, ComplexApprox) else mpf(0) for r in roots]
     if not values:
@@ -341,6 +353,7 @@ def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
     centroids. Returns the first NumericMatch the greedy pairing accepts,
     or None. The oracle for the exact matcher, it shares no code with it.
     """
+    from mpmath import mpc, mpf
     if mode not in ("linear", "affine"):
         raise ValueError(f"unknown mode {mode!r}")
     a_cl = sorted(side_a, key=lambda c: (c.center.real, c.center.imag))
@@ -396,6 +409,7 @@ def eval_bivar(poly: BivarPoly, points, precision: int = 128) -> list:
     counts the roundings a term and the sum can take (2i for x^i, 2j for
     y^j, two products and an addition), and the work runs 20 bits finer.
     """
+    from mpmath import mp, mpc, mpf
     with mp.workprec(precision + 20):
         terms = [(i, j, to_mpc(c)) for (i, j), c in poly.terms.items()]
         x_exps = {i for i, _, _ in terms}

@@ -15,7 +15,8 @@ Juxtaposition is only read directly after a numeric literal ("2X", "3i",
 "1/2i"); parenthesized groups always need '*' and nest at most
 MAX_NESTING deep. Exponents, and the total degree of every product and
 power, are at most MAX_DEGREE; numerators and denominators have at most
-MAX_COEFF_BITS bits. Decimal literals are exact
+MAX_COEFF_BITS bits; no product, in a power too, multiplies more than
+MAX_PRODUCT_WORK pairs of terms. Decimal literals are exact
 ("0.3" is 3/10) but flag the polynomial as numeric-mode, recording that the
 user did not supply symbolic data. The leading optional sign is a strict
 superset of the documented form so that every printed polynomial re-parses.
@@ -51,6 +52,11 @@ MAX_DEGREE = 1000
 # under 8192 bits (2467 digits), inside Python's default limit of 4300
 # digits for converting an int to text.
 MAX_COEFF_BITS = 4096
+
+# Bound on the work of every product, len(a.terms) * len(b.terms) coefficient
+# products, checked before multiplying, also inside a power; the degree
+# bound alone lets a dense power such as (X+Y+1)^1000 run for hours.
+MAX_PRODUCT_WORK = 1 << 16
 
 
 def _coeff_bits(coeffs) -> int:
@@ -148,15 +154,7 @@ class BivarPoly:
     def __pow__(self, exponent: int) -> "BivarPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
-        result = BivarPoly.constant(1, self.mode)
-        square = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
+        return _power(self, exponent, BivarPoly.__mul__)
 
     def scale(self, c) -> "BivarPoly":
         c = GaussianRational.of(c)
@@ -207,6 +205,19 @@ def power_table(z, exponents) -> dict:
             power, at = power * step, at + gap
         table[e] = power
     return table
+
+
+def _power(base: BivarPoly, exponent: int, multiply) -> BivarPoly:
+    """base**exponent by repeated squaring, each product by multiply(a, b)."""
+    result = BivarPoly.constant(1, base.mode)
+    while exponent:
+        if exponent & 1:
+            result = multiply(result, base)
+        exponent >>= 1
+        # no square after the last bit: it is the largest product, unused
+        if exponent:
+            base = multiply(base, base)
+    return result
 
 
 def _poly_powers(p: BivarPoly, top: int) -> list:
@@ -289,6 +300,13 @@ class _Parser:
         if bits > MAX_COEFF_BITS:
             self.fail(f"{what} {bits} bits exceeds the limit {MAX_COEFF_BITS} bits", position)
 
+    def product(self, a: BivarPoly, b: BivarPoly, position: int) -> BivarPoly:
+        work = len(a.terms) * len(b.terms)
+        if work > MAX_PRODUCT_WORK:
+            self.fail(f"product of {len(a.terms)} by {len(b.terms)} terms exceeds "
+                      f"the limit {MAX_PRODUCT_WORK} term pairs", position)
+        return a * b
+
     def term(self) -> BivarPoly:
         start = self.pos
         acc, was_number, degree = self.factor()
@@ -307,7 +325,7 @@ class _Parser:
                 f, was_number, f_degree = self.factor()
             degree += f_degree
             self.limit_degree(degree, "degree", start)
-            acc = acc * f
+            acc = self.product(acc, f, start)
             # a unit monomial (X^a, Y^b, i^c) leaves coefficient sizes alone
             if not symbol:
                 bits = _coeff_bits(acc.terms.values())
@@ -337,7 +355,7 @@ class _Parser:
             # products of e coefficients of inner
             bits = e * (_coeff_bits(inner.terms.values()) + len(inner.terms).bit_length())
             self.limit_bits(bits, "power with coefficients of up to", start)
-            return inner**e, False, degree * e
+            return _power(inner, e, lambda a, b: self.product(a, b, start)), False, degree * e
         if ch in ("X", "Y", "i"):
             f, degree = self.symbol_factor()
             return f, False, degree
@@ -413,6 +431,8 @@ class _Parser:
 
 def parse_poly(text: str) -> BivarPoly:
     """Parse polynomial text into a BivarPoly, expanding all products."""
+    if not isinstance(text, str):
+        raise TypeError(f"polynomial text must be a string, got {type(text).__name__}")
     return _Parser(text).parse()
 
 

@@ -145,6 +145,15 @@ class TestAnalyze:
         assert out == ""
         assert err == f"parse error: {message}\n"
 
+    def test_product_over_the_work_limit_is_parse_error(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("analyze", "(X+Y+1)^1000")
+        assert time.perf_counter() - start < 1
+        assert code == 65
+        assert out == ""
+        assert err == ("parse error: product of 561 by 561 terms exceeds the limit "
+                       "65536 term pairs (at position 0)\n")
+
     @pytest.mark.parametrize("bad", ["2;3", "2,3,4", "a,b"])
     def test_malformed_weights_flag(self, bad):
         code, _, _ = run_cli("analyze", PAIR_FIRST, "--weights", bad)
@@ -562,6 +571,35 @@ class TestBatch:
                                        "the limit 4096 bits (at position 0)", "index": 0}
         assert records[1]["status"] == "Equivalent"
 
+    def test_record_over_the_work_limit_does_not_end_the_batch(self):
+        text = (json.dumps({"first": PAIR_FIRST, "second": "(X+Y+1)^1000"}) + "\n"
+                + json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}) + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("decide-batch", "-", stdin=text)
+        assert time.perf_counter() - start < 1
+        assert code == 65
+        assert err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {"error": "product of 561 by 561 terms exceeds the limit "
+                                       "65536 term pairs (at position 0)", "index": 0}
+        assert records[1]["status"] == "Equivalent"
+
+    def test_record_whose_texts_are_not_strings_does_not_end_the_batch(self):
+        text = "".join(json.dumps(item) + "\n" for item in (
+            {"first": [0], "second": PAIR_SECOND},
+            {"first": PAIR_FIRST, "second": {"a": 1}},
+            {"first": PAIR_FIRST, "second": PAIR_SECOND},
+        ))
+        code, out, err = run_cli("decide-batch", "-", stdin=text)
+        assert code == 65
+        assert err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[:2] == [
+            {"error": "polynomial text must be a string, got list", "index": 0},
+            {"error": "polynomial text must be a string, got dict", "index": 1},
+        ]
+        assert records[2]["status"] == "Equivalent"
+
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
         text = "".join(
             json.dumps({"id": f"a{sep}b", "first": "Y^2-X^3", "second": "Y^2-8*X^3"},
@@ -621,6 +659,35 @@ class TestPrecisionEnvironment:
                                env={"QHGERM_PRECISION": "abc"})
         assert code == 64
         assert "QHGERM_PRECISION" in err
+
+    @pytest.mark.parametrize("bits", [cli.MAX_PRECISION + 1, 16384, 10000000])
+    def test_flag_over_the_maximum_is_usage_error(self, bits):
+        start = time.perf_counter()
+        code, out, err = run_cli("decide", "Y^2-1.5*X^3", "Y^2-X^3", "--precision", str(bits))
+        assert time.perf_counter() - start < 1
+        assert code == 64
+        assert out == ""
+        assert err == f"qhgerm: error: precision must be at most {cli.MAX_PRECISION} bits\n"
+
+    def test_env_over_the_maximum_is_usage_error(self):
+        code, out, err = run_cli("decide", "Y^2-3*X^3", "Y^2-X^3", "--witness",
+                                 env={"QHGERM_PRECISION": str(cli.MAX_PRECISION + 1)})
+        assert code == 64
+        assert out == ""
+        assert err == f"qhgerm: error: precision must be at most {cli.MAX_PRECISION} bits\n"
+
+    def test_maximum_precision_works(self):
+        assert cli.MAX_PRECISION == 8192
+        code, out, err = run_cli("decide", "Y^2-3*X^3", "Y^2-X^3", "--witness", "--json",
+                                 "--precision", str(cli.MAX_PRECISION))
+        assert (code, err) == (0, "")
+        verification = json.loads(out)["verification"]
+        assert verification["precision"] == cli.MAX_PRECISION
+        assert verification["mode"] == "numeric" and verification["pass"]
+        code, out, _ = run_cli("decide", "Y^2-1.5*X^3", "Y^2-X^3",
+                               env={"QHGERM_PRECISION": str(cli.MAX_PRECISION)})
+        assert code == 0
+        assert out.startswith("verdict: Equivalent (numeric)\n")
 
 
 class TestInstalledEntryPoint:
@@ -731,3 +798,92 @@ class TestReadme:
     def test_example_output_is_byte_exact(self, command, expected):
         _, out, _ = run_cli(*shlex.split(command)[1:])
         assert out == expected
+
+
+# Runs cli.run on argv in a fresh interpreter and reports the exit code, the
+# output and whether mpmath was imported along the way.
+_PROBE = """
+import io, json, sys
+import qhgerm.cli
+out = io.StringIO()
+sys.stdout, real = out, sys.stdout
+try:
+    code = qhgerm.cli.run(sys.argv[1:])
+finally:
+    sys.stdout = real
+print(json.dumps({"code": code, "out": out.getvalue(), "mpmath": "mpmath" in sys.modules}))
+"""
+
+
+class TestMpmathLoadedOnFirstUse:
+    """The exact route runs without importing mpmath; the numeric paths load it."""
+
+    def _python(self, *args, stdin=None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.stderr == ""
+        return proc.stdout
+
+    def _probe(self, *argv, stdin=None):
+        doc = json.loads(self._python("-c", _PROBE, *argv, stdin=stdin))
+        # the same exit code and bytes as a run in this process, where
+        # mpmath is loaded already
+        assert (doc["code"], doc["out"]) == run_cli(*argv, stdin=stdin)[:2]
+        return doc
+
+    @pytest.mark.parametrize("module", ["qhgerm", "qhgerm.cli"])
+    def test_import_does_not_load_mpmath(self, module):
+        out = self._python("-c", f"import sys, {module}; print('mpmath' in sys.modules)")
+        assert out == "False\n"
+
+    def test_numeric_names_import_without_mpmath(self):
+        out = self._python("-c", "import sys; from qhgerm import find_roots, NumericMatch; "
+                                 "print('mpmath' in sys.modules, NumericMatch.__name__, "
+                                 "[str(r.value) for r in find_roots([1, -2])], "
+                                 "'mpmath' in sys.modules)")
+        assert out == "False NumericMatch ['(2.0 + 0.0j)'] True\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", PAIR_FIRST),
+        ("analyze", PAIR_FIRST, "--json"),
+        ("decide", PAIR_FIRST, PAIR_SECOND),
+        ("decide", PAIR_FIRST, PAIR_SECOND, "--json"),
+        ("decide", "(Y-X^2)*(Y-2*X^2)", "(Y-X^2)*(Y-5*X^2)", "--json"),
+        ("demo-whitney", "2", "1/2"),
+    ])
+    def test_exact_commands_do_not_load_mpmath(self, argv):
+        assert self._probe(*argv)["mpmath"] is False
+
+    def test_exact_batch_does_not_load_mpmath(self):
+        text = "".join(json.dumps(record) + "\n" for record in (
+            {"id": "a", "first": PAIR_FIRST, "second": PAIR_SECOND},
+            {"id": "b", "first": "Y^2-X^3", "second": "Y^2-X^5"},
+            {"id": "c", "first": "Y^2-X^3", "second": "Y^2-1/0"},
+        ))
+        doc = self._probe("decide-batch", "-", stdin=text)
+        assert doc["code"] == 65
+        assert doc["mpmath"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ("roots", PAIR_FIRST),
+        ("roots", "Y^2-2*X^4*Y+1/3*X^8", "--json"),
+        ("decide", PAIR_FIRST, PAIR_SECOND, "--witness"),
+        ("decide", "Y^2-X^3", "Y^2-3*X^3", "--witness", "--json"),
+        ("decide", "Y^2-1.5*X^3", "Y^2-X^3"),
+    ])
+    def test_numeric_commands_load_mpmath(self, argv):
+        assert self._probe(*argv)["mpmath"] is True
+
+    def test_numeric_batch_record_loads_mpmath(self):
+        text = "".join(json.dumps(record) + "\n" for record in (
+            {"first": PAIR_FIRST, "second": PAIR_SECOND},
+            {"first": "Y^2-1.5*X^3", "second": "Y^2-X^3"},
+        ))
+        doc = self._probe("decide-batch", "-", stdin=text)
+        assert doc["code"] == 0
+        assert [json.loads(line)["mode"] for line in doc["out"].splitlines()] == [
+            "exact", "numeric"]
+        assert doc["mpmath"] is True

@@ -1,9 +1,11 @@
 """Parsing and printing of bivariate polynomials."""
 
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhgerm import (
@@ -21,8 +23,10 @@ from qhgerm.polyio import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_NESTING,
+    MAX_PRODUCT_WORK,
     MODE_EXACT,
     MODE_NUMERIC,
+    _power,
     power_table,
 )
 
@@ -109,6 +113,11 @@ class TestParseErrors:
             parse_poly("X @ Y")
         assert err.value.position == 2
 
+    @pytest.mark.parametrize("value", [None, 5, [0], ["Y^2", "-X^3"], b"Y^2-X^3"])
+    def test_non_string_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="polynomial text must be a string, got "):
+            parse_poly(value)
+
     def test_double_caret(self):
         with pytest.raises(ParseError):
             parse_poly("X^^2")
@@ -173,6 +182,42 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="sum with coefficients of 409[7-9] bits") as err:
             parse_poly(text)
         assert text[err.value.position - 3:err.value.position] == " + "
+
+    def test_products_up_to_the_work_limit_parse(self):
+        side = isqrt(MAX_PRODUCT_WORK)
+        xs = " + ".join(f"X^{k}" for k in range(side))
+        ys = " + ".join(f"Y^{k}" for k in range(MAX_PRODUCT_WORK // side))
+        assert len(parse_poly(f"({xs})*({ys})").terms) == side * (MAX_PRODUCT_WORK // side)
+        # the products inside a power are bounded alike
+        assert len(parse_poly("(X+Y+1)^40").terms) == 861
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("(X+Y+1)^1000", "product of 561 by 561 terms", 0),
+            ("Y^2 - (X+Y+1)^120", "product of 325 by 561 terms", 6),
+            ("Y + 2*(X+Y+1)^32*(X+Y+1)^32", "product of 561 by 561 terms", 4),
+        ],
+    )
+    def test_product_over_the_work_limit_is_a_parse_error(self, text, message, position):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"{message} exceeds the limit "
+                           f"{MAX_PRODUCT_WORK} term pairs") as err:
+            parse_poly(text)
+        assert time.perf_counter() - start < 1
+        assert err.value.position == position
+
+    def test_work_is_checked_before_multiplying(self, monkeypatch):
+        side = isqrt(MAX_PRODUCT_WORK)
+        xs = " + ".join(f"X^{k}" for k in range(side + 1))
+        ys = " + ".join(f"Y^{k}" for k in range(MAX_PRODUCT_WORK // side))
+        products = []
+        monkeypatch.setattr(BivarPoly, "__mul__", lambda a, b: products.append(b))
+        with pytest.raises(ParseError, match=f"product of {side + 1} by "
+                           f"{MAX_PRODUCT_WORK // side} terms") as err:
+            parse_poly(f"Y - ({xs})*({ys})")
+        assert err.value.position == 4
+        assert products == []
 
     def test_deep_nesting_is_a_parse_error(self):
         assert parse_poly("(" * MAX_NESTING + "X" + ")" * MAX_NESTING) == X
@@ -266,6 +311,27 @@ class TestArithmetic:
     def test_pow_repeated_product(self):
         f = parse_poly("X + Y")
         assert f**3 == f * f * f
+
+    @settings(max_examples=20)
+    @given(polys)
+    def test_pow_equals_the_repeated_product(self, f):
+        product = BivarPoly.constant(1)
+        for e in range(10):
+            assert f**e == product
+            product = product * f
+
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 3, 8, 9, 64, 1000])
+    def test_power_squares_only_for_bits_still_to_use(self, exponent):
+        products = []
+
+        def multiply(a, b):
+            products.append(a is b)
+            return a * b
+
+        assert _power(X, exponent, multiply) == BivarPoly.monomial(exponent, 0)
+        # one product per set bit, one square per bit after the lowest
+        assert products.count(False) == bin(exponent).count("1")
+        assert products.count(True) == max(exponent.bit_length() - 1, 0)
 
     def test_scale(self):
         assert X.scale(gq(3)) == parse_poly("3*X")
