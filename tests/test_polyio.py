@@ -122,6 +122,50 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_poly("X^^2")
 
+    _ANY = "expected 'X', 'Y', 'i', a number, or '(', got"
+
+    @pytest.mark.parametrize(
+        "text, cls, message, position",
+        [
+            ("", EmptyInputError, "empty input", 0),
+            (" \t\n ", EmptyInputError, "empty input", 0),
+            ("3 X", ParseError, "unexpected input 'X'", 2),
+            ("X2", ParseError, "unexpected input '2'", 1),
+            ("2^3", ParseError, "unexpected input '^'", 1),
+            ("(X)(Y)", ParseError, "unexpected input '('", 3),
+            ("1/2/3", ParseError, "unexpected input '/'", 3),
+            ("1.5.3", ParseError, "unexpected input '.'", 3),
+            ("X)", ParseError, "unexpected input ')'", 1),
+            ("(X+Y", ParseError, "expected ')'", 4),
+            ("(2^3)", ParseError, "expected ')'", 2),
+            ("X +", ParseError, "unexpected end of input", 3),
+            ("X*", ParseError, "unexpected end of input", 2),
+            ("(", ParseError, "unexpected end of input", 1),
+            ("+-X", ParseError, f"{_ANY} '-'", 1),
+            ("X*+Y", ParseError, f"{_ANY} '+'", 2),
+            ("2**3", ParseError, f"{_ANY} '*'", 2),
+            ("X***2", ParseError, f"{_ANY} '*'", 2),
+            ("X^-2", NegativeExponentError, "negative exponents are not allowed", 2),
+            ("X ^ -2", NegativeExponentError, "negative exponents are not allowed", 4),
+            ("X^^2", ParseError, "expected an unsigned integer exponent", 2),
+            ("X^", ParseError, "expected an unsigned integer exponent", 2),
+            ("X^ Y", ParseError, "expected an unsigned integer exponent", 3),
+            ("(X)^", ParseError, "expected an unsigned integer exponent", 4),
+            ("1/X", ParseError, "expected a denominator", 2),
+            ("1/", ParseError, "expected a denominator", 2),
+            ("1/0", ParseError, "zero denominator", 2),
+            ("3/00*X", ParseError, "zero denominator", 2),
+            ("1.", ParseError, "expected digits after the decimal point", 2),
+            ("1. 5", ParseError, "expected digits after the decimal point", 2),
+        ],
+    )
+    def test_error_class_message_and_position(self, text, cls, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert type(err.value) is cls
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
     def test_degree_up_to_the_limit_parses(self):
         assert parse_poly(f"X^{MAX_DEGREE}") == BivarPoly.monomial(MAX_DEGREE, 0)
         assert parse_poly("X^500*Y^500") == BivarPoly.monomial(500, 500)
