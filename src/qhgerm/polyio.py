@@ -1,15 +1,20 @@
 """Bivariate polynomials over Q(i): representation, parsing, printing.
 
-Grammar accepted by parse_poly (whitespace allowed between terms and around
-'+', '-', '*'):
+Grammar accepted by parse_poly:
 
     poly       := sign? term (('+'|'-') term)*
     term       := factor ('*' factor | juxt)*
-    juxt       := ('X'|'Y'|'i') exponent?     immediately after a number factor
-    factor     := base exponent?
-    base       := 'X' | 'Y' | 'i' | number | '(' poly ')'
-    exponent   := '^' uint
-    number     := uint ('/' uint | '.' digits)?
+    juxt       := symbol                      immediately after a number factor
+    factor     := symbol | number | '(' poly ')' exponent?
+    symbol     := ('X'|'Y'|'i') exponent?
+    exponent   := ('^'|'**') digits
+    number     := digits ('/' digits | '.' digits)?
+
+A number literal takes no exponent (write "(2)^3", not "2^3"), and '**' is
+'^'. Whitespace, any character for which str.isspace() holds, may stand
+between tokens, but not inside a number or a '**', nor between a number and
+its juxtaposed symbol. Digits are decimal digits (str.isdecimal(), the ones
+int() reads): "Y^\u0663" is Y^3, but a superscript "\u00b2" is no digit.
 
 Juxtaposition is only read directly after a numeric literal ("2X", "3i",
 "1/2i"); parenthesized groups always need '*' and nest at most
@@ -24,12 +29,12 @@ superset of the documented form so that every printed polynomial re-parses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .errors import EmptyInputError, NegativeExponentError, ParseError
-from .exact import GQ_ONE, GQ_ZERO, GaussianRational, format_terms, power_str
+from .exact import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, _make, format_terms, power_str
 
 MODE_EXACT = "exact"
 MODE_NUMERIC = "numeric"
@@ -236,197 +241,256 @@ Y = BivarPoly.monomial(0, 1)
 # ---------------------------------------------------------------------------
 
 
+# One token after optional whitespace (\s is exactly str.isspace()): a
+# number (\d is exactly the decimal digits int() reads) with its '/den' or
+# '.digits' part and the symbol written right after it, a symbol or ')', any
+# other character, or nothing at the end of the text. After a symbol or ')'
+# it also takes the power '^' or '**' and the digits of the exponent. The
+# groups: 1 token, 2 whole, 3 denominator, 4 decimals, 5 juxtaposed symbol,
+# 6 exponent. A token is only checked when it is used, so the first error in
+# text order is the one reported.
+_TOKEN = re.compile(
+    r"\s*((\d+)(?:/(\d*)|\.(\d*))?([XYi])?|[XYi)]|.|)"
+    r"(?:(?<=[XYi)])\s*(?:\^|\*\*)\s*(\d*))?"
+)
+
+_I_POWERS = (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I)
+
+
+def _times(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    return a if b is GQ_ONE else b if a is GQ_ONE else a * b
+
+
+def _size(value) -> int:
+    """Number of terms of a term value: a dict, or a monomial (c, i, j)."""
+    if type(value) is dict:
+        return len(value)
+    return 0 if value[0].is_zero else 1
+
+
+def _as_value(terms: dict):
+    """A term value: the monomial (c, i, j) when terms has at most one entry."""
+    if len(terms) > 1:
+        return terms
+    for (i, j), c in terms.items():
+        return c, i, j
+    return GQ_ZERO, 0, 0
+
+
 class _Parser:
+    """Recursive descent over _TOKEN matches, one token read ahead.
+
+    A term is carried as one monomial (c, i, j) while its factors are
+    monomials; only a parenthesized group of more than one term makes it a
+    dict {(i, j): c}. The terms of a sum are added into one dict.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.depth = 0
         self.saw_decimal = False
+        self.tok = _TOKEN.match(text)
 
-    def fail(self, message: str, position: int | None = None):
-        raise ParseError(message, self.pos if position is None else position)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def advance(self):
+        self.tok = _TOKEN.match(self.text, self.tok.end())
 
     def parse(self) -> BivarPoly:
-        self.skip_ws()
-        if self.pos == len(self.text):
+        if not self.tok[1]:
             raise EmptyInputError()
-        result = self.poly()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail(f"unexpected input {self.text[self.pos]!r}")
-        self.limit_bits(_coeff_bits(result.terms.values()), "coefficient of", 0)
-        mode = MODE_NUMERIC if self.saw_decimal else MODE_EXACT
-        return BivarPoly(result.terms, mode)
+        terms = self.poly()
+        tok = self.tok
+        if tok[1]:
+            raise ParseError(f"unexpected input {tok[1][0]!r}", tok.start(1))
+        self.limit_bits(_coeff_bits(terms.values()), "coefficient of", 0)
+        return BivarPoly(terms, MODE_NUMERIC if self.saw_decimal else MODE_EXACT)
 
-    def poly(self) -> BivarPoly:
-        self.skip_ws()
-        negate = False
-        if self.peek() in ("+", "-"):
-            negate = self.peek() == "-"
-            self.pos += 1
-            self.skip_ws()
-        acc = self.term()
-        if negate:
-            acc = -acc
+    def poly(self) -> dict:
+        op = self.tok[1]
+        negate = op == "-"
+        if negate or op == "+":
+            self.advance()
+        terms = {}
         while True:
-            self.skip_ws()
-            op = self.peek()
-            if op not in ("+", "-"):
-                break
-            self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            t = self.term()
-            size = len(acc.terms) + len(t.terms)
-            acc = acc + t if op == "+" else acc - t
-            if len(acc.terms) < size:
-                # t shares a monomial with acc: check the coefficients it changed
-                bits = _coeff_bits(acc.coeff(i, j) for i, j in t.terms)
-                self.limit_bits(bits, "sum with coefficients of", start)
-        return acc
+            self.add(terms, self.tok.start(1), self.term(), negate)
+            op = self.tok[1]
+            if op != "+" and op != "-":
+                return terms
+            negate = op == "-"
+            self.advance()
+
+    def add(self, terms: dict, start: int, value, negate: bool):
+        if type(value) is dict:
+            items = value.items()
+        elif value[0].is_zero:
+            return
+        else:
+            items = (((value[1], value[2]), value[0]),)
+        shared = False
+        for key, c in items:
+            if negate:
+                c = -c
+            old = terms.get(key)
+            if old is None:
+                terms[key] = c
+                continue
+            shared = True
+            s = old + c
+            if s.is_zero:
+                del terms[key]
+            else:
+                terms[key] = s
+        if shared:
+            # the term shares a monomial with the sum: check the coefficients it changed
+            bits = _coeff_bits(terms.get(key, GQ_ZERO) for key, _ in items)
+            self.limit_bits(bits, "sum with coefficients of", start)
 
     def limit_degree(self, degree: int, what: str, position: int):
         if degree > MAX_DEGREE:
-            self.fail(f"{what} {degree} exceeds the limit {MAX_DEGREE}", position)
+            raise ParseError(f"{what} {degree} exceeds the limit {MAX_DEGREE}", position)
 
     def limit_bits(self, bits: int, what: str, position: int):
         if bits > MAX_COEFF_BITS:
-            self.fail(f"{what} {bits} bits exceeds the limit {MAX_COEFF_BITS} bits", position)
+            raise ParseError(f"{what} {bits} bits exceeds the limit {MAX_COEFF_BITS} bits",
+                             position)
+
+    def limit_work(self, a: int, b: int, position: int):
+        if a * b > MAX_PRODUCT_WORK:
+            raise ParseError(f"product of {a} by {b} terms exceeds "
+                             f"the limit {MAX_PRODUCT_WORK} term pairs", position)
 
     def product(self, a: BivarPoly, b: BivarPoly, position: int) -> BivarPoly:
-        work = len(a.terms) * len(b.terms)
-        if work > MAX_PRODUCT_WORK:
-            self.fail(f"product of {len(a.terms)} by {len(b.terms)} terms exceeds "
-                      f"the limit {MAX_PRODUCT_WORK} term pairs", position)
+        self.limit_work(len(a.terms), len(b.terms), position)
         return a * b
 
-    def term(self) -> BivarPoly:
-        start = self.pos
-        acc, was_number, degree = self.factor()
+    def term(self):
+        start = self.tok.start(1)
+        value, degree, _, juxt = self.factor()
         while True:
-            if was_number and self.peek() in ("X", "Y", "i"):
-                (f, f_degree), was_number, symbol = self.symbol_factor(), False, True
+            if juxt is not None:
+                # a symbol written right after a number literal
+                f, f_degree = self.symbol(juxt[5], juxt)
+                symbol, juxt = True, None
+            elif self.tok[1] == "*":
+                self.advance()
+                f, f_degree, symbol, juxt = self.factor()
             else:
-                save = self.pos
-                self.skip_ws()
-                if self.peek() != "*":
-                    self.pos = save
-                    return acc
-                self.pos += 1
-                self.skip_ws()
-                symbol = self.peek() in ("X", "Y", "i")
-                f, was_number, f_degree = self.factor()
+                return value
             degree += f_degree
             self.limit_degree(degree, "degree", start)
-            acc = self.product(acc, f, start)
+            value = self.multiply(value, f, start)
             # a unit monomial (X^a, Y^b, i^c) leaves coefficient sizes alone
             if not symbol:
-                bits = _coeff_bits(acc.terms.values())
-                self.limit_bits(bits, "product with coefficients of", start)
+                coeffs = value.values() if type(value) is dict else (value[0],)
+                self.limit_bits(_coeff_bits(coeffs), "product with coefficients of", start)
 
-    def factor(self) -> tuple[BivarPoly, bool, int]:
-        """A factor, whether it is a number literal, and its total degree."""
-        ch = self.peek()
+    def multiply(self, a, b, position: int):
+        if type(a) is tuple and type(b) is tuple:
+            return _times(a[0], b[0]), a[1] + b[1], a[2] + b[2]
+        self.limit_work(_size(a), _size(b), position)
+        if type(a) is dict and type(b) is dict:
+            return _as_value((BivarPoly(a) * BivarPoly(b)).terms)
+        (c, di, dj), poly = (b, a) if type(b) is tuple else (a, b)
+        if c.is_zero:
+            return GQ_ZERO, 0, 0
+        return {(i + di, j + dj): _times(v, c) for (i, j), v in poly.items()}
+
+    def factor(self):
+        """(value, total degree, whether a symbol, the token of a juxtaposed symbol)."""
+        tok = self.tok
+        ch = tok[1]
+        if tok[2] is not None:
+            self.advance()
+            return (self.number(tok), 0, 0), 0, False, tok if tok[5] else None
+        if ch == "X" or ch == "Y" or ch == "i":
+            self.advance()
+            value, degree = self.symbol(ch, tok)
+            return value, degree, True, None
         if ch == "(":
-            start = self.pos
+            start = tok.start(1)
             if self.depth == MAX_NESTING:
-                self.fail("nesting too deep")
+                raise ParseError("nesting too deep", start)
             self.depth += 1
-            self.pos += 1
+            self.advance()
             inner = self.poly()
-            self.skip_ws()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
+            tok = self.tok
+            if tok[1] != ")":
+                raise ParseError("expected ')'", tok.start(1))
             self.depth -= 1
-            e = self.maybe_exponent()
-            degree = max(map(sum, inner.terms), default=0)
+            self.advance()
+            e = self.exponent(tok)
+            value = _as_value(inner)
+            degree = max(map(sum, inner), default=0)
             if e is None:
-                return inner, False, degree
+                return value, degree, False, None
             self.limit_degree(degree * e, "degree", start)
             # estimate: a coefficient of inner**e sums at most terms**e
             # products of e coefficients of inner
-            bits = e * (_coeff_bits(inner.terms.values()) + len(inner.terms).bit_length())
+            bits = e * (_coeff_bits(inner.values()) + len(inner).bit_length())
             self.limit_bits(bits, "power with coefficients of up to", start)
-            return _power(inner, e, lambda a, b: self.product(a, b, start)), False, degree * e
-        if ch in ("X", "Y", "i"):
-            f, degree = self.symbol_factor()
-            return f, False, degree
-        if ch.isdigit():
-            return self.number(), True, 0
-        if ch == "":
-            self.fail("unexpected end of input")
-        self.fail(f"expected 'X', 'Y', 'i', a number, or '(', got {ch!r}")
+            if type(value) is tuple:
+                c, i, j = value
+                value = c**e, i * e, j * e
+            else:
+                power = _power(BivarPoly(inner), e, lambda a, b: self.product(a, b, start))
+                value = _as_value(power.terms)
+            return value, degree * e, False, None
+        if not ch:
+            raise ParseError("unexpected end of input", tok.start(1))
+        raise ParseError(f"expected 'X', 'Y', 'i', a number, or '(', got {ch!r}",
+                         tok.start(1))
 
-    def symbol_factor(self) -> tuple[BivarPoly, int]:
-        ch = self.peek()
-        self.pos += 1
-        e = self.maybe_exponent()
+    def symbol(self, ch: str, tok) -> tuple:
+        """The monomial of X, Y or i with the exponent of tok, and its degree."""
+        e = self.exponent(tok)
         e = 1 if e is None else e
         if ch == "X":
-            return BivarPoly({(e, 0): GQ_ONE}), e
+            return (GQ_ONE, e, 0), e
         if ch == "Y":
-            return BivarPoly({(0, e): GQ_ONE}), e
-        return BivarPoly.constant(GaussianRational(Fraction(0), Fraction(1)) ** e), 0
+            return (GQ_ONE, 0, e), e
+        return (_I_POWERS[e % 4], 0, 0), 0
 
-    def maybe_exponent(self) -> int | None:
-        save = self.pos
-        self.skip_ws()
-        if self.peek() != "^":
-            self.pos = save
+    def exponent(self, tok) -> int | None:
+        digits = tok[6]
+        if digits is None:
             return None
-        self.pos += 1
-        self.skip_ws()
-        if self.peek() == "-":
-            raise NegativeExponentError(self.pos)
-        if not self.peek().isdigit():
-            self.fail("expected an unsigned integer exponent")
-        start = self.pos
-        e = self.uint()
+        start = tok.start(6)
+        if not digits:
+            if self.text.startswith("-", start):
+                raise NegativeExponentError(start)
+            raise ParseError("expected an unsigned integer exponent", start)
+        e = self.uint(digits, start)
         self.limit_degree(e, "exponent", start)
         return e
 
-    def uint(self) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
+    def uint(self, digits: str, start: int) -> int:
         # past its first digit a number gains over 3 bits a digit: refuse a
         # longer string unconverted (the result check sees the rest)
-        if self.pos - start > MAX_COEFF_BITS // 3:
-            self.fail(f"number of {self.pos - start} digits exceeds the limit "
-                      f"{MAX_COEFF_BITS} bits", start)
-        return int(self.text[start : self.pos])
+        if len(digits) > MAX_COEFF_BITS // 3:
+            raise ParseError(f"number of {len(digits)} digits exceeds the limit "
+                             f"{MAX_COEFF_BITS} bits", start)
+        return int(digits)
 
-    def number(self) -> BivarPoly:
-        start = self.pos
-        whole = self.uint()
-        if self.peek() == "/":
-            self.pos += 1
-            if not self.peek().isdigit():
-                self.fail("expected a denominator")
-            dpos = self.pos
-            den = self.uint()
+    def number(self, tok) -> GaussianRational:
+        whole = self.uint(tok[2], tok.start(2))
+        den = tok[3]
+        if den is not None:
+            start = tok.start(3)
+            if not den:
+                raise ParseError("expected a denominator", start)
+            den = self.uint(den, start)
             if den == 0:
-                self.fail("zero denominator", dpos)
-            return BivarPoly.constant(Fraction(whole, den))
-        if self.peek() == ".":
-            self.pos += 1
-            if not self.peek().isdigit():
-                self.fail("expected digits after the decimal point")
-            fstart = self.pos
-            fraction = self.uint()
+                raise ParseError("zero denominator", start)
+            return _make(whole, 0, den)
+        decimals = tok[4]
+        if decimals is not None:
+            start = tok.start(4)
+            if not decimals:
+                raise ParseError("expected digits after the decimal point", start)
+            fraction = self.uint(decimals, start)
             self.saw_decimal = True
-            scale = 10 ** (self.pos - fstart)
-            value = Fraction(whole * scale + fraction, scale)
-            return BivarPoly.constant(value)
-        return BivarPoly.constant(whole)
+            scale = 10 ** len(decimals)
+            return _make(whole * scale + fraction, 0, scale)
+        return _make(whole, 0, 1)
 
 
 def parse_poly(text: str) -> BivarPoly:

@@ -98,6 +98,16 @@ class TestAnalyze:
         assert err.startswith("parse error:")
         assert "position" in err
 
+    def test_superscript_digit_is_parse_error(self):
+        code, out, err = run_cli("analyze", "Y^2 - X^\u00b2")
+        assert code == 65
+        assert out == ""
+        assert err == "parse error: expected an unsigned integer exponent (at position 8)\n"
+
+    def test_double_star_power_matches_caret(self):
+        assert run_cli("analyze", "Y**2 - X**3", "--json") == run_cli(
+            "analyze", "Y^2 - X^3", "--json")
+
     def test_deep_nesting_is_parse_error(self):
         deep = "(" * 3000 + "Y^2-X^3" + ")" * 3000
         code, out, err = run_cli("analyze", deep)
@@ -534,6 +544,19 @@ class TestBatch:
         records = [json.loads(line) for line in out.splitlines()]
         assert records[0] == {
             "error": "nesting too deep (at position 200)", "index": 0}
+        assert records[1]["status"] == "Equivalent"
+
+    def test_superscript_record_is_a_parse_error(self, tmp_path):
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text(
+            json.dumps({"first": "Y^2 - X^\u00b3", "second": PAIR_SECOND}) + "\n"
+            + json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}) + "\n"
+        )
+        code, out, _ = run_cli("decide-batch", str(batch))
+        assert code == 65
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {
+            "error": "expected an unsigned integer exponent (at position 8)", "index": 0}
         assert records[1]["status"] == "Equivalent"
 
     def test_record_over_the_degree_limit_does_not_end_the_batch(self, tmp_path):

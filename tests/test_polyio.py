@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, reject, seed, settings
 from hypothesis import strategies as st
 
 from qhgerm import (
@@ -77,6 +77,32 @@ class TestParsing:
     def test_whitespace_insensitive(self):
         assert parse_poly("  Y ^ 2-X ^ 3 ") == parse_poly("Y^2 - X^3")
 
+    def test_any_unicode_space_is_whitespace(self):
+        assert parse_poly("Y^2\u00a0-\u2003X^3\u3000") == parse_poly("Y^2 - X^3")
+
+    @pytest.mark.parametrize(
+        "text, same",
+        [("Y**2 - X**3", "Y^2 - X^3"), ("X ** 2", "X^2"), ("(X+1)**2", "(X+1)^2"),
+         ("2i**3*Y", "2i^3*Y")],
+    )
+    def test_double_star_is_a_power(self, text, same):
+        assert parse_poly(text) == parse_poly(same)
+
+    def test_double_star_exponent_cannot_be_negative(self):
+        with pytest.raises(NegativeExponentError) as err:
+            parse_poly("X**-1")
+        assert err.value.position == 3
+
+    def test_decimal_digits_of_any_script_are_digits(self):
+        # U+0663 and U+0969 are the Arabic-Indic and Devanagari digit three
+        assert parse_poly("Y^\u0663 - \u0969/2*X") == parse_poly("Y^3 - 3/2*X")
+
+    @pytest.mark.parametrize("text", ["X^\u00b2", "\u00b2", "Y - 2\u00b3", "1/\u2460",
+                                      "1.\u00b9", "X^1\u00b2"])
+    def test_superscripts_and_other_non_decimal_digits_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_poly(text)
+
 
 class TestParseErrors:
     def test_empty_input(self):
@@ -144,7 +170,11 @@ class TestParseErrors:
             ("+-X", ParseError, f"{_ANY} '-'", 1),
             ("X*+Y", ParseError, f"{_ANY} '+'", 2),
             ("2**3", ParseError, f"{_ANY} '*'", 2),
-            ("X***2", ParseError, f"{_ANY} '*'", 2),
+            ("X***2", ParseError, "expected an unsigned integer exponent", 3),
+            ("X^\u00b2", ParseError, "expected an unsigned integer exponent", 2),
+            ("\u00b3*X", ParseError, f"{_ANY} '\u00b3'", 0),
+            ("1\u00b9", ParseError, "unexpected input '\u00b9'", 1),
+            ("1/\u1369", ParseError, "expected a denominator", 2),
             ("X^-2", NegativeExponentError, "negative exponents are not allowed", 2),
             ("X ^ -2", NegativeExponentError, "negative exponents are not allowed", 4),
             ("X^^2", ParseError, "expected an unsigned integer exponent", 2),
@@ -268,6 +298,128 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nesting too deep") as err:
             parse_poly("(" * 3000 + "X" + ")" * 3000)
         assert err.value.position == MAX_NESTING
+
+
+# Expression trees rendered to text, each with its value under BivarPoly
+# arithmetic and whether it holds a decimal literal: (text, value, decimal).
+_SPACE = st.sampled_from(["", " ", "\t", "\u00a0"])
+_UNITS = {"X": X, "Y": Y, "i": BivarPoly.constant(gq(0, 1))}
+# a product of more term pairs is rejected, which keeps the expected values
+# cheap and every product of the parse far under MAX_PRODUCT_WORK
+_ORACLE_WORK = 2000
+
+
+def _times(a, b):
+    if len(a.terms) * len(b.terms) > _ORACLE_WORK:
+        reject()
+    return a * b
+
+
+def _power_of(base, e):
+    return _power(base, e, _times)
+
+
+@st.composite
+def _literal(draw):
+    whole = draw(st.integers(min_value=0, max_value=40))
+    kind = draw(st.sampled_from(["integer", "fraction", "decimal"]))
+    if kind == "integer":
+        return str(whole), BivarPoly.constant(whole), False
+    if kind == "fraction":
+        den = draw(st.integers(min_value=1, max_value=12))
+        return f"{whole}/{den}", BivarPoly.constant(Fraction(whole, den)), False
+    digits = draw(st.text("0123456789", min_size=1, max_size=3))
+    value = Fraction(int(f"{whole}{digits}"), 10 ** len(digits))
+    return f"{whole}.{digits}", BivarPoly.constant(value), True
+
+
+@st.composite
+def _exponent(draw):
+    """(text, e) of an optional power '^e' or '**e', e <= 4."""
+    if draw(st.booleans()):
+        return "", 1
+    e = draw(st.integers(min_value=0, max_value=4))
+    return f"{draw(_SPACE)}{draw(st.sampled_from(['^', '**']))}{draw(_SPACE)}{e}", e
+
+
+@st.composite
+def _factor(draw, depth):
+    kind = draw(st.sampled_from(["literal", "symbol", "group"] if depth else
+                                ["literal", "symbol"]))
+    if kind == "group":
+        text, value, decimal = draw(_sum(depth - 1))
+        power, e = draw(_exponent())
+        return f"({draw(_SPACE)}{text}{draw(_SPACE)}){power}", _power_of(value, e), decimal
+    symbol = draw(st.sampled_from("XYi"))
+    power, e = draw(_exponent())
+    unit = _power_of(_UNITS[symbol], e)
+    if kind == "symbol":
+        return symbol + power, unit, False
+    text, value, decimal = draw(_literal())
+    if draw(st.booleans()):
+        # juxtaposition: the symbol written right after the number
+        return text + symbol + power, _times(value, unit), decimal
+    return text, value, decimal
+
+
+@st.composite
+def _term(draw, depth):
+    text, value, decimal = draw(_factor(depth))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        f_text, f_value, f_decimal = draw(_factor(depth))
+        text = f"{text}{draw(_SPACE)}*{draw(_SPACE)}{f_text}"
+        value, decimal = _times(value, f_value), decimal or f_decimal
+    return text, value, decimal
+
+
+@st.composite
+def _sum(draw, depth=2):
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    text, value, decimal = draw(_term(depth))
+    text = f"{sign}{draw(_SPACE)}{text}"
+    value = -value if sign == "-" else value
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        op = draw(st.sampled_from("+-"))
+        t_text, t_value, t_decimal = draw(_term(depth))
+        text = f"{text}{draw(_SPACE)}{op}{draw(_SPACE)}{t_text}"
+        value = value + t_value if op == "+" else value - t_value
+        decimal = decimal or t_decimal
+    return text, value, decimal
+
+
+# Text that is mostly near the grammar: its pieces, digits that are no
+# decimal digits (superscripts, circled, Ethiopic), decimal digits of other
+# scripts, and Unicode spaces, mixed with arbitrary characters.
+_PIECES = ["X", "Y", "i", "^", "**", "*", "+", "-", "/", ".", "(", ")", " ", "0", "1",
+           "7", "12", "1.5", "1/3", "X^2", "\u00b2", "\u00b3", "\u00b9", "\u2460",
+           "\u1369", "\u0663", "\u00a0", "\u2003", "\u3000", "\n", "\t"]
+_NEAR_GRAMMAR = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=24).map("".join),
+    st.lists(st.one_of(st.sampled_from(_PIECES), st.characters()), max_size=24).map("".join),
+    st.text(max_size=30),
+)
+
+
+class TestParserProperties:
+    @seed(20261019)
+    @settings(max_examples=250, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(_sum())
+    def test_parse_equals_the_tree_evaluated(self, tree):
+        text, value, decimal = tree
+        poly = parse_poly(text)
+        assert poly == value
+        assert poly.mode == (MODE_NUMERIC if decimal else MODE_EXACT)
+
+    @seed(20261020)
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(_NEAR_GRAMMAR)
+    def test_any_text_parses_or_is_a_parse_error(self, text):
+        try:
+            poly = parse_poly(text)
+        except ParseError:
+            return
+        assert isinstance(poly, BivarPoly)
 
 
 class TestModes:
