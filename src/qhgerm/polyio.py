@@ -311,7 +311,8 @@ class _Parser:
             self.advance()
         terms = {}
         while True:
-            self.add(terms, self.tok.start(1), self.term(), negate)
+            start = self.tok.start(1)
+            self.add(terms, start, self.term(), negate)
             op = self.tok[1]
             if op != "+" and op != "-":
                 return terms

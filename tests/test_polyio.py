@@ -240,6 +240,8 @@ class TestParseErrors:
             # each product is checked, so a long one stops at its fifth factor
             ("(2)^1000*" * 1000 + "Y^2 - X^3", "product with coefficients of 5001 bits", 0),
             ("Y^2 - " + "1.1*" * 2000 + "X^3", "product with coefficients of 4100 bits", 6),
+            # a number's product is checked before the symbol juxtaposed to it
+            ("(2)^1000*" * 4 + "9" * 300 + "X^-1", "product with coefficients of 4997 bits", 0),
             # a product that a later term cancels is refused all the same
             ("(2)^1000*" * 5 + "X - " + "(2)^1000*" * 5 + "X + Y^2 - X^3",
              "product with coefficients of 5001 bits", 0),
@@ -279,6 +281,20 @@ class TestParseErrors:
                            f"{MAX_PRODUCT_WORK} term pairs") as err:
             parse_poly(text)
         assert time.perf_counter() - start < 1
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text, sizes, position", [
+        ("Y - 2*{}", (1, MAX_PRODUCT_WORK + 1), 4),
+        ("{}*X", (MAX_PRODUCT_WORK + 1, 1), 0),
+    ])
+    def test_group_over_the_work_limit_times_a_monomial(self, text, sizes, position):
+        side = isqrt(MAX_PRODUCT_WORK)
+        xs = " + ".join(f"X^{k}" for k in range(side))
+        ys = " + ".join(f"Y^{k}" for k in range(MAX_PRODUCT_WORK // side))
+        group = f"(({xs})*({ys}) + X^600)"
+        with pytest.raises(ParseError, match=f"product of {sizes[0]} by {sizes[1]} terms") \
+                as err:
+            parse_poly(text.format(group))
         assert err.value.position == position
 
     def test_work_is_checked_before_multiplying(self, monkeypatch):
