@@ -1,10 +1,11 @@
 """Command line front end: qhgerm analyze | decide | roots | demo-whitney | decide-batch.
 
 Exit codes: 0 Equivalent (or informational success), 1 Inequivalent,
-2 NotApplicable, 64 usage, 65 parse error, 66 analysis error, 141 standard
-output closed by its reader (128 + SIGPIPE). JSON output
-is versioned (schemaVersion 1) and byte-identical across identical
-invocations. QHGERM_PRECISION overrides the default 128-bit precision.
+2 NotApplicable, 64 usage, 65 parse error, 66 analysis error or an input
+file that cannot be read, 141 standard output closed by its reader
+(128 + SIGPIPE). JSON output is versioned (schemaVersion 1) and
+byte-identical across identical invocations. QHGERM_PRECISION overrides
+the default 128-bit precision.
 """
 
 from __future__ import annotations
@@ -431,8 +432,9 @@ def _record_weights(value) -> tuple[int, int]:
 def _cmd_decide_batch(args, out) -> int:
     if args.path == "-":
         return _decide_lines(sys.stdin, args, out)
-    # newline="\n" ends records at "\n" only, as on stdin; strip() drops a "\r"
-    with open(args.path, encoding="utf-8", newline="\n") as handle:
+    # newline="\n" ends records at "\n" only, as on stdin; strip() drops a "\r".
+    # surrogateescape, as on stdin, makes a line that is not UTF-8 one bad record
+    with open(args.path, encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
         return _decide_lines(handle, args, out)
 
 
@@ -501,6 +503,10 @@ def run(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # an input file that cannot be read
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ANALYSIS
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE

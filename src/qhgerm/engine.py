@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -28,7 +27,7 @@ from .errors import (
     NonConvergenceError,
     NotEquivalentVerdictError,
 )
-from .exact import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, UniPoly, gcd_bezout
+from .exact import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, UniPoly, _make, gcd_bezout
 from .numeric import (
     NumericMatch,
     cluster_roots,
@@ -47,7 +46,7 @@ from .structure import (
 )
 
 if TYPE_CHECKING:
-    from mpmath import mpc, mpf
+    from mpmath import mpc
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOL = 1e-9
@@ -126,13 +125,6 @@ class RadicalScalar:
     index: int
     branch: int
     approx: str
-    precision: int
-
-    def to_mpc(self, precision: int | None = None) -> mpc:
-        from mpmath import mp
-        prec = precision or self.precision
-        with mp.workprec(prec + 20):
-            return nth_root(to_mpc(self.base), self.index, self.branch)
 
     def __str__(self) -> str:
         return f"({self.base})^(1/{self.index}) branch {self.branch} ~ {self.approx}"
@@ -149,9 +141,6 @@ class ShearTerm:
 
     alpha_coeff: GaussianRational
     beta_coeff: GaussianRational
-
-    def evaluate(self, alpha_num: mpc, beta_num: mpc, q: int) -> mpc:
-        return to_mpc(self.alpha_coeff) * alpha_num**q + to_mpc(self.beta_coeff) * beta_num
 
     def __str__(self) -> str:
         return f"({self.alpha_coeff})*alpha^q + ({self.beta_coeff})*beta"
@@ -334,11 +323,10 @@ def _snap_root(part: UniPoly, center: mpc, centers: list, den: int,
             if slope == 0:
                 break
             z -= value / slope
-        re, im = (round(_mpf_to_fraction(x) * den) for x in (z.real, z.imag))
-        snapped = GaussianRational(Fraction(re, den), Fraction(im, den))
+        snapped, off = _round_over(z * den, den)
         if abs(z - center) > min(abs(z - c) for c in centers):
             return None
-        if abs(to_mpc(snapped) - z) > tol / 2:
+        if off / den > tol / 2:
             return None
     return snapped if part.eval(snapped).is_zero else None
 
@@ -431,24 +419,26 @@ def _exact_match(first_a: GermAnalysis, second_a: GermAnalysis):
 
 def witness_branch_count(verdict: Verdict) -> int:
     """Number of scale branches available for witness construction."""
-    match = verdict.match
-    if isinstance(match, ScaleClass):
-        return match.branch_count
+    return _scale_and_centers(verdict.match)[0].branch_count
+
+
+def _scale_and_centers(match) -> tuple:
+    """(ScaleClass, centers) of an exact match; centers is None for p > 1."""
     if isinstance(match, AffineMatch):
-        return match.scale_class.branch_count
+        return match.scale_class, (match.center_first, match.center_second)
+    if isinstance(match, ScaleClass):
+        return match, None
     raise ValueError("branch count is defined by the exact matcher only")
 
 
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    from mpmath import mp
-    if not mp.isfinite(x):
-        raise ValueError("cannot convert a non-finite value")
-    sign, man, exp, _ = x._mpf_
-    if sign:
-        man = -man
-    if exp >= 0:
-        return Fraction(man << exp)
-    return Fraction(man, 1 << -exp)
+def _round_over(w: mpc, n: int) -> tuple:
+    """(g, |w - g*n|) for g*n the Gaussian integer nearest w.
+
+    g is the point of Z[i]/n nearest w/n, at a distance |w - g*n|/n.
+    """
+    from mpmath import mp, mpc
+    re, im = int(mp.nint(w.real)), int(mp.nint(w.imag))
+    return _make(re, im, n), abs(w - mpc(re, im))
 
 
 def _gq_bits(g: GaussianRational) -> int:
@@ -474,7 +464,7 @@ def _exact_root(
     doubling of k, for the steps from branch to branch) a true root lies
     within 2^-32 of its rounding, and a farther one is rejected unpowered.
     """
-    from mpmath import mp, mpc, mpf
+    from mpmath import mp, mpf
     n = value.d
     top = max(abs(value.a).bit_length(), abs(value.b).bit_length()) + 1
     bits = -(-top // k) + n.bit_length()
@@ -482,11 +472,9 @@ def _exact_root(
         z = mp.root(to_mpc(value), k, first) * n
         step = mp.expjpi(mpf(2) / k) if count > 1 else 1
         for _ in range(count):
-            re, im = int(mp.nint(z.real)), int(mp.nint(z.imag))
-            if abs(z - mpc(re, im)) <= mpf(2) ** -32:
-                g = GaussianRational(Fraction(re, n), Fraction(im, n))
-                if g**k == value:
-                    return g
+            g, off = _round_over(z, n)
+            if off <= mpf(2) ** -32 and g**k == value:
+                return g
             z *= step
     return None
 
@@ -534,9 +522,7 @@ def _identify_branch(base: GaussianRational, index: int, target: mpc) -> int:
     return branch
 
 
-def _simplify_scalar(
-    base: GaussianRational, index: int, target: mpc, precision: int
-):
+def _simplify_scalar(base: GaussianRational, index: int, target: mpc):
     """Reduce an index-th root to the lowest pure-radical form matching target.
 
     If target is the b-th index-th root of base, then target^e is the
@@ -557,7 +543,7 @@ def _simplify_scalar(
     if e == 1:
         return g
     branch = _identify_branch(g, e, target)
-    return RadicalScalar(g, e, branch, mp.nstr(target, 20), precision)
+    return RadicalScalar(g, e, branch, mp.nstr(target, 20))
 
 
 def _witness_data(first_a: GermAnalysis, second_a: GermAnalysis):
@@ -635,9 +621,9 @@ def _radical_witness(first_a, second_a, scale_class, centers, branch, precision)
                 "no consistent root branches for the witness scalar system"
             )
         alpha_num, beta_num = hit
-        beta = _simplify_scalar(base_beta, m_pow * d, beta_num, precision)
-        alpha = _simplify_scalar(base_alpha, w.q * d * m_pow, alpha_num, precision)
-        scale = _simplify_scalar(base, d, a_num, precision)
+        beta = _simplify_scalar(base_beta, m_pow * d, beta_num)
+        alpha = _simplify_scalar(base_alpha, w.q * d * m_pow, alpha_num)
+        scale = _simplify_scalar(base, d, a_num)
         gamma = None
         if centers is not None:
             c_first, c_second = centers
@@ -647,19 +633,13 @@ def _radical_witness(first_a, second_a, scale_class, centers, branch, precision)
                 # zero shift simplifies to gamma = 0
                 shift = c_second - scale * c_first if exact_scale else c_second
                 gamma = _simplify_scalar(
-                    (-shift) ** (m_pow * d) * base_beta,
-                    m_pow * d,
-                    -to_mpc(shift) * beta_num,
-                    precision,
+                    (-shift) ** (m_pow * d) * base_beta, m_pow * d, -to_mpc(shift) * beta_num
                 )
             elif c_second.is_zero:
                 # gamma = c_first*alpha^q, and (alpha^q)^(d*M) = base_alpha
                 gamma_base = c_first ** (m_pow * d) * base_alpha
                 gamma = _simplify_scalar(
-                    gamma_base,
-                    m_pow * d,
-                    to_mpc(c_first) * alpha_num**w.q,
-                    precision,
+                    gamma_base, m_pow * d, to_mpc(c_first) * alpha_num**w.q
                 )
             else:
                 gamma = ShearTerm(c_first, -c_second)
@@ -699,12 +679,7 @@ def build_witness(
                 "the exact matcher finds no witness; a numeric verdict on "
                 "rounded input does not support witness construction"
             )
-    if isinstance(match, AffineMatch):
-        scale_class = match.scale_class
-        centers = (match.center_first, match.center_second)
-    else:
-        scale_class = match
-        centers = None
+    scale_class, centers = _scale_and_centers(match)
     if branch is not None:
         if not 0 <= branch < scale_class.branch_count:
             raise BranchOutOfRangeError(
@@ -725,11 +700,11 @@ def _scalar_is_rational(scalar) -> bool:
 
 def scalar_to_mpc(scalar, precision: int) -> mpc:
     from mpmath import mp
-    if isinstance(scalar, GaussianRational):
-        with mp.workprec(precision + 20):
+    with mp.workprec(precision + 20):
+        if isinstance(scalar, GaussianRational):
             return to_mpc(scalar)
-    if isinstance(scalar, RadicalScalar):
-        return scalar.to_mpc(precision)
+        if isinstance(scalar, RadicalScalar):
+            return nth_root(scalar.base, scalar.index, scalar.branch)
     raise TypeError(f"cannot evaluate {type(scalar).__name__} on its own")
 
 
@@ -743,12 +718,12 @@ def witness_to_mpc(witness: Witness, precision: int) -> tuple:
     with mp.workprec(precision + 20):
         alpha = scalar_to_mpc(witness.alpha, precision)
         beta = scalar_to_mpc(witness.beta, precision)
-        if witness.gamma is None:
-            gamma = None
-        elif isinstance(witness.gamma, ShearTerm):
-            gamma = witness.gamma.evaluate(alpha, beta, witness.weights.q)
-        else:
-            gamma = scalar_to_mpc(witness.gamma, precision)
+        gamma = witness.gamma
+        if isinstance(gamma, ShearTerm):
+            gamma = (to_mpc(gamma.alpha_coeff) * alpha**witness.weights.q
+                     + to_mpc(gamma.beta_coeff) * beta)
+        elif gamma is not None:
+            gamma = scalar_to_mpc(gamma, precision)
         return alpha, beta, gamma
 
 
@@ -813,18 +788,13 @@ def verify_witness(
 
 def whitney_quartic(t) -> BivarPoly:
     """The four-line quartic X*Y*(Y-X)*(Y-t*X); t must avoid 0 and 1."""
-    t = t if isinstance(t, GaussianRational) else GaussianRational.of(t)
-    if t.is_zero or t == GQ_ONE:
-        raise DegenerateConfigurationError(
-            f"t = {t} collapses two of the four lines"
-        )
-    tx = BivarPoly.monomial(1, 0, t)
-    return X * Y * (Y - X) * (Y - tx)
+    t = whitney_configuration(t)[3]
+    return X * Y * (Y - X) * (Y - BivarPoly.monomial(1, 0, t))
 
 
 def whitney_configuration(t) -> tuple:
     """Slopes of the four lines of the quartic, None standing for infinity."""
-    t = t if isinstance(t, GaussianRational) else GaussianRational.of(t)
+    t = GaussianRational.of(t)
     if t.is_zero or t == GQ_ONE:
         raise DegenerateConfigurationError(
             f"t = {t} collapses two of the four lines"
@@ -838,36 +808,14 @@ def cross_ratio(z1, z2, z3, z4) -> GaussianRational:
     Factors involving the point at infinity drop in matching numerator and
     denominator pairs, which realizes the limit.
     """
-    points = [z1, z2, z3, z4]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            same = (
-                points[i] is None and points[j] is None
-            ) or (
-                points[i] is not None
-                and points[j] is not None
-                and points[i] == points[j]
-            )
-            if same:
-                raise DegenerateConfigurationError(
-                    "cross-ratio needs four distinct points"
-                )
+    if len({z1, z2, z3, z4}) < 4:
+        raise DegenerateConfigurationError("cross-ratio needs four distinct points")
 
     def diff(u, v):
-        if u is None or v is None:
-            return None
-        return u - v
+        return GQ_ONE if u is None or v is None else GaussianRational.of(u) - v
 
-    numerator = [diff(z1, z3), diff(z2, z4)]
-    denominator = [diff(z2, z3), diff(z1, z4)]
-    num = GQ_ONE
-    for f in numerator:
-        if f is not None:
-            num = num * f
-    den = GQ_ONE
-    for f in denominator:
-        if f is not None:
-            den = den * f
+    num = diff(z1, z3) * diff(z2, z4)
+    den = diff(z2, z3) * diff(z1, z4)
     if den.is_zero:
         raise InternalInconsistencyError("distinct points gave a zero denominator")
     value = num / den
@@ -894,12 +842,11 @@ def whitney_compare(t_first, t_second) -> dict:
     """
     sides = {}
     for key, t in (("first", t_first), ("second", t_second)):
-        quartic = whitney_quartic(t)
         config = whitney_configuration(t)
         lam = cross_ratio(*config)
         sides[key] = {
-            "t": t if isinstance(t, GaussianRational) else GaussianRational.of(t),
-            "poly": quartic,
+            "t": config[3],
+            "poly": whitney_quartic(t),
             "config": config,
             "crossRatio": lam,
             "j": j_from_cross_ratio(lam),

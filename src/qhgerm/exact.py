@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroPolynomialError
@@ -164,15 +165,7 @@ class GaussianRational:
             raise TypeError("exponent must be an int")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = GQ_ONE
-        square = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
+        return power(self, exponent, GQ_ONE)
 
     def __str__(self) -> str:
         if not self.b:
@@ -228,6 +221,22 @@ GQ_I = GaussianRational(0, 1)
 def gq(re, im: Rationalish = 0) -> GaussianRational:
     """Shorthand constructor, accepting ints and Fractions."""
     return GaussianRational.of(re, im)
+
+
+def power(base, exponent: int, one, multiply=mul):
+    """base**exponent for exponent >= 0 by repeated squaring from one.
+
+    Each product is multiply(a, b), a * b by default.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = multiply(result, base)
+        exponent >>= 1
+        # no square after the last bit: it is the largest product, unused
+        if exponent:
+            base = multiply(base, base)
+    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,15 +340,7 @@ class UniPoly:
     def __pow__(self, exponent: int) -> "UniPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
-        result = UniPoly.one()
-        square = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
+        return power(self, exponent, UniPoly.one())
 
     def scale(self, c) -> "UniPoly":
         c = GaussianRational.of(c)

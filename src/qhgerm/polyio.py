@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import EmptyInputError, NegativeExponentError, ParseError
-from .exact import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, _make, format_terms, power_str
+from .exact import (GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, _make, format_terms, power,
+                    power_str)
 
 MODE_EXACT = "exact"
 MODE_NUMERIC = "numeric"
@@ -159,7 +160,7 @@ class BivarPoly:
     def __pow__(self, exponent: int) -> "BivarPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
-        return _power(self, exponent, BivarPoly.__mul__)
+        return power(self, exponent, BivarPoly.constant(1, self.mode))
 
     def scale(self, c) -> "BivarPoly":
         c = GaussianRational.of(c)
@@ -178,10 +179,8 @@ class BivarPoly:
 
     def substitute(self, x_image: "BivarPoly", y_image: "BivarPoly") -> "BivarPoly":
         """Ring substitution X -> x_image, Y -> y_image."""
-        max_i = max((i for i, _ in self.terms), default=0)
-        max_j = max((j for _, j in self.terms), default=0)
-        xp = _poly_powers(x_image, max_i)
-        yp = _poly_powers(y_image, max_j)
+        xp = power_table(x_image, {i for i, _ in self.terms})
+        yp = power_table(y_image, {j for _, j in self.terms})
         acc = BivarPoly.zero(self.mode)
         for (i, j), c in self.terms.items():
             acc = acc + (xp[i] * yp[j]).scale(c)
@@ -210,26 +209,6 @@ def power_table(z, exponents) -> dict:
             power, at = power * step, at + gap
         table[e] = power
     return table
-
-
-def _power(base: BivarPoly, exponent: int, multiply) -> BivarPoly:
-    """base**exponent by repeated squaring, each product by multiply(a, b)."""
-    result = BivarPoly.constant(1, base.mode)
-    while exponent:
-        if exponent & 1:
-            result = multiply(result, base)
-        exponent >>= 1
-        # no square after the last bit: it is the largest product, unused
-        if exponent:
-            base = multiply(base, base)
-    return result
-
-
-def _poly_powers(p: BivarPoly, top: int) -> list:
-    powers = [BivarPoly.constant(1, p.mode)]
-    for _ in range(top):
-        powers.append(powers[-1] * p)
-    return powers
 
 
 X = BivarPoly.monomial(1, 0)
@@ -432,8 +411,9 @@ class _Parser:
                 c, i, j = value
                 value = c**e, i * e, j * e
             else:
-                power = _power(BivarPoly(inner), e, lambda a, b: self.product(a, b, start))
-                value = _as_value(power.terms)
+                expanded = power(BivarPoly(inner), e, BivarPoly.constant(1),
+                                 lambda a, b: self.product(a, b, start))
+                value = _as_value(expanded.terms)
             return value, degree * e, False, None
         if not ch:
             raise ParseError("unexpected end of input", tok.start(1))

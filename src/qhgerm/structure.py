@@ -153,57 +153,46 @@ def canonical_decompose(poly: BivarPoly, weights: WeightSignature) -> CanonicalF
     p, q = weights.p, weights.q
     support = poly.support
     m = min(i for i, _ in support)
-    if p == 1:
-        stripped = BivarPoly({(i - m, j): c for (i, j), c in poly.terms.items()}, poly.mode)
-        raw = height_function(stripped)
-        ladder, c0 = raw.monic()
-        degree = ladder.degree
-        rebuilt_terms = {}
-        for t in range(degree + 1):
-            c = ladder.coeff_of_power(degree - t)
-            if not c.is_zero:
-                rebuilt_terms[(m + q * t, degree - t)] = c * c0
-        form = CanonicalForm(c0, m, None, ladder)
-    else:
-        m0 = min(j for _, j in support)
-        nu_stripped = weights.nu - p * m - q * m0
-        if nu_stripped % (p * q) != 0:
+    # for p = 1 a Y-power is the ladder root 0, so no Y-power is stripped
+    m0 = min(j for _, j in support) if p > 1 else None
+    y0 = m0 or 0
+    nu_stripped = weights.nu - p * m - q * y0
+    if nu_stripped % (p * q) != 0:
+        raise InternalInconsistencyError(
+            f"stripped weighted degree {nu_stripped} is not a multiple of p*q"
+        )
+    degree = nu_stripped // (p * q)
+    coeffs = [GQ_ZERO] * (degree + 1)
+    for (i, j), c in poly.terms.items():
+        ii, jj = i - m, j - y0
+        if ii % q != 0:
             raise InternalInconsistencyError(
-                f"stripped weighted degree {nu_stripped} is not a multiple of p*q"
+                f"stripped support point ({ii}, {jj}) has X-exponent not "
+                f"divisible by q = {q}"
             )
-        degree = nu_stripped // (p * q)
-        coeffs = [GQ_ZERO] * (degree + 1)
-        for (i, j), c in poly.terms.items():
-            ii, jj = i - m, j - m0
-            if ii % q != 0:
-                raise InternalInconsistencyError(
-                    f"stripped support point ({ii}, {jj}) has X-exponent not "
-                    f"divisible by q = {q}"
-                )
-            t = ii // q
-            if not (0 <= t <= degree) or jj != p * (degree - t):
-                raise InternalInconsistencyError(
-                    f"stripped support point ({ii}, {jj}) does not sit on the "
-                    "ladder pattern"
-                )
-            coeffs[t] = c
-        raw = UniPoly.from_coeffs(coeffs)
-        if raw.degree != degree:
-            raise InternalInconsistencyError("ladder lost its leading coefficient")
-        ladder, c0 = raw.monic()
-        if ladder.coeff_of_power(0).is_zero and degree > 0:
-            raise InternalInconsistencyError("p > 1 ladder has a zero root")
-        rebuilt_terms = {}
-        for t in range(degree + 1):
-            c = ladder.coeff_from_top(t)
-            if not c.is_zero:
-                rebuilt_terms[(m + q * t, m0 + p * (degree - t))] = c * c0
-        form = CanonicalForm(c0, m, m0, ladder)
+        t = ii // q
+        if not (0 <= t <= degree) or jj != p * (degree - t):
+            raise InternalInconsistencyError(
+                f"stripped support point ({ii}, {jj}) does not sit on the "
+                "ladder pattern"
+            )
+        coeffs[t] = c
+    raw = UniPoly.from_coeffs(coeffs)
+    if raw.degree != degree:
+        raise InternalInconsistencyError("ladder lost its leading coefficient")
+    ladder, c0 = raw.monic()
+    if m0 is not None and ladder.coeff_of_power(0).is_zero and degree > 0:
+        raise InternalInconsistencyError("p > 1 ladder has a zero root")
+    rebuilt_terms = {}
+    for t in range(degree + 1):
+        c = ladder.coeff_from_top(t)
+        if not c.is_zero:
+            rebuilt_terms[(m + q * t, y0 + p * (degree - t))] = c * c0
     if BivarPoly(rebuilt_terms) != poly:
         raise InternalInconsistencyError(
             "re-expansion of the canonical factorization does not reproduce the input"
         )
-    return form
+    return CanonicalForm(c0, m, m0, ladder)
 
 
 def _classify_from_form(weights: WeightSignature, form: CanonicalForm) -> str:
@@ -246,10 +235,7 @@ def ord0(poly: BivarPoly, form: CanonicalForm, weights: WeightSignature) -> int:
     """Order at the origin, asserted equal to the closed form from the ladder."""
     _require_nonzero(poly)
     brute = min(i + j for (i, j) in poly.terms)
-    if weights.p == 1:
-        closed = form.m + form.ladder_degree
-    else:
-        closed = form.m + form.m0 + weights.p * form.ladder_degree
+    closed = form.m + (form.m0 or 0) + weights.p * form.ladder_degree
     if brute != closed:
         raise FormulaMismatchError(
             f"order at origin: support minimum {brute} != closed form {closed}"

@@ -303,6 +303,12 @@ class TestDecide:
         assert code == 64
         assert "two polynomial lines" in err
 
+    def test_missing_file_is_input_error(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run_cli("decide", "--file", str(missing))
+        assert (code, out) == (66, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
     def test_missing_second_operand(self):
         code, _, err = run_cli("decide", PAIR_FIRST)
         assert code == 64
@@ -647,6 +653,27 @@ class TestBatch:
         assert from_file[0] == 65
         assert len(from_file[1].splitlines()) == 1
         assert run_cli("decide-batch", "-", stdin=text) == from_file
+
+    def test_undecodable_line_reads_alike_from_file_and_stdin(self, tmp_path):
+        record = json.dumps({"first": "Y^2-X^3", "second": "Y^2-8*X^3"}).encode()
+        data = record + b"\n\xff\xfe\n" + record + b"\n"
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_bytes(data)
+        from_file = run_cli("decide-batch", str(batch))
+        assert from_file[0] == 65
+        lines = [json.loads(line) for line in from_file[1].splitlines()]
+        assert [line["index"] for line in lines] == [0, 1, 2]
+        assert "error" in lines[1] and lines[2]["status"] == "Equivalent"
+        # standard input decodes with surrogateescape
+        stdin = data.decode("utf-8", "surrogateescape")
+        assert run_cli("decide-batch", "-", stdin=stdin) == from_file
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_input_error(self, tmp_path, kind):
+        path = tmp_path / "missing.jsonl" if kind == "missing" else tmp_path
+        code, out, err = run_cli("decide-batch", str(path))
+        assert (code, out) == (66, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f": '{path}'\n")
 
     def test_crlf_input_gives_the_same_records(self, tmp_path):
         lines = [

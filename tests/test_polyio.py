@@ -19,6 +19,7 @@ from qhgerm import (
     gq,
     parse_poly,
 )
+from qhgerm.exact import GaussianRational, UniPoly, power
 from qhgerm.polyio import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
@@ -26,7 +27,6 @@ from qhgerm.polyio import (
     MAX_PRODUCT_WORK,
     MODE_EXACT,
     MODE_NUMERIC,
-    _power,
     power_table,
 )
 
@@ -332,7 +332,7 @@ def _times(a, b):
 
 
 def _power_of(base, e):
-    return _power(base, e, _times)
+    return power(base, e, BivarPoly.constant(1), _times)
 
 
 @st.composite
@@ -533,17 +533,27 @@ class TestArithmetic:
             product = product * f
 
     @pytest.mark.parametrize("exponent", [0, 1, 2, 3, 8, 9, 64, 1000])
-    def test_power_squares_only_for_bits_still_to_use(self, exponent):
-        products = []
+    def test_power_squares_only_for_bits_still_to_use(self, exponent, monkeypatch):
+        cases = [
+            (gq(3), GaussianRational(3**exponent)),
+            (UniPoly.monomial(1, 2), UniPoly.monomial(exponent, 2**exponent)),
+            (X, BivarPoly.monomial(exponent, 0)),
+        ]
+        for base, expected in cases:
+            cls = type(base)
+            products = []
+            plain = cls.__mul__
 
-        def multiply(a, b):
-            products.append(a is b)
-            return a * b
+            def multiply(a, b, plain=plain, products=products):
+                products.append(a is b)
+                return plain(a, b)
 
-        assert _power(X, exponent, multiply) == BivarPoly.monomial(exponent, 0)
-        # one product per set bit, one square per bit after the lowest
-        assert products.count(False) == bin(exponent).count("1")
-        assert products.count(True) == max(exponent.bit_length() - 1, 0)
+            with monkeypatch.context() as patch:
+                patch.setattr(cls, "__mul__", multiply)
+                assert base**exponent == expected
+            # one product per set bit, one square per bit after the lowest
+            assert products.count(False) == bin(exponent).count("1"), cls.__name__
+            assert products.count(True) == max(exponent.bit_length() - 1, 0), cls.__name__
 
     def test_scale(self):
         assert X.scale(gq(3)) == parse_poly("3*X")
