@@ -449,6 +449,8 @@ def _decide_lines(handle, args, out) -> int:
         record = {"index": index}
         try:
             item = json.loads(line)
+            if not isinstance(item, dict):
+                raise TypeError(f"record must be a JSON object, got {type(item).__name__}")
             first = parse_poly(item["first"])
             second = parse_poly(item["second"])
             weights = _record_weights(item["weights"]) if "weights" in item else args.weights
@@ -461,7 +463,8 @@ def _decide_lines(handle, args, out) -> int:
             record["status"] = verdict.status
             record["mode"] = verdict.mode
             record["reason"] = verdict.reason
-        except (QhgermError, ValueError, KeyError, TypeError) as exc:
+        # json.loads raises RecursionError on a line nested too deeply
+        except (QhgermError, ValueError, KeyError, TypeError, RecursionError) as exc:
             record["error"] = str(exc)
             failed = True
         out.write(json.dumps(record, sort_keys=True))

@@ -15,7 +15,6 @@ reproduces the second exactly: second = first o Psi.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -27,7 +26,7 @@ from .errors import (
     NonConvergenceError,
     NotEquivalentVerdictError,
 )
-from .exact import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, UniPoly, _make, gcd_bezout
+from .exact import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, Record, UniPoly, _make, gcd_bezout
 from .numeric import (
     NumericMatch,
     cluster_roots,
@@ -41,7 +40,6 @@ from .polyio import MODE_NUMERIC, BivarPoly, X, Y, parse_poly
 from .structure import (
     NON_HOMOGENEOUS_QH,
     GermAnalysis,
-    WeightSignature,
     analyze_germ,
 )
 
@@ -58,8 +56,7 @@ STATUS_NOT_APPLICABLE = "NotApplicable"
 MODE_AUTO = "auto"
 
 
-@dataclass(frozen=True, slots=True)
-class ScaleClass:
+class ScaleClass(Record):
     """All scales carrying one ladder onto another: the d-th roots of base.
 
     indices holds the active top-offsets whose coefficient ratios pinned the
@@ -67,9 +64,7 @@ class ScaleClass:
     and base is 1, so the class degenerates to the single scale 1).
     """
 
-    d: int
-    base: GaussianRational
-    indices: tuple
+    __slots__ = ("d", "base", "indices")
 
     @property
     def is_free(self) -> bool:
@@ -80,58 +75,44 @@ class ScaleClass:
         return self.d
 
 
-@dataclass(frozen=True, slots=True)
-class AffineMatch:
+class AffineMatch(Record):
     """Affine relation between two root multisets, split into scale and centers.
 
     Roots map by z -> a*(z - center_first) + center_second for every scale a
     in the class, i.e. the shift for a given a is center_second - a*center_first.
     """
 
-    scale_class: ScaleClass
-    center_first: GaussianRational
-    center_second: GaussianRational
+    __slots__ = ("scale_class", "center_first", "center_second")
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(Record):
     """A decision with the two germ analyses it was made from.
 
     match is the exact route's ScaleClass or AffineMatch, or the numeric
     route's NumericMatch, for an Equivalent verdict and None otherwise.
     """
 
-    status: str
-    mode: str
-    first: GermAnalysis
-    second: GermAnalysis
-    match: object | None
-    reason: str | None
+    __slots__ = ("status", "mode", "first", "second", "match", "reason")
 
     @property
     def invariants(self) -> dict:
         return {"first": _side_invariants(self.first), "second": _side_invariants(self.second)}
 
 
-@dataclass(frozen=True, slots=True)
-class RadicalScalar:
+class RadicalScalar(Record):
     """The branch-th index-th root of an exact Gaussian rational.
 
     Branch k means the root whose argument is (Arg(base) + 2*pi*k)/index,
     with the principal argument taken in (-pi, pi].
     """
 
-    base: GaussianRational
-    index: int
-    branch: int
-    approx: str
+    __slots__ = ("base", "index", "branch", "approx")
 
     def __str__(self) -> str:
         return f"({self.base})^(1/{self.index}) branch {self.branch} ~ {self.approx}"
 
 
-@dataclass(frozen=True, slots=True)
-class ShearTerm:
+class ShearTerm(Record):
     """Shear coefficient given implicitly as alpha_coeff*alpha^q + beta_coeff*beta.
 
     Used when the shear is algebraic of degree too high for a single radical;
@@ -139,15 +120,13 @@ class ShearTerm:
     witness scalars alpha, beta are pure radicals.
     """
 
-    alpha_coeff: GaussianRational
-    beta_coeff: GaussianRational
+    __slots__ = ("alpha_coeff", "beta_coeff")
 
     def __str__(self) -> str:
         return f"({self.alpha_coeff})*alpha^q + ({self.beta_coeff})*beta"
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
+class Witness(Record):
     """Coordinate change (alpha*X, beta*Y + gamma*X^q) with second = first o Psi.
 
     gamma is None exactly when p > 1. Scalars are GaussianRational when an
@@ -156,22 +135,13 @@ class Witness:
     means the default search that prefers rational witnesses.
     """
 
-    alpha: object
-    beta: object
-    gamma: object | None
-    scale: object
-    weights: WeightSignature
-    branch: int | None
+    __slots__ = ("alpha", "beta", "gamma", "scale", "weights", "branch")
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
-    passed: bool
-    exact: bool
-    max_residual: str
-    tol: str
-    samples: int
-    precision: int
+class VerificationReport(Record):
+    """Outcome of verify_witness; max_residual and tol are text, "0" for an exact check."""
+
+    __slots__ = ("passed", "exact", "max_residual", "tol", "samples", "precision")
 
 
 def linear_multiset_match(first: UniPoly, second: UniPoly) -> ScaleClass | None:

@@ -10,7 +10,6 @@ Everything in this module is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -30,7 +29,59 @@ def _ratio(x) -> tuple[int, int]:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class GaussianRational:
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable record whose fields are the __slots__ of its class.
+
+    A record is built from its fields, positionally or by keyword. Two
+    records are equal when they are of the same class and their keys (the
+    tuple of all fields, unless a class compares fewer) are equal, and a
+    record hashes as its key. Pickling and copying rebuild it from its fields.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            # the keyword fields in field order; one missing leaves args short
+            args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    # the fields that equality and hashing compare; a class may compare fewer
+    _key = _fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._fields())
+        return f"{type(self).__name__}(" + ", ".join(f"{n}={v!r}" for n, v in pairs) + ")"
+
+
+class GaussianRational(Record):
     """An element (a + b*i)/d of the field Q(i), with d > 0 and gcd(a, b, d) = 1."""
 
     __slots__ = ("a", "b", "d")
@@ -73,12 +124,6 @@ class GaussianRational:
     @property
     def is_rational(self) -> bool:
         return not self.b
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return _make, (self.a, self.b, self.d)
@@ -239,8 +284,7 @@ def power(base, exponent: int, one, multiply=mul):
     return result
 
 
-@dataclass(frozen=True, slots=True)
-class UniPoly:
+class UniPoly(Record):
     """Univariate polynomial over Q(i), coefficients stored degree-descending.
 
     The leading coefficient is nonzero; the zero polynomial is the empty
@@ -248,7 +292,10 @@ class UniPoly:
     the quantity the equivalence matchers work with directly.
     """
 
-    coeffs: tuple = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple = ()):
+        _set_coeffs(self, coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable) -> "UniPoly":
@@ -442,6 +489,9 @@ class UniPoly:
 
     def __str__(self) -> str:
         return format_unipoly(self)
+
+
+_set_coeffs = UniPoly.coeffs.__set__
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:

@@ -14,46 +14,35 @@ decides exact input does not pay for loading it.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import AmbiguousClusteringError, NonConvergenceError
-from .exact import GaussianRational, UniPoly
+from .exact import GaussianRational, Record, UniPoly
 from .polyio import BivarPoly, power_table
 
 if TYPE_CHECKING:
-    from mpmath import mpc, mpf
+    from mpmath import mpc
 
 _FLOAT_SWEEPS = 200
 _MP_SWEEPS = 600
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexApprox:
-    """A complex value known to the stated precision, with an error bound."""
+class ComplexApprox(Record):
+    """A complex value (mpc) known to the stated precision in bits, with an error bound (mpf)."""
 
-    value: mpc
-    err: mpf
-    precision: int
+    __slots__ = ("value", "err", "precision")
 
 
-@dataclass(frozen=True, slots=True)
-class RootCluster:
-    """A group of nearby numeric roots standing for one true root."""
+class RootCluster(Record):
+    """A group of nearby numeric roots standing for one true root (center mpc, radius mpf)."""
 
-    center: mpc
-    multiplicity: int
-    radius: mpf
+    __slots__ = ("center", "multiplicity", "radius")
 
 
-@dataclass(frozen=True, slots=True)
-class NumericMatch:
+class NumericMatch(Record):
     """A scale (and optional shift) mapping one root multiset onto another."""
 
-    scale: mpc
-    shift: mpc | None
-    pairing: tuple
-    tol: float
+    __slots__ = ("scale", "shift", "pairing", "tol")
 
 
 def to_mpc(value) -> mpc:

@@ -30,11 +30,10 @@ superset of the documented form so that every printed polynomial re-parses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import EmptyInputError, NegativeExponentError, ParseError
-from .exact import (GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, _make, format_terms, power,
+from .exact import (GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, Record, _make, format_terms, power,
                     power_str)
 
 MODE_EXACT = "exact"
@@ -77,16 +76,21 @@ def _join_mode(a: str, b: str) -> str:
     return MODE_NUMERIC if MODE_NUMERIC in (a, b) else MODE_EXACT
 
 
-@dataclass(frozen=True, slots=True)
-class BivarPoly:
+class BivarPoly(Record):
     """Sparse polynomial in X, Y with Gaussian rational coefficients.
 
     terms maps (x_exponent, y_exponent) to a nonzero coefficient. Equality
     compares term maps only; the mode flag is bookkeeping, not algebra.
     """
 
-    terms: dict
-    mode: str = field(default=MODE_EXACT, compare=False)
+    __slots__ = ("terms", "mode")
+
+    def __init__(self, terms: dict, mode: str = MODE_EXACT):
+        _set_terms(self, terms)
+        _set_mode(self, mode)
+
+    def _key(self) -> tuple:
+        return (self.terms,)
 
     @staticmethod
     def from_terms(terms, mode: str = MODE_EXACT) -> "BivarPoly":
@@ -188,6 +192,10 @@ class BivarPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+_set_terms = BivarPoly.terms.__set__
+_set_mode = BivarPoly.mode.__set__
 
 
 def power_table(z, exponents) -> dict:

@@ -11,7 +11,6 @@ impossible because the Y-power factor has already been stripped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     WeightMismatchError,
     ZeroPolynomialError,
 )
-from .exact import GQ_ONE, GQ_ZERO, GaussianRational, UniPoly
+from .exact import GQ_ONE, GQ_ZERO, GaussianRational, Record, UniPoly
 from .polyio import BivarPoly
 
 HOMOGENEOUS = "Homogeneous"
@@ -30,41 +29,30 @@ NON_HOMOGENEOUS_QH = "NonHomogeneousQH"
 NOT_QUASIHOMOGENEOUS = "NotQuasihomogeneous"
 
 
-@dataclass(frozen=True, slots=True)
-class WeightSignature:
+class WeightSignature(Record):
     """Coprime weights p <= q and the weighted degree nu of the support line."""
 
-    p: int
-    q: int
-    nu: int
+    __slots__ = ("p", "q", "nu")
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Data of F = c0 * X^m * Y^m0 * (ladder factors).
 
     For p = 1 the Y-power is absorbed into the ladder as zero roots and m0 is
     None. ladder is monic; its degree is the total root multiplicity.
     """
 
-    c0: GaussianRational
-    m: int
-    m0: int | None
-    ladder: UniPoly
+    __slots__ = ("c0", "m", "m0", "ladder")
 
     @property
     def ladder_degree(self) -> int:
         return self.ladder.degree
 
 
-@dataclass(frozen=True, slots=True)
-class GermAnalysis:
+class GermAnalysis(Record):
     """Bundle produced by analyze_germ: everything downstream stages need."""
 
-    weights: WeightSignature
-    germ_class: str
-    canonical: CanonicalForm
-    ord_at_origin: int
+    __slots__ = ("weights", "germ_class", "canonical", "ord_at_origin")
 
 
 def _require_nonzero(poly: BivarPoly):

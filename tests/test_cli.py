@@ -552,6 +552,35 @@ class TestBatch:
             "error": "nesting too deep (at position 200)", "index": 0}
         assert records[1]["status"] == "Equivalent"
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_json_does_not_end_the_batch(self, tmp_path, source):
+        good = json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND})
+        text = good + "\n" + "[" * 3000 + "]" * 3000 + "\n" + good + "\n"
+        if source == "file":
+            batch = tmp_path / "pairs.jsonl"
+            batch.write_text(text)
+            code, out, err = run_cli("decide-batch", str(batch))
+        else:
+            code, out, err = run_cli("decide-batch", "-", stdin=text)
+        assert (code, err) == (65, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [record["index"] for record in records] == [0, 1, 2]
+        assert records[0]["status"] == records[2]["status"] == "Equivalent"
+        assert sorted(records[1]) == ["error", "index"]
+        assert records[1]["error"].startswith("maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("line, kind", [
+        ("[1,2]", "list"), ('"abc"', "str"), ("5", "int"), ("2.5", "float"),
+        ("null", "NoneType"), ("true", "bool"),
+    ])
+    def test_record_that_is_not_an_object(self, line, kind):
+        good = json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND})
+        code, out, _ = run_cli("decide-batch", "-", stdin=f"{line}\n{good}\n")
+        assert code == 65
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {"error": f"record must be a JSON object, got {kind}", "index": 0}
+        assert records[1]["status"] == "Equivalent"
+
     def test_superscript_record_is_a_parse_error(self, tmp_path):
         batch = tmp_path / "pairs.jsonl"
         batch.write_text(
@@ -861,12 +890,17 @@ try:
     code = qhgerm.cli.run(sys.argv[1:])
 finally:
     sys.stdout = real
-print(json.dumps({"code": code, "out": out.getvalue(), "mpmath": "mpmath" in sys.modules}))
+print(json.dumps({"code": code, "out": out.getvalue(), "mpmath": "mpmath" in sys.modules,
+                  "slow_start": sorted({"dataclasses", "inspect"} & sys.modules.keys())}))
 """
 
 
 class TestMpmathLoadedOnFirstUse:
-    """The exact route runs without importing mpmath; the numeric paths load it."""
+    """The exact route runs without importing mpmath; the numeric paths load it.
+
+    Nothing loads dataclasses or inspect, which would add their import time
+    to every process.
+    """
 
     def _python(self, *args, stdin=None):
         env = dict(os.environ)
@@ -889,6 +923,12 @@ class TestMpmathLoadedOnFirstUse:
         out = self._python("-c", f"import sys, {module}; print('mpmath' in sys.modules)")
         assert out == "False\n"
 
+    @pytest.mark.parametrize("module", ["qhgerm", "qhgerm.cli"])
+    def test_import_does_not_load_dataclasses_or_inspect(self, module):
+        out = self._python("-c", f"import sys, {module}; "
+                                 "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+        assert out == "[]\n"
+
     def test_numeric_names_import_without_mpmath(self):
         out = self._python("-c", "import sys; from qhgerm import find_roots, NumericMatch; "
                                  "print('mpmath' in sys.modules, NumericMatch.__name__, "
@@ -907,15 +947,21 @@ class TestMpmathLoadedOnFirstUse:
     def test_exact_commands_do_not_load_mpmath(self, argv):
         assert self._probe(*argv)["mpmath"] is False
 
+    EXACT_BATCH = "".join(json.dumps(record) + "\n" for record in (
+        {"id": "a", "first": PAIR_FIRST, "second": PAIR_SECOND},
+        {"id": "b", "first": "Y^2-X^3", "second": "Y^2-X^5"},
+        {"id": "c", "first": "Y^2-X^3", "second": "Y^2-1/0"},
+    ))
+
     def test_exact_batch_does_not_load_mpmath(self):
-        text = "".join(json.dumps(record) + "\n" for record in (
-            {"id": "a", "first": PAIR_FIRST, "second": PAIR_SECOND},
-            {"id": "b", "first": "Y^2-X^3", "second": "Y^2-X^5"},
-            {"id": "c", "first": "Y^2-X^3", "second": "Y^2-1/0"},
-        ))
-        doc = self._probe("decide-batch", "-", stdin=text)
+        doc = self._probe("decide-batch", "-", stdin=self.EXACT_BATCH)
         assert doc["code"] == 65
         assert doc["mpmath"] is False
+
+    def test_exact_batch_does_not_load_dataclasses_or_inspect(self):
+        doc = self._probe("decide-batch", "-", stdin=self.EXACT_BATCH)
+        assert doc["code"] == 65
+        assert doc["slow_start"] == []
 
     @pytest.mark.parametrize("argv", [
         ("roots", PAIR_FIRST),

@@ -1,7 +1,6 @@
 """Equivalence decisions, witness construction, and the quartic demo."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -49,6 +48,12 @@ from conftest import rand_germ, synthesize_equivalent
 
 PAIR_FIRST = "(Y^2-X^3)*(Y^2-2*X^3)"
 PAIR_SECOND = "(Y^2-3*X^3)*(Y^2-6*X^3)"
+
+
+def replace(record, **changes):
+    """record rebuilt from its fields, with the named ones changed."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def ladder(*coeffs):
