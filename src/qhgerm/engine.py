@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from math import lcm
-from typing import TYPE_CHECKING
 
 from .errors import (
     AmbiguousClusteringError,
@@ -26,7 +25,17 @@ from .errors import (
     NonConvergenceError,
     NotEquivalentVerdictError,
 )
-from .exact import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, Record, UniPoly, _make, gcd_bezout
+from .exact import (
+    GQ_I,
+    GQ_ONE,
+    GQ_ZERO,
+    GaussianRational,
+    Record,
+    UniPoly,
+    _make,
+    gcd_bezout,
+    integer_root,
+)
 from .numeric import (
     NumericMatch,
     cluster_roots,
@@ -43,6 +52,8 @@ from .structure import (
     analyze_germ,
 )
 
+# typing.TYPE_CHECKING without loading typing; type checkers take it as true
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from mpmath import mpc
 
@@ -426,26 +437,52 @@ def _exact_root(
     """The first Gaussian-rational k-th root of value on branches first,
     first + 1, ..., first + count - 1, or None.
 
+    Norm test: a root g has N(g)^k = N(value), so the numerator and the
+    denominator of the reduced norm (a^2 + b^2)/d^2 must both be k-th powers
+    of integers. When one is not, no branch holds a root, and mpmath is
+    never called.
+
     Write value = A/n with A in Z[i] and n = value.d. A root g has
     (g*n)^k = A*n^(k-1) in Z[i], and Z[i] is integrally closed, so g*n is a
     Gaussian integer: the numeric root times n, rounded, is the only
     candidate, and an exact k-th power decides it. The precision comes from
-    the value alone: |g*n| < 2^bits, so with 64 more bits (and one per
-    doubling of k, for the steps from branch to branch) a true root lies
-    within 2^-32 of its rounding, and a farther one is rejected unpowered.
+    the value alone: |g*n| < 2^bits, and prec = bits + 64 + k.bit_length().
+
+    Branch scan in fixed point: z = root*n and the step e^(2*pi*i/k) are
+    computed once by mpmath at prec bits, so z is within a few units of
+    2^(bits - prec) = 2^-(64 + k.bit_length()) of g*n, and both are scaled
+    by 2^prec to Gaussian integers. Each step multiplies by the scaled step
+    and shifts back by prec bits with rounding: the step's error times
+    |z| < 2^bits, plus the rounding, adds a few more such units. Over the
+    count <= k < 2^k.bit_length() candidates the error stays within a few
+    units of 2^-64, far below 2^-32: a true root lies within 2^-32 of its
+    rounding, so none is missed, and a farther candidate is rejected
+    unpowered.
     """
+    norm = value.norm_sq()
+    if integer_root(norm.numerator, k) is None or integer_root(norm.denominator, k) is None:
+        return None
     from mpmath import mp, mpf
     n = value.d
     top = max(abs(value.a).bit_length(), abs(value.b).bit_length()) + 1
     bits = -(-top // k) + n.bit_length()
-    with mp.workprec(bits + 64 + k.bit_length()):
+    prec = bits + 64 + k.bit_length()
+    with mp.workprec(prec):
         z = mp.root(to_mpc(value), k, first) * n
-        step = mp.expjpi(mpf(2) / k) if count > 1 else 1
-        for _ in range(count):
-            g, off = _round_over(z, n)
-            if off <= mpf(2) ** -32 and g**k == value:
+        step = mp.expjpi(mpf(2) / k) if count > 1 else mpf(1)
+        # z and step as Gaussian integers scaled by 2^prec
+        re, im = int(mp.ldexp(z.real, prec)), int(mp.ldexp(z.imag, prec))
+        sre, sim = int(mp.ldexp(step.real, prec)), int(mp.ldexp(step.imag, prec))
+    half = 1 << (prec - 1)
+    near = 1 << 2 * (prec - 32)
+    for _ in range(count):
+        gre, gim = (re + half) >> prec, (im + half) >> prec
+        dre, dim = re - (gre << prec), im - (gim << prec)
+        if dre * dre + dim * dim <= near:
+            g = _make(gre, gim, n)
+            if g**k == value:
                 return g
-            z *= step
+        re, im = (re * sre - im * sim + half) >> prec, (re * sim + im * sre + half) >> prec
     return None
 
 
@@ -711,8 +748,11 @@ def verify_witness(
     All-rational witnesses are verified by exact polynomial substitution.
     Radical witnesses are verified numerically at seeded sample points in
     the half-unit bidisk, against a relative-residual tolerance that
-    defaults to 2^-(precision-48).
+    defaults to 2^-(precision-48). samples must be at least 1: a sampled
+    check of no points would pass whatever the witness.
     """
+    if samples < 1:
+        raise ValueError("verify_witness needs at least one sample point")
     q = witness.weights.q
     if (
         _scalar_is_rational(witness.alpha)

@@ -10,14 +10,12 @@ Everything in this module is immutable and pure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 from operator import mul
-from typing import Iterable, Sequence, Union
 
 from .errors import ZeroPolynomialError
-
-Rationalish = Union[int, Fraction]
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -86,7 +84,7 @@ class GaussianRational(Record):
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         ra, rd = _ratio(re)
         ia, id_ = _ratio(im)
         if rd == id_:
@@ -101,7 +99,7 @@ class GaussianRational(Record):
         _set_d(self, d)
 
     @staticmethod
-    def of(value, im: Rationalish = 0) -> "GaussianRational":
+    def of(value, im: int | Fraction = 0) -> "GaussianRational":
         """Coerce an int, Fraction, or GaussianRational; optional imaginary part."""
         if isinstance(value, GaussianRational):
             if im:
@@ -263,7 +261,7 @@ GQ_ONE = GaussianRational(1)
 GQ_I = GaussianRational(0, 1)
 
 
-def gq(re, im: Rationalish = 0) -> GaussianRational:
+def gq(re, im: int | Fraction = 0) -> GaussianRational:
     """Shorthand constructor, accepting ints and Fractions."""
     return GaussianRational.of(re, im)
 
@@ -282,6 +280,45 @@ def power(base, exponent: int, one, multiply=mul):
         if exponent:
             base = multiply(base, base)
     return result
+
+
+def integer_root(n: int, k: int) -> int | None:
+    """The k-th root of n >= 0 when n is the k-th power of an integer, else None."""
+    if n < 0 or k < 1:
+        raise ValueError("integer_root needs n >= 0 and k >= 1")
+    if n < 2:
+        return n
+    if k >= n.bit_length():
+        # 1 < n < 2^k lies strictly between two consecutive k-th powers
+        return None
+    x = _floor_root(n, k)
+    return x if x**k == n else None
+
+
+def _floor_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's iteration on integers.
+
+    From any start at or above the root, x -> ((k-1)*x + n // x^(k-1)) // k
+    falls to the floor of the k-th root and stops there (Cohen, section
+    1.7.1). A root of up to 40 bits starts from 2^(log2(n)/k) in floating
+    point, raised by 2^-20 of itself and by 2, more than its rounding error.
+    A larger one starts from (floor(m^(1/k)) + 1)*2^s, m = n >> k*s, for s
+    half its bits: that is above the root by a relative 2^-s or so, so a
+    few steps at full size finish it.
+    """
+    bits = n.bit_length()
+    if (bits - 1) // k >= 40:
+        s = ((bits - 1) // k + 1) // 2
+        x = (_floor_root(n >> k * s, k) + 1) << s
+    else:
+        shift = max(bits - 64, 0)
+        x = int(2.0 ** ((log2(n >> shift) + shift) / k))
+        x += (x >> 20) + 2
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 class UniPoly(Record):

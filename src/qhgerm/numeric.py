@@ -14,12 +14,13 @@ decides exact input does not pay for loading it.
 from __future__ import annotations
 
 import cmath
-from typing import TYPE_CHECKING
 
 from .errors import AmbiguousClusteringError, NonConvergenceError
 from .exact import GaussianRational, Record, UniPoly
 from .polyio import BivarPoly, power_table
 
+# typing.TYPE_CHECKING without loading typing; type checkers take it as true
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from mpmath import mpc
 

@@ -898,8 +898,8 @@ print(json.dumps({"code": code, "out": out.getvalue(), "mpmath": "mpmath" in sys
 class TestMpmathLoadedOnFirstUse:
     """The exact route runs without importing mpmath; the numeric paths load it.
 
-    Nothing loads dataclasses or inspect, which would add their import time
-    to every process.
+    Nothing loads dataclasses, inspect or typing, which would add their
+    import time to every process.
     """
 
     def _python(self, *args, stdin=None):
@@ -928,6 +928,13 @@ class TestMpmathLoadedOnFirstUse:
         out = self._python("-c", f"import sys, {module}; "
                                  "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
         assert out == "[]\n"
+
+    @pytest.mark.parametrize("module", ["qhgerm", "qhgerm.cli"])
+    def test_import_does_not_load_typing(self, module):
+        # -S skips site-packages and the start-up hooks there, which may
+        # import typing themselves
+        out = self._python("-S", "-c", f"import sys, {module}; print('typing' in sys.modules)")
+        assert out == "False\n"
 
     def test_numeric_names_import_without_mpmath(self):
         out = self._python("-c", "import sys; from qhgerm import find_roots, NumericMatch; "

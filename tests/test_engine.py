@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -325,6 +325,116 @@ class TestExactRoots:
             assert engine._gaussian_roots(g**7 + gq(Fraction(1, 2**2200)), 7) == []
 
 
+def _mpmath_scan_root(value, k, first, count=1):
+    """The branch scan as it was done in mpmath arithmetic, kept as an oracle.
+
+    No norm test: every call computes the root and steps from branch to
+    branch with mpmath multiplies, rounding each candidate with _round_over.
+    """
+    n = value.d
+    top = max(abs(value.a).bit_length(), abs(value.b).bit_length()) + 1
+    bits = -(-top // k) + n.bit_length()
+    with mp.workprec(bits + 64 + k.bit_length()):
+        z = mp.root(to_mpc(value), k, first) * n
+        step = mp.expjpi(mpf(2) / k) if count > 1 else 1
+        for _ in range(count):
+            g, off = engine._round_over(z, n)
+            if off <= mpf(2) ** -32 and g**k == value:
+                return g
+            z *= step
+    return None
+
+
+_UNITS = (gq(1), gq(0, 1), gq(-1), gq(0, -1))
+
+
+@st.composite
+def _root_problems(draw):
+    """(value, k): a k-th power, a unit or small multiple of one, or a near miss."""
+    k = draw(st.integers(1, 40))
+    g = draw(_NONZERO_GQ)
+    kind = draw(st.sampled_from(["power", "unit", "multiple", "near"]))
+    if kind == "power":
+        value = g**k
+    elif kind == "unit":
+        value = g**k * draw(st.sampled_from(_UNITS))
+    elif kind == "multiple":
+        value = g**k * draw(st.builds(gq, st.integers(-9, 9), st.integers(-9, 9)).filter(
+            lambda c: not c.is_zero))
+    else:
+        # (i/2)^2 + 1/4 is 0, which _gaussian_roots answers on its own
+        value = g**k + gq(Fraction(1, 2 ** draw(st.integers(1, 300))))
+        assume(not value.is_zero)
+    return value, k
+
+
+class TestExactRootLayer:
+    """The norm test and the fixed-point branch scan of _exact_root."""
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_unit_norm_quotient_has_no_root(self, k):
+        # (2+i)/(2-i) has norm 1, a k-th power for every k, but no k-th root:
+        # 2+i and 2-i are distinct Gaussian primes, each to the power +-1
+        value = gq(2, 1) / gq(2, -1)
+        assert value.norm_sq() == 1
+        assert engine._gaussian_roots(value, k) == []
+        assert engine._exact_root(value, k, 0, k) is None
+
+    @pytest.mark.parametrize("value", [2, 3, 5])
+    def test_square_norm_integer_has_no_square_root(self, value):
+        # norms 4, 9 and 25 are squares; 2 = -i*(1+i)^2, 3 and 5 = (2+i)(2-i)
+        # are no squares in Q(i)
+        assert gq(value).norm_sq() == value * value
+        assert engine._gaussian_roots(gq(value), 2) == []
+        assert engine._exact_root(gq(value), 2, 0, 2) is None
+
+    def test_large_root_on_the_last_scanned_branch(self):
+        # the last of the k branches is the sector of arguments
+        # (-3*pi/k, -pi/k], so the root has a small negative argument and its
+        # larger part is at least k/(3*pi); with k = 1001 the parts of the
+        # value are about 6,700 bits, and the scan takes all 1001 steps
+        k = 1001
+        g = gq(107, -1) / 3
+        value = g**k
+        assert min(value.a.bit_length(), value.b.bit_length()) > 6700
+        assert engine._gaussian_roots(value, k) == [g]
+        assert engine._exact_root(value, k, 0, k) == g
+        assert engine._exact_root(value, k, 0, k - 1) is None
+        assert engine._exact_root(value, k, k - 1) == g
+        with mp.workprec(64):
+            assert _branch_of(value, k, g) == k - 1
+
+    def test_norm_test_rejects_before_any_mpmath_root(self, monkeypatch):
+        calls = []
+        root = mp.root
+
+        def counting_root(*args, **kwargs):
+            calls.append(args[1:])
+            return root(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "root", counting_root)
+        # norm 4 is no cube, and 4/9 is no fifth power
+        assert engine._exact_root(gq(2), 3, 0, 3) is None
+        assert engine._exact_root(gq(Fraction(2, 3)), 5, 0, 5) is None
+        assert calls == []
+        # a value that passes the test takes one root for the whole scan
+        assert engine._exact_root(gq(0, -1) ** 3, 3, 0, 3) == gq(0, -1)
+        assert calls == [(3, 0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=_root_problems(), data=st.data())
+    def test_matches_the_mpmath_scan(self, problem, data):
+        value, k = problem
+        first = data.draw(st.integers(0, k - 1))
+        count = data.draw(st.integers(1, k - first))
+        assert engine._exact_root(value, k, first, count) == _mpmath_scan_root(
+            value, k, first, count)
+        units = 4 if k % 4 == 0 else 2 if k % 2 == 0 else 1
+        lowest = _mpmath_scan_root(value, k, 0, k // units) if k > 1 else value
+        expected = [] if lowest is None else [lowest * u for u in _UNITS[:: 4 // units]]
+        assert engine._gaussian_roots(value, k) == expected
+
+
 class TestWitness:
     def test_planted_shear_recovered_exactly(self):
         first = parse_poly("(Y-X^2)*(Y-2*X^2)")
@@ -443,6 +553,18 @@ class TestWitness:
             witness = build_witness(parts.poly, image, verdict)
             report = verify_witness(parts.poly, image, witness)
             assert report.passed
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_check_needs_a_sample(self, samples):
+        # a check of no points would accept this witness against a wrong target
+        first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
+        wrong = parse_poly("Y^2-5*X^3")
+        witness = build_witness(first, second)
+        assert isinstance(witness.alpha, RadicalScalar)
+        assert not verify_witness(first, wrong, witness).passed
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_witness(first, wrong, witness, samples=samples)
+        assert verify_witness(first, second, witness, samples=1).passed
 
     def test_tampered_witness_fails_verification(self):
         first = parse_poly("(Y-X^2)*(Y-2*X^2)")

@@ -18,7 +18,7 @@ from qhgerm import (
     gcd_bezout,
     gq,
 )
-from qhgerm.exact import format_coefficient, format_unipoly
+from qhgerm.exact import format_coefficient, format_unipoly, integer_root
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -305,6 +305,34 @@ class TestGcdBezout:
         d, coeffs = gcd_bezout(indices)
         assert sum(c * i for c, i in zip(coeffs, indices)) == d
         assert all(i % d == 0 for i in indices)
+
+
+class TestIntegerRoot:
+    def test_small_values_by_brute_force(self):
+        for k in range(1, 13):
+            powers = {r**k: r for r in range(3000)}
+            for n in range(3000):
+                assert integer_root(n, k) == powers.get(n), (n, k)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**1024), st.integers(1, 40))
+    def test_powers_and_their_neighbours(self, r, k):
+        n = r**k
+        assert integer_root(n, k) == r
+        if k > 1 and n > 1:
+            assert integer_root(n - 1, k) is None
+            assert integer_root(n + 1, k) is None
+
+    def test_index_beyond_the_bit_length(self):
+        # 1 < n < 2^k lies between 1^k and 2^k
+        assert integer_root(2**64 - 1, 64) is None
+        assert integer_root(2**64, 64) == 2
+        assert integer_root(1, 10**6) == 1
+
+    @pytest.mark.parametrize("n, k", [(-1, 2), (4, 0)])
+    def test_rejects_negative_n_and_nonpositive_k(self, n, k):
+        with pytest.raises(ValueError):
+            integer_root(n, k)
 
 
 class TestFormatting:
