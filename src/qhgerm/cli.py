@@ -17,6 +17,7 @@ import sys
 
 from . import engine
 from .engine import (
+    MIN_PRECISION,
     STATUS_EQUIVALENT,
     STATUS_INEQUIVALENT,
     STATUS_NOT_APPLICABLE,
@@ -94,7 +95,8 @@ def _build_parser() -> _ArgumentParser:
                         help="fix the weights instead of inferring them")
     common.add_argument("--mode", choices=("exact", "numeric", "auto"), default="auto")
     common.add_argument("--precision", type=int, default=None, metavar="BITS",
-                        help=f"working precision in bits (53 to {MAX_PRECISION}, default 128)")
+                        help=f"working precision in bits ({MIN_PRECISION} to "
+                             f"{MAX_PRECISION}, default 128)")
     common.add_argument("--tol", type=float, default=engine.DEFAULT_TOL, metavar="X",
                         help="numeric clustering/matching tolerance")
     common.add_argument("--seed", type=int, default=0, metavar="N",
@@ -487,8 +489,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.precision is None:
         args.precision = _default_precision()
-    if args.precision < 53:
-        parser.error("precision must be at least 53 bits")
+    if args.precision < MIN_PRECISION:
+        parser.error(f"precision must be at least {MIN_PRECISION} bits")
     if args.precision > MAX_PRECISION:
         parser.error(f"precision must be at most {MAX_PRECISION} bits")
     if not 0 < args.tol < 1:

@@ -59,6 +59,12 @@ if TYPE_CHECKING:
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOL = 1e-9
+# the least working precision in bits; below it the sampled witness check's
+# tolerance 2^-(precision - 48) is 1/16 or more and passes wrong witnesses
+MIN_PRECISION = 53
+# points the sampled witness check evaluates, and its tolerance's margin in bits
+_SAMPLES = 8
+_SAMPLE_MARGIN = 48
 
 STATUS_EQUIVALENT = "Equivalent"
 STATUS_INEQUIVALENT = "Inequivalent"
@@ -495,10 +501,6 @@ def _gaussian_roots(value: GaussianRational, k: int) -> list:
     branches on, so the first k/count branches hold the lowest rational
     root if there is one, and its unit multiples follow in branch order.
     """
-    if k < 1:
-        raise ValueError("root index must be positive")
-    if value.is_zero:
-        return [GQ_ZERO]
     if k == 1:
         return [value]
     count = 4 if k % 4 == 0 else 2 if k % 2 == 0 else 1
@@ -739,20 +741,18 @@ def verify_witness(
     second: BivarPoly,
     witness: Witness,
     precision: int = DEFAULT_PRECISION,
-    tol=None,
     seed: int = 0,
-    samples: int = 8,
 ) -> VerificationReport:
     """Check that applying the witness to first reproduces second.
 
     All-rational witnesses are verified by exact polynomial substitution.
-    Radical witnesses are verified numerically at seeded sample points in
-    the half-unit bidisk, against a relative-residual tolerance that
-    defaults to 2^-(precision-48). samples must be at least 1: a sampled
-    check of no points would pass whatever the witness.
+    Radical witnesses are verified numerically at 8 seeded sample points in
+    the half-unit bidisk, against the relative-residual tolerance
+    2^-(precision-48). precision must be at least MIN_PRECISION bits: at
+    fewer, the tolerance lets a wrong witness pass.
     """
-    if samples < 1:
-        raise ValueError("verify_witness needs at least one sample point")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     q = witness.weights.q
     if (
         _scalar_is_rational(witness.alpha)
@@ -769,10 +769,10 @@ def verify_witness(
     from mpmath import mp, mpc, mpf
     with mp.workprec(precision + 20):
         alpha_num, beta_num, gamma_num = witness_to_mpc(witness, precision)
-        bound = mpf(tol) if tol is not None else mpf(2) ** (-(precision - 48))
+        bound = mpf(2) ** (_SAMPLE_MARGIN - precision)
         rng = random.Random(seed)
         points, images = [], []
-        for _ in range(samples):
+        for _ in range(_SAMPLES):
             x = mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
             y = mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
             py = beta_num * y
@@ -783,15 +783,15 @@ def verify_witness(
         worst = mpf(0)
         lefts = eval_bivar(first, images, precision)
         for left, right in zip(lefts, eval_bivar(second, points, precision)):
-            residual = abs(left.value - right.value)
-            scale = 1 + max(abs(left.value), abs(right.value))
+            residual = abs(left - right)
+            scale = 1 + max(abs(left), abs(right))
             worst = max(worst, residual / scale)
         return VerificationReport(
             worst <= bound,
             False,
             mp.nstr(worst, 8),
             mp.nstr(bound, 8),
-            samples,
+            _SAMPLES,
             precision,
         )
 

@@ -67,12 +67,7 @@ class NotEquivalentVerdictError(QhgermError):
 
 
 class NonConvergenceError(QhgermError):
-    """Root iteration failed to converge. Carries the best iterate found."""
-
-    def __init__(self, message: str, best=None, residuals=None):
-        super().__init__(message)
-        self.best = best
-        self.residuals = residuals
+    """Root iteration failed to reach its backward-error target."""
 
 
 class AmbiguousClusteringError(QhgermError):

@@ -3,8 +3,8 @@
 Provides simultaneous root finding (Aberth-Ehrlich iteration), single-linkage
 root clustering with an explicit unsafe-regime guard, brute-force multiset
 matchers used as the independent oracle for the exact engine, and batched
-bivariate evaluation with an error bound. Nothing here mutates mpmath's
-global precision; every entry point scopes its own working precision.
+bivariate evaluation. Nothing here mutates mpmath's global precision; every
+entry point scopes its own working precision.
 
 mpmath is imported by each function that does mpmath arithmetic, on entry,
 not by this module: the exact route never needs it, so a process that
@@ -212,11 +212,7 @@ def find_roots(poly, precision: int = 128) -> list:
         points = starts if refined is None else [mpc(z) for z in refined]
         settled = _aberth(coeffs, points, mpf(2) ** (-(precision + 20)), _MP_SWEEPS)
         if settled is None or not all(settled):
-            raise NonConvergenceError(
-                "root iteration did not reach the backward-error target",
-                best=list(points),
-                residuals=[abs(_horner(coeffs, z)) for z in points],
-            )
+            raise NonConvergenceError("root iteration did not reach the backward-error target")
         lead = coeffs[0]
         deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
         # the computed |p(z)| can round to 0 at a root that is not exact; add
@@ -350,8 +346,6 @@ def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
     b_cl = sorted(side_b, key=lambda c: (c.center.real, c.center.imag))
     if sorted(c.multiplicity for c in a_cl) != sorted(c.multiplicity for c in b_cl):
         return None
-    if len(a_cl) != len(b_cl):
-        return None
     t = mpf(tol)
     if mode == "affine":
         total = sum(c.multiplicity for c in a_cl)
@@ -389,30 +383,23 @@ def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
 
 
 def eval_bivar(poly: BivarPoly, points, precision: int = 128) -> list:
-    """Evaluate a bivariate polynomial at each (x, y) of points, with bounds.
+    """Evaluate a bivariate polynomial at each (x, y) of points.
 
-    Returns one ComplexApprox per point; the coefficients become mpc once
-    per call. The powers of x and y come from power_table, stepped through
-    only the exponents that occur, so a germ on a weighted line costs
-    O(terms) multiplications per point. The bound, summed alongside the
-    value, is 2^(2-precision) * ops * sum(|re| + |im|) over the terms: ops
-    counts the roundings a term and the sum can take (2i for x^i, 2j for
-    y^j, two products and an addition), and the work runs 20 bits finer.
+    Returns one mpc per point, computed 20 bits finer than precision; the
+    coefficients become mpc once per call. The powers of x and y come from
+    power_table, stepped through only the exponents that occur, so a germ on
+    a weighted line costs O(terms) multiplications per point.
     """
-    from mpmath import mp, mpc, mpf
+    from mpmath import mp, mpc
     with mp.workprec(precision + 20):
         terms = [(i, j, to_mpc(c)) for (i, j), c in poly.terms.items()]
         x_exps = {i for i, _, _ in terms}
         y_exps = {j for _, j, _ in terms}
-        ops = len(terms) + 2 * (max(x_exps, default=0) + max(y_exps, default=0)) + 4
-        unit = mpf(2) ** (2 - precision) * ops
         out = []
         for x, y in points:
             xp, yp = power_table(mpc(x), x_exps), power_table(mpc(y), y_exps)
-            acc, mag = mpc(0), mpf(0)
+            acc = mpc(0)
             for i, j, c in terms:
-                t = c * xp[i] * yp[j]
-                acc += t
-                mag += abs(t.real) + abs(t.imag)
-            out.append(ComplexApprox(acc, mag * unit, precision))
+                acc += c * xp[i] * yp[j]
+            out.append(acc)
         return out

@@ -186,28 +186,22 @@ def canonical_decompose(poly: BivarPoly, weights: WeightSignature) -> CanonicalF
 def _classify_from_form(weights: WeightSignature, form: CanonicalForm) -> str:
     if weights.p == weights.q:
         return HOMOGENEOUS
-    degree = form.ladder_degree
     if weights.p == 1:
-        if degree == 0:
-            return MONOMIAL_LIKE
         # one distinct root (possibly zero) means c*X^m*(Y - t*X^q)^n, which
         # the non-homogeneous theory excludes
-        root = -form.ladder.coeff_from_top(1) / degree
+        root = -form.ladder.coeff_from_top(1) / form.ladder_degree
         if _is_power_of_linear(form.ladder, root):
             return MONOMIAL_LIKE
-        return NON_HOMOGENEOUS_QH
-    return MONOMIAL_LIKE if degree == 0 else NON_HOMOGENEOUS_QH
+    return NON_HOMOGENEOUS_QH
 
 
 def _is_power_of_linear(ladder: UniPoly, root: GaussianRational) -> bool:
-    """Whether ladder == (w - root)^degree, in O(degree) products.
+    """Whether the monic ladder == (w - root)^degree, in O(degree) products.
 
     The coefficient k levels below the top of (w - r)^d is C(d, k)*(-r)^k;
     the comparison stops at the first coefficient that differs.
     """
     degree = ladder.degree
-    if ladder.leading != GQ_ONE:
-        return False
     neg_root = -root
     power = GQ_ONE
     binom = 1

@@ -213,9 +213,7 @@ def test_branch_completeness():
         orders.add(d)
         for branch in range(d):
             witness = build_witness(first, second, verdict, branch)
-            report = verify_witness(
-                first, second, witness, precision=128, tol=1e-20
-            )
+            report = verify_witness(first, second, witness, precision=128)
             if not report.passed or float(report.max_residual) > 1e-20:
                 failures.append(
                     f"pair {collected} branch {branch}: residual {report.max_residual}"

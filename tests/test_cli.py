@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON documents, text output, batch mode."""
 
+import ast
 import io
 import json
 import os
@@ -990,3 +991,21 @@ class TestMpmathLoadedOnFirstUse:
         assert [json.loads(line)["mode"] for line in doc["out"].splitlines()] == [
             "exact", "numeric"]
         assert doc["mpmath"] is True
+
+
+class TestPublicNames:
+    def test_cli_takes_only_public_names(self):
+        # every name cli.py imports from a package module, or reads off one
+        # it imports whole (engine.decide_equivalence), is in qhgerm.__all__
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        modules, taken = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    (modules if node.module is None else taken).add(alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                taken.add(node.attr)
+        assert "witness_to_mpc" in taken
+        assert sorted(taken - set(qhgerm.__all__)) == []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from qhgerm import (
+    MIN_PRECISION,
     AffineMatch,
     BranchOutOfRangeError,
     DegenerateConfigurationError,
@@ -362,7 +363,7 @@ def _root_problems(draw):
         value = g**k * draw(st.builds(gq, st.integers(-9, 9), st.integers(-9, 9)).filter(
             lambda c: not c.is_zero))
     else:
-        # (i/2)^2 + 1/4 is 0, which _gaussian_roots answers on its own
+        # (i/2)^2 + 1/4 is 0, which has no roots to compare
         value = g**k + gq(Fraction(1, 2 ** draw(st.integers(1, 300))))
         assume(not value.is_zero)
     return value, k
@@ -556,15 +557,28 @@ class TestWitness:
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sampled_check_needs_a_sample(self, samples):
-        # a check of no points would accept this witness against a wrong target
+        # a check of no points would accept this witness against a wrong
+        # target; the point count is fixed, so no caller can ask for fewer
         first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
         wrong = parse_poly("Y^2-5*X^3")
         witness = build_witness(first, second)
         assert isinstance(witness.alpha, RadicalScalar)
         assert not verify_witness(first, wrong, witness).passed
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(TypeError, match="samples"):
             verify_witness(first, wrong, witness, samples=samples)
-        assert verify_witness(first, second, witness, samples=1).passed
+        assert verify_witness(first, second, witness).passed
+
+    def test_sampled_check_refuses_low_precision(self):
+        # the wrong target leaves residual 0.128; the tolerance 2^-(precision-48)
+        # is 0.25 at 50 bits, where it would pass, and 2^-5 at the 53-bit floor
+        first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
+        witness = build_witness(first, second)
+        for wrong in (parse_poly("Y^2-5*X^3"), parse_poly("X^7")):
+            assert not verify_witness(first, wrong, witness, precision=MIN_PRECISION).passed
+            for precision in (MIN_PRECISION - 1, 50, 40):
+                with pytest.raises(ValueError, match="at least 53 bits"):
+                    verify_witness(first, wrong, witness, precision=precision)
+        assert verify_witness(first, second, witness, precision=MIN_PRECISION).passed
 
     def test_tampered_witness_fails_verification(self):
         first = parse_poly("(Y-X^2)*(Y-2*X^2)")

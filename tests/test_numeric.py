@@ -20,7 +20,8 @@ from qhgerm import (
     to_mpc,
 )
 from qhgerm import numeric
-from qhgerm.numeric import ComplexApprox, RootCluster
+from qhgerm.numeric import RootCluster
+from qhgerm.polyio import power_table
 
 from conftest import rand_gq
 
@@ -253,49 +254,62 @@ def dyadic_points(rng, count, scale):
     return [(gq(part(), part()), gq(part(), part())) for _ in range(count)]
 
 
+def eval_bound(poly, point, precision=128):
+    """The error bound of eval_bivar at one point, by the rule it follows.
+
+    2^(2-precision) * ops * sum(|re| + |im|) over the terms, where ops counts
+    the roundings a term and the sum can take (2i for x^i, 2j for y^j, two
+    products and an addition) and the terms are formed as eval_bivar forms
+    them, 20 bits finer than precision.
+    """
+    with mp.workprec(precision + 20):
+        terms = [(i, j, to_mpc(c)) for (i, j), c in poly.terms.items()]
+        x_exps = {i for i, _, _ in terms}
+        y_exps = {j for _, j, _ in terms}
+        ops = len(terms) + 2 * (max(x_exps, default=0) + max(y_exps, default=0)) + 4
+        unit = mpf(2) ** (2 - precision) * ops
+        xp, yp = power_table(mpc(point[0]), x_exps), power_table(mpc(point[1]), y_exps)
+        mag = mpf(0)
+        for i, j, c in terms:
+            t = c * xp[i] * yp[j]
+            mag += abs(t.real) + abs(t.imag)
+        return mag * unit
+
+
 def assert_eval_within_bound(poly, points):
-    """eval_bivar at 128 bits stays within err + 2^-140 of exact evaluation."""
-    approx = eval_bivar(poly, [(to_mpc(x), to_mpc(y)) for x, y in points], precision=128)
-    assert len(approx) == len(points)
-    for value, (x, y) in zip(approx, points):
+    """eval_bivar at 128 bits stays within its error bound + 2^-140 of exact evaluation."""
+    mpc_points = [(to_mpc(x), to_mpc(y)) for x, y in points]
+    values = eval_bivar(poly, mpc_points, precision=128)
+    assert len(values) == len(points)
+    for value, point, (x, y) in zip(values, mpc_points, points):
         with mp.workprec(320):
-            drift = abs(value.value - to_mpc(poly.evaluate(x, y)))
-        assert drift <= value.err + mpf(2) ** -140
+            drift = abs(value - to_mpc(poly.evaluate(x, y)))
+        assert drift <= eval_bound(poly, point) + mpf(2) ** -140
 
 
 class TestEvalBivar:
     def test_error_bound_against_exact(self):
-        from qhgerm import BivarPoly
-
-        from fractions import Fraction
-
         rng = random.Random(17)
         for _ in range(25):
             terms = {
                 (rng.randint(0, 5), rng.randint(0, 5)): rand_gq(rng, 7)
                 for _ in range(rng.randint(1, 6))
             }
-            poly = BivarPoly.from_terms(terms)
             # dyadic sample points convert to mpc without rounding, so the
-            # reported bound must cover the whole numeric drift
+            # bound must cover the whole numeric drift
             x = gq(Fraction(rng.randint(-31, 31), 16), Fraction(rng.randint(-31, 31), 16))
             y = gq(Fraction(rng.randint(-31, 31), 16), Fraction(rng.randint(-31, 31), 16))
-            (approx,) = eval_bivar(poly, [(to_mpc(x), to_mpc(y))], precision=128)
-            exact = poly.evaluate(x, y)
-            with mp.workprec(320):
-                drift = abs(approx.value - to_mpc(exact))
-            assert drift <= approx.err + mpf(2) ** -140
+            assert_eval_within_bound(BivarPoly.from_terms(terms), [(x, y)])
 
     def test_zero_polynomial(self):
-        (approx,) = eval_bivar(parse_poly("X") - parse_poly("X"), [(mpc(2), mpc(3))], 128)
-        assert approx.value == 0 and approx.err == 0
+        assert eval_bivar(parse_poly("X") - parse_poly("X"), [(mpc(2), mpc(3))], 128) == [0]
 
     def test_no_points_and_many_points(self):
         zero = parse_poly("X") - parse_poly("X")
         assert eval_bivar(zero, [], 128) == []
         assert eval_bivar(parse_poly("Y^2 - X^3"), [], 128) == []
-        approx = eval_bivar(zero, [(mpc(2), mpc(3)), (mpc(0), mpc(1, -1)), (1, 2)], 128)
-        assert [(a.value, a.err) for a in approx] == [(0, 0)] * 3
+        values = eval_bivar(zero, [(mpc(2), mpc(3)), (mpc(0), mpc(1, -1)), (1, 2)], 128)
+        assert values == [0] * 3
 
     def test_sparse_exponents_up_to_64(self):
         rng = random.Random(23)
@@ -334,9 +348,8 @@ class TestEvalBivar:
         points = [(to_mpc(x), to_mpc(y)) for x, y in dyadic_points(rng, 8, 40)]
         batch = eval_bivar(poly, points, 128)
         assert len(batch) == len(points)
-        for approx, point in zip(batch, points):
-            (alone,) = eval_bivar(poly, [point], 128)
-            assert (approx.value, approx.err) == (alone.value, alone.err)
+        for value, point in zip(batch, points):
+            assert eval_bivar(poly, [point], 128) == [value]
 
 
 class TestToMpc:
