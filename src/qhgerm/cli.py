@@ -1,11 +1,13 @@
 """Command line front end: qhgerm analyze | decide | roots | demo-whitney | decide-batch.
 
-Exit codes: 0 Equivalent (or informational success), 1 Inequivalent,
-2 NotApplicable, 64 usage, 65 parse error, 66 analysis error or an input
-file that cannot be read, 141 standard output closed by its reader
-(128 + SIGPIPE). JSON output is versioned (schemaVersion 1) and
-byte-identical across identical invocations. QHGERM_PRECISION overrides
-the default 128-bit precision.
+Each subcommand takes only the shared options it reads (_COMMAND_OPTIONS);
+any other is a usage error. Exit codes: 0 Equivalent (or informational
+success), 1 Inequivalent, 2 NotApplicable, 64 usage, 65 parse error,
+66 analysis error or an input file that cannot be read, 141 standard output
+closed by its reader (128 + SIGPIPE). JSON output is versioned
+(schemaVersion 1) and byte-identical across identical invocations.
+QHGERM_PRECISION overrides the default 128-bit precision of the commands
+that take --precision: decide, roots and decide-batch.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .engine import (
     STATUS_EQUIVALENT,
     STATUS_INEQUIVALENT,
     STATUS_NOT_APPLICABLE,
-    AffineMatch,
     RadicalScalar,
     ScaleClass,
     ShearTerm,
@@ -89,32 +90,46 @@ def _weights_arg(text: str):
         raise argparse.ArgumentTypeError("weights must be integers")
 
 
-def _build_parser() -> _ArgumentParser:
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--weights", type=_weights_arg, default=None, metavar="p,q",
-                        help="fix the weights instead of inferring them")
-    common.add_argument("--mode", choices=("exact", "numeric", "auto"), default="auto")
-    common.add_argument("--precision", type=int, default=None, metavar="BITS",
-                        help=f"working precision in bits ({MIN_PRECISION} to "
-                             f"{MAX_PRECISION}, default 128)")
-    common.add_argument("--tol", type=float, default=engine.DEFAULT_TOL, metavar="X",
-                        help="numeric clustering/matching tolerance")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for numeric verification sampling")
-    common.add_argument("--json", action="store_true", help="emit JSON")
+# The options several subcommands share, and the ones each subcommand reads.
+_OPTIONS = {
+    "--weights": {"type": _weights_arg, "default": None, "metavar": "p,q",
+                  "help": "fix the weights instead of inferring them"},
+    "--mode": {"choices": ("exact", "numeric", "auto"), "default": "auto"},
+    "--precision": {"type": int, "default": None, "metavar": "BITS",
+                    "help": f"working precision in bits ({MIN_PRECISION} to "
+                            f"{MAX_PRECISION}, default 128)"},
+    "--tol": {"type": float, "default": engine.DEFAULT_TOL, "metavar": "X",
+              "help": "numeric clustering/matching tolerance"},
+    "--seed": {"type": int, "default": 0, "metavar": "N",
+               "help": "seed for numeric verification sampling"},
+    "--json": {"action": "store_true", "help": "emit JSON"},
+}
+_COMMAND_OPTIONS = {
+    "analyze": ("--weights", "--json"),
+    "decide": ("--weights", "--mode", "--precision", "--tol", "--seed", "--json"),
+    "roots": ("--weights", "--precision", "--tol", "--json"),
+    "demo-whitney": ("--json",),
+    "decide-batch": ("--weights", "--mode", "--precision", "--tol"),
+}
 
+
+def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="qhgerm",
         description="decide right-equivalence of quasihomogeneous plane germs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", parents=[common],
-                               help="weights, class and canonical form of one germ")
+    def add_command(name, help_text):
+        command = sub.add_parser(name, help=help_text)
+        for option in _COMMAND_OPTIONS[name]:
+            command.add_argument(option, **_OPTIONS[option])
+        return command
+
+    p_analyze = add_command("analyze", "weights, class and canonical form of one germ")
     p_analyze.add_argument("poly")
 
-    p_decide = sub.add_parser("decide", parents=[common],
-                              help="decide equivalence of two germs")
+    p_decide = add_command("decide", "decide equivalence of two germs")
     p_decide.add_argument("first", nargs="?")
     p_decide.add_argument("second", nargs="?")
     p_decide.add_argument("--file", default=None,
@@ -124,17 +139,14 @@ def _build_parser() -> _ArgumentParser:
     p_decide.add_argument("--branch", type=int, default=None, metavar="N",
                           help="scale branch for the witness (default: prefer rational)")
 
-    p_roots = sub.add_parser("roots", parents=[common],
-                             help="ladder root multiset of one germ")
+    p_roots = add_command("roots", "ladder root multiset of one germ")
     p_roots.add_argument("poly")
 
-    p_demo = sub.add_parser("demo-whitney", parents=[common],
-                            help="four-line quartics: cross-ratio moduli comparison")
+    p_demo = add_command("demo-whitney", "four-line quartics: cross-ratio moduli comparison")
     p_demo.add_argument("t")
     p_demo.add_argument("s")
 
-    p_batch = sub.add_parser("decide-batch", parents=[common],
-                             help="decide JSON-lines pairs from a file or stdin")
+    p_batch = add_command("decide-batch", "decide JSON-lines pairs from a file or stdin")
     p_batch.add_argument("path", nargs="?", default="-")
     return parser
 
@@ -171,13 +183,10 @@ def _match_json(match, precision: int):
     if match is None:
         return None
     if isinstance(match, ScaleClass):
-        return {"d": match.d, "base": str(match.base),
-                "indices": list(match.indices), "shift": None}
-    if isinstance(match, AffineMatch):
-        sc = match.scale_class
-        return {"d": sc.d, "base": str(sc.base), "indices": list(sc.indices),
-                "shift": {"first": str(match.center_first),
-                          "second": str(match.center_second)}}
+        centers = match.centers
+        return {"d": match.d, "base": str(match.base), "indices": list(match.indices),
+                "shift": None if centers is None
+                else {"first": str(centers[0]), "second": str(centers[1])}}
     if isinstance(match, NumericMatch):
         return {"numeric": True, "scale": _approx_str(match.scale, precision),
                 "shift": None if match.shift is None
@@ -389,14 +398,14 @@ def _cmd_demo_whitney(args, out) -> int:
     t = _parse_scalar_arg(args.t)
     s = _parse_scalar_arg(args.s)
     result = engine.whitney_compare(t, s)
-    precision = args.precision
     if args.json:
         doc = {
             "schemaVersion": SCHEMA_VERSION,
             "command": "demo-whitney",
             "inputs": {"first": str(t), "second": str(s)},
             "jEqual": result["jEqual"],
-            "verdict": _verdict_json(result["verdict"], precision),
+            # always NotApplicable, so no numeric match to format at a precision
+            "verdict": _verdict_json(result["verdict"], engine.DEFAULT_PRECISION),
         }
         for key in ("first", "second"):
             side = result[key]
@@ -487,16 +496,21 @@ _DISPATCH = {
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.precision is None:
-        args.precision = _default_precision()
-    if args.precision < MIN_PRECISION:
-        parser.error(f"precision must be at least {MIN_PRECISION} bits")
-    if args.precision > MAX_PRECISION:
-        parser.error(f"precision must be at most {MAX_PRECISION} bits")
-    if not 0 < args.tol < 1:
-        parser.error("tol must lie strictly between 0 and 1")
-    if getattr(args, "branch", None) is not None and args.branch < 0:
-        parser.error("branch must be nonnegative")
+    # --precision and --tol come together, on decide, roots and decide-batch
+    if "precision" in args:
+        if args.precision is None:
+            args.precision = _default_precision()
+        if args.precision < MIN_PRECISION:
+            parser.error(f"precision must be at least {MIN_PRECISION} bits")
+        if args.precision > MAX_PRECISION:
+            parser.error(f"precision must be at most {MAX_PRECISION} bits")
+        if not 0 < args.tol < 1:
+            parser.error("tol must lie strictly between 0 and 1")
+    if getattr(args, "branch", None) is not None:
+        if args.branch < 0:
+            parser.error("branch must be nonnegative")
+        if not args.witness:
+            parser.error("--branch needs --witness")
     try:
         code = _DISPATCH[args.command](args, sys.stdout)
         sys.stdout.flush()

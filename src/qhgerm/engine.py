@@ -45,6 +45,7 @@ from .numeric import (
     numeric_match,
     to_mpc,
 )
+# parse_poly is not called here, but bench/tracing.py patches engine.parse_poly
 from .polyio import MODE_NUMERIC, BivarPoly, X, Y, parse_poly
 from .structure import (
     NON_HOMOGENEOUS_QH,
@@ -74,39 +75,25 @@ MODE_AUTO = "auto"
 
 
 class ScaleClass(Record):
-    """All scales carrying one ladder onto another: the d-th roots of base.
+    """All maps carrying one ladder's roots onto another's, one per d-th root of base.
 
     indices holds the active top-offsets whose coefficient ratios pinned the
     class down; an empty tuple means every nonzero scale works (then d is 1
     and base is 1, so the class degenerates to the single scale 1).
+
+    centers is None for a scale match (p > 1). For an affine match (p = 1)
+    it is (c1, c2), and roots map by z -> a*(z - c1) + c2 for every scale a
+    in the class, i.e. the shift for a given a is c2 - a*c1.
     """
 
-    __slots__ = ("d", "base", "indices")
-
-    @property
-    def is_free(self) -> bool:
-        return not self.indices
-
-    @property
-    def branch_count(self) -> int:
-        return self.d
-
-
-class AffineMatch(Record):
-    """Affine relation between two root multisets, split into scale and centers.
-
-    Roots map by z -> a*(z - center_first) + center_second for every scale a
-    in the class, i.e. the shift for a given a is center_second - a*center_first.
-    """
-
-    __slots__ = ("scale_class", "center_first", "center_second")
+    __slots__ = ("d", "base", "indices", "centers")
 
 
 class Verdict(Record):
     """A decision with the two germ analyses it was made from.
 
-    match is the exact route's ScaleClass or AffineMatch, or the numeric
-    route's NumericMatch, for an Equivalent verdict and None otherwise.
+    match is the exact route's ScaleClass or the numeric route's
+    NumericMatch for an Equivalent verdict, and None otherwise.
     """
 
     __slots__ = ("status", "mode", "first", "second", "match", "reason")
@@ -184,7 +171,7 @@ def linear_multiset_match(first: UniPoly, second: UniPoly) -> ScaleClass | None:
     if active != active_second:
         return None
     if not active:
-        return ScaleClass(1, GQ_ONE, ())
+        return ScaleClass(1, GQ_ONE, (), None)
     ratios = {i: second.coeff_from_top(i) / first.coeff_from_top(i) for i in active}
     d, bez = gcd_bezout(active)
     base = GQ_ONE
@@ -193,26 +180,27 @@ def linear_multiset_match(first: UniPoly, second: UniPoly) -> ScaleClass | None:
     for i in active:
         if ratios[i] != base ** (i // d):
             return None
-    return ScaleClass(d, base, tuple(active))
+    return ScaleClass(d, base, tuple(active), None)
 
 
-def affine_multiset_match(first: UniPoly, second: UniPoly) -> AffineMatch | None:
+def affine_multiset_match(first: UniPoly, second: UniPoly) -> ScaleClass | None:
     """Affine-scale relation between two monic root multisets.
 
     Centers both multisets on their centroids (an affine map must match
-    centroid to centroid), then delegates to the linear matcher.
+    centroid to centroid), then delegates to the linear matcher and records
+    the two centroids as the class's centers.
     """
     if first.degree != second.degree:
         return None
     degree = first.degree
     if degree < 1:
-        return AffineMatch(ScaleClass(1, GQ_ONE, ()), GQ_ZERO, GQ_ZERO)
+        return ScaleClass(1, GQ_ONE, (), (GQ_ZERO, GQ_ZERO))
     center_first = -first.coeff_from_top(1) / degree
     center_second = -second.coeff_from_top(1) / degree
     inner = linear_multiset_match(first.shift(center_first), second.shift(center_second))
     if inner is None:
         return None
-    return AffineMatch(inner, center_first, center_second)
+    return ScaleClass(inner.d, inner.base, inner.indices, (center_first, center_second))
 
 
 def _side_invariants(analysis: GermAnalysis) -> dict:
@@ -397,7 +385,7 @@ def decide_equivalence(
 
 
 def _exact_match(first_a: GermAnalysis, second_a: GermAnalysis):
-    """AffineMatch (p = 1) or ScaleClass (p > 1) of the two ladders, or None."""
+    """ScaleClass of the two ladders, affine when p = 1, or None."""
     ladders = first_a.canonical.ladder, second_a.canonical.ladder
     if first_a.weights.p == 1:
         return affine_multiset_match(*ladders)
@@ -406,16 +394,9 @@ def _exact_match(first_a: GermAnalysis, second_a: GermAnalysis):
 
 def witness_branch_count(verdict: Verdict) -> int:
     """Number of scale branches available for witness construction."""
-    return _scale_and_centers(verdict.match)[0].branch_count
-
-
-def _scale_and_centers(match) -> tuple:
-    """(ScaleClass, centers) of an exact match; centers is None for p > 1."""
-    if isinstance(match, AffineMatch):
-        return match.scale_class, (match.center_first, match.center_second)
-    if isinstance(match, ScaleClass):
-        return match, None
-    raise ValueError("branch count is defined by the exact matcher only")
+    if not isinstance(verdict.match, ScaleClass):
+        raise ValueError("branch count is defined by the exact matcher only")
+    return verdict.match.d
 
 
 def _round_over(w: mpc, n: int) -> tuple:
@@ -569,7 +550,7 @@ def _witness_data(first_a: GermAnalysis, second_a: GermAnalysis):
     return w, m, e_pow, m_pow, r0
 
 
-def _rational_witness(first_a, second_a, scale_class, centers):
+def _rational_witness(first_a, second_a, match):
     """Search for an all-rational witness; None when no such witness exists.
 
     Exhaustive over Gaussian-rational roots at every stage, so failure here
@@ -577,21 +558,21 @@ def _rational_witness(first_a, second_a, scale_class, centers):
     """
     w, m, e_pow, m_pow, r0 = _witness_data(first_a, second_a)
     c0, d0 = first_a.canonical.c0, second_a.canonical.c0
-    for a in _gaussian_roots(scale_class.base, scale_class.d):
+    for a in _gaussian_roots(match.base, match.d):
         rhs = r0**w.q * a**-m
         for beta in _gaussian_roots(rhs, m_pow):
             for alpha in _gaussian_roots(a * beta**w.p, w.q):
                 if c0 * alpha**m * beta**e_pow == d0:
-                    if centers is None:
+                    if match.centers is None:
                         gamma = None
                     else:
-                        shift = centers[1] - a * centers[0]
-                        gamma = -shift * beta
+                        c_first, c_second = match.centers
+                        gamma = -(c_second - a * c_first) * beta
                     return Witness(alpha, beta, gamma, a, w, None)
     return None
 
 
-def _radical_witness(first_a, second_a, scale_class, centers, branch, precision):
+def _radical_witness(first_a, second_a, match, branch, precision):
     """Witness on a chosen scale branch, as exact radicals.
 
     The scalar system alpha^q = a*beta^p, c0*alpha^m*beta^E = d0 always has
@@ -601,8 +582,8 @@ def _radical_witness(first_a, second_a, scale_class, centers, branch, precision)
     from mpmath import mp, mpf
     w, m, e_pow, m_pow, r0 = _witness_data(first_a, second_a)
     c0, d0 = first_a.canonical.c0, second_a.canonical.c0
-    d = scale_class.d
-    base = scale_class.base
+    d = match.d
+    base = match.base
     base_beta = r0 ** (w.q * d) * base**-m
     base_alpha = r0 ** (w.p * w.q * d) * base ** (w.q * e_pow)
     workbits = max(
@@ -634,8 +615,8 @@ def _radical_witness(first_a, second_a, scale_class, centers, branch, precision)
         alpha = _simplify_scalar(base_alpha, w.q * d * m_pow, alpha_num)
         scale = _simplify_scalar(base, d, a_num)
         gamma = None
-        if centers is not None:
-            c_first, c_second = centers
+        if match.centers is not None:
+            c_first, c_second = match.centers
             exact_scale = isinstance(scale, GaussianRational)
             if exact_scale or c_first.is_zero:
                 # the shift c_second - a*c_first is a Gaussian rational; a
@@ -688,19 +669,14 @@ def build_witness(
                 "the exact matcher finds no witness; a numeric verdict on "
                 "rounded input does not support witness construction"
             )
-    scale_class, centers = _scale_and_centers(match)
     if branch is not None:
-        if not 0 <= branch < scale_class.branch_count:
-            raise BranchOutOfRangeError(
-                f"branch {branch} outside 0..{scale_class.branch_count - 1}"
-            )
-        return _radical_witness(
-            first_a, second_a, scale_class, centers, branch, precision
-        )
-    witness = _rational_witness(first_a, second_a, scale_class, centers)
+        if not 0 <= branch < match.d:
+            raise BranchOutOfRangeError(f"branch {branch} outside 0..{match.d - 1}")
+        return _radical_witness(first_a, second_a, match, branch, precision)
+    witness = _rational_witness(first_a, second_a, match)
     if witness is not None:
         return witness
-    return _radical_witness(first_a, second_a, scale_class, centers, 0, precision)
+    return _radical_witness(first_a, second_a, match, 0, precision)
 
 
 def _scalar_is_rational(scalar) -> bool:
@@ -868,17 +844,3 @@ def whitney_compare(t_first, t_second) -> dict:
         "jEqual": sides["first"]["j"] == sides["second"]["j"],
         "verdict": verdict,
     }
-
-
-def decide_from_text(
-    first_text: str,
-    second_text: str,
-    weights: tuple[int, int] | None = None,
-    mode: str = MODE_AUTO,
-    precision: int = DEFAULT_PRECISION,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    """Parse two polynomial strings and decide their equivalence."""
-    return decide_equivalence(
-        parse_poly(first_text), parse_poly(second_text), weights, mode, precision, tol
-    )

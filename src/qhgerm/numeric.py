@@ -29,21 +29,21 @@ _MP_SWEEPS = 600
 
 
 class ComplexApprox(Record):
-    """A complex value (mpc) known to the stated precision in bits, with an error bound (mpf)."""
+    """A complex value (mpc) with an error bound (mpf)."""
 
-    __slots__ = ("value", "err", "precision")
+    __slots__ = ("value", "err")
 
 
 class RootCluster(Record):
-    """A group of nearby numeric roots standing for one true root (center mpc, radius mpf)."""
+    """A group of nearby numeric roots standing for one true root (center mpc)."""
 
-    __slots__ = ("center", "multiplicity", "radius")
+    __slots__ = ("center", "multiplicity")
 
 
 class NumericMatch(Record):
     """A scale (and optional shift) mapping one root multiset onto another."""
 
-    __slots__ = ("scale", "shift", "pairing", "tol")
+    __slots__ = ("scale", "shift")
 
 
 def to_mpc(value) -> mpc:
@@ -76,13 +76,6 @@ def _horner(coeffs, z):
     for c in coeffs[1:]:
         acc = acc * z + c
     return acc
-
-
-def _as_mpc_coeffs(poly) -> list:
-    from mpmath import mpc
-    if isinstance(poly, UniPoly):
-        return [to_mpc(c) for c in poly.coeffs]
-    return [mpc(c) for c in poly]
 
 
 def _newton_polygon_starts(coeffs) -> list:
@@ -180,13 +173,12 @@ def _float_starts(coeffs, starts):
     return points
 
 
-def find_roots(poly, precision: int = 128) -> list:
+def find_roots(poly: UniPoly, precision: int = 128) -> list:
     """All complex roots of a univariate polynomial, with error bounds.
 
-    Accepts a UniPoly or a degree-descending coefficient sequence. Runs the
-    Aberth-Ehrlich simultaneous iteration from Newton-polygon starting
-    points: first in hardware floats to bring the starts close, then at
-    precision + 40 bits until every root meets the backward-error stop
+    Runs the Aberth-Ehrlich simultaneous iteration from Newton-polygon
+    starting points: first in hardware floats to bring the starts close, then
+    at precision + 40 bits until every root meets the backward-error stop
     |p(z)| <= 2^-(precision+20) * sum |a_k| |z|^k, so that multiple roots
     terminate as tight clusters instead of stalling. Only roots that pass
     the stop at full precision are returned.
@@ -194,15 +186,12 @@ def find_roots(poly, precision: int = 128) -> list:
     from mpmath import mp, mpc, mpf
     work = precision + 40
     with mp.workprec(work):
-        coeffs = _as_mpc_coeffs(poly)
-        while coeffs and abs(coeffs[0]) == 0:
-            coeffs.pop(0)
-        n = len(coeffs) - 1
-        if n <= 0:
+        coeffs = [to_mpc(c) for c in poly.coeffs]
+        if len(coeffs) < 2:
             return []
         zeros_out = []
         while abs(coeffs[-1]) == 0:
-            zeros_out.append(ComplexApprox(mpc(0), mpf(0), precision))
+            zeros_out.append(ComplexApprox(mpc(0), mpf(0)))
             coeffs.pop()
         n = len(coeffs) - 1
         if n == 0:
@@ -230,7 +219,7 @@ def find_roots(poly, precision: int = 128) -> list:
                 bound = max(n * val / dval, floor)
             else:
                 bound = max((val / abs(lead)) ** (mpf(1) / n), floor)
-            out.append(ComplexApprox(mpc(z), mpf(bound), precision))
+            out.append(ComplexApprox(mpc(z), mpf(bound)))
         out.sort(key=lambda r: (r.value.real, r.value.imag))
         return out
 
@@ -290,14 +279,13 @@ def cluster_roots(roots, tol: float, weights=None) -> list:
     for idxs in groups.values():
         total = sum(weights[a] for a in idxs)
         center = sum(values[a] * weights[a] for a in idxs) / total
-        radius = max((abs(values[a] - center) for a in idxs), default=mpf(0))
         diameter = max((close.get((a, b)) or abs(values[a] - values[b])
                         for a in idxs for b in idxs if a < b), default=mpf(0))
         if diameter > t / 2:
             raise AmbiguousClusteringError(
                 f"cluster diameter {diameter} exceeds half the tolerance {t}"
             )
-        out.append(RootCluster(center, total, radius))
+        out.append(RootCluster(center, total))
     # the first pair of clusters with members closer than 2*tol, least first
     cid = {a: k for k, idxs in enumerate(groups.values()) for a in idxs}
     gaps = sorted((min(cid[a], cid[b]), max(cid[a], cid[b]), d)
@@ -310,11 +298,10 @@ def cluster_roots(roots, tol: float, weights=None) -> list:
     return out
 
 
-def _greedy_pairing(mapped, targets, tol):
-    """Pair each mapped cluster with an unused equal-multiplicity target."""
+def _greedy_pairing(mapped, targets, tol) -> bool:
+    """Whether each mapped cluster pairs with an unused equal-multiplicity target."""
     used = [False] * len(targets)
-    pairing = []
-    for idx, (z, mult) in enumerate(mapped):
+    for z, mult in mapped:
         best = None
         best_d = None
         for tdx, tcl in enumerate(targets):
@@ -324,10 +311,9 @@ def _greedy_pairing(mapped, targets, tol):
             if best is None or d < best_d:
                 best, best_d = tdx, d
         if best is None or best_d > tol * (1 + abs(targets[best].center)):
-            return None
+            return False
         used[best] = True
-        pairing.append((idx, best))
-    return tuple(pairing)
+    return True
 
 
 def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
@@ -351,34 +337,28 @@ def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
         total = sum(c.multiplicity for c in a_cl)
         cen_a = sum((c.center * c.multiplicity for c in a_cl), mpc(0)) / total
         cen_b = sum((c.center * c.multiplicity for c in b_cl), mpc(0)) / total
-        shifted_a = [RootCluster(c.center - cen_a, c.multiplicity, c.radius) for c in a_cl]
-        shifted_b = [RootCluster(c.center - cen_b, c.multiplicity, c.radius) for c in b_cl]
+        shifted_a = [RootCluster(c.center - cen_a, c.multiplicity) for c in a_cl]
+        shifted_b = [RootCluster(c.center - cen_b, c.multiplicity) for c in b_cl]
         inner = numeric_match("linear", shifted_a, shifted_b, tol)
         if inner is None:
             return None
         a = inner.scale
         b = cen_b - a * cen_a
         mapped = [(a * c.center + b, c.multiplicity) for c in a_cl]
-        pairing = _greedy_pairing(mapped, b_cl, t)
-        if pairing is None:
-            return None
-        return NumericMatch(a, b, pairing, tol)
+        return NumericMatch(a, b) if _greedy_pairing(mapped, b_cl, t) else None
     nonzero_a = [c for c in a_cl if abs(c.center) > t]
     nonzero_b = [c for c in b_cl if abs(c.center) > t]
     if len(nonzero_a) != len(nonzero_b):
         return None
     if not nonzero_a:
-        pairing = _greedy_pairing([(c.center, c.multiplicity) for c in a_cl], b_cl, t)
-        if pairing is None:
-            return None
-        return NumericMatch(mpc(1), None, pairing, tol)
+        mapped = [(c.center, c.multiplicity) for c in a_cl]
+        return NumericMatch(mpc(1), None) if _greedy_pairing(mapped, b_cl, t) else None
     candidates = (cb.center / ca.center for ca in nonzero_a for cb in nonzero_b
                   if ca.multiplicity == cb.multiplicity)
     for a in candidates:
         mapped = ((a * c.center, c.multiplicity) for c in a_cl)
-        pairing = _greedy_pairing(mapped, b_cl, t)
-        if pairing is not None:
-            return NumericMatch(a, None, pairing, tol)
+        if _greedy_pairing(mapped, b_cl, t):
+            return NumericMatch(a, None)
     return None
 
 

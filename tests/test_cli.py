@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON documents, text output, batch mode."""
 
+import argparse
 import ast
 import io
 import json
@@ -404,6 +405,47 @@ class TestDecide:
         code, _, _ = run_cli(*argv)
         assert code == 64
 
+    def test_branch_without_witness_is_usage_error(self):
+        # --branch is read only on the witness path; alone it would do nothing
+        code, out, err = run_cli("decide", "Y^2 - X^4", "Y^2 - 4*X^4", "--branch", "7")
+        assert (code, out) == (64, "")
+        assert "--witness" in err
+
+
+class TestOptionSets:
+    """Each subcommand takes exactly the options it reads."""
+
+    OPTIONS = {
+        "analyze": {"--weights", "--json"},
+        "decide": {"--weights", "--mode", "--precision", "--tol", "--seed", "--json",
+                   "--file", "--witness", "--branch"},
+        "roots": {"--weights", "--precision", "--tol", "--json"},
+        "demo-whitney": {"--json"},
+        "decide-batch": {"--weights", "--mode", "--precision", "--tol"},
+    }
+
+    def test_option_set_of_each_subcommand(self):
+        parser = cli._build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        got = {name: {option for action in command._actions
+                      for option in action.option_strings} - {"-h", "--help"}
+               for name, command in sub.choices.items()}
+        assert got == self.OPTIONS
+        assert sum(len(options) for options in got.values()) == 20
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "Y^2-X^3", "--seed", "3"),
+        ("roots", "Y^2-X^3", "--mode", "exact"),
+        ("demo-whitney", "2", "3", "--tol", "0.1"),
+        ("decide-batch", "--json"),
+    ])
+    def test_unread_option_is_usage_error(self, argv):
+        record = json.dumps({"first": "Y^2-X^3", "second": "Y^2-2*X^3"}) + "\n"
+        code, out, err = run_cli(*argv, stdin=record)
+        assert (code, out) == (64, "")
+        assert "unrecognized arguments" in err
+
 
 class TestRoots:
     def test_exact_root(self):
@@ -740,6 +782,17 @@ class TestPrecisionEnvironment:
         assert code == 64
         assert "QHGERM_PRECISION" in err
 
+    def test_invalid_env_is_usage_error_for_roots(self):
+        code, out, err = run_cli("roots", "Y^2-X^3", env={"QHGERM_PRECISION": "abc"})
+        assert (code, out) == (64, "")
+        assert "QHGERM_PRECISION" in err
+
+    @pytest.mark.parametrize("argv", [("analyze", "Y^2-X^3"), ("demo-whitney", "2", "3")])
+    def test_env_is_not_read_without_a_precision_option(self, argv):
+        code, out, err = run_cli(*argv, env={"QHGERM_PRECISION": "abc"})
+        assert (code, err) == (0, "")
+        assert out
+
     @pytest.mark.parametrize("bits", [cli.MAX_PRECISION + 1, 16384, 10000000])
     def test_flag_over_the_maximum_is_usage_error(self, bits):
         start = time.perf_counter()
@@ -938,9 +991,10 @@ class TestMpmathLoadedOnFirstUse:
         assert out == "False\n"
 
     def test_numeric_names_import_without_mpmath(self):
-        out = self._python("-c", "import sys; from qhgerm import find_roots, NumericMatch; "
+        out = self._python("-c", "import sys; from qhgerm import find_roots, NumericMatch, "
+                                 "UniPoly, gq; "
                                  "print('mpmath' in sys.modules, NumericMatch.__name__, "
-                                 "[str(r.value) for r in find_roots([1, -2])], "
+                                 "[str(r.value) for r in find_roots(UniPoly((gq(1), gq(-2))))], "
                                  "'mpmath' in sys.modules)")
         assert out == "False NumericMatch ['(2.0 + 0.0j)'] True\n"
 

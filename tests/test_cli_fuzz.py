@@ -158,4 +158,4 @@ def test_random_batch_records_end_with_documented_exits(text, extra):
 
 def test_precision_env_is_bounded_like_the_flag(monkeypatch):
     monkeypatch.setitem(os.environ, "QHGERM_PRECISION", "9000")
-    assert _check(["analyze", "Y^2-X^3"]) == 64
+    assert _check(["roots", "Y^2-X^3"]) == 64

@@ -11,7 +11,6 @@ from mpmath import mp, mpc, mpf
 
 from qhgerm import (
     MIN_PRECISION,
-    AffineMatch,
     BranchOutOfRangeError,
     DegenerateConfigurationError,
     NonConvergenceError,
@@ -27,7 +26,6 @@ from qhgerm import (
     build_witness,
     cross_ratio,
     decide_equivalence,
-    decide_from_text,
     gq,
     j_from_cross_ratio,
     ladder_roots,
@@ -64,14 +62,14 @@ def ladder(*coeffs):
 class TestLinearMatch:
     def test_shifted_pair(self):
         match = linear_multiset_match(ladder(1, -3, 2), ladder(1, -9, 18))
-        assert match == ScaleClass(1, gq(3), (1, 2))
+        assert match == ScaleClass(1, gq(3), (1, 2), None)
 
     def test_rejects_wrong_multiset(self):
         assert linear_multiset_match(ladder(1, -3, 2), ladder(1, -3, 1)) is None
 
     def test_even_ladder_two_branches(self):
         match = linear_multiset_match(ladder(1, 0, -1), ladder(1, 0, -4))
-        assert match == ScaleClass(2, gq(4), (2,))
+        assert match == ScaleClass(2, gq(4), (2,), None)
 
     def test_ratio_consistency_needs_common_scale(self):
         match = linear_multiset_match(ladder(1, 0, 1, 0, 1), ladder(1, 0, 1, 0, -1))
@@ -79,8 +77,8 @@ class TestLinearMatch:
 
     def test_free_class_for_pure_powers(self):
         match = linear_multiset_match(ladder(1, 0), ladder(1, 0))
-        assert match is not None and match.is_free
-        assert match.branch_count == 1
+        assert match is not None and not match.indices
+        assert match.d == 1
 
     def test_support_pattern_gate(self):
         assert linear_multiset_match(ladder(1, 0, -1), ladder(1, -1, -1)) is None
@@ -99,10 +97,9 @@ class TestAffineMatch:
         second = UniPoly.from_roots([gq(5), gq(7), gq(9)])
         match = affine_multiset_match(first, second)
         assert match is not None
-        assert match.center_first == gq(1)
-        assert match.center_second == gq(7)
-        assert match.scale_class.d == 2
-        assert match.scale_class.base == gq(4)
+        assert match.centers == (gq(1), gq(7))
+        assert match.d == 2
+        assert match.base == gq(4)
 
     def test_rejects_non_affine_configurations(self):
         first = UniPoly.from_roots([gq(0), gq(1), gq(2)])
@@ -114,7 +111,7 @@ class TestAffineMatch:
         second = UniPoly.from_roots([gq(5), gq(7)])
         match = affine_multiset_match(first, second)
         assert match is not None
-        assert match.scale_class.base == gq(1)
+        assert match.base == gq(1)
 
 
 class TestDecide:
@@ -122,7 +119,7 @@ class TestDecide:
         verdict = decide_equivalence(parse_poly(PAIR_FIRST), parse_poly(PAIR_SECOND))
         assert verdict.status == "Equivalent"
         assert verdict.mode == "exact"
-        assert verdict.match == ScaleClass(1, gq(3), (1, 2))
+        assert verdict.match == ScaleClass(1, gq(3), (1, 2), None)
         assert verdict.invariants["first"] == {
             "p": 2,
             "q": 3,
@@ -211,7 +208,8 @@ class TestDecide:
             decide_equivalence(parse_poly("Y^2-X^3"), parse_poly("Y^2-X^3"), tol=0.0)
 
     def test_from_text(self):
-        assert decide_from_text("Y^2-X^3", "Y^2-5*X^3").status == "Equivalent"
+        verdict = decide_equivalence(parse_poly("Y^2-X^3"), parse_poly("Y^2-5*X^3"))
+        assert verdict.status == "Equivalent"
 
 
 class TestNumericRetry:

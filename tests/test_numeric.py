@@ -157,7 +157,7 @@ class TestClusterRoots:
     def test_clean_singletons(self):
         clusters = clusters_of([0, 1, 2])
         assert [c.multiplicity for c in clusters] == [1, 1, 1]
-        assert all(c.radius == 0 for c in clusters)
+        assert [c.center for c in clusters] == [0, 1, 2]
 
     def test_tight_pair_counts_once(self):
         clusters = clusters_of([1, 1 + 1e-12, 5])
@@ -215,8 +215,8 @@ class TestNumericMatch:
         assert numeric_match("linear", clusters_of([1, 2]), clusters_of([3, 5])) is None
 
     def test_multiplicity_multisets_gate(self):
-        side_a = [RootCluster(mpc(0), 2, mpf(0)), RootCluster(mpc(1), 1, mpf(0))]
-        side_b = [RootCluster(mpc(0), 1, mpf(0)), RootCluster(mpc(1), 2, mpf(0))]
+        side_a = [RootCluster(mpc(0), 2), RootCluster(mpc(1), 1)]
+        side_b = [RootCluster(mpc(0), 1), RootCluster(mpc(1), 2)]
         match = numeric_match("linear", side_a, side_b)
         assert match is None
 

@@ -10,7 +10,6 @@ from qhgerm import (
     GQ_ONE,
     MODE_EXACT,
     MODE_NUMERIC,
-    AffineMatch,
     BivarPoly,
     CanonicalForm,
     ComplexApprox,
@@ -34,7 +33,9 @@ WEIGHTS = WeightSignature(2, 3, 6)
 LADDER = UniPoly((GQ_ONE, gq(-2)))
 CANONICAL = CanonicalForm(gq(3), 1, 0, LADDER)
 ANALYSIS = GermAnalysis(WEIGHTS, "NonHomogeneousQH", CANONICAL, 7)
-SCALE = ScaleClass(2, gq(4), (2,))
+SCALE = ScaleClass(2, gq(4), (2,), None)
+# ScaleClass as the affine matcher returns it (p = 1), with its centers set
+AFFINE = (ScaleClass, {"d": 2, "base": gq(4), "indices": (2,), "centers": (gq(1), gq(0, 1))})
 
 # Each record class with one value per field, in field order.
 RECORDS = [
@@ -44,13 +45,11 @@ RECORDS = [
     (CanonicalForm, {"c0": gq(3), "m": 1, "m0": None, "ladder": LADDER}),
     (GermAnalysis, {"weights": WEIGHTS, "germ_class": "NonHomogeneousQH",
                     "canonical": CANONICAL, "ord_at_origin": 7}),
-    (ComplexApprox, {"value": mpc(1, 2), "err": mpf("1e-30"), "precision": 128}),
-    (RootCluster, {"center": mpc(0, 1), "multiplicity": 2, "radius": mpf("1e-40")}),
-    (NumericMatch, {"scale": mpc(2), "shift": None, "pairing": ((0, 1), (1, 0)),
-                    "tol": 1e-9}),
-    (ScaleClass, {"d": 2, "base": gq(4), "indices": (2,)}),
-    (AffineMatch, {"scale_class": SCALE, "center_first": gq(1),
-                   "center_second": gq(0, 1)}),
+    (ComplexApprox, {"value": mpc(1, 2), "err": mpf("1e-30")}),
+    (RootCluster, {"center": mpc(0, 1), "multiplicity": 2}),
+    (NumericMatch, {"scale": mpc(2), "shift": None}),
+    (ScaleClass, {"d": 2, "base": gq(4), "indices": (2,), "centers": None}),
+    AFFINE,
     (Verdict, {"status": "Equivalent", "mode": "exact", "first": ANALYSIS,
                "second": ANALYSIS, "match": SCALE, "reason": None}),
     (RadicalScalar, {"base": gq(3), "index": 3, "branch": 1, "approx": "1.44"}),
@@ -60,7 +59,7 @@ RECORDS = [
     (VerificationReport, {"passed": True, "exact": False, "max_residual": "1.0e-40",
                           "tol": "1.0e-30", "samples": 8, "precision": 128}),
 ]
-IDS = [cls.__name__ for cls, _ in RECORDS]
+IDS = ["ScaleClass-centers" if entry is AFFINE else entry[0].__name__ for entry in RECORDS]
 
 
 def test_every_record_class_is_covered():
