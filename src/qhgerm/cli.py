@@ -34,8 +34,8 @@ from .errors import (
     QhgermError,
 )
 from .exact import GaussianRational, format_unipoly
-from .numeric import NumericMatch, to_mpc
-from .polyio import BivarPoly, format_poly, parse_poly
+from .numeric import NumericMatch
+from .polyio import format_poly, parse_poly
 from .structure import analyze_germ
 
 SCHEMA_VERSION = 1
@@ -156,11 +156,10 @@ def _emit(doc: dict, out) -> None:
     out.write("\n")
 
 
-def _approx_str(value, precision: int) -> str:
-    """17 significant digits, without components below 2^-precision * |value|."""
+def _approx_str(z, precision: int) -> str:
+    """17 significant digits of an mpc, without components below 2^-precision * |z|."""
     from mpmath import mp, mpc, mpf
     with mp.workprec(precision + 20):
-        z = to_mpc(value) if isinstance(value, GaussianRational) else value
         floor = abs(z) * mpf(2) ** -precision
         z = mpc(z.real if abs(z.real) > floor else 0, z.imag if abs(z.imag) > floor else 0)
         return mp.nstr(z, 17)
@@ -506,6 +505,8 @@ def run(argv=None) -> int:
             parser.error(f"precision must be at most {MAX_PRECISION} bits")
         if not 0 < args.tol < 1:
             parser.error("tol must lie strictly between 0 and 1")
+    if getattr(args, "file", None) is not None and args.first is not None:
+        parser.error("give two polynomials or --file, not both")
     if getattr(args, "branch", None) is not None:
         if args.branch < 0:
             parser.error("branch must be nonnegative")

@@ -37,6 +37,8 @@ from .exact import (
     integer_root,
 )
 from .numeric import (
+    DEFAULT_PRECISION,
+    DEFAULT_TOL,
     NumericMatch,
     cluster_roots,
     eval_bivar,
@@ -58,8 +60,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from mpmath import mpc
 
-DEFAULT_PRECISION = 128
-DEFAULT_TOL = 1e-9
 # the least working precision in bits; below it the sampled witness check's
 # tolerance 2^-(precision - 48) is 1/16 or more and passes wrong witnesses
 MIN_PRECISION = 53
@@ -236,7 +236,7 @@ def _numeric_clusters(parts, precision: int, tol: float):
                 for r in find_roots(factor, prec):
                     approx.append(r)
                     weight.append(mult)
-            return cluster_roots(approx, tol, weights=weight)
+            return cluster_roots(approx, tol, weight)
         except (AmbiguousClusteringError, NonConvergenceError):
             if prec >= 1024:
                 raise
@@ -298,10 +298,12 @@ def _snap_root(part: UniPoly, center: mpc, centers: list, den: int,
             if slope == 0:
                 break
             z -= value / slope
-        snapped, off = _round_over(z * den, den)
+        w = z * den
+        re, im = int(mp.nint(w.real)), int(mp.nint(w.imag))
+        snapped = _make(re, im, den)
         if abs(z - center) > min(abs(z - c) for c in centers):
             return None
-        if off / den > tol / 2:
+        if abs(w - mpc(re, im)) / den > tol / 2:
             return None
     return snapped if part.eval(snapped).is_zero else None
 
@@ -397,16 +399,6 @@ def witness_branch_count(verdict: Verdict) -> int:
     if not isinstance(verdict.match, ScaleClass):
         raise ValueError("branch count is defined by the exact matcher only")
     return verdict.match.d
-
-
-def _round_over(w: mpc, n: int) -> tuple:
-    """(g, |w - g*n|) for g*n the Gaussian integer nearest w.
-
-    g is the point of Z[i]/n nearest w/n, at a distance |w - g*n|/n.
-    """
-    from mpmath import mp, mpc
-    re, im = int(mp.nint(w.real)), int(mp.nint(w.imag))
-    return _make(re, im, n), abs(w - mpc(re, im))
 
 
 def _gq_bits(g: GaussianRational) -> int:
@@ -522,17 +514,18 @@ def _simplify_scalar(base: GaussianRational, index: int, target: mpc):
     GaussianRational, and e = index always matches with g = base.
     """
     from mpmath import mp
-    b = _identify_branch(base, index, target)
+    branch = _identify_branch(base, index, target)
     g, e = base, index
     for div in range(1, index):
         if index % div == 0:
-            root = _exact_root(base, index // div, b % (index // div))
+            root = _exact_root(base, index // div, branch % (index // div))
             if root is not None:
                 g, e = root, div
                 break
     if e == 1:
         return g
-    branch = _identify_branch(g, e, target)
+    if e < index:
+        branch = _identify_branch(g, e, target)
     return RadicalScalar(g, e, branch, mp.nstr(target, 20))
 
 
@@ -567,7 +560,7 @@ def _rational_witness(first_a, second_a, match):
                         gamma = None
                     else:
                         c_first, c_second = match.centers
-                        gamma = -(c_second - a * c_first) * beta
+                        gamma = (c_first * a - c_second) * beta
                     return Witness(alpha, beta, gamma, a, w, None)
     return None
 
@@ -616,23 +609,19 @@ def _radical_witness(first_a, second_a, match, branch, precision):
         scale = _simplify_scalar(base, d, a_num)
         gamma = None
         if match.centers is not None:
+            # gamma = c1*alpha^q - c2*beta = (c1*a - c2)*beta, as u*rho with u
+            # in Q(i) and rho^(d*M) known: rho = beta when a is rational or
+            # c1 = 0 (u = 0 simplifies to gamma = 0), rho = alpha^q when c2 = 0
             c_first, c_second = match.centers
-            exact_scale = isinstance(scale, GaussianRational)
-            if exact_scale or c_first.is_zero:
-                # the shift c_second - a*c_first is a Gaussian rational; a
-                # zero shift simplifies to gamma = 0
-                shift = c_second - scale * c_first if exact_scale else c_second
-                gamma = _simplify_scalar(
-                    (-shift) ** (m_pow * d) * base_beta, m_pow * d, -to_mpc(shift) * beta_num
-                )
+            if c_first.is_zero or isinstance(scale, GaussianRational):
+                u = -c_second if c_first.is_zero else c_first * scale - c_second
+                rho, rho_power = beta_num, base_beta
             elif c_second.is_zero:
-                # gamma = c_first*alpha^q, and (alpha^q)^(d*M) = base_alpha
-                gamma_base = c_first ** (m_pow * d) * base_alpha
-                gamma = _simplify_scalar(
-                    gamma_base, m_pow * d, to_mpc(c_first) * alpha_num**w.q
-                )
+                u, rho, rho_power = c_first, alpha_num**w.q, base_alpha
             else:
-                gamma = ShearTerm(c_first, -c_second)
+                u = None
+            gamma = ShearTerm(c_first, -c_second) if u is None else _simplify_scalar(
+                u ** (m_pow * d) * rho_power, m_pow * d, to_mpc(u) * rho)
         return Witness(alpha, beta, gamma, scale, w, branch)
 
 

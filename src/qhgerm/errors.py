@@ -45,10 +45,6 @@ class NotQuasihomogeneousError(QhgermError):
 class WeightMismatchError(QhgermError):
     """Support points disagree with the asserted weights."""
 
-    def __init__(self, message: str, offending: list):
-        super().__init__(message)
-        self.offending = offending
-
 
 class InternalInconsistencyError(QhgermError):
     """Re-expansion of a canonical factorization failed to reproduce the input."""

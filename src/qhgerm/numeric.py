@@ -24,6 +24,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from mpmath import mpc
 
+DEFAULT_PRECISION = 128
+DEFAULT_TOL = 1e-9
 _FLOAT_SWEEPS = 200
 _MP_SWEEPS = 600
 
@@ -173,7 +175,7 @@ def _float_starts(coeffs, starts):
     return points
 
 
-def find_roots(poly: UniPoly, precision: int = 128) -> list:
+def find_roots(poly: UniPoly, precision: int = DEFAULT_PRECISION) -> list:
     """All complex roots of a univariate polynomial, with error bounds.
 
     Runs the Aberth-Ehrlich simultaneous iteration from Newton-polygon
@@ -224,29 +226,28 @@ def find_roots(poly: UniPoly, precision: int = 128) -> list:
         return out
 
 
-def cluster_roots(roots, tol: float, weights=None) -> list:
+def cluster_roots(roots: list, tol: float, weights: list) -> list:
     """Single-linkage clustering of numeric roots at distance tol.
 
+    roots are the ComplexApprox values find_roots returns, and each counts
+    for its weight's number of roots: a cluster's multiplicity is the sum of
+    its members' weights, and its center their weighted mean.
     Approximations also merge when their error disks overlap: a root of
     multiplicity k is only located to about the k-th root of the backward
     error, so its copies can scatter wider than tol while still being one
     true root, and the per-root bounds carry exactly that information.
-    When weights are given, each approximation counts for that many roots
-    and cluster multiplicity is the sum over members; centers are then the
-    weighted mean. Raises AmbiguousClusteringError when the configuration
-    sits in the unsafe band: an inter-cluster gap below 2*tol, or a cluster
-    whose diameter exceeds tol/2, either of which means the tolerance cannot
-    be trusted to separate true roots from approximation scatter.
+    Raises AmbiguousClusteringError when the configuration sits in the
+    unsafe band: an inter-cluster gap below 2*tol, or a cluster whose
+    diameter exceeds tol/2, either of which means the tolerance cannot be
+    trusted to separate true roots from approximation scatter.
     """
-    from mpmath import mpc, mpf
-    values = [r.value if isinstance(r, ComplexApprox) else mpc(r) for r in roots]
-    errs = [r.err if isinstance(r, ComplexApprox) else mpf(0) for r in roots]
-    if not values:
+    from mpmath import mpf
+    if not roots:
         return []
-    if weights is None:
-        weights = [1] * len(values)
-    elif len(weights) != len(values):
+    if len(weights) != len(roots):
         raise ValueError("weights must match roots one for one")
+    values = [r.value for r in roots]
+    errs = [r.err for r in roots]
     t = mpf(tol)
     if t <= 0:
         raise ValueError("tol must be positive")
@@ -316,7 +317,7 @@ def _greedy_pairing(mapped, targets, tol) -> bool:
     return True
 
 
-def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
+def numeric_match(mode: str, side_a, side_b, tol: float = DEFAULT_TOL):
     """Brute-force multiset matcher over root clusters.
 
     mode "linear" tries the scales a = cb/ca, row by row over pairs of
@@ -362,7 +363,7 @@ def numeric_match(mode: str, side_a, side_b, tol: float = 1e-9):
     return None
 
 
-def eval_bivar(poly: BivarPoly, points, precision: int = 128) -> list:
+def eval_bivar(poly: BivarPoly, points, precision: int = DEFAULT_PRECISION) -> list:
     """Evaluate a bivariate polynomial at each (x, y) of points.
 
     Returns one mpc per point, computed 20 bits finer than precision; the

@@ -115,8 +115,7 @@ def validate_weights(poly: BivarPoly, p: int, q: int) -> WeightSignature:
     if offending:
         raise WeightMismatchError(
             f"support points {offending} are off the weighted line "
-            f"{p}*i + {q}*j = {nu}",
-            offending,
+            f"{p}*i + {q}*j = {nu}"
         )
     return WeightSignature(p, q, nu)
 

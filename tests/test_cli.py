@@ -298,6 +298,15 @@ class TestDecide:
         assert code == 0
         assert json.loads(out)["verdict"]["status"] == "Equivalent"
 
+    @pytest.mark.parametrize("operands", [("Y^2-X^3", "Y^2-X^5"), ("Y^2-X^3",)])
+    def test_polynomials_with_file_is_usage_error(self, tmp_path, operands):
+        # the file's pair would be decided and the operands dropped unread
+        pair = tmp_path / "pair.txt"
+        pair.write_text(f"{PAIR_FIRST}\n{PAIR_SECOND}\n")
+        code, out, err = run_cli("decide", *operands, "--file", str(pair))
+        assert (code, out) == (64, "")
+        assert "--file" in err
+
     def test_short_file_is_usage_error(self, tmp_path):
         pair = tmp_path / "pair.txt"
         pair.write_text(f"{PAIR_FIRST}\n")

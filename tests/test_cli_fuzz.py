@@ -79,18 +79,29 @@ _GOOD_FLAGS = [["--json"], ["--witness"], ["--mode", "exact"], ["--mode", "numer
 _BAD_FLAGS = [["--weights", "0,1"], ["--weights", "x"], ["--precision", "9000"],
               ["--tol", "0"], ["--branch", "-1"], ["--bogus"]]
 
-flags = st.builds(
-    lambda good, bad: sum(good, []) + bad,
-    st.lists(st.sampled_from(_GOOD_FLAGS), max_size=3),
-    st.one_of(st.just([]), st.just([]), st.just([]), st.sampled_from(_BAD_FLAGS)),
-)
+
+def flags(command):
+    """Up to three good flags that the command reads, then maybe one bad flag."""
+    options = set(cli._COMMAND_OPTIONS[command])
+    if command == "decide":
+        options |= {"--witness", "--branch"}
+    return st.builds(
+        lambda good, bad: sum(good, []) + bad,
+        st.lists(st.sampled_from([flag for flag in _GOOD_FLAGS if flag[0] in options]),
+                 max_size=3),
+        st.one_of(st.just([]), st.just([]), st.just([]), st.sampled_from(_BAD_FLAGS)),
+    )
+
 
 command_line = st.one_of(
-    st.tuples(st.just(["analyze"]), st.lists(poly_text, min_size=1, max_size=1), flags),
-    st.tuples(st.just(["roots"]), st.lists(poly_text, min_size=1, max_size=1), flags),
-    st.tuples(st.just(["decide"]), germ_pair, flags),
-    st.tuples(st.just(["decide"]), st.lists(poly_text, min_size=0, max_size=3), flags),
-    st.tuples(st.just(["demo-whitney"]), st.lists(poly_text, min_size=2, max_size=2), flags),
+    st.tuples(st.just(["analyze"]), st.lists(poly_text, min_size=1, max_size=1),
+              flags("analyze")),
+    st.tuples(st.just(["roots"]), st.lists(poly_text, min_size=1, max_size=1), flags("roots")),
+    st.tuples(st.just(["decide"]), germ_pair, flags("decide")),
+    st.tuples(st.just(["decide"]), st.lists(poly_text, min_size=0, max_size=3),
+              flags("decide")),
+    st.tuples(st.just(["demo-whitney"]), st.lists(poly_text, min_size=2, max_size=2),
+              flags("demo-whitney")),
     st.tuples(st.lists(st.text(max_size=8), max_size=3), st.just([]), st.just([])),
 ).map(lambda parts: parts[0] + parts[1] + parts[2])
 
@@ -150,7 +161,7 @@ def test_random_command_lines_end_with_documented_exits(argv):
 
 @seed(20261019)
 @FUZZ
-@given(batch_text, flags)
+@given(batch_text, flags("decide-batch"))
 def test_random_batch_records_end_with_documented_exits(text, extra):
     code = _check(["decide-batch", "-", *extra], stdin=text)
     assert code in (0, 64, 65)

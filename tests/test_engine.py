@@ -41,6 +41,7 @@ from qhgerm import (
 
 from qhgerm import engine
 from qhgerm.errors import InternalInconsistencyError
+from qhgerm.exact import _make
 from qhgerm.numeric import nth_root, to_mpc
 
 from conftest import rand_germ, synthesize_equivalent
@@ -316,6 +317,26 @@ class TestExactRoots:
             with pytest.raises(InternalInconsistencyError):
                 engine._identify_branch(gq(1), 4, between)
 
+    @pytest.mark.parametrize("base, index, branch, want", [
+        # no lower index: sqrt(2) stays (2)^(1/2), identified once
+        (gq(2), 2, 1, (gq(2), 2, 1, 1)),
+        # (4)^(1/4) branch 2 is -sqrt(2), that is (2)^(1/2) branch 1: two calls
+        (gq(4), 4, 2, (gq(2), 2, 1, 2)),
+    ])
+    def test_simplify_scalar_identifies_each_radical_once(self, monkeypatch, base, index,
+                                                          branch, want):
+        calls = []
+        identify = engine._identify_branch
+
+        def counted(*args):
+            calls.append(args)
+            return identify(*args)
+
+        monkeypatch.setattr(engine, "_identify_branch", counted)
+        with mp.workprec(128):
+            got = engine._simplify_scalar(base, index, nth_root(base, index, branch))
+        assert (got.base, got.index, got.branch, len(calls)) == want
+
     def test_root_precision_comes_from_the_value(self):
         # 1 + 2^-300 needs about 300 bits to tell from 1; the caller's 53 do not
         g = gq(1) + gq(Fraction(1, 2**300))
@@ -328,7 +349,8 @@ def _mpmath_scan_root(value, k, first, count=1):
     """The branch scan as it was done in mpmath arithmetic, kept as an oracle.
 
     No norm test: every call computes the root and steps from branch to
-    branch with mpmath multiplies, rounding each candidate with _round_over.
+    branch with mpmath multiplies, rounding each candidate to the nearest
+    point of Z[i]/n.
     """
     n = value.d
     top = max(abs(value.a).bit_length(), abs(value.b).bit_length()) + 1
@@ -337,8 +359,9 @@ def _mpmath_scan_root(value, k, first, count=1):
         z = mp.root(to_mpc(value), k, first) * n
         step = mp.expjpi(mpf(2) / k) if count > 1 else 1
         for _ in range(count):
-            g, off = engine._round_over(z, n)
-            if off <= mpf(2) ** -32 and g**k == value:
+            re, im = int(mp.nint(z.real)), int(mp.nint(z.imag))
+            g = _make(re, im, n)
+            if abs(z - mpc(re, im)) <= mpf(2) ** -32 and g**k == value:
                 return g
             z *= step
     return None

@@ -20,7 +20,7 @@ from qhgerm import (
     to_mpc,
 )
 from qhgerm import numeric
-from qhgerm.numeric import RootCluster
+from qhgerm.numeric import ComplexApprox, RootCluster
 from qhgerm.polyio import power_table
 
 from conftest import rand_gq
@@ -35,7 +35,9 @@ def exact_residual(poly: UniPoly, z: mpc, workprec: int = 360) -> mpf:
 
 
 def clusters_of(values, tol=1e-9):
-    return cluster_roots([mpc(v) for v in values], tol)
+    """Clusters of exact approximations (error 0) of weight 1 each."""
+    return cluster_roots([ComplexApprox(mpc(v), mpf(0)) for v in values], tol,
+                         [1] * len(values))
 
 
 class TestFindRoots:
@@ -63,7 +65,8 @@ class TestFindRoots:
 
     def test_multiple_root_clusters_tightly(self):
         poly = UniPoly.from_roots([gq(1)] * 4 + [gq(-2)])
-        clusters = cluster_roots(find_roots(poly, precision=128), 1e-9)
+        roots = find_roots(poly, precision=128)
+        clusters = cluster_roots(roots, 1e-9, [1] * len(roots))
         mults = sorted(c.multiplicity for c in clusters)
         assert mults == [1, 4]
         centers = sorted(c.center.real for c in clusters)
@@ -172,11 +175,11 @@ class TestClusterRoots:
             clusters_of([0, 0.6e-9, 1.2e-9])
 
     def test_empty(self):
-        assert cluster_roots([], 1e-9) == []
+        assert cluster_roots([], 1e-9, []) == []
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
-            cluster_roots([mpc(0)], 0.0)
+            cluster_roots([ComplexApprox(mpc(0), mpf(0))], 0.0, [1])
 
 
 class TestNthRoot:
