@@ -1,13 +1,16 @@
 """Command line front end: qhgerm analyze | decide | roots | demo-whitney | decide-batch.
 
 Each subcommand takes only the shared options it reads (_COMMAND_OPTIONS);
-any other is a usage error. Exit codes: 0 Equivalent (or informational
-success), 1 Inequivalent, 2 NotApplicable, 64 usage, 65 parse error,
-66 analysis error or an input file that cannot be read, 141 standard output
-closed by its reader (128 + SIGPIPE). JSON output is versioned
-(schemaVersion 1) and byte-identical across identical invocations.
-QHGERM_PRECISION overrides the default 128-bit precision of the commands
-that take --precision: decide, roots and decide-batch.
+any other is a usage error. run() turns the command line into values and
+reports every usage error; the command functions only decide and print.
+Exit codes: 0 Equivalent (or informational success), 1 Inequivalent,
+2 NotApplicable, 64 usage (including a decide --file that does not hold
+exactly two nonblank lines), 65 parse error, 66 analysis error or an input
+file that cannot be read, 141 standard output closed by its reader
+(128 + SIGPIPE). JSON output is versioned (schemaVersion 1) and
+byte-identical across identical invocations. QHGERM_PRECISION overrides the
+default 128-bit precision of the commands that take --precision: decide,
+roots and decide-batch.
 """
 
 from __future__ import annotations
@@ -68,18 +71,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_precision() -> int:
-    raw = os.environ.get("QHGERM_PRECISION")
-    if raw is None:
-        return engine.DEFAULT_PRECISION
-    try:
-        value = int(raw)
-    except ValueError:
-        sys.stderr.write(f"qhgerm: QHGERM_PRECISION is not an integer: {raw!r}\n")
-        raise SystemExit(EXIT_USAGE)
-    return value
-
-
 def _weights_arg(text: str):
     parts = text.split(",")
     if len(parts) != 2:
@@ -97,7 +88,8 @@ _OPTIONS = {
     "--mode": {"choices": ("exact", "numeric", "auto"), "default": "auto"},
     "--precision": {"type": int, "default": None, "metavar": "BITS",
                     "help": f"working precision in bits ({MIN_PRECISION} to "
-                            f"{MAX_PRECISION}, default 128)"},
+                            f"{MAX_PRECISION}, default {engine.DEFAULT_PRECISION}, "
+                            "or QHGERM_PRECISION when set)"},
     "--tol": {"type": float, "default": engine.DEFAULT_TOL, "metavar": "X",
               "help": "numeric clustering/matching tolerance"},
     "--seed": {"type": int, "default": 0, "metavar": "N",
@@ -120,33 +112,38 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text):
+    def add_command(name, handler, help_text):
         command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
         for option in _COMMAND_OPTIONS[name]:
             command.add_argument(option, **_OPTIONS[option])
         return command
 
-    p_analyze = add_command("analyze", "weights, class and canonical form of one germ")
+    p_analyze = add_command("analyze", _cmd_analyze,
+                            "weights, class and canonical form of one germ")
     p_analyze.add_argument("poly")
 
-    p_decide = add_command("decide", "decide equivalence of two germs")
+    p_decide = add_command("decide", _cmd_decide, "decide equivalence of two germs")
     p_decide.add_argument("first", nargs="?")
     p_decide.add_argument("second", nargs="?")
     p_decide.add_argument("--file", default=None,
-                          help="read the two polynomials from the first two lines")
+                          help="read the two polynomials from a file of exactly "
+                               "two nonblank lines")
     p_decide.add_argument("--witness", action="store_true",
                           help="construct and verify an explicit coordinate change")
     p_decide.add_argument("--branch", type=int, default=None, metavar="N",
                           help="scale branch for the witness (default: prefer rational)")
 
-    p_roots = add_command("roots", "ladder root multiset of one germ")
+    p_roots = add_command("roots", _cmd_roots, "ladder root multiset of one germ")
     p_roots.add_argument("poly")
 
-    p_demo = add_command("demo-whitney", "four-line quartics: cross-ratio moduli comparison")
+    p_demo = add_command("demo-whitney", _cmd_demo_whitney,
+                         "four-line quartics: cross-ratio moduli comparison")
     p_demo.add_argument("t")
     p_demo.add_argument("s")
 
-    p_batch = add_command("decide-batch", "decide JSON-lines pairs from a file or stdin")
+    p_batch = add_command("decide-batch", _cmd_decide_batch,
+                          "decide JSON-lines pairs from a file or stdin")
     p_batch.add_argument("path", nargs="?", default="-")
     return parser
 
@@ -273,25 +270,9 @@ def _cmd_analyze(args, out) -> int:
     return EXIT_OK
 
 
-def _read_pair_file(path: str) -> tuple[str, str]:
-    with open(path, encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if len(lines) < 2:
-        sys.stderr.write(f"qhgerm: {path} must contain two polynomial lines\n")
-        raise SystemExit(EXIT_USAGE)
-    return lines[0], lines[1]
-
-
 def _cmd_decide(args, out) -> int:
-    if args.file is not None:
-        first_text, second_text = _read_pair_file(args.file)
-    elif args.first is not None and args.second is not None:
-        first_text, second_text = args.first, args.second
-    else:
-        sys.stderr.write("qhgerm: decide needs two polynomials or --file\n")
-        raise SystemExit(EXIT_USAGE)
-    first = parse_poly(first_text)
-    second = parse_poly(second_text)
+    first = parse_poly(args.first)
+    second = parse_poly(args.second)
     precision = args.precision
     verdict = engine.decide_equivalence(
         first, second, args.weights, args.mode, precision, args.tol
@@ -483,37 +464,42 @@ def _decide_lines(handle, args, out) -> int:
     return EXIT_PARSE if failed else EXIT_OK
 
 
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "decide": _cmd_decide,
-    "roots": _cmd_roots,
-    "demo-whitney": _cmd_demo_whitney,
-    "decide-batch": _cmd_decide_batch,
-}
-
-
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # --precision and --tol come together, on decide, roots and decide-batch
     if "precision" in args:
         if args.precision is None:
-            args.precision = _default_precision()
+            raw = os.environ.get("QHGERM_PRECISION", engine.DEFAULT_PRECISION)
+            try:
+                args.precision = int(raw)
+            except ValueError:
+                parser.error(f"QHGERM_PRECISION is not an integer: {raw!r}")
         if args.precision < MIN_PRECISION:
             parser.error(f"precision must be at least {MIN_PRECISION} bits")
         if args.precision > MAX_PRECISION:
             parser.error(f"precision must be at most {MAX_PRECISION} bits")
         if not 0 < args.tol < 1:
             parser.error("tol must lie strictly between 0 and 1")
-    if getattr(args, "file", None) is not None and args.first is not None:
-        parser.error("give two polynomials or --file, not both")
-    if getattr(args, "branch", None) is not None:
-        if args.branch < 0:
-            parser.error("branch must be nonnegative")
-        if not args.witness:
-            parser.error("--branch needs --witness")
+    if args.command == "decide":
+        if args.file is not None and args.first is not None:
+            parser.error("give two polynomials or --file, not both")
+        if args.file is None and args.second is None:
+            parser.error("decide needs two polynomials or --file")
+        if args.branch is not None:
+            if args.branch < 0:
+                parser.error("branch must be nonnegative")
+            if not args.witness:
+                parser.error("--branch needs --witness")
     try:
-        code = _DISPATCH[args.command](args, sys.stdout)
+        # read here, so that a file that cannot be read exits 66
+        if getattr(args, "file", None) is not None:
+            with open(args.file, encoding="utf-8") as handle:
+                lines = [line.strip() for line in handle if line.strip()]
+            if len(lines) != 2:
+                parser.error(f"{args.file} must hold exactly two polynomial lines")
+            args.first, args.second = lines
+        code = args.handler(args, sys.stdout)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -538,9 +524,5 @@ def run(argv=None) -> int:
         return EXIT_ANALYSIS
 
 
-def main() -> None:
-    sys.exit(run())
-
-
 if __name__ == "__main__":
-    main()
+    sys.exit(run())

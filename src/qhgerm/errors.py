@@ -47,7 +47,15 @@ class WeightMismatchError(QhgermError):
 
 
 class InternalInconsistencyError(QhgermError):
-    """Re-expansion of a canonical factorization failed to reproduce the input."""
+    """A self-check of the decision procedure failed.
+
+    Raised when the canonical factorization does not re-expand to the input
+    or its ladder bookkeeping breaks, when two germs with equal invariants
+    have ladders of different degree, when the witness exponents disagree
+    with nu, no root branch solves the witness scalar system or no branch of
+    a radical lies near its numeric value, and when a cross-ratio of
+    distinct points degenerates.
+    """
 
 
 class FormulaMismatchError(QhgermError):
@@ -71,4 +79,9 @@ class AmbiguousClusteringError(QhgermError):
 
 
 class DegenerateConfigurationError(QhgermError):
-    """A cross-ratio was requested for a tuple with repeated points."""
+    """A four-line configuration or its moduli invariant is degenerate.
+
+    Raised for a whitney_configuration parameter t in {0, 1} (two lines
+    coincide), a cross-ratio of a tuple with repeated points, and
+    j_from_cross_ratio of 0 or 1.
+    """

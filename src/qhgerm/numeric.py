@@ -3,8 +3,9 @@
 Provides simultaneous root finding (Aberth-Ehrlich iteration), single-linkage
 root clustering with an explicit unsafe-regime guard, brute-force multiset
 matchers used as the independent oracle for the exact engine, and batched
-bivariate evaluation. Nothing here mutates mpmath's global precision; every
-entry point scopes its own working precision.
+bivariate evaluation. Nothing here mutates mpmath's global precision.
+find_roots and eval_bivar scope their own working precision; cluster_roots,
+numeric_match, nth_root and to_mpc compute at the caller's precision.
 
 mpmath is imported by each function that does mpmath arithmetic, on entry,
 not by this module: the exact route never needs it, so a process that

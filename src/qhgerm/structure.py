@@ -102,7 +102,7 @@ def infer_weights(poly: BivarPoly) -> WeightSignature:
 
 def validate_weights(poly: BivarPoly, p: int, q: int) -> WeightSignature:
     """Check an asserted weight pair against the support and return its signature."""
-    if not (isinstance(p, int) and isinstance(q, int)):
+    if not all(isinstance(w, int) and not isinstance(w, bool) for w in (p, q)):
         raise ValueError("weights must be integers")
     if not (1 <= p <= q):
         raise ValueError(f"weights must satisfy 1 <= p <= q, got ({p}, {q})")

@@ -310,8 +310,16 @@ class TestDecide:
     def test_short_file_is_usage_error(self, tmp_path):
         pair = tmp_path / "pair.txt"
         pair.write_text(f"{PAIR_FIRST}\n")
-        code, _, err = run_cli("decide", "--file", str(pair))
-        assert code == 64
+        code, out, err = run_cli("decide", "--file", str(pair))
+        assert (code, out) == (64, "")
+        assert "two polynomial lines" in err
+
+    def test_long_file_is_usage_error(self, tmp_path):
+        # a third polynomial would otherwise be dropped unread
+        pair = tmp_path / "pair.txt"
+        pair.write_text(f"{PAIR_FIRST}\n{PAIR_SECOND}\nY^2-X^5\n")
+        code, out, err = run_cli("decide", "--file", str(pair))
+        assert (code, out) == (64, "")
         assert "two polynomial lines" in err
 
     def test_missing_file_is_input_error(self, tmp_path):

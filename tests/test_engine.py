@@ -88,6 +88,14 @@ class TestLinearMatch:
         with pytest.raises(ValueError):
             linear_multiset_match(ladder(2, 0, -1), ladder(1, 0, -1))
 
+    @pytest.mark.parametrize("first, second", [
+        (UniPoly.zero(), ladder(1, -1)),
+        (ladder(1, -1), UniPoly.zero()),
+    ])
+    def test_requires_nonzero(self, first, second):
+        with pytest.raises(ValueError, match="nonzero"):
+            linear_multiset_match(first, second)
+
     def test_degree_mismatch(self):
         assert linear_multiset_match(ladder(1, -1), ladder(1, -2, 1)) is None
 
@@ -113,6 +121,13 @@ class TestAffineMatch:
         match = affine_multiset_match(first, second)
         assert match is not None
         assert match.base == gq(1)
+
+    def test_degree_mismatch(self):
+        assert affine_multiset_match(ladder(1, -1), ladder(1, -2, 1)) is None
+
+    def test_constant_ladders_match_freely(self):
+        match = affine_multiset_match(ladder(1), ladder(1))
+        assert match == ScaleClass(1, gq(1), (), (gq(0), gq(0)))
 
 
 class TestDecide:
@@ -203,6 +218,11 @@ class TestDecide:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             decide_equivalence(parse_poly("Y-X"), parse_poly("Y-X"), mode="fast")
+
+    def test_bool_weights_rejected(self):
+        with pytest.raises(ValueError, match="weights must be integers"):
+            decide_equivalence(parse_poly("Y^2-X^4"), parse_poly("Y^2-4*X^4"),
+                               weights=(True, 2))
 
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
@@ -645,6 +665,11 @@ class TestWitness:
         with mp.workprec(160):
             alpha = scalar_to_mpc(witness.alpha, 128)
             assert abs(alpha**3 - 3) < 1e-30
+
+    def test_scalar_to_mpc_refuses_a_shear_term(self):
+        # a ShearTerm needs the witness's alpha and beta: see witness_to_mpc
+        with pytest.raises(TypeError, match="cannot evaluate ShearTerm on its own"):
+            scalar_to_mpc(ShearTerm(gq(1), gq(-1)), 128)
 
 
 class TestLadderRoots:

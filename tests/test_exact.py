@@ -300,6 +300,15 @@ class TestGcdBezout:
         assert d == 2
         assert sum(c * i for c, i in zip(coeffs, indices)) == 2
 
+    @pytest.mark.parametrize("indices, message", [
+        ([], "nonempty"),
+        ([0], "positive integers"),
+        ([2, -1], "positive integers"),
+    ])
+    def test_rejects_empty_and_nonpositive_indices(self, indices, message):
+        with pytest.raises(ValueError, match=message):
+            gcd_bezout(indices)
+
     @given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6))
     def test_identity_and_divisibility(self, indices):
         d, coeffs = gcd_bezout(indices)

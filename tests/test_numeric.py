@@ -181,6 +181,12 @@ class TestClusterRoots:
         with pytest.raises(ValueError):
             cluster_roots([ComplexApprox(mpc(0), mpf(0))], 0.0, [1])
 
+    @pytest.mark.parametrize("weights", [[1], [1, 1, 1]])
+    def test_rejects_weights_of_another_length(self, weights):
+        roots = [ComplexApprox(mpc(0), mpf(0)), ComplexApprox(mpc(1), mpf(0))]
+        with pytest.raises(ValueError, match="one for one"):
+            cluster_roots(roots, 1e-9, weights)
+
 
 class TestNthRoot:
     def test_branches_of_unity(self):
@@ -205,6 +211,11 @@ class TestNthRoot:
 
     def test_zero(self):
         assert nth_root(mpc(0), 5, 2) == 0
+
+    @pytest.mark.parametrize("index", [0, -2])
+    def test_rejects_nonpositive_index(self, index):
+        with pytest.raises(ValueError, match="root index must be positive"):
+            nth_root(mpc(8), index)
 
 
 class TestNumericMatch:

@@ -93,6 +93,15 @@ class TestValidateWeights:
         with pytest.raises(ValueError):
             validate_weights(parse_poly("Y^2 - X^3"), 0, 3)
 
+    @pytest.mark.parametrize("text, p, q", [
+        ("Y^2 - X^4", True, 2),
+        ("Y^2 - X^2", 1, True),
+    ])
+    def test_rejects_bool_weights(self, text, p, q):
+        # bool is an int subclass; True would otherwise stand for 1
+        with pytest.raises(ValueError, match="weights must be integers"):
+            validate_weights(parse_poly(text), p, q)
+
 
 class TestCanonicalDecomposition:
     def test_two_cusp_product(self):
