@@ -413,13 +413,6 @@ def _cmd_demo_whitney(args, out) -> int:
     return EXIT_OK
 
 
-def _record_weights(value) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2 and all(
-            isinstance(w, int) and not isinstance(w, bool) and w > 0 for w in value)):
-        raise ValueError(f"weights must be two positive integers, got {value!r}")
-    return tuple(value)
-
-
 def _cmd_decide_batch(args, out) -> int:
     if args.path == "-":
         return _decide_lines(sys.stdin, args, out)
@@ -444,7 +437,10 @@ def _decide_lines(handle, args, out) -> int:
                 raise TypeError(f"record must be a JSON object, got {type(item).__name__}")
             first = parse_poly(item["first"])
             second = parse_poly(item["second"])
-            weights = _record_weights(item["weights"]) if "weights" in item else args.weights
+            # a record's weights are checked as --weights is, by analyze_germ
+            weights = item.get("weights")
+            if weights is None:
+                weights = args.weights
             mode = item.get("mode", args.mode)
             verdict = engine.decide_equivalence(
                 first, second, weights, mode, args.precision, args.tol
@@ -517,8 +513,7 @@ def run(argv=None) -> int:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except BranchOutOfRangeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        parser.error(str(exc))
     except (QhgermError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ANALYSIS

@@ -7,6 +7,10 @@ its monic image in one variable w is the "ladder", whose roots carry all the
 analytic information the equivalence engine needs. For p = 1 the ladder keeps
 zero roots (factors Y - 0*X^q are meaningful); for p > 1 zero roots are
 impossible because the Y-power factor has already been stripped.
+
+analyze_germ is the one public way to the canonical form, class and order.
+It checks the weighted line once, by infer_weights or (for weights given
+by the caller) validate_weights, and derives the rest from that signature.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .polyio import BivarPoly
 HOMOGENEOUS = "Homogeneous"
 MONOMIAL_LIKE = "MonomialLike"
 NON_HOMOGENEOUS_QH = "NonHomogeneousQH"
-NOT_QUASIHOMOGENEOUS = "NotQuasihomogeneous"
 
 
 class WeightSignature(Record):
@@ -120,23 +123,14 @@ def validate_weights(poly: BivarPoly, p: int, q: int) -> WeightSignature:
     return WeightSignature(p, q, nu)
 
 
-def height_function(poly: BivarPoly) -> UniPoly:
-    """The one-variable restriction z -> F(1, z), computed exactly."""
-    _require_nonzero(poly)
-    top = max(j for _, j in poly.terms)
-    columns = [GQ_ZERO] * (top + 1)
-    for (_, j), c in poly.terms.items():
-        columns[j] = columns[j] + c
-    return UniPoly.from_coeffs(reversed(columns))
-
-
-def canonical_decompose(poly: BivarPoly, weights: WeightSignature) -> CanonicalForm:
+def _decompose(poly: BivarPoly, weights: WeightSignature) -> CanonicalForm:
     """Extract c0, monomial exponents, and the monic ladder polynomial.
 
-    The input is re-expanded from the extracted data and compared exactly;
-    any disagreement is an internal inconsistency, not an input error.
+    weights is the signature that infer_weights or validate_weights has just
+    returned for this nonzero poly, so the support lies on its line. The
+    input is re-expanded from the extracted data and compared exactly; any
+    disagreement is an internal inconsistency, not an input error.
     """
-    validate_weights(poly, weights.p, weights.q)
     p, q = weights.p, weights.q
     support = poly.support
     m = min(i for i, _ in support)
@@ -212,18 +206,6 @@ def _is_power_of_linear(ladder: UniPoly, root: GaussianRational) -> bool:
     return True
 
 
-def ord0(poly: BivarPoly, form: CanonicalForm, weights: WeightSignature) -> int:
-    """Order at the origin, asserted equal to the closed form from the ladder."""
-    _require_nonzero(poly)
-    brute = min(i + j for (i, j) in poly.terms)
-    closed = form.m + (form.m0 or 0) + weights.p * form.ladder_degree
-    if brute != closed:
-        raise FormulaMismatchError(
-            f"order at origin: support minimum {brute} != closed form {closed}"
-        )
-    return brute
-
-
 def analyze_germ(poly: BivarPoly, weights: tuple[int, int] | None = None) -> GermAnalysis:
     """Full structural analysis: weights, class, canonical form, order."""
     _require_nonzero(poly)
@@ -235,10 +217,16 @@ def analyze_germ(poly: BivarPoly, weights: tuple[int, int] | None = None) -> Ger
         except (TypeError, ValueError):
             raise ValueError(f"weights must be two positive integers, got {weights!r}") from None
         sig = validate_weights(poly, p, q)
-    form = canonical_decompose(poly, sig)
+    form = _decompose(poly, sig)
     if len(poly.terms) == 1:
         germ_class = MONOMIAL_LIKE
     else:
         germ_class = _classify_from_form(sig, form)
-    order = ord0(poly, form, sig)
+    # order at the origin, asserted equal to the closed form from the ladder
+    order = min(i + j for (i, j) in poly.terms)
+    closed = form.m + (form.m0 or 0) + sig.p * form.ladder_degree
+    if order != closed:
+        raise FormulaMismatchError(
+            f"order at origin: support minimum {order} != closed form {closed}"
+        )
     return GermAnalysis(sig, germ_class, form, order)

@@ -405,10 +405,13 @@ class TestDecide:
         assert json.loads(out1)["verification"]["pass"] is True
 
     def test_branch_out_of_range(self):
-        code, _, err = run_cli("decide", "Y^2 - X^4", "Y^2 - 4*X^4",
-                               "--witness", "--branch", "2")
+        code, out, err = run_cli("decide", "Y^2 - X^4", "Y^2 - 4*X^4",
+                                 "--witness", "--branch", "2")
         assert code == 64
         assert "outside 0..1" in err
+        # reported as every other usage error is
+        assert err == "qhgerm: error: branch 2 outside 0..1\n"
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [
         ("decide", "Y^2-X^4", "Y^2-4*X^4", "--witness", "--branch", "-1"),
@@ -596,6 +599,43 @@ class TestBatch:
         assert records[0] == {
             "error": "weights must be two positive integers, got [2]", "index": 0}
         assert records[1]["status"] == "Equivalent"
+
+    # a record's weights get the message that --weights or the library gives
+    @pytest.mark.parametrize("weights,message", [
+        ([0, 3], "weights must satisfy 1 <= p <= q, got (0, 3)"),
+        ([2, 3.0], "weights must be integers"),
+        ([True, 2], "weights must be integers"),
+        ("23", "weights must be integers"),
+        ({"a": 1}, "weights must be two positive integers, got {'a': 1}"),
+        ([1, 2, 3], "weights must be two positive integers, got [1, 2, 3]"),
+    ], ids=["zero", "float", "bool", "string", "object", "three"])
+    def test_bad_weights_value_does_not_end_the_batch(self, tmp_path, weights, message):
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text(
+            json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND,
+                        "weights": weights}) + "\n"
+            + json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}) + "\n"
+        )
+        code, out, _ = run_cli("decide-batch", str(batch))
+        assert code == 65
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {"error": message, "index": 0}
+        assert records[1]["status"] == "Equivalent"
+
+    # null falls back to --weights, or to inferred weights without it
+    @pytest.mark.parametrize("extra,expected", [([], 0), (["--weights", "1,2"], 65)])
+    def test_null_weights_decide_like_a_record_without_them(self, tmp_path, extra,
+                                                             expected):
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text(
+            json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND,
+                        "weights": None}) + "\n"
+            + json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}) + "\n"
+        )
+        code, out, _ = run_cli("decide-batch", str(batch), *extra)
+        assert code == expected
+        first, second = (json.loads(line) for line in out.splitlines())
+        assert first == dict(second, index=0)
 
 
     def test_deeply_nested_record_does_not_end_the_batch(self, tmp_path):
@@ -938,6 +978,14 @@ def _readme_examples():
 README_EXAMPLES = _readme_examples()
 
 
+def _readme_python_blocks():
+    """The source of every ```python block of README.md."""
+    if not README.is_file():
+        return []
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                      re.DOTALL | re.MULTILINE)
+
+
 class TestReadme:
     @pytest.mark.skipif(not README.is_file(), reason="README.md is not beside the tests")
     def test_examples_are_found(self):
@@ -948,6 +996,13 @@ class TestReadme:
     def test_example_output_is_byte_exact(self, command, expected):
         _, out, _ = run_cli(*shlex.split(command)[1:])
         assert out == expected
+
+    @pytest.mark.skipif(not README.is_file(), reason="README.md is not beside the tests")
+    def test_library_example_runs(self):
+        blocks = _readme_python_blocks()
+        assert blocks
+        for source in blocks:
+            exec(compile(source, "README.md", "exec"), {})
 
 
 # Runs cli.run on argv in a fresh interpreter and reports the exit code, the

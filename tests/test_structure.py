@@ -18,6 +18,7 @@ from qhgerm import (
     parse_poly,
     validate_weights,
 )
+from qhgerm import structure
 from qhgerm.structure import (
     HOMOGENEOUS,
     MONOMIAL_LIKE,
@@ -25,7 +26,6 @@ from qhgerm.structure import (
     CanonicalForm,
     WeightSignature,
     _classify_from_form,
-    height_function,
 )
 
 from conftest import germ_from_parts, rand_germ
@@ -146,6 +146,32 @@ class TestCanonicalDecomposition:
             analyze_germ(parse_poly("Y^2 - X^3"), weights=weights)
 
 
+class TestWeightedLineCheckedOnce:
+    """analyze_germ checks the support against the weighted line once."""
+
+    @staticmethod
+    def _count_checks(monkeypatch, weights):
+        calls = {"infer_weights": 0, "validate_weights": 0}
+        for name in calls:
+            original = getattr(structure, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(structure, name, counting)
+        analyze_germ(parse_poly("(Y^2-X^3)*(Y^2-2*X^3)"), weights)
+        return calls
+
+    def test_explicit_weights_validated_once(self, monkeypatch):
+        assert self._count_checks(monkeypatch, (2, 3)) == {
+            "infer_weights": 0, "validate_weights": 1}
+
+    def test_inferred_weights_not_validated_again(self, monkeypatch):
+        assert self._count_checks(monkeypatch, None) == {
+            "infer_weights": 1, "validate_weights": 0}
+
+
 class TestClassification:
     def test_four_lines_homogeneous(self):
         a = analyze_germ(parse_poly("X*Y*(Y-X)*(Y-2*X)"))
@@ -203,17 +229,6 @@ class TestRepeatedRootCheck:
     def test_matches_full_expansion_on_root_multisets(self, roots):
         ladder = UniPoly.from_roots(roots)
         assert _class_of_unit_weight_ladder(ladder) == _class_by_expansion(ladder)
-
-
-class TestHeight:
-    def test_restriction_to_unit_section(self):
-        h = height_function(parse_poly("(Y^2-X^3)*(Y^2-2*X^3)"))
-        assert h == UniPoly.from_coeffs([gq(1), gq(0), gq(-3), gq(0), gq(2)])
-
-    def test_line_restriction(self):
-        assert height_function(parse_poly("Y - X^2")) == UniPoly.from_coeffs(
-            [gq(1), gq(-1)]
-        )
 
 
 class TestRandomGerms:
