@@ -437,11 +437,14 @@ def _decide_lines(handle, args, out) -> int:
                 raise TypeError(f"record must be a JSON object, got {type(item).__name__}")
             first = parse_poly(item["first"])
             second = parse_poly(item["second"])
-            # a record's weights are checked as --weights is, by analyze_germ
+            # a record's weights are checked as --weights is, by analyze_germ;
+            # null weights or mode mean the key is absent
             weights = item.get("weights")
             if weights is None:
                 weights = args.weights
-            mode = item.get("mode", args.mode)
+            mode = item.get("mode")
+            if mode is None:
+                mode = args.mode
             verdict = engine.decide_equivalence(
                 first, second, weights, mode, args.precision, args.tol
             )

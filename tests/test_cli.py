@@ -637,6 +637,20 @@ class TestBatch:
         first, second = (json.loads(line) for line in out.splitlines())
         assert first == dict(second, index=0)
 
+    # null falls back to --mode, or to auto without it
+    @pytest.mark.parametrize("extra,expected", [([], "exact"), (["--mode", "numeric"], "numeric")])
+    def test_null_mode_decides_like_a_record_without_it(self, tmp_path, extra, expected):
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text(
+            json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND, "mode": None}) + "\n"
+            + json.dumps({"first": PAIR_FIRST, "second": PAIR_SECOND}) + "\n"
+        )
+        code, out, _ = run_cli("decide-batch", str(batch), *extra)
+        assert code == 0
+        first, second = (json.loads(line) for line in out.splitlines())
+        assert first == dict(second, index=0)
+        assert first["mode"] == expected
+
 
     def test_deeply_nested_record_does_not_end_the_batch(self, tmp_path):
         deep = "(" * 3000 + "Y^2-X^3" + ")" * 3000

@@ -1,7 +1,9 @@
 """Numeric kernel: root finding, clustering, matching, evaluation."""
 
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -19,11 +21,13 @@ from qhgerm import (
     parse_poly,
     to_mpc,
 )
-from qhgerm import numeric
+from qhgerm import engine, numeric
 from qhgerm.numeric import ComplexApprox, RootCluster
 from qhgerm.polyio import power_table
 
 from conftest import rand_gq
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def exact_residual(poly: UniPoly, z: mpc, workprec: int = 360) -> mpf:
@@ -154,6 +158,32 @@ class TestFindRoots:
             for r, approx in zip((Fraction(1), near), roots):
                 assert abs(approx.value - mpf(r.numerator) / r.denominator) <= approx.err
             assert abs(roots[0].value - roots[1].value) > roots[0].err + roots[1].err
+
+    @pytest.mark.skipif(not (BENCH / "corpus.py").is_file(), reason="bench/corpus.py is absent")
+    def test_numeric_ladder_corpus_polishes_in_fixed_point(self, monkeypatch):
+        # the pairs of a 15-second numeric_ladder run at seed 7: every root
+        # settles in the fixed-point stage at the requested precision
+        monkeypatch.syspath_prepend(str(BENCH))
+        corpus = importlib.import_module("corpus")
+        mp_stage, precisions = [], []
+        polish_mp, find = numeric._polish_mp, engine.find_roots
+
+        def recording_polish(*args):
+            mp_stage.append(args)
+            return polish_mp(*args)
+
+        def recording_find(poly, precision):
+            precisions.append(precision)
+            return find(poly, precision)
+
+        monkeypatch.setattr(numeric, "_polish_mp", recording_polish)
+        monkeypatch.setattr(engine, "find_roots", recording_find)
+        for pair in corpus.numeric_pairs(7, 8):
+            verdict = engine.decide_equivalence(parse_poly(pair["first_text"]),
+                                                parse_poly(pair["second_text"]))
+            assert (verdict.mode, verdict.status) == ("numeric", pair["truth"])
+        assert set(precisions) == {engine.DEFAULT_PRECISION}
+        assert mp_stage == []
 
 
 class TestClusterRoots:

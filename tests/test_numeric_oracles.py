@@ -1,9 +1,12 @@
 """Oracles for the numeric route: each kernel function against a plain
 reference that recomputes its answer the long way.
 
-- find_roots: every err is the bound formula recomputed from scratch at the
-  returned value, so the bound may reuse the evaluation that settled a root
-  but must not change by a bit.
+- find_roots: every err holds the Newton radius n*|p(z)|/|p'(z)|, computed
+  in exact rationals at the returned dyadic value, and is at most twice the
+  mpc bound formula (Higham's rounding term, the floor) recomputed from
+  scratch at that value. On ladders built from known roots, the
+  fixed-point polishing agrees with the mpc polishing it replaced: the same
+  root count, every true root in a returned disc, and the same clusters.
 - cluster_roots: a brute-force single linkage (adjacency matrix, depth-first
   components, every distance measured where it is read) gives the same
   clusters or the same exception.
@@ -15,11 +18,15 @@ clusters, and mixed multiplicities.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from qhgerm import AmbiguousClusteringError, UniPoly, cluster_roots, find_roots, gq, numeric_match
+from qhgerm import numeric
 from qhgerm.numeric import ComplexApprox, NumericMatch, RootCluster, to_mpc
 
 from conftest import rand_gq
@@ -33,7 +40,7 @@ def horner(coeffs, z):
 
 
 def reference_bound(poly: UniPoly, z: mpc, precision: int) -> mpf:
-    """The find_roots bound at z, with every sum evaluated afresh."""
+    """The mpc stage's bound at z, with every sum evaluated afresh."""
     work = precision + 40
     with mp.workprec(work):
         coeffs = [to_mpc(c) for c in poly.coeffs]
@@ -50,6 +57,18 @@ def reference_bound(poly: UniPoly, z: mpc, precision: int) -> mpf:
         if dval > 0:
             return mpf(max(n * val / dval, floor))
         return mpf(max((val / abs(lead)) ** (mpf(1) / n), floor))
+
+
+def exact(x: mpf) -> Fraction:
+    man, exp = x.man_exp  # man is the modulus of the mantissa
+    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+
+
+def newton_radius_sq(poly: UniPoly, z: mpc) -> Fraction:
+    """(n |p(z)| / |p'(z)|)^2 in exact rationals at the dyadic point z."""
+    point = gq(exact(z.real), exact(z.imag))
+    return (poly.degree ** 2 * poly.eval(point).norm_sq()
+            / poly.derivative().eval(point).norm_sq())
 
 
 def random_ladder(rng) -> UniPoly:
@@ -76,14 +95,108 @@ def test_find_roots_err_is_the_bound_at_the_returned_value(seed):
     precision = rng.choice((128, 128, 192, 256))
     roots = find_roots(poly, precision)
     assert len(roots) == poly.degree
+    stripped = UniPoly(tuple(poly.coeffs[:max(k for k, c in enumerate(poly.coeffs)
+                                              if not c.is_zero) + 1]))
     exact_zeros = 0
     for approx in roots:
         if approx.value == 0 and approx.err == 0:
             exact_zeros += 1
             continue
-        assert approx.err == reference_bound(poly, approx.value, precision)
+        assert newton_radius_sq(stripped, approx.value) <= exact(approx.err) ** 2
+        assert approx.err <= 2 * reference_bound(poly, approx.value, precision)
     trailing = len(poly.coeffs) - max(k for k, c in enumerate(poly.coeffs) if not c.is_zero) - 1
     assert exact_zeros == trailing
+
+
+def reference_find_roots(poly: UniPoly, precision: int) -> list:
+    """find_roots with every root polished in mpc, as before the fixed-point
+    stage: the same starts and hardware-float stage, then numeric._polish_mp,
+    which find_roots keeps for starts out of the double range."""
+    coeffs = list(poly.coeffs)
+    out = []
+    while coeffs[-1].is_zero:
+        out.append(ComplexApprox(mpc(0), mpf(0)))
+        coeffs.pop()
+    with mp.workprec(precision + 40):
+        starts = numeric._newton_polygon_starts(coeffs)
+        refined = numeric._float_starts(coeffs, starts)
+        out += numeric._polish_mp(coeffs, starts if refined is None else refined, precision)
+    out.sort(key=lambda r: (r.value.real, r.value.imag))
+    return out
+
+
+_SMALL_ROOT = st.builds(
+    lambda a, d, im: gq(Fraction(a, d), im),
+    st.integers(-30, 30), st.integers(1, 30),
+    st.just(Fraction(0)) | st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
+)
+
+
+@st.composite
+def ladders_from_roots(draw):
+    """(poly, its distinct roots, precision): a product of (w - r)^m, times a
+    constant, with a near-coincident pair 1 and 1 + 10^-k, the wide moduli
+    10^20, -3 and 10^-15, or zero roots added at times."""
+    mults = {}
+    for r, m in draw(st.lists(st.tuples(_SMALL_ROOT, st.integers(1, 3)), min_size=1, max_size=4)):
+        mults[r] = mults.get(r, 0) + m
+    extra = draw(st.sampled_from(["none", "near", "wide", "zeros"]))
+    if extra == "near":
+        added = [gq(1), gq(1 + Fraction(1, 10 ** draw(st.integers(3, 25))))]
+    elif extra == "wide":
+        added = [gq(10**20), gq(-3), gq(Fraction(1, 10**15))]
+    else:
+        added = [gq(0)] * draw(st.integers(1, 2)) if extra == "zeros" else []
+    for r in added:
+        mults[r] = mults.get(r, 0) + 1
+    lead = draw(st.sampled_from([gq(1), gq(3), gq(Fraction(-2, 7), 1)]))
+    poly = UniPoly.from_roots([r for r, m in mults.items() for _ in range(m)]).scale(lead)
+    small = [8192] if poly.degree <= 4 else []
+    return poly, list(mults), draw(st.sampled_from([128, 192, 256, 1024] + small))
+
+
+def chopped(z: mpc, precision: int) -> mpc:
+    """z without components below 2^-precision * |z|, as the CLI prints it."""
+    floor = abs(z) * mpf(2) ** -precision
+    return mpc(z.real if abs(z.real) > floor else 0, z.imag if abs(z.imag) > floor else 0)
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ladder=ladders_from_roots())
+@example(ladder=(UniPoly.from_roots([gq(1), gq(1 + Fraction(1, 10**20)), gq(-3)]),
+                 [gq(1), gq(1 + Fraction(1, 10**20)), gq(-3)], 8192))
+@example(ladder=(UniPoly.from_roots([gq(10**20), gq(-3), gq(Fraction(1, 10**15)), gq(0)]),
+                 [gq(10**20), gq(-3), gq(Fraction(1, 10**15)), gq(0)], 1024))
+def test_find_roots_agrees_with_the_mpc_polishing(ladder):
+    poly, true_roots, precision = ladder
+    got = find_roots(poly, precision)
+    want = reference_find_roots(poly, precision)
+    assert len(got) == len(want) == poly.degree
+    with mp.workprec(precision + 100):
+        for r in true_roots:
+            assert any(abs(a.value - to_mpc(r)) <= a.err for a in got)
+    # clustered at the caller's 53 bits, as the numeric route does
+    tol = 1e-9
+    got_cl = outcome(cluster_roots, got, tol, [1] * len(got))
+    want_cl = outcome(cluster_roots, want, tol, [1] * len(want))
+    if isinstance(want_cl, tuple) or isinstance(got_cl, tuple):
+        assert type(got_cl) is type(want_cl)
+        return
+    assert len(got_cl) == len(want_cl)
+    paired = set()
+    for w in want_cl:
+        g = min(got_cl, key=lambda c: abs(c.center - w.center))
+        assert id(g) not in paired and g.multiplicity == w.multiplicity
+        paired.add(id(g))
+        # each member lies within its err of a true root, so both centers lie
+        # within the largest member err of the members' mean root
+        slack = max(a.err for a in got + want if abs(a.value - w.center) <= tol)
+        if slack <= abs(w.center) * mpf(2) ** -precision:
+            assert chopped(g.center, precision) == chopped(w.center, precision)
+        else:
+            assert abs(g.center - w.center) <= 2 * slack + abs(w.center) * mpf(2) ** -52
 
 
 def reference_clusters(roots, tol, weights):
