@@ -8,10 +8,9 @@ find_roots and eval_bivar scope their own working precision; cluster_roots,
 numeric_match, nth_root and to_mpc compute at the caller's precision.
 
 find_roots polishes its roots in integer fixed point: Gaussian dyadic
-points, Horner on integers with an explicit bound on its rounding. mpmath
-gives it only the mpc and mpf values it returns, the error bounds, radii
-past the double range, and the mpc iteration that serves starts out of
-the double range and points the fixed point does not settle. Clustering,
+points, Horner on integers with an explicit bound on its rounding, for
+every input, including roots past the double range. mpmath only builds the
+mpc and mpf values it returns and _bound's error bounds. Clustering,
 matching, nth_root and eval_bivar compute in mpmath.
 
 mpmath is imported by each function that does mpmath arithmetic, on entry,
@@ -89,16 +88,10 @@ def _horner(coeffs, z):
     return acc
 
 
-def _log_abs(c):
-    """log |c| as a float, or None for 0; c is a GaussianRational or an mpmath number.
-
-    A GaussianRational's is read from its integer parts, which math.log
-    takes at any size, so it needs no mpmath.
-    """
-    if isinstance(c, GaussianRational):
-        return None if c.is_zero else math.log(c.a * c.a + c.b * c.b) / 2 - math.log(c.d)
-    from mpmath import mp
-    return None if c == 0 else float(mp.log(abs(c)))
+def _log_abs(c: GaussianRational):
+    """log |c| as a float, or None for 0, read from the integer parts of c,
+    which math.log takes at any size."""
+    return None if c.is_zero else math.log(c.a * c.a + c.b * c.b) / 2 - math.log(c.d)
 
 
 def _newton_polygon_starts(coeffs) -> list:
@@ -108,8 +101,9 @@ def _newton_polygon_starts(coeffs) -> list:
     moduli: an edge from k to l holds l - k roots of modulus about
     (|a_k| / |a_l|)^(1/(l - k)), so that many points go on a circle of that
     radius (Bini 1996). Angles are offset from one circle to the next. The
-    hull is taken in hardware floats; a radius past the double range is an
-    mpmath mpf, so the points on its circle are mpc.
+    hull is taken in hardware floats. Each point is a pair (c, e) standing
+    for c * 2^e: e is 0 while the radius is well inside the double range,
+    and past that it takes the radius's power of two.
     """
     n = len(coeffs) - 1
     points = [(n - i, y) for i, y in enumerate(map(_log_abs, coeffs)) if y is not None]
@@ -125,39 +119,38 @@ def _newton_polygon_starts(coeffs) -> list:
     for (k, yk), (l, yl) in zip(hull, hull[1:]):
         count = l - k
         log_radius = (yk - yl) / count
-        if abs(log_radius) < 700:
-            radius = math.exp(log_radius)
-        else:
-            from mpmath import mp
-            radius = mp.exp(log_radius)
+        e = 0 if abs(log_radius) < 700 else round(log_radius / math.log(2))
+        radius = math.exp(log_radius - e * math.log(2))
         offset = 2 * math.pi * len(starts) / n + 0.4
         for j in range(count):
-            starts.append(radius * cmath.rect(1, 2 * math.pi * j / count + offset))
+            starts.append((radius * cmath.rect(1, 2 * math.pi * j / count + offset), e))
     return starts
 
 
-def _aberth(coeffs, points, limit, max_sweeps):
-    """Aberth-Ehrlich sweeps on points, in place, in the points' own arithmetic.
+def _aberth(coeffs, points) -> bool:
+    """Aberth-Ehrlich sweeps on hardware complex points, in place.
 
-    Serves Python complex and mpmath mpc alike. A point is settled once
-    |p(z)| <= limit * sum |a_k| |z|^k; a settled point never moves again, so
-    it is not evaluated again. Returns per point the pair (|p(z)|,
-    sum |a_k| |z|^k) from the evaluation that settled it, None where
-    unsettled; or None when a point turns NaN (hardware floats out of range).
+    A point is settled once |p(z)| <= n * 2^-51 * sum |a_k| |z|^k for degree
+    n; a settled point never moves again, so it is not evaluated again. A
+    zero derivative nudges the point by 1e-3, and a coincident neighbour
+    counts at distance 1e-30. Stops after _FLOAT_SWEEPS sweeps, or when no
+    point moves; returns False as soon as a point turns NaN (the iteration
+    left the double range), else True.
     """
     n = len(points)
+    limit = n * 2.0**-51
     deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
     abs_coeffs = [abs(c) for c in coeffs]
-    settled = [None] * n
-    for _ in range(max_sweeps):
+    settled = [False] * n
+    for _ in range(_FLOAT_SWEEPS):
         moved = False
         for k in range(n):
-            if settled[k] is not None:
+            if settled[k]:
                 continue
             z = points[k]
             val = _horner(coeffs, z)
-            if abs(val) <= limit * (mag := _horner(abs_coeffs, abs(z))):
-                settled[k] = (abs(val), mag)
+            if abs(val) <= limit * _horner(abs_coeffs, abs(z)):
+                settled[k] = True
                 continue
             dval = _horner(deriv, z)
             if dval == 0:
@@ -168,41 +161,41 @@ def _aberth(coeffs, points, limit, max_sweeps):
             acc = 0
             for j in range(n):
                 if j != k:
-                    diff = z - points[j]
-                    if diff == 0:
-                        diff = 1e-30
-                    acc += 1 / diff
+                    acc += 1 / ((z - points[j]) or 1e-30)
             denom = 1 - newton * acc
             points[k] = z - (newton if denom == 0 else newton / denom)
             if points[k] != points[k]:
-                return None
+                return False
             moved = True
         if not moved:
             break
-    return settled
+    return True
 
 
 def _float_starts(coeffs, starts):
-    """Refine starting points in hardware complex arithmetic, or None.
+    """Refine starting points (c, e) in hardware complex arithmetic, or None.
 
-    Runs only when every coefficient (a GaussianRational) is a finite double
-    that is zero exactly when the coefficient is; returns None when the
-    points leave the double range, so the caller keeps the unrefined starts.
+    Runs only when every start has e = 0 and every coefficient (a
+    GaussianRational) is a finite double that is zero exactly when the
+    coefficient is. Returns the refined points as pairs (z, 0), or None when
+    they leave the double range, so the caller keeps the unrefined starts.
     """
+    if any(e for _, e in starts):
+        return None
     try:
         fcoeffs = [complex(c.a / c.d, c.b / c.d) for c in coeffs]
     except OverflowError:
         return None
     if not all((f == 0) == c.is_zero for f, c in zip(fcoeffs, coeffs)):
         return None
-    points = [complex(z) for z in starts]
+    points = [c for c, _ in starts]
     try:
-        settled = _aberth(fcoeffs, points, len(points) * 2.0**-51, _FLOAT_SWEEPS)
+        finite = _aberth(fcoeffs, points)
     except (OverflowError, ZeroDivisionError):
         return None
-    if settled is None or not all(cmath.isfinite(z) for z in points):
+    if not finite or not all(cmath.isfinite(z) for z in points):
         return None
-    return points
+    return [(z, 0) for z in points]
 
 
 def _bound(val, dval, lead, n):
@@ -218,31 +211,6 @@ def _bound(val, dval, lead, n):
     if dval > 0:
         return mpf(max(n * val / dval, floor))
     return mpf(max((val / lead) ** (mpf(1) / n), floor))
-
-
-def _polish_mp(coeffs, points, precision):
-    """Aberth polishing in mpc at precision + 40 bits, with error bounds.
-
-    Serves starting points out of the double range and inputs the
-    fixed-point stage cannot settle. The computed |p(z)| can round to 0 at a
-    root that is not exact, so val adds Horner's rounding bound
-    gamma_2n * sum |a_k| |z|^k (Higham, Accuracy and Stability, 5.1), with
-    the unit roundoff doubled for complex products.
-    """
-    from mpmath import mpc, mpf
-    work = precision + 40
-    mcoeffs = [to_mpc(c) for c in coeffs]
-    points = [mpc(z) for z in points]
-    settled = _aberth(mcoeffs, points, mpf(2) ** (-(precision + 20)), _POLISH_SWEEPS)
-    if settled is None or not all(settled):
-        raise NonConvergenceError("root iteration did not reach the backward-error target")
-    n = len(mcoeffs) - 1
-    lead = abs(mcoeffs[0])
-    deriv = [c * (n - i) for i, c in enumerate(mcoeffs[:-1])]
-    u = mpf(2) ** (1 - work)
-    gamma = 2 * n * u / (1 - 2 * n * u)
-    return [ComplexApprox(mpc(z), _bound(pval + gamma * mag, abs(_horner(deriv, z)), lead, n))
-            for z, (pval, mag) in zip(points, settled)]
 
 
 def _shift(x: int, bits: int) -> int:
@@ -273,10 +241,10 @@ def _fixed(x: float, frac: int) -> int:
 def _normalize(wr: int, wi: int, e: int, frac: int):
     """The point (wr + i*wi) * 2^(e - frac) as (wr', wi', e') with
     |w| = |wr' + i*wi'| / 2^frac < 1, and |w| >= 1/2 up to the rounding
-    toward zero of a right shift; None for 0."""
+    toward zero of a right shift; 0 as (0, 0, e), at the scale it had."""
     size = (wr * wr + wi * wi).bit_length()
     if not size:
-        return None
+        return 0, 0, e
     t = (size - 2 * frac + 1) // 2
     if t > 0:
         return _shift(wr, t), _shift(wi, t), e + t
@@ -318,27 +286,32 @@ def _horner_fixed(pairs, wr: int, wi: int, frac: int):
 
 
 def _dyadic_diff(a, b, frac: int) -> complex:
-    """The difference of two fixed-point points (wr, wi, e), exactly, then as a complex."""
+    """The difference of two fixed-point points (wr, wi, e), exactly, then as
+    a complex in units of 2^e of the first."""
     low = min(a[2], b[2])
     re = (a[0] << (a[2] - low)) - (b[0] << (b[2] - low))
     im = (a[1] << (a[2] - low)) - (b[1] << (b[2] - low))
-    return complex(_to_float(re, low - frac), _to_float(im, low - frac))
+    return complex(_to_float(re, low - a[2] - frac), _to_float(im, low - a[2] - frac))
 
 
-def _polish_fixed(coeffs, points, precision):
+def _polish_fixed(coeffs, starts, precision):
     """Aberth polishing on Gaussian dyadic points in integer arithmetic.
 
-    points are the hardware-float stage's, and each becomes
-    (wr + i*wi) * 2^(e - frac) with 1/2 <= |w| < 1 for w = z / 2^e; frac
-    is precision + 40 + n + 8 fractional bits, which keeps the rounding of
-    the fixed-point Horner below Higham's bound gamma * sum |a_k| |z|^k of
-    the mpc stage. Before each evaluation a point is chopped to
+    starts are pairs (c, e) for the points c * 2^e, and each becomes
+    (wr + i*wi) * 2^(e - frac) with 1/2 <= |w| < 1, exactly: the power of
+    two of c goes into e, so a point of any size keeps its bits. frac is
+    precision + 40 + n + 8 fractional bits, so Horner's rounding stays far
+    below the stop. Before each evaluation a point is chopped to
     precision + 40 bits, so a settled point is exactly the mpc returned.
     The Newton quotient is one integer division; the Aberth factor
-    1/(1 - N*S) is taken in hardware floats from float copies of the
-    points, or from the exact difference where two copies are too close.
-    Returns the ComplexApprox list, or None when a point does not settle
-    within the sweep budget or the iteration leaves the double range.
+    1/(1 - N*S) is taken in hardware floats from float copies of the w:
+    point k scales each other copy by 2^(e_j - e_k), exactly, to sum S in
+    units of its own 2^e, or takes the exact difference where two copies
+    are too close. A zero derivative moves the point by 2^-10 of its scale,
+    as _aberth moves one by 1e-3; a neighbour that coincides exactly is left
+    out of the sum, and a factor past the double range gives a plain Newton
+    step. Raises NonConvergenceError when a point does not settle within
+    the sweep budget.
     """
     from mpmath import mp, mpc, mpf
     n = len(coeffs) - 1
@@ -349,73 +322,75 @@ def _polish_fixed(coeffs, points, precision):
     # the stop |p| <= 2^-(precision+20) * mag in units of 2^-frac
     stop = frac - precision - 20
     tables = {}
-    try:
-        state = [_normalize(_fixed(z.real, frac), _fixed(z.imag, frac), 0, frac)
-                 for z in points]
-        if None in state:
-            return None
-        floats = list(points)
-        settled = [None] * n
-        for _ in range(_POLISH_SWEEPS):
-            moved = False
-            for k in range(n):
-                if settled[k] is not None:
-                    continue
-                wr, wi, e = state[k]
-                wr, wi = _chop(wr, work), _chop(wi, work)
-                state[k] = (wr, wi, e)
-                if e not in tables:
-                    tables[e] = _scaled_coeffs(ints, e, frac)
-                pairs, mags, s = tables[e]
-                hr, hi, dr, di = _horner_fixed(pairs, wr, wi, frac)
-                size = abs(complex(_to_float(wr, -frac), _to_float(wi, -frac)))
-                mag = 0.0
-                for m in mags:
-                    mag = mag * size + m
-                limit = int(math.ldexp(mag, stop))
-                if hr * hr + hi * hi <= limit * limit:
-                    settled[k] = (s, hr, hi, dr, di)
-                    continue
-                norm = dr * dr + di * di
-                if not norm:
-                    return None
+    state = []
+    for c, e in starts:
+        top = math.frexp(max(abs(c.real), abs(c.imag)))[1]
+        state.append(_normalize(_fixed(math.ldexp(c.real, -top), frac),
+                                _fixed(math.ldexp(c.imag, -top), frac), e + top, frac))
+    floats = [complex(_to_float(wr, -frac), _to_float(wi, -frac)) for wr, wi, _ in state]
+    settled = [None] * n
+    for _ in range(_POLISH_SWEEPS):
+        moved = False
+        for k in range(n):
+            if settled[k] is not None:
+                continue
+            wr, wi, e = state[k]
+            wr, wi = _chop(wr, work), _chop(wi, work)
+            state[k] = (wr, wi, e)
+            if e not in tables:
+                tables[e] = _scaled_coeffs(ints, e, frac)
+            pairs, mags, s = tables[e]
+            hr, hi, dr, di = _horner_fixed(pairs, wr, wi, frac)
+            size = abs(complex(_to_float(wr, -frac), _to_float(wi, -frac)))
+            mag = 0.0
+            for m in mags:
+                mag = mag * size + m
+            limit = int(math.ldexp(mag, stop))
+            if hr * hr + hi * hi <= limit * limit:
+                settled[k] = (s, hr, hi, dr, di)
+                continue
+            norm = dr * dr + di * di
+            if norm:
                 nr = ((hr * dr + hi * di) << frac) // norm
                 ni = ((hi * dr - hr * di) << frac) // norm
                 total = 0j
                 for j in range(n):
                     if j != k:
-                        diff = floats[k] - floats[j]
+                        try:
+                            diff = floats[k] - floats[j] * 2.0 ** (state[j][2] - e)
+                        except OverflowError:
+                            continue  # |z_j| > 2^1000 |z_k|: a term below 2^-1000
                         if abs(diff) < 2.0**-40 * abs(floats[k]):
                             diff = _dyadic_diff(state[k], state[j], frac)
-                            if not diff:
-                                return None
-                        total += 1 / diff
-                ns = complex(_to_float(nr, e - frac), _to_float(ni, e - frac)) * total
-                g = 0j if ns == 1 else ns / (1 - ns)
-                # W - N * (1 + g), with g to 62 fractional bits
-                gr, gi = int(math.ldexp(g.real, 62)), int(math.ldexp(g.imag, 62))
+                        if diff:
+                            total += 1 / diff
+                try:
+                    ns = complex(_to_float(nr, -frac), _to_float(ni, -frac)) * total
+                    g = 0j if ns == 1 else ns / (1 - ns)
+                    # W - N * (1 + g), with g to 62 fractional bits
+                    gr, gi = int(math.ldexp(g.real, 62)), int(math.ldexp(g.imag, 62))
+                except (OverflowError, ValueError):
+                    gr = gi = 0  # N * S past the double range: a plain Newton step
                 fr = gr + (1 << 62)
-                state[k] = _normalize(wr - ((nr * fr - ni * gi) >> 62),
-                                      wi - ((nr * gi + ni * fr) >> 62), e, frac)
-                if state[k] is None:
-                    return None
-                wr, wi, e = state[k]
-                floats[k] = complex(_to_float(wr, e - frac), _to_float(wi, e - frac))
-                moved = True
-            if not moved:
-                break
-    except (OverflowError, ValueError):
-        return None
+                step_r, step_i = (nr * fr - ni * gi) >> 62, (nr * gi + ni * fr) >> 62
+            else:
+                step_r, step_i = -(1 << (frac - 10)), 0  # p'(w) = 0: move off by 2^-10
+            wr, wi, e = state[k] = _normalize(wr - step_r, wi - step_i, e, frac)
+            floats[k] = complex(_to_float(wr, -frac), _to_float(wi, -frac))
+            moved = True
+        if not moved:
+            break
     if not all(settled):
-        return None
-    lead = abs(to_mpc(coeffs[0]))
+        raise NonConvergenceError("root iteration did not reach the backward-error target")
     out = []
-    for (wr, wi, e), (s, hr, hi, dr, di) in zip(state, settled):
-        val = mp.ldexp(mpf(math.isqrt(hr * hr + hi * hi) + 1 + 3 * (n + 1)), s - frac) / den
-        low = math.isqrt(dr * dr + di * di) - 2 * (n + 1) ** 2
-        dval = mp.ldexp(mpf(low), s - e - frac) / den if low > 0 else mpf(0)
-        value = mpc(mpf((wr, e - frac)), mpf((wi, e - frac)))
-        out.append(ComplexApprox(value, _bound(val, dval, lead, n)))
+    with mp.workprec(work):
+        lead = abs(to_mpc(coeffs[0]))
+        for (wr, wi, e), (s, hr, hi, dr, di) in zip(state, settled):
+            val = mp.ldexp(mpf(math.isqrt(hr * hr + hi * hi) + 1 + 3 * (n + 1)), s - frac) / den
+            low = math.isqrt(dr * dr + di * di) - 2 * (n + 1) ** 2
+            dval = mp.ldexp(mpf(low), s - e - frac) / den if low > 0 else mpf(0)
+            value = mpc(mpf((wr, e - frac)), mpf((wi, e - frac)))
+            out.append(ComplexApprox(value, _bound(val, dval, lead, n)))
     return out
 
 
@@ -424,18 +399,18 @@ def find_roots(poly: UniPoly, precision: int = DEFAULT_PRECISION) -> list:
 
     Runs the Aberth-Ehrlich simultaneous iteration from Newton-polygon
     starting points: first in hardware floats to bring the starts close,
-    then on Gaussian dyadic points in integer fixed point until every root
+    when they and the coefficients fit doubles and the points stay in the
+    double range, then on Gaussian dyadic points in integer fixed point,
+    from the float stage's points or else the raw starts, until every root
     meets the backward-error stop |p(z)| <= 2^-(precision+20) * sum |a_k|
     |z|^k, so that multiple roots terminate as tight clusters instead of
     stalling. Each err is the Newton radius n*|p(z)|/|p'(z)|, from an upper
     bound on |p(z)| and a lower bound on |p'(z)| that carry the fixed-point
-    rounding, and at least |p(z)|/(1 + |a_n|*n). Starts out of the double
-    range, and points the fixed-point stage cannot settle, take the same
-    iteration in mpmath mpc at precision + 40 bits instead, with Horner's
-    rounding bound. Only roots that pass the stop are returned; zero roots
-    are split off first and returned exactly.
+    rounding, and at least |p(z)|/(1 + |a_n|*n). mpmath only builds the
+    returned values and bounds. Raises NonConvergenceError when a root does
+    not meet the stop; zero roots are split off first and returned exactly.
     """
-    from mpmath import mp, mpc, mpf
+    from mpmath import mpc, mpf
     coeffs = list(poly.coeffs)
     if len(coeffs) < 2:
         return []
@@ -445,13 +420,8 @@ def find_roots(poly: UniPoly, precision: int = DEFAULT_PRECISION) -> list:
         coeffs.pop()
     if len(coeffs) == 1:
         return out
-    with mp.workprec(precision + 40):
-        starts = _newton_polygon_starts(coeffs)
-        refined = _float_starts(coeffs, starts)
-        polished = None if refined is None else _polish_fixed(coeffs, refined, precision)
-        if polished is None:
-            polished = _polish_mp(coeffs, starts if refined is None else refined, precision)
-    out += polished
+    starts = _newton_polygon_starts(coeffs)
+    out += _polish_fixed(coeffs, _float_starts(coeffs, starts) or starts, precision)
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
 

@@ -1,6 +1,7 @@
 """Numeric kernel: root finding, clustering, matching, evaluation."""
 
 import importlib
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -110,10 +111,11 @@ class TestFindRoots:
             assert any(abs(a.value - r) <= a.err for a in roots)
 
     @pytest.mark.parametrize("big, tiny", [(200, 150), (400, 350)])
-    def test_out_of_double_range_starts_in_mpmath(self, monkeypatch, big, tiny):
+    def test_out_of_double_range_starts_in_fixed_point(self, monkeypatch, big, tiny):
         # 10^200 overflows the hardware-float sweep (z^2), and 10^400 puts
-        # the coefficients themselves out of double range: either way the
-        # mpmath stage starts from the Newton-polygon points
+        # the coefficients and the starts themselves out of double range:
+        # either way the fixed-point stage starts from the Newton-polygon
+        # points
         refined = []
         float_starts = numeric._float_starts
 
@@ -126,8 +128,9 @@ class TestFindRoots:
         roots = find_roots(UniPoly.from_roots([gq(r) for r in true_roots]), 128)
         assert refined == [None]
         assert len(roots) == 3
-        # the computed |p(z)| rounds to 0 at the approximation of 10^-tiny,
-        # so only the Horner rounding term keeps its bound above 0
+        # the computed |p(z)| can round to 0 at the approximation of
+        # 10^-tiny, so only the fixed-point rounding term keeps its bound
+        # above 0
         assert all(a.err > 0 for a in roots)
         with mp.workprec(4096):
             for r in true_roots:
@@ -136,11 +139,104 @@ class TestFindRoots:
                 assert abs(nearest.value - exact) <= abs(exact) * mpf(2) ** -100
                 assert abs(nearest.value - exact) <= nearest.err
 
+    def test_tiny_root_is_polished_from_the_float_stage(self, monkeypatch):
+        # 10^-60 lies below 2^-(precision + 48 + n) at 128 bits: its refined
+        # point enters the fixed-point stage through its own power of two,
+        # not as a fixed-point 0 that once made that stage give up
+        refined, polished = [], []
+        float_starts, polish_fixed = numeric._float_starts, numeric._polish_fixed
+
+        def spy(coeffs, starts):
+            refined.append(float_starts(coeffs, starts))
+            return refined[-1]
+
+        def polish_spy(*args):
+            polished.append(polish_fixed(*args))
+            return polished[-1]
+
+        monkeypatch.setattr(numeric, "_float_starts", spy)
+        monkeypatch.setattr(numeric, "_polish_fixed", polish_spy)
+        true_roots = [Fraction(1, 10**60), Fraction(1), Fraction(2)]
+        roots = find_roots(UniPoly.from_roots([gq(r) for r in true_roots]), 128)
+        assert len(refined) == 1 and refined[0] is not None
+        assert len(polished) == 1 and polished[0] is not None
+        assert len(roots) == 3
+        with mp.workprec(1024):
+            for r in true_roots:
+                exact = mpf(r.numerator) / r.denominator
+                nearest = min(roots, key=lambda a: abs(a.value - exact))
+                assert abs(nearest.value - exact) <= abs(exact) * mpf(2) ** -100
+                assert abs(nearest.value - exact) <= nearest.err
+
+    @pytest.mark.parametrize("spec", [
+        [(gq(2), 3), (gq(-1, 1), 3), (gq(Fraction(1, 3)), 3), (gq(Fraction(-3, 2)), 2),
+         (gq(0, 2), 2), (gq(Fraction(5, 4), Fraction(-1, 2)), 2), (gq(1), 1), (gq(-5), 1),
+         (gq(3, 2), 1)],
+        [(gq(3), 3), (gq(Fraction(-1, 2)), 3), (gq(1, -2), 3), (gq(0, 4), 2),
+         (gq(Fraction(-7, 3)), 2), (gq(Fraction(1, 4)), 1), (gq(-2, 1), 1), (gq(5), 1),
+         (gq(0, -3), 1)],
+    ], ids=["degree-18", "degree-17"])
+    def test_fixed_point_settles_from_the_raw_starts(self, monkeypatch, spec):
+        # the float stage can turn NaN on polynomials with several triple
+        # roots; then the fixed-point stage starts from the Newton-polygon
+        # points and finds the clusters of the refined starts
+        poly = UniPoly.from_roots([r for r, m in spec for _ in range(m)])
+        want = find_roots(poly, 128)
+        monkeypatch.setattr(numeric, "_float_starts", lambda coeffs, starts: None)
+        got = find_roots(poly, 128)
+        assert len(got) == len(want) == poly.degree
+        with mp.workprec(228):
+            for r, _ in spec:
+                assert any(abs(a.value - to_mpc(r)) <= a.err for a in got)
+        got_cl = cluster_roots(got, 1e-9, [1] * len(got))
+        want_cl = cluster_roots(want, 1e-9, [1] * len(want))
+        assert sorted(c.multiplicity for c in want_cl) == sorted(m for _, m in spec)
+        assert len(got_cl) == len(want_cl)
+        for w in want_cl:
+            g = min(got_cl, key=lambda c: abs(c.center - w.center))
+            assert g.multiplicity == w.multiplicity
+            # both centers lie within the largest member err of the true root
+            slack = max(a.err for a in got + want if abs(a.value - w.center) <= 1e-9)
+            assert abs(g.center - w.center) <= 2 * slack + abs(w.center) * mpf(2) ** -52
+
+    def test_fixed_point_stage_leaves_critical_and_coincident_points(self):
+        # p'(0) = 0 for w^3 - 1, and two starts coincide: the fixed-point
+        # stage moves the first off, leaves the twin out of the Aberth sum,
+        # and still finds the three cube roots of unity
+        coeffs = [gq(1), gq(0), gq(0), gq(-1)]
+        starts = [(0j, 0), (0.5 + 0.5j, 0), (0.5 + 0.5j, 0)]
+        roots = numeric._polish_fixed(coeffs, starts, 128)
+        with mp.workprec(300):
+            for r in (mpc(1), mpc(-0.5, mp.sqrt(3) / 2), mpc(-0.5, -mp.sqrt(3) / 2)):
+                assert any(abs(a.value - r) <= a.err for a in roots)
+
+    def test_fixed_point_stage_takes_a_newton_step_past_the_double_range(self, monkeypatch):
+        # at 2^-1001, far below the roots of w^2 + 2^-600 w - 1, the Newton
+        # quotient is about 2^1600 times the point, past the double range of
+        # the Aberth factor, so the point takes a plain Newton step
+        overflows = []
+        to_float = numeric._to_float
+
+        def spy(m, exp):
+            try:
+                return to_float(m, exp)
+            except OverflowError:
+                overflows.append(exp)
+                raise
+
+        monkeypatch.setattr(numeric, "_to_float", spy)
+        coeffs = [gq(1), gq(Fraction(1, 2**600)), gq(-1)]
+        roots = numeric._polish_fixed(coeffs, [(0.5, -1000), (0.5j, 600)], 2048)
+        assert overflows
+        with mp.workprec(2400):
+            b = mpf(2) ** -600
+            for r in ((-b + mp.sqrt(b * b + 4)) / 2, (-b - mp.sqrt(b * b + 4)) / 2):
+                assert any(abs(a.value - r) <= a.err for a in roots)
+
     def test_newton_polygon_starts_follow_the_root_moduli(self):
         true_roots = [gq(1), gq(100), gq(0, 100), gq(-100), gq(10**4), gq(10**6)]
-        coeffs = [to_mpc(c) for c in UniPoly.from_roots(true_roots).coeffs]
-        with mp.workprec(128):
-            starts = numeric._newton_polygon_starts(coeffs)
+        coeffs = UniPoly.from_roots(true_roots).coeffs
+        starts = [c * 2.0**e for c, e in numeric._newton_polygon_starts(coeffs)]
         assert len(starts) == 6
         moduli = sorted(abs(z) for z in starts)
         assert 0.5 < moduli[0] < 2
@@ -149,6 +245,15 @@ class TestFindRoots:
         assert 5e5 < moduli[5] < 2e6
         gaps = [abs(a - b) for i, a in enumerate(starts) for b in starts[i + 1:]]
         assert min(gaps) > 1
+
+    def test_newton_polygon_starts_past_the_double_range(self):
+        # radii 10^400 and 10^-350 carry their power of two in e
+        coeffs = UniPoly.from_roots([gq(10**400), gq(-3), gq(Fraction(1, 10**350))]).coeffs
+        starts = numeric._newton_polygon_starts(coeffs)
+        log2_moduli = sorted(math.log2(abs(c)) + e for c, e in starts)
+        expected = [-350 * math.log2(10), math.log2(3), 400 * math.log2(10)]
+        assert all(abs(got - want) < 1 for got, want in zip(log2_moduli, expected))
+        assert all(0.5 <= abs(c) < 2 for c, e in starts if e)
 
     def test_roots_closer_than_double_resolution_stay_apart(self):
         near = 1 + Fraction(1, 10**20)
@@ -161,29 +266,30 @@ class TestFindRoots:
 
     @pytest.mark.skipif(not (BENCH / "corpus.py").is_file(), reason="bench/corpus.py is absent")
     def test_numeric_ladder_corpus_polishes_in_fixed_point(self, monkeypatch):
-        # the pairs of a 15-second numeric_ladder run at seed 7: every root
-        # settles in the fixed-point stage at the requested precision
+        # the pairs of a 15-second numeric_ladder run at seed 7: the float
+        # stage refines every start, and every root settles in the
+        # fixed-point stage at the requested precision
         monkeypatch.syspath_prepend(str(BENCH))
         corpus = importlib.import_module("corpus")
-        mp_stage, precisions = [], []
-        polish_mp, find = numeric._polish_mp, engine.find_roots
+        refined, precisions = [], []
+        float_starts, find = numeric._float_starts, engine.find_roots
 
-        def recording_polish(*args):
-            mp_stage.append(args)
-            return polish_mp(*args)
+        def recording_float_starts(coeffs, starts):
+            refined.append(float_starts(coeffs, starts))
+            return refined[-1]
 
         def recording_find(poly, precision):
             precisions.append(precision)
             return find(poly, precision)
 
-        monkeypatch.setattr(numeric, "_polish_mp", recording_polish)
+        monkeypatch.setattr(numeric, "_float_starts", recording_float_starts)
         monkeypatch.setattr(engine, "find_roots", recording_find)
         for pair in corpus.numeric_pairs(7, 8):
             verdict = engine.decide_equivalence(parse_poly(pair["first_text"]),
                                                 parse_poly(pair["second_text"]))
             assert (verdict.mode, verdict.status) == ("numeric", pair["truth"])
         assert set(precisions) == {engine.DEFAULT_PRECISION}
-        assert mp_stage == []
+        assert refined and None not in refined
 
 
 class TestClusterRoots:

@@ -5,8 +5,9 @@ reference that recomputes its answer the long way.
   in exact rationals at the returned dyadic value, and is at most twice the
   mpc bound formula (Higham's rounding term, the floor) recomputed from
   scratch at that value. On ladders built from known roots, the
-  fixed-point polishing agrees with the mpc polishing it replaced: the same
-  root count, every true root in a returned disc, and the same clusters.
+  fixed-point polishing agrees with the mpc polishing it replaced, kept
+  here as reference_find_roots: the same root count, every true root in a
+  returned disc, and the same clusters.
 - cluster_roots: a brute-force single linkage (adjacency matrix, depth-first
   components, every distance measured where it is read) gives the same
   clusters or the same exception.
@@ -25,7 +26,8 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from qhgerm import AmbiguousClusteringError, UniPoly, cluster_roots, find_roots, gq, numeric_match
+from qhgerm import (AmbiguousClusteringError, NonConvergenceError, UniPoly, cluster_roots,
+                    find_roots, gq, numeric_match)
 from qhgerm import numeric
 from qhgerm.numeric import ComplexApprox, NumericMatch, RootCluster, to_mpc
 
@@ -108,19 +110,56 @@ def test_find_roots_err_is_the_bound_at_the_returned_value(seed):
     assert exact_zeros == trailing
 
 
+def mpc_aberth(coeffs, points, limit):
+    """Aberth-Ehrlich sweeps on mpc points, in place, until each point has
+    |p(z)| <= limit * sum |a_k| |z|^k; a settled point never moves again.
+    Raises NonConvergenceError when one does not settle in 600 sweeps."""
+    n = len(points)
+    deriv = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+    abs_coeffs = [abs(c) for c in coeffs]
+    settled = [False] * n
+    for _ in range(600):
+        moved = False
+        for k in range(n):
+            if settled[k]:
+                continue
+            z = points[k]
+            val = horner(coeffs, z)
+            if abs(val) <= limit * horner(abs_coeffs, abs(z)):
+                settled[k] = True
+                continue
+            dval = horner(deriv, z)
+            if dval == 0:
+                points[k] = z + mpf(1e-3)
+                moved = True
+                continue
+            newton = val / dval
+            acc = sum(1 / ((z - points[j]) or mpf(1e-30)) for j in range(n) if j != k)
+            denom = 1 - newton * acc
+            points[k] = z - (newton if denom == 0 else newton / denom)
+            moved = True
+        if not moved:
+            break
+    if not all(settled):
+        raise NonConvergenceError("root iteration did not reach the backward-error target")
+
+
 def reference_find_roots(poly: UniPoly, precision: int) -> list:
     """find_roots with every root polished in mpc, as before the fixed-point
-    stage: the same starts and hardware-float stage, then numeric._polish_mp,
-    which find_roots keeps for starts out of the double range."""
+    stage: the same starts and hardware-float stage, then the same Aberth
+    iteration in mpc at precision + 40 bits, each err the bound formula of
+    reference_bound (Horner's rounding term by Higham) at the settled point."""
     coeffs = list(poly.coeffs)
     out = []
     while coeffs[-1].is_zero:
         out.append(ComplexApprox(mpc(0), mpf(0)))
         coeffs.pop()
+    starts = numeric._newton_polygon_starts(coeffs)
+    refined = numeric._float_starts(coeffs, starts) or starts
     with mp.workprec(precision + 40):
-        starts = numeric._newton_polygon_starts(coeffs)
-        refined = numeric._float_starts(coeffs, starts)
-        out += numeric._polish_mp(coeffs, starts if refined is None else refined, precision)
+        points = [mpc(mp.ldexp(c.real, e), mp.ldexp(c.imag, e)) for c, e in refined]
+        mpc_aberth([to_mpc(c) for c in coeffs], points, mpf(2) ** -(precision + 20))
+    out += [ComplexApprox(z, reference_bound(poly, z, precision)) for z in points]
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
 
@@ -169,6 +208,14 @@ def chopped(z: mpc, precision: int) -> mpc:
                  [gq(1), gq(1 + Fraction(1, 10**20)), gq(-3)], 8192))
 @example(ladder=(UniPoly.from_roots([gq(10**20), gq(-3), gq(Fraction(1, 10**15)), gq(0)]),
                  [gq(10**20), gq(-3), gq(Fraction(1, 10**15)), gq(0)], 1024))
+# roots that the mpc stage alone served until the fixed-point stage took
+# starts of any size: out of the double range, and below its fixed point
+@example(ladder=(UniPoly.from_roots([gq(10**200), gq(-3), gq(Fraction(1, 10**150))]),
+                 [gq(10**200), gq(-3), gq(Fraction(1, 10**150))], 128))
+@example(ladder=(UniPoly.from_roots([gq(10**400), gq(-3), gq(Fraction(1, 10**350))]),
+                 [gq(10**400), gq(-3), gq(Fraction(1, 10**350))], 128))
+@example(ladder=(UniPoly.from_roots([gq(Fraction(1, 10**60)), gq(1), gq(2)]),
+                 [gq(Fraction(1, 10**60)), gq(1), gq(2)], 128))
 def test_find_roots_agrees_with_the_mpc_polishing(ladder):
     poly, true_roots, precision = ladder
     got = find_roots(poly, precision)
