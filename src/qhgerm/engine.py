@@ -246,66 +246,60 @@ def _numeric_clusters(parts, precision: int, tol: float):
 def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
     """Distinct ladder roots as (value, multiplicity, exact) entries.
 
-    value is the GaussianRational root of a cluster (exact True) when
-    _snap_root finds one on the square-free part of the cluster's
-    multiplicity, else the mpc center (exact False).
+    value is the mpc center of a cluster (exact False), or the
+    GaussianRational root that _rational_roots finds on the square-free
+    part of the cluster's multiplicity (exact True) when that cluster's
+    center lies nearest the root. The cluster holding a root's
+    approximation has its center within tol/2 of it and every other center
+    lies at least 3*tol/2 away, so the nearest center is that cluster's;
+    its multiplicity equals the part's only when it holds that root alone.
     """
     if ladder.degree < 1:
         return []
     parts = ladder.squarefree_parts()
-    part_of = {mult: factor for factor, mult in parts}
     den = lcm(*(c.d for c in ladder.monic()[0].coeffs))
     clusters = _numeric_clusters(parts, precision, tol)
-    centers = [cl.center for cl in clusters]
-    entries = []
-    for cl in clusters:
-        part = part_of.get(cl.multiplicity)
-        snapped = None if part is None else _snap_root(part, cl.center, centers, den, tol)
-        exact = snapped is not None
-        entries.append((snapped if exact else cl.center, cl.multiplicity, exact))
+    entries = [(cl.center, cl.multiplicity, False) for cl in clusters]
+    for part, mult in parts:
+        for root in _rational_roots(part, den, precision):
+            z = to_mpc(root)
+            k = min(range(len(clusters)), key=lambda k: abs(clusters[k].center - z))
+            if clusters[k].multiplicity == mult:
+                entries[k] = (root, mult, True)
     return entries
 
 
-def _snap_root(part: UniPoly, center: mpc, centers: list, den: int,
-               tol: float) -> GaussianRational | None:
-    """The root of part in Q(i) at a cluster center, or None.
+def _rational_roots(part: UniPoly, den: int, precision: int) -> list:
+    """The roots of part in Q(i), read off the error discs of find_roots.
 
-    den*r is a Gaussian integer for every root r of the ladder in Q(i), den
+    den*r is a Gaussian integer for every root r in Q(i) of a ladder, den
     the lcm of the denominators of the monic ladder (rational root theorem
-    in Z[i]). Newton steps on the square-free part take the center to bits
-    enough that den*z rounds to den*r: an evaluation rounds by about
-    n * sum |a_k| |z|^k units of the last place, which moves the root by
-    that over |p'(z)|, so the bits come from the size of den * z and of
-    that ratio, plus 64. The refined z must lie nearest this cluster's
-    center among all centers, so it is this cluster's root, and the
-    candidate must be a root of part, so of exactly the cluster's
-    multiplicity, within tol/2 of z: any other root of the ladder lies in
-    another cluster, at least 2*tol away.
+    in Z[i]), and part is a factor of that ladder. The precision rises by
+    the bits den*err lacks until 4*den*err < 1 for every disc; then den*z
+    lies within 1/4 of den*r in each component for the root r in the disc
+    about z, so rounding den*z gives den*r whenever r is in Q(i). A
+    candidate is kept only where part vanishes exactly, and once.
     """
-    from mpmath import mp, mpc
-    with mp.workprec(64):
-        coeffs = [to_mpc(c) for c in part.coeffs]
-        mag = mp.polyval([abs(c) for c in coeffs], abs(center))
-        slope = abs(mp.polyval(coeffs, center, derivative=True)[1])
-        if slope == 0:
-            return None
-        bits = (den * int(part.degree * mag / slope + abs(center) + 1)).bit_length() + 64
-    with mp.workprec(bits):
-        coeffs = [to_mpc(c) for c in part.coeffs]
-        z = mpc(center)
-        for _ in range(bits.bit_length()):
-            value, slope = mp.polyval(coeffs, z, derivative=True)
-            if slope == 0:
-                break
-            z -= value / slope
-        w = z * den
-        re, im = int(mp.nint(w.real)), int(mp.nint(w.imag))
-        snapped = _make(re, im, den)
-        if abs(z - center) > min(abs(z - c) for c in centers):
-            return None
-        if abs(w - mpc(re, im)) / den > tol / 2:
-            return None
-    return snapped if part.eval(snapped).is_zero else None
+    from mpmath import mp
+    while True:
+        roots = find_roots(part, precision)
+        lack = [mp.mag(4 * den * r.err) for r in roots if 4 * den * r.err >= 1]
+        if not lack:
+            break
+        precision += max(lack) + 1
+    out = []
+    for r in roots:
+        candidate = _make(_round_scaled(r.value.real, den), _round_scaled(r.value.imag, den), den)
+        if candidate not in out and part.eval(candidate).is_zero:
+            out.append(candidate)
+    return out
+
+
+def _round_scaled(x, den: int) -> int:
+    """den*x rounded to the nearest integer, exactly, for an mpf x."""
+    man, exp = x.man_exp  # man is the modulus of the mantissa
+    man = den * (-man if x < 0 else man)
+    return man << exp if exp >= 0 else (man + (1 << (-exp - 1))) >> -exp
 
 
 def decide_equivalence(

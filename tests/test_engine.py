@@ -41,7 +41,7 @@ from qhgerm import (
 
 from qhgerm import engine
 from qhgerm.errors import InternalInconsistencyError
-from qhgerm.exact import _make
+from qhgerm.exact import _make, integer_root
 from qhgerm.numeric import nth_root, to_mpc
 
 from conftest import rand_germ, synthesize_equivalent
@@ -695,7 +695,8 @@ class TestLadderRoots:
 
     def test_denominator_past_the_center_precision_is_exact(self):
         # the monic ladder has denominators up to 81^10, about 2^63: the
-        # cluster centers must be refined before 81^10 * center rounds
+        # precision must rise until each error disc is below 1/(4 * 81^10)
+        # before 81^10 * z rounds to 81^10 times the root
         roots = [gq(Fraction(4096 + 7 * k, 81)) for k in range(10)]
         entries = ladder_roots(UniPoly.from_roots(roots), 128, 1e-9)
         assert sorted(str(v) for v, _, exact in entries if exact) == sorted(map(str, roots))
@@ -727,15 +728,75 @@ class TestLadderRoots:
         approx = sorted(float(v.real - big) for v, _, exact in entries if not exact)
         assert approx == pytest.approx([-13 - 170**0.5, 170**0.5 - 13], abs=1e-3)
 
-    def test_newton_limit_nearer_another_center_is_not_snapped(self):
-        # started from a poor center 0.001 from N, Newton reaches N, which
-        # lies nearest the other cluster's center: no exact root for this one
+    def test_irrational_neighbour_does_not_repeat_the_integer_root(self):
+        # den = 1, so the disc about N + sqrt(170) - 13, 0.0384 from N, also
+        # rounds to N: the root N is a candidate twice and is returned once,
+        # and ladder_roots gives it to its own cluster only
         big = 10**8
         a = 13 - big
         part = UniPoly.from_roots([gq(big)]) * ladder(1, 2 * a, a * a - 170)
-        poor, other = mpc(big + 0.001), mpc(big)
-        assert engine._snap_root(part, other, [other, poor], 1, 1e-9) == gq(big)
-        assert engine._snap_root(part, poor, [other, poor], 1, 1e-9) is None
+        assert engine._rational_roots(part, 1, 128) == [gq(big)]
+        entries = ladder_roots(part, 128, 1e-9)
+        assert [exact for _, _, exact in entries] == [False, True, False]
+        assert entries[1][0] == gq(big)
+        assert float(entries[2][0].real) - big == pytest.approx(170**0.5 - 13, abs=1e-6)
+
+    @pytest.mark.parametrize("roots", [
+        [1 + Fraction(k, 10**8) for k in range(10)],
+        [10**6 + Fraction(k, 3) for k in range(12)],
+    ], ids=["1+k/10^8", "10^6+k/3"])
+    def test_clustered_roots_are_exact(self, roots):
+        # sum |a_k| |z|^k dwarfs |p'(z)| at these roots, so the error discs
+        # at 128 bits are far wider than 1/(4*den) and the precision rises
+        roots = [gq(r) for r in roots]
+        entries = ladder_roots(UniPoly.from_roots(roots), 128, 1e-9)
+        assert [(v, mult, exact) for v, mult, exact in entries] == [
+            (r, 1, True) for r in roots]
+
+    def test_precision_rises_until_the_discs_fit_the_denominator(self, monkeypatch):
+        # den = 10^60 + 7, about 2^199: at 128 bits 4*den*err is far above 1
+        real, seen = engine.find_roots, []
+
+        def spy(poly, precision):
+            seen.append(precision)
+            return real(poly, precision)
+
+        monkeypatch.setattr(engine, "find_roots", spy)
+        root = gq(Fraction(1, 10**60 + 7))
+        entries = ladder_roots(UniPoly.from_roots([root, gq(1)]), 128, 1e-9)
+        assert entries == [(root, 1, True), (gq(1), 1, True)]
+        assert max(seen) > 128
+
+    @pytest.mark.parametrize("precision", [128, 256])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exact_entries_are_the_constructed_roots(self, seed, precision):
+        # Gaussian rationals with denominators up to 10^20, at least 10^-6
+        # apart, of multiplicity 1 to 3, times w^2 - c for a rational c
+        # that is not a square, so that +-sqrt(c) is not in Q(i)
+        rng = random.Random(f"ladder-roots-{seed}")
+        while True:
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(2, 99), rng.randint(1, 99))
+            if integer_root(abs(c.numerator) * c.denominator, 2) is None:
+                break
+        irrational = [s * complex(c) ** 0.5 for s in (1, -1)]
+        roots, points = [], list(irrational)
+        while len(roots) < 3:
+            d = rng.randint(1, 10**20)
+            re = Fraction(rng.randint(-4 * d, 4 * d), d)
+            im = Fraction(rng.randint(-4 * d, 4 * d), d) if rng.random() < 0.5 else Fraction(0)
+            if min(abs(complex(re, im) - z) for z in points) >= 1e-6:
+                roots.append((gq(re, im), rng.randint(1, 3)))
+                points.append(complex(re, im))
+        poly = ladder(1, 0, -c)
+        for root, mult in roots:
+            poly = poly * UniPoly.from_roots([root] * mult)
+        entries = ladder_roots(poly, precision, 1e-9)
+        assert sorted((str(v), mult) for v, mult, exact in entries if exact) == sorted(
+            (str(r), mult) for r, mult in roots)
+        approx = [(complex(v), mult) for v, mult, exact in entries if not exact]
+        assert len(approx) == 2 and all(mult == 1 for _, mult in approx)
+        for z in irrational:
+            assert min(abs(v - z) for v, _ in approx) < 1e-12
 
 
 class TestQuarticDemo:
