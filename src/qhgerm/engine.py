@@ -225,18 +225,16 @@ def _numeric_clusters(parts, precision: int, tol: float):
     The root finder only ever sees the simple roots of one exact part; each
     approximation then enters the clustering carrying its part's
     multiplicity as a weight. This keeps multiple roots from turning into
-    wide approximation clouds.
+    wide approximation clouds. Returns the clusters, the roots find_roots
+    gave for each part, and the precision they were found at.
     """
     prec = precision
     while True:
         try:
-            approx = []
-            weight = []
-            for factor, mult in parts:
-                for r in find_roots(factor, prec):
-                    approx.append(r)
-                    weight.append(mult)
-            return cluster_roots(approx, tol, weight)
+            found = [find_roots(factor, prec) for factor, _ in parts]
+            approx = [r for roots in found for r in roots]
+            weight = [mult for (_, mult), roots in zip(parts, found) for _ in roots]
+            return cluster_roots(approx, tol, weight), found, prec
         except (AmbiguousClusteringError, NonConvergenceError):
             if prec >= 1024:
                 raise
@@ -258,10 +256,10 @@ def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
         return []
     parts = ladder.squarefree_parts()
     den = lcm(*(c.d for c in ladder.monic()[0].coeffs))
-    clusters = _numeric_clusters(parts, precision, tol)
+    clusters, found, prec = _numeric_clusters(parts, precision, tol)
     entries = [(cl.center, cl.multiplicity, False) for cl in clusters]
-    for part, mult in parts:
-        for root in _rational_roots(part, den, precision):
+    for (part, mult), roots in zip(parts, found):
+        for root in _rational_roots(part, den, prec, roots):
             z = to_mpc(root)
             k = min(range(len(clusters)), key=lambda k: abs(clusters[k].center - z))
             if clusters[k].multiplicity == mult:
@@ -269,24 +267,25 @@ def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
     return entries
 
 
-def _rational_roots(part: UniPoly, den: int, precision: int) -> list:
+def _rational_roots(part: UniPoly, den: int, precision: int, roots: list) -> list:
     """The roots of part in Q(i), read off the error discs of find_roots.
 
-    den*r is a Gaussian integer for every root r in Q(i) of a ladder, den
-    the lcm of the denominators of the monic ladder (rational root theorem
-    in Z[i]), and part is a factor of that ladder. The precision rises by
-    the bits den*err lacks until 4*den*err < 1 for every disc; then den*z
-    lies within 1/4 of den*r in each component for the root r in the disc
-    about z, so rounding den*z gives den*r whenever r is in Q(i). A
-    candidate is kept only where part vanishes exactly, and once.
+    roots is find_roots(part, precision). den*r is a Gaussian integer for
+    every root r in Q(i) of a ladder, den the lcm of the denominators of
+    the monic ladder (rational root theorem in Z[i]), and part is a factor
+    of that ladder. The precision rises by the bits den*err lacks until
+    4*den*err < 1 for every disc; then den*z lies within 1/4 of den*r in
+    each component for the root r in the disc about z, so rounding den*z
+    gives den*r whenever r is in Q(i). A candidate is kept only where part
+    vanishes exactly, and once.
     """
     from mpmath import mp
     while True:
-        roots = find_roots(part, precision)
         lack = [mp.mag(4 * den * r.err) for r in roots if 4 * den * r.err >= 1]
         if not lack:
             break
         precision += max(lack) + 1
+        roots = find_roots(part, precision)
     out = []
     for r in roots:
         candidate = _make(_round_scaled(r.value.real, den), _round_scaled(r.value.imag, den), den)
@@ -366,8 +365,8 @@ def decide_equivalence(
     if eff_mode == "exact":
         match = _exact_match(first_a, second_a)
     else:
-        clusters_first = _numeric_clusters(f1.ladder.squarefree_parts(), precision, tol)
-        clusters_second = _numeric_clusters(f2.ladder.squarefree_parts(), precision, tol)
+        clusters_first = _numeric_clusters(f1.ladder.squarefree_parts(), precision, tol)[0]
+        clusters_second = _numeric_clusters(f2.ladder.squarefree_parts(), precision, tol)[0]
         match = numeric_match(
             "affine" if affine else "linear", clusters_first, clusters_second, tol
         )

@@ -6,13 +6,20 @@ equal triples. Each arithmetic result is reduced with one gcd of its three
 ints (none when d = 1), so no fractions.Fraction is built on the arithmetic
 path. The real and imaginary parts are read back as reduced Fractions.
 Everything in this module is immutable and pure.
+
+UniPoly.squarefree_parts runs Yun's method modulo primes p = 1 (mod 4),
+where i maps to either square root of -1 mod p, and rebuilds the factors
+over Q(i) by CRT and rational reconstruction. It returns them only once
+their product equals the input exactly, a check over Z[i] that certifies
+the split; no Euclidean gcd over Q(i) is taken.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, log2
+from functools import cache
+from math import gcd, isqrt, lcm, log2
 from operator import mul
 
 from .errors import ZeroPolynomialError
@@ -483,28 +490,68 @@ class UniPoly(Record):
     def squarefree_parts(self) -> list[tuple["UniPoly", int]]:
         """Split into [(factor, multiplicity)] with square-free monic factors.
 
-        Yun's method: pairwise-coprime factors, one per multiplicity level
-        that actually occurs, in increasing multiplicity order. The product
-        of factor**multiplicity recovers the monic part of the polynomial.
-        Root finding runs on the factors, where every root is simple.
+        Pairwise-coprime factors, one per multiplicity level that actually
+        occurs, in increasing multiplicity order; the product of
+        factor**multiplicity is the monic part f of the polynomial. Root
+        finding runs on the factors, where every root is simple.
+
+        Yun's method runs modulo primes p = 1 (mod 4) that exceed the degree
+        and divide no denominator of f, once for each of the two embeddings
+        i -> s and i -> -s (s^2 = -1 mod p), whose images give the real and
+        imaginary parts mod p. A gcd(f, f') of degree 0 mod p proves f
+        square-free. Otherwise the images of the primes with the least gcd
+        degree are combined by CRT and each real and imaginary part is
+        rebuilt by rational reconstruction; a prime with a larger gcd degree
+        merges roots (unlucky) and is dropped. A candidate is returned only
+        when its product equals f exactly (_is_product), and that proves it:
+        its factors reduce to Yun's output mod p, which is square-free and
+        pairwise coprime, so they are too (von zur Gathen & Gerhard, Modern
+        Computer Algebra, ch. 5-6, 14; Yun 1976).
         """
         if self.degree < 1:
             return []
         f, _ = self.monic()
-        df = f.derivative()
-        a = poly_gcd(f, df)
-        b = f // a
-        d = (df // a) - b.derivative()
-        out = []
-        mult = 1
-        while b.degree > 0:
-            g = poly_gcd(b, d)
-            if g.degree > 0:
-                out.append((g, mult))
-            b = b // g
-            d = (d // g) - b.derivative()
-            mult += 1
-        return out
+        den, ints = _integral(f)
+        modulus, kept = 1, None
+        for p, s in _primes():
+            if den % p == 0:
+                continue  # f has no image mod p
+            inv = pow(den, -1, p)
+            up = [(x + y * s) * inv % p for x, y in ints]
+            gcd_degree, parts_up = _yun_mod(up, p)
+            if not gcd_degree:
+                return [(f, 1)]
+            down = [(x - y * s) * inv % p for x, y in ints]
+            parts_down = parts_up if down == up else _yun_mod(down, p)[1]
+            # the shape fixes the gcd degree, so both embeddings share it
+            shape = [(k, len(g)) for k, g in parts_up]
+            if shape != [(k, len(g)) for k, g in parts_down]:
+                continue  # unlucky: the two embeddings merge different roots
+            if kept is None or gcd_degree < kept[0]:
+                modulus, kept = 1, (gcd_degree, shape)
+            elif gcd_degree > kept[0] or shape != kept[1]:
+                continue  # unlucky: roots merge mod p
+            # re = (up + down)/2 and im = (up - down)/(2s) mod p, coefficientwise
+            half, half_s = (p + 1) // 2, pow(2 * s, -1, p)
+            images = [
+                ((u + v) * half % p, (u - v) * half_s % p)
+                for (_, a), (_, b) in zip(parts_up, parts_down)
+                for u, v in zip(a, b)
+            ]
+            if modulus == 1:
+                residues = images
+            else:
+                # CRT: lift is 0 mod the old modulus and 1 mod p
+                lift = modulus * pow(modulus, -1, p)
+                residues = [
+                    (x + (u - x) * lift, y + (v - y) * lift)
+                    for (x, y), (u, v) in zip(residues, images)
+                ]
+            modulus *= p
+            residues = [(x % modulus, y % modulus) for x, y in residues]
+            candidate = _reconstruct(shape, residues, modulus)
+            if candidate is not None and _is_product(candidate, den, ints):
+                return candidate
 
     def shift(self, c) -> "UniPoly":
         """Taylor shift: the polynomial w -> P(w + c), computed exactly.
@@ -531,19 +578,213 @@ class UniPoly(Record):
 _set_coeffs = UniPoly.coeffs.__set__
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor by the Euclidean remainder sequence.
+def _integral(poly: UniPoly) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(x, y), ...]): poly is sum (x + y*i) w^k / D, D the lcm of its denominators."""
+    den = lcm(*(c.d for c in poly.coeffs))
+    return den, [(c.a * (den // c.d), c.b * (den // c.d)) for c in poly.coeffs]
 
-    Remainders are re-normalized to monic each step, which keeps the
-    rational coefficients from compounding across iterations.
+
+# Miller-Rabin with these bases decides primality of every n < 2^64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether the odd n, 37 < n < 2^64, is prime (deterministic Miller-Rabin)."""
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _prime(k: int) -> tuple[int, int]:
+    """The k-th prime p = 1 (mod 4) below 2^62, counting down, and a square root of -1 mod p.
+
+    Found on first use. Each exceeds the degree of any polynomial that fits
+    in memory, so Yun's method is valid mod p.
     """
-    while not b.is_zero:
-        a, b = b, a % b
-        if not b.is_zero:
-            b, _ = b.monic()
-    if a.is_zero:
-        return a
-    return a.monic()[0]
+    p = _prime(k - 1)[0] - 4 if k else (1 << 62) - 3
+    while not _is_prime(p):
+        p -= 4
+    c = 2  # the least quadratic nonresidue c gives c^((p-1)/4), a root of -1
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return p, pow(c, (p - 1) // 4, p)
+
+
+def _primes():
+    """(p, s) for the primes of _prime in order, without end."""
+    k = 0
+    while True:
+        yield _prime(k)
+        k += 1
+
+
+def _divmod_mod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic b over GF(p), coefficients degree-descending.
+
+    The remainder keeps len(b) - 1 coefficients, not yet reduced mod p.
+    """
+    n = len(a) - len(b) + 1
+    if n <= 0:
+        return [], a
+    r, tail = a[:], b[1:]
+    m = len(tail)
+    for k in range(n):
+        c = r[k] = r[k] % p
+        if c:
+            r[k + 1 : k + 1 + m] = [x - c * y for x, y in zip(r[k + 1 : k + 1 + m], tail)]
+    return r[:n], r[n:]
+
+
+def _monic_mod(a: list, p: int) -> list:
+    """a over GF(p) without its leading zeros, divided by its leading coefficient; [] for 0."""
+    for k, x in enumerate(a):
+        x %= p
+        if x:
+            inv = pow(x, -1, p)
+            return [y * inv % p for y in a[k:]]
+    return []
+
+
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """Monic gcd over GF(p) of the monic a and any b (Euclid)."""
+    b = _monic_mod(b, p)
+    while b:
+        a, b = b, _monic_mod(_divmod_mod(a, b, p)[1], p)
+    return a
+
+
+def _strip(a: list) -> list:
+    """a without its leading zeros."""
+    k = 0
+    while k < len(a) and not a[k]:
+        k += 1
+    return a[k:]
+
+
+def _derivative_mod(a: list, p: int) -> list:
+    """The derivative over GF(p) of the monic a; p > deg a keeps its degree at deg a - 1."""
+    n = len(a) - 1
+    return [c * (n - k) % p for k, c in enumerate(a[:-1])]
+
+
+def _minus_mod(a: list, b: list, p: int) -> list:
+    """a - b over GF(p), without leading zeros."""
+    n = len(a) - len(b)
+    a, b = ([0] * -n + a, b) if n < 0 else (a, [0] * n + b)
+    return _strip([(x - y) % p for x, y in zip(a, b)])
+
+
+def _yun_mod(f: list, p: int) -> tuple[int, list]:
+    """deg gcd(f, f') and the square-free parts [(k, g_k)] of the monic f over GF(p).
+
+    p must exceed deg f. The g_k are monic, square-free and pairwise
+    coprime with f = prod g_k^k; only the nonconstant ones are listed.
+    """
+    df = _derivative_mod(f, p)
+    a = _gcd_mod(f, df, p)
+    if len(a) == 1:
+        return 0, [(1, f)]
+    b = _divmod_mod(f, a, p)[0]
+    d = _minus_mod(_divmod_mod(df, a, p)[0], _derivative_mod(b, p), p)
+    parts = []
+    k = 1
+    while len(b) > 1:
+        g = _gcd_mod(b, d, p)
+        if len(g) > 1:
+            parts.append((k, g))
+        b = _divmod_mod(b, g, p)[0]
+        d = _minus_mod(_divmod_mod(d, g, p)[0], _derivative_mod(b, p), p)
+        k += 1
+    return len(a) - 1, parts
+
+
+def _rational(u: int, m: int) -> tuple[int, int] | None:
+    """(n, d) with n = u*d (mod m), |n| and 0 < d at most sqrt(m/2), gcd(d, m) = 1; or None.
+
+    Wang's rational reconstruction: the extended Euclidean sequence of
+    (m, u) stops at the first remainder within the bound. Such a fraction
+    is unique when it exists.
+    """
+    bound = isqrt(m >> 1)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(t1, m) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(shape: list, residues: list, m: int) -> list | None:
+    """[(g_k, k)] over Q(i) from the (re, im) residues mod m of their coefficients, or None.
+
+    shape lists (k, number of coefficients of g_k); the residues run
+    through the coefficients of g_k in that order.
+    """
+    coeffs = []
+    for x, y in residues:
+        re, im = _rational(x, m), _rational(y, m)
+        if re is None or im is None:
+            return None
+        d = lcm(re[1], im[1])
+        coeffs.append(_make(re[0] * (d // re[1]), im[0] * (d // im[1]), d))
+    parts, start = [], 0
+    for k, size in shape:
+        parts.append((UniPoly(tuple(coeffs[start : start + size])), k))
+        start += size
+    return parts
+
+
+def _gaussian_mul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _is_product(parts: list, den: int, ints: list) -> bool:
+    """Whether prod g**k over parts [(g, k)] is exactly F/den, F given by _integral.
+
+    Cleared of denominators (g = G/D_g), the claim is that the polynomial
+    P = den * prod G^k - F * prod D_g^k over Z[i] is zero. Each
+    coefficient of P has real and imaginary parts below
+    B = den * prod |G|_1^k + max |F_j|_1 * prod D_g^k, where |.|_1 sums
+    |x| + |y| over coefficients, so for 2^K > B, P(2^K) = 0 only when P = 0:
+    the lowest nonzero coefficient of P would be a multiple of 2^K. Both
+    sides are evaluated at 2^K as Gaussian integers.
+    """
+    cleared = [(_integral(g), k) for g, k in parts]
+    left_bound, right_bound = den, max(abs(x) + abs(y) for x, y in ints)
+    for (d, coeffs), k in cleared:
+        left_bound *= sum(abs(x) + abs(y) for x, y in coeffs) ** k
+        right_bound *= d**k
+    shift = (left_bound + right_bound).bit_length()
+    left, scale = (den, 0), 1
+    for (d, coeffs), k in cleared:
+        left = _gaussian_mul(left, power(_at_power_of_two(coeffs, shift), k, (1, 0), _gaussian_mul))
+        scale *= d**k
+    right = _at_power_of_two(ints, shift)
+    return left == (right[0] * scale, right[1] * scale)
+
+
+def _at_power_of_two(coeffs: list, shift: int) -> tuple[int, int]:
+    """The polynomial with Gaussian-integer coefficients (x, y), degree-descending, at 2^shift."""
+    re = im = 0
+    for x, y in coeffs:
+        re = (re << shift) + x
+        im = (im << shift) + y
+    return re, im
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

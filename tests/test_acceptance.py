@@ -7,6 +7,7 @@ ground truth of every random case is known by construction.
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
@@ -27,7 +28,7 @@ from conftest import (
     synthesize_equivalent,
     tame_witness_scalars,
 )
-from qhgerm import BivarPoly, decide_equivalence, gq, parse_poly
+from qhgerm import BivarPoly, cli, decide_equivalence, gq, parse_poly
 from qhgerm.engine import (
     STATUS_EQUIVALENT,
     STATUS_INEQUIVALENT,
@@ -40,7 +41,7 @@ from qhgerm.engine import (
     whitney_compare,
     witness_branch_count,
 )
-from qhgerm.exact import UniPoly
+from qhgerm.exact import GQ_ONE, UniPoly, format_terms
 from qhgerm.structure import analyze_germ, infer_weights
 
 CORPUS_SEED = 20260822
@@ -159,6 +160,34 @@ def test_route_agreement_degree_24():
         f"prod (Y^2-2k.0*X^3) vs integer form: {verdict.status} ({verdict.mode})",
     )
     assert ok
+
+
+def test_roots_of_a_degree_100_ladder(capsys):
+    # prod (Y^2 - r*X^3) over 100 nonzero Gaussian integers r drawn from
+    # [-9, 9]^2, so that roots repeat; r = 0 would be a Y-axis factor
+    rng = random.Random(20261019)
+    roots = Counter()
+    while sum(roots.values()) < 100:
+        r = gq(rng.randint(-9, 9), rng.randint(-9, 9))
+        if not r.is_zero:
+            roots[r] += 1
+    text = "*".join(
+        f"({format_terms([(GQ_ONE, 'Y^2'), (-r, 'X^3')])})^{m}" for r, m in roots.items()
+    )
+    t0 = time.perf_counter()
+    code = cli.run(["roots", text])
+    elapsed = time.perf_counter() - t0
+    # "root <value> multiplicity <k> (exact)" after the class line
+    printed = sorted(tuple(line.split()) for line in capsys.readouterr().out.splitlines()[1:])
+    want = sorted(("root", str(r), "multiplicity", str(m), "(exact)") for r, m in roots.items())
+    ok = code == 0 and printed == want and elapsed < 2.0
+    record_acceptance(
+        "roots of a degree-100 ladder",
+        ok,
+        f"{len(roots)} distinct roots, multiplicities up to {max(roots.values())}, "
+        f"printed exactly in {elapsed:.2f}s",
+    )
+    assert ok, (code, f"{elapsed:.2f}s")
 
 
 def test_no_common_scale_family():

@@ -42,7 +42,7 @@ from qhgerm import (
 from qhgerm import engine
 from qhgerm.errors import InternalInconsistencyError
 from qhgerm.exact import _make, integer_root
-from qhgerm.numeric import nth_root, to_mpc
+from qhgerm.numeric import find_roots, nth_root, to_mpc
 
 from conftest import rand_germ, synthesize_equivalent
 
@@ -735,7 +735,7 @@ class TestLadderRoots:
         big = 10**8
         a = 13 - big
         part = UniPoly.from_roots([gq(big)]) * ladder(1, 2 * a, a * a - 170)
-        assert engine._rational_roots(part, 1, 128) == [gq(big)]
+        assert engine._rational_roots(part, 1, 128, find_roots(part, 128)) == [gq(big)]
         entries = ladder_roots(part, 128, 1e-9)
         assert [exact for _, _, exact in entries] == [False, True, False]
         assert entries[1][0] == gq(big)
@@ -766,6 +766,22 @@ class TestLadderRoots:
         entries = ladder_roots(UniPoly.from_roots([root, gq(1)]), 128, 1e-9)
         assert entries == [(root, 1, True), (gq(1), 1, True)]
         assert max(seen) > 128
+
+    def test_each_part_is_solved_once(self, monkeypatch):
+        # the rational roots start from the roots the clustering found, so
+        # no square-free part goes to find_roots twice at one precision
+        real, seen = engine.find_roots, []
+
+        def spy(poly, precision):
+            seen.append((poly.degree, precision))
+            return real(poly, precision)
+
+        monkeypatch.setattr(engine, "find_roots", spy)
+        poly = UniPoly.from_roots([1, 1, 3]) * ladder(1, 0, -2)
+        entries = ladder_roots(poly, 128, 1e-9)
+        assert seen == [(3, 128), (1, 128)]
+        assert sorted((str(v), mult) for v, mult, exact in entries if exact) == [
+            ("1", 2), ("3", 1)]
 
     @pytest.mark.parametrize("precision", [128, 256])
     @pytest.mark.parametrize("seed", range(10))

@@ -1,12 +1,13 @@
 """Exact scalar and univariate polynomial arithmetic."""
 
 import copy
+import itertools
 import operator
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from qhgerm import (
@@ -18,7 +19,8 @@ from qhgerm import (
     gcd_bezout,
     gq,
 )
-from qhgerm.exact import format_coefficient, format_unipoly, integer_root
+from qhgerm import exact
+from qhgerm.exact import _prime, format_coefficient, format_unipoly, integer_root
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -280,6 +282,133 @@ class TestUniPoly:
         f = UniPoly.from_coeffs([gq(1), gq(1)])
         assert f**3 == f * f * f
         assert f**0 == UniPoly.one()
+
+
+def euclid_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd over Q(i) by the Euclidean remainder sequence, each remainder made monic."""
+    while not b.is_zero:
+        a, b = b, a % b
+        if not b.is_zero:
+            b, _ = b.monic()
+    if a.is_zero:
+        return a
+    return a.monic()[0]
+
+
+def euclid_squarefree_parts(poly: UniPoly) -> list:
+    """Reference for UniPoly.squarefree_parts: Yun's method on euclid_gcd over Q(i)."""
+    if poly.degree < 1:
+        return []
+    f, _ = poly.monic()
+    df = f.derivative()
+    a = euclid_gcd(f, df)
+    b = f // a
+    d = (df // a) - b.derivative()
+    out = []
+    mult = 1
+    while b.degree > 0:
+        g = euclid_gcd(b, d)
+        if g.degree > 0:
+            out.append((g, mult))
+        b = b // g
+        d = (d // g) - b.derivative()
+        mult += 1
+    return out
+
+
+# the first prime the modular method tries
+P0 = _prime(0)[0]
+# w^2 - c for c not a square in Q(i): factors with no root in Q(i)
+QUADRATICS = [UniPoly.from_coeffs([1, 0, -c]) for c in (gq(2), gq(-3), gq(0, 1), gq(1, 2))]
+
+
+@st.composite
+def products_of_powers(draw):
+    """(poly, [(factor, multiplicity)]): a constant times prod factor^k, degree <= 24.
+
+    The factors are w - r for Gaussian rationals r with denominators up to
+    2^64, and at most one w^2 - c of QUADRATICS; k runs from 1 to 4.
+    """
+    d = st.integers(1, 2**64)
+    root = st.builds(
+        lambda a, b, d, e, real: gq(Fraction(a, d), 0 if real else Fraction(b, e)),
+        st.integers(-(2**66), 2**66), st.integers(-(2**66), 2**66), d, d, st.booleans(),
+    )
+    roots = draw(st.lists(root, min_size=0, max_size=4, unique=True))
+    factors = [UniPoly.from_roots([r]) for r in roots]
+    factors += draw(st.lists(st.sampled_from(QUADRATICS), max_size=1))
+    if not factors:
+        factors = [UniPoly.from_roots([gq(1)])]
+    powers = [(g, draw(st.integers(1, 4))) for g in factors]
+    lead = draw(st.sampled_from([gq(1), gq(3), gq(Fraction(-2, 7), 1), gq(0, Fraction(1, 2**64))]))
+    poly = UniPoly.one().scale(lead)
+    for g, k in powers:
+        poly = poly * g**k
+    return poly, powers
+
+
+class TestSquarefreeParts:
+    @pytest.fixture(autouse=True)
+    def few_primes(self, monkeypatch):
+        """Fail a call that takes more than 20 primes, rather than let it run on."""
+        taken = []
+
+        def counted():
+            for k in itertools.count():
+                if k == 20:
+                    raise AssertionError("squarefree_parts took more than 20 primes")
+                taken.append(_prime(k)[0])
+                yield _prime(k)
+
+        monkeypatch.setattr(exact, "_primes", counted)
+        return taken
+
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(case=products_of_powers())
+    def test_matches_euclid(self, case):
+        poly, powers = case
+        got = poly.squarefree_parts()
+        assert got == euclid_squarefree_parts(poly)
+        # one factor per multiplicity: the product of the constructed
+        # factors of that multiplicity, made monic
+        want = {}
+        for g, k in powers:
+            want[k] = want.get(k, UniPoly.one()) * g
+        assert got == [(want[k].monic()[0], k) for k in sorted(want)]
+
+    def test_first_prime_dividing_a_denominator_is_skipped(self, few_primes):
+        poly = UniPoly.from_roots([gq(Fraction(1, P0)), gq(Fraction(1, P0)), gq(2)])
+        assert poly.squarefree_parts() == [
+            (UniPoly.from_roots([gq(2)]), 1), (UniPoly.from_roots([gq(Fraction(1, P0))]), 2)]
+        assert few_primes[0] == P0
+
+    @pytest.mark.parametrize("k", [0, 1], ids=["first", "second"])
+    def test_unlucky_prime_is_outvoted(self, few_primes, k):
+        # 0 and the k-th prime p are one root mod p, so there the split is
+        # w^3; the second prime comes after a lucky image of too small a modulus
+        p = _prime(k)[0]
+        poly = UniPoly.from_roots([gq(0), gq(0), gq(p)])
+        assert poly.squarefree_parts() == [
+            (UniPoly.from_roots([gq(p)]), 1), (UniPoly.from_roots([gq(0)]), 2)]
+        assert few_primes[k] == p
+
+    def test_unlucky_first_prime_of_a_squarefree_input(self):
+        poly = UniPoly.from_roots([gq(0), gq(P0)])
+        assert poly.squarefree_parts() == [(poly, 1)]
+
+    def test_squarefree_input_is_proved_at_the_first_prime(self, few_primes, monkeypatch):
+        def no_lift(*args):
+            raise AssertionError("square-free input went past gcd(f, f') mod p")
+
+        monkeypatch.setattr(exact, "_reconstruct", no_lift)
+        poly = (UniPoly.from_roots([gq(1), gq(2, -1)]) * QUADRATICS[0]).scale(gq(3))
+        assert poly.squarefree_parts() == [(poly.monic()[0], 1)]
+        assert few_primes == [P0]
+
+    def test_constants_have_no_parts(self):
+        assert UniPoly.one().scale(gq(5)).squarefree_parts() == []
 
 
 class TestGcdBezout:
