@@ -15,7 +15,7 @@ reproduces the second exactly: second = first o Psi.
 from __future__ import annotations
 
 import random
-from math import lcm
+from math import inf, lcm
 
 from .errors import (
     AmbiguousClusteringError,
@@ -40,6 +40,7 @@ from .numeric import (
     DEFAULT_PRECISION,
     DEFAULT_TOL,
     NumericMatch,
+    _double_filter,
     cluster_roots,
     eval_bivar,
     find_roots,
@@ -251,6 +252,9 @@ def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
     approximation has its center within tol/2 of it and every other center
     lies at least 3*tol/2 away, so the nearest center is that cluster's;
     its multiplicity equals the part's only when it holds that root alone.
+    The nearest center is found in doubles when they prove it: the double
+    nearest lies below, and every other center above, the midpoint of the
+    two least double distances; else by the mpc distances.
     """
     if ladder.degree < 1:
         return []
@@ -258,12 +262,26 @@ def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
     den = lcm(*(c.d for c in ladder.monic()[0].coeffs))
     clusters, found, prec = _numeric_clusters(parts, precision, tol)
     entries = [(cl.center, cl.multiplicity, False) for cl in clusters]
-    for (part, mult), roots in zip(parts, found):
-        for root in _rational_roots(part, den, prec, roots):
-            z = to_mpc(root)
+    exact = [(root, mult) for (part, mult), roots in zip(parts, found)
+             for root in _rational_roots(part, den, prec, roots)]
+    zs = [to_mpc(root) for root, _ in exact]
+    filt = _double_filter([cl.center for cl in clusters] + zs)
+    if filt:
+        points, compare = filt
+        centers, points = points[:len(clusters)], points[len(clusters):]
+    for j, ((root, mult), z) in enumerate(zip(exact, zs)):
+        k = None
+        if filt:
+            ds = [abs(points[j] - c) for c in centers]
+            k = min(range(len(ds)), key=ds.__getitem__)
+            bound = (ds[k] + min((d for i, d in enumerate(ds) if i != k), default=inf)) / 2
+            if not all(compare(points[j], c, bound) == (-1 if i == k else 1)
+                       for i, c in enumerate(centers)):
+                k = None
+        if k is None:
             k = min(range(len(clusters)), key=lambda k: abs(clusters[k].center - z))
-            if clusters[k].multiplicity == mult:
-                entries[k] = (root, mult, True)
+        if clusters[k].multiplicity == mult:
+            entries[k] = (root, mult, True)
     return entries
 
 

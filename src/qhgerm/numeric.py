@@ -10,8 +10,11 @@ numeric_match, nth_root and to_mpc compute at the caller's precision.
 find_roots polishes its roots in integer fixed point: Gaussian dyadic
 points, Horner on integers with an explicit bound on its rounding, for
 every input, including roots past the double range. mpmath only builds the
-mpc and mpf values it returns and _bound's error bounds. Clustering,
-matching, nth_root and eval_bivar compute in mpmath.
+mpc and mpf values it returns and _bound's error bounds. cluster_roots and
+numeric_match decide each distance test in doubles first, through the
+filtered comparison of _double_filter, and compute it in mpmath only
+where the doubles do not settle it; nth_root and eval_bivar compute in
+mpmath.
 
 mpmath is imported by each function that does mpmath arithmetic, on entry,
 not by this module: the exact route never needs it, so a process that
@@ -426,6 +429,61 @@ def find_roots(poly: UniPoly, precision: int = DEFAULT_PRECISION) -> list:
     return out
 
 
+def _double_filter(values):
+    """Double copies of mpc values and a certified distance test, or None.
+
+    A filtered predicate (Shewchuk, Discrete Comput. Geom. 18, 1997): a
+    comparison of an mpc distance with a threshold is decided in doubles
+    when the double result clears an error margin, and is left to the
+    caller's mpc expression otherwise. Returns None when the working
+    precision P = mp.prec is below 16 bits, or when a part of some value
+    exceeds 2^200 in modulus (inf and nan included). Else returns (points,
+    compare): the values as complex, and compare(x, y, bound), which is 1
+    when D > T surely holds, -1 when D <= T surely holds, and 0 when the
+    doubles do not settle it.
+
+    D is the caller's mpc distance |X - Y|, its subtraction and abs rounded
+    at P, and T is the mpf threshold it is compared with. x, y and bound
+    stand in for X, Y and T within |x - X| <= 16w|x| + h,
+    |y - Y| <= 16w|y| + h and |bound - T| <= 16w*bound + h, where
+    w = 2^(1 - min(P, 53)) bounds the relative error of one rounding in
+    doubles (2^-53) or in mpc at P (2^(1-P), in any rounding mode) and
+    h = 2^-1070 takes the absolute error of an underflow. A point copied
+    here has each part within 2^-53 of it relatively, plus 2^-1074 for a
+    subnormal, so it lies within w/2*|x| + h of its value.
+
+    The margin. D = |X - Y|(1 + a) with |a| <= 3w: one rounding per part of
+    the subtraction, one in the sum of squares at P + 4 bits, one in the
+    square root. The double d = abs(x - y) is |x - y|(1 + b) with
+    |b| <= 2w, give or take 2^-1073 when a part underflows. With
+    |x - y| <= |x| + |y| and S = |x| + |y| + bound, these give
+    |(D - T) - (d - bound)| <= 32w*S + 4h, since P >= 16 keeps the terms in
+    w^2 below w*S. The slack s = 64w*S + 2^-1000, formed in doubles with
+    relative error below 3w, is at least 63w*S + 2^-1000. When the double
+    d - s exceeds bound, d - bound > s - w/2*bound >= 32w*S + 4h, so D > T;
+    when d + s falls below bound, D <= T the same way. An infinite bound or
+    a sum past the double range makes s infinite, and compare gives 0.
+    """
+    from mpmath import mp
+    if mp.prec < 16:
+        return None
+    points = [complex(v) for v in values]
+    if not all(abs(z.real) <= 2.0**200 and abs(z.imag) <= 2.0**200 for z in points):
+        return None
+    rel = 2.0 ** (7 - min(mp.prec, 53))
+
+    def compare(x, y, bound):
+        d = abs(x - y)
+        slack = rel * (abs(x) + abs(y) + bound) + 2.0**-1000
+        if d - slack > bound:
+            return 1
+        if d + slack < bound:
+            return -1
+        return 0
+
+    return points, compare
+
+
 def cluster_roots(roots: list, tol: float, weights: list) -> list:
     """Single-linkage clustering of numeric roots at distance tol.
 
@@ -440,6 +498,10 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
     unsafe band: an inter-cluster gap below 2*tol, or a cluster whose
     diameter exceeds tol/2, either of which means the tolerance cannot be
     trusted to separate true roots from approximation scatter.
+    Every test is decided in doubles first, by _double_filter, and the mpc
+    distance is computed only where the doubles do not settle it, or where
+    it is kept for a gap message or can be the diameter in one; clusters
+    and messages are those of the mpc tests alone.
     """
     from mpmath import mpf
     if not roots:
@@ -460,33 +522,63 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
             a = parent[a]
         return a
 
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
     # each distance is measured once and kept when below 2*tol, the only
     # ones a gap check can fail on; a longer one within a cluster fails the
-    # diameter check, which measures it again for its message
+    # diameter check, which measures it again for its message. A pair the
+    # doubles prove at least 2*tol apart is not measured when they also
+    # settle whether its error disks reach
+    filt = _double_filter(values)
+    if filt:
+        points, compare = filt
+        ftol = float(t)
+        ferrs = [float(e) for e in errs]
     close = {}
     for a in range(n):
         for b in range(a + 1, n):
+            if filt:
+                x, y, reach = points[a], points[b], ferrs[a] + ferrs[b]
+                if compare(x, y, max(2 * ftol, reach)) > 0:
+                    continue
+                if compare(x, y, 2 * ftol) > 0 and compare(x, y, max(ftol, reach)) < 0:
+                    union(a, b)
+                    continue
             d = abs(values[a] - values[b])
             if d < 2 * t:
                 close[a, b] = d
             if d <= max(t, errs[a] + errs[b]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+                union(a, b)
     groups = {}
     for a in range(n):
         groups.setdefault(find(a), []).append(a)
     out = []
     for idxs in groups.values():
-        total = sum(weights[a] for a in idxs)
-        center = sum(values[a] * weights[a] for a in idxs) / total
-        diameter = max((close.get((a, b)) or abs(values[a] - values[b])
-                        for a in idxs for b in idxs if a < b), default=mpf(0))
+        pairs = [(a, b) for a in idxs for b in idxs if a < b]
+        if filt:
+            # the mpc maximum is taken over the pairs the doubles do not
+            # prove within tol/2, the only ones that can exceed it, and of
+            # those, once the longest is proven above some bound, over the
+            # ones not proven within that bound
+            pairs = [(a, b) for a, b in pairs if compare(points[a], points[b], ftol / 2) >= 0]
+            if len(pairs) > 1:
+                dist = {(a, b): abs(points[a] - points[b]) for a, b in pairs}
+                a, b = max(pairs, key=dist.get)
+                bound = dist[a, b] * (1 - 2.0**-20)
+                if compare(points[a], points[b], bound) > 0:
+                    pairs = [(a, b) for a, b in pairs
+                             if compare(points[a], points[b], bound) >= 0]
+        diameter = max((close.get((a, b)) or abs(values[a] - values[b]) for a, b in pairs),
+                       default=mpf(0))
         if diameter > t / 2:
             raise AmbiguousClusteringError(
                 f"cluster diameter {diameter} exceeds half the tolerance {t}"
             )
-        out.append(RootCluster(center, total))
+        total = sum(weights[a] for a in idxs)
+        out.append(RootCluster(sum(values[a] * weights[a] for a in idxs) / total, total))
     # the first pair of clusters with members closer than 2*tol, least first
     cid = {a: k for k, idxs in enumerate(groups.values()) for a in idxs}
     gaps = sorted((min(cid[a], cid[b]), max(cid[a], cid[b]), d)
@@ -524,7 +616,11 @@ def numeric_match(mode: str, side_a, side_b, tol: float = DEFAULT_TOL):
     nonzero clusters of equal multiplicity, for a*A = B; "affine" reduces
     to it after centering both sides on their multiplicity weighted
     centroids. Returns the first NumericMatch the greedy pairing accepts,
-    or None. The oracle for the exact matcher, it shares no code with it.
+    or None. A scale is first tried in doubles, by _double_filter: when it
+    maps some cluster of A surely farther than tol*(1 + |c|) from every B
+    cluster c of its multiplicity, no greedy pass can accept it, and it is
+    dropped before its mpc quotient is formed. The oracle for the exact
+    matcher, it shares no code with it.
     """
     from mpmath import mpc, mpf
     if mode not in ("linear", "affine"):
@@ -547,19 +643,42 @@ def numeric_match(mode: str, side_a, side_b, tol: float = DEFAULT_TOL):
         b = cen_b - a * cen_a
         mapped = [(a * c.center + b, c.multiplicity) for c in a_cl]
         return NumericMatch(a, b) if _greedy_pairing(mapped, b_cl, t) else None
-    nonzero_a = [c for c in a_cl if abs(c.center) > t]
-    nonzero_b = [c for c in b_cl if abs(c.center) > t]
+    nonzero_a = [k for k, c in enumerate(a_cl) if abs(c.center) > t]
+    nonzero_b = [k for k, c in enumerate(b_cl) if abs(c.center) > t]
     if len(nonzero_a) != len(nonzero_b):
         return None
     if not nonzero_a:
         mapped = [(c.center, c.multiplicity) for c in a_cl]
         return NumericMatch(mpc(1), None) if _greedy_pairing(mapped, b_cl, t) else None
-    candidates = (cb.center / ca.center for ca in nonzero_a for cb in nonzero_b
-                  if ca.multiplicity == cb.multiplicity)
-    for a in candidates:
-        mapped = ((a * c.center, c.multiplicity) for c in a_cl)
-        if _greedy_pairing(mapped, b_cl, t):
-            return NumericMatch(a, None)
+    # a scale that maps some cluster of A, in doubles, surely farther than
+    # tol*(1 + |c|) from every B cluster c of its multiplicity fails the
+    # greedy pass whatever it has used. |ca|, |cb| > tol >= 2^-200 and parts
+    # up to 2^200 keep the double quotient q and each q*x in range and
+    # within 8w of the exact values (Smith's quotient, then one product);
+    # the mpc ones at P are within 3w, and each bound within 6w of the mpc
+    # threshold, inside the 16w _double_filter allows
+    ftol = float(t)
+    filt = _double_filter([c.center for c in a_cl + b_cl]) if ftol >= 2.0**-200 else None
+    if filt:
+        points, compare = filt
+        fa, fb = points[:len(a_cl)], points[len(a_cl):]
+        targets = {}
+        for c, y in zip(b_cl, fb):
+            targets.setdefault(c.multiplicity, []).append((y, ftol * (1 + abs(y))))
+    for ka in nonzero_a:
+        for kb in nonzero_b:
+            ca, cb = a_cl[ka], b_cl[kb]
+            if ca.multiplicity != cb.multiplicity:
+                continue
+            if filt:
+                q = fb[kb] / fa[ka]
+                if any(all(compare(q * x, y, bound) > 0 for y, bound in targets[c.multiplicity])
+                       for c, x in zip(a_cl, fa)):
+                    continue
+            a = cb.center / ca.center
+            mapped = ((a * c.center, c.multiplicity) for c in a_cl)
+            if _greedy_pairing(mapped, b_cl, t):
+                return NumericMatch(a, None)
     return None
 
 

@@ -683,6 +683,18 @@ class TestLadderRoots:
     def test_empty_ladder_has_no_roots(self):
         assert ladder_roots(UniPoly.one(), 128, 1e-9) == []
 
+    @pytest.mark.parametrize("poly", [
+        UniPoly.from_roots([1, 1, 3, gq(2, 1), gq(-5, 7)]) * ladder(1, 0, -2),
+        # one cluster: no second center to prove the nearest against
+        UniPoly.from_roots([gq(1), gq(1 + Fraction(1, 10**10))]),
+        # a root past 2^200 leaves the whole search to mpc
+        UniPoly.from_roots([gq(10**70), gq(1), gq(-2)]),
+    ], ids=["mixed", "one-cluster", "past-2^200"])
+    def test_nearest_center_in_doubles_is_the_mpc_nearest(self, poly, monkeypatch):
+        entries = ladder_roots(poly, 128, 1e-9)
+        monkeypatch.setattr(engine, "_double_filter", lambda values: None)
+        assert ladder_roots(poly, 128, 1e-9) == entries
+
     @pytest.mark.parametrize("root", [
         gq(Fraction(1, 10**13 + 1)),
         gq(Fraction(1, 10**12 + 3), Fraction(2, 10**12 + 3)),

@@ -18,8 +18,10 @@ Inputs are seeded and include root sets r * (roots of unity), zero roots or
 clusters, and mixed multiplicities.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from qhgerm import (AmbiguousClusteringError, NonConvergenceError, UniPoly, cluster_roots,
-                    find_roots, gq, numeric_match)
+                    decide_equivalence, find_roots, gq, numeric_match, parse_poly)
 from qhgerm import numeric
 from qhgerm.numeric import ComplexApprox, NumericMatch, RootCluster, to_mpc
 
@@ -494,3 +496,172 @@ def test_numeric_match_all_zero_and_symmetric_corners():
     turned = [RootCluster(c.center * mp.expjpi(mpf(1) / 3) * 2, 1) for c in hexagon]
     got = numeric_match("linear", hexagon, turned)
     assert got is not None and got == all_pairs_match("linear", hexagon, turned)
+
+
+# The double-precision filter of cluster_roots and numeric_match decides a
+# distance test in doubles only outside a proven margin. Cases 2^-50 of the
+# threshold away on either side, at working precisions below, at and above
+# 53 bits, must come out as the brute-force oracles say; so must values and
+# bounds past the double range, which leave every test to mpc.
+
+TOL = 1e-9
+NEAR = (1 - mpf(2) ** -50, 1 + mpf(2) ** -50)
+PRECISIONS = (30, 53, 168)
+
+
+def boundary_root_sets(precision):
+    """Root sets with a distance, or the reach of two error disks, at
+    (1 +- 2^-50) times the threshold cluster_roots compares it with."""
+    with mp.workprec(precision):
+        t = +mpf(TOL)  # the tolerance as cluster_roots rounds it
+    rng = random.Random(f"cluster-boundary-{precision}")
+    sets = []
+    with mp.workprec(300):
+        for _ in range(12):
+            base = mpc(rng.uniform(-9, 9), rng.uniform(-9, 9)) * rng.choice((1, 1, 1e-6, 1e3))
+            turn = mp.expjpi(mpf(rng.random()) * 2)
+            for f in NEAR:
+                zero = mpf(0)
+                # a gap at 2*tol*f: inside or just outside the guard band
+                sets.append([ComplexApprox(base, zero),
+                             ComplexApprox(base + 2 * t * f * turn, zero)])
+                # 3*tol apart, error disks reaching 3*tol*f in all
+                reach = 3 * t * f / 2
+                sets.append([ComplexApprox(base, reach),
+                             ComplexApprox(base + 3 * t * turn, reach)])
+                # one cluster of diameter tol/2*f
+                sets.append([ComplexApprox(base, zero),
+                             ComplexApprox(base + t / 4 * turn, zero),
+                             ComplexApprox(base + t / 2 * f * turn, zero)])
+                # error disks join points far apart; two longest pairs 2^-50
+                # apart in length set the diameter in the message
+                far = rng.uniform(0.5, 5) * turn
+                sets.append([ComplexApprox(base - far, mpf(20)),
+                             ComplexApprox(base + far, mpf(20)),
+                             ComplexApprox(base - far + 2 * far * f * mp.expj(0.3), mpf(20)),
+                             ComplexApprox(base + far / 3, mpf(20))])
+    return sets
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_cluster_filter_at_the_margin_agrees_with_brute_force(precision):
+    kinds = set()
+    for roots in boundary_root_sets(precision):
+        weights = list(range(1, len(roots) + 1))
+        with mp.workprec(precision):
+            got = outcome(cluster_roots, roots, TOL, weights)
+            want = outcome(reference_clusters, roots, TOL, weights)
+        assert got == want
+        kinds.add(got[1].split()[0] if isinstance(got, tuple) else len(got))
+    # at 30 bits a distance 2^-50 off 2*tol rounds to 2*tol, which is no gap
+    assert {"cluster", 1, 2} | ({"inter-cluster"} if precision > 30 else set()) <= kinds
+
+
+def test_cluster_filter_falls_back_past_the_double_range():
+    with mp.workprec(168):
+        big, tiny, huge = mpf(10) ** 400, mpf(10) ** -350, mpf("1e309")
+        cases = [
+            # 10^400 is past the double range: no filter at all
+            ([big, big + mpf(1.5 * TOL), big + 3, 2], [0] * 4, TOL),
+            ([big * 1j, big * 1j + mpf(0.1 * TOL), -big], [0] * 3, TOL),
+            # 10^-350 converts to 0.0, and each distance falls to mpc
+            ([tiny, 2 * tiny, 5 * tiny * 1j], [0] * 3, TOL),
+            ([mpc(0), tiny, 500 * tiny, 3 * tiny * 1j], [0] * 4, mpf(10) ** -349),
+            # errs past 1e308 are infinite as doubles
+            ([mpc(1), mpc(2), mpc(1 + 3 * TOL)], [huge, huge, 0], TOL),
+            ([mpc(1), mpc(1 + 3 * TOL)], [huge, 0], TOL),
+        ]
+        for values, errs, tol in cases:
+            roots = [ComplexApprox(mpc(v), mpf(e)) for v, e in zip(values, errs)]
+            weights = [1] * len(roots)
+            got = outcome(cluster_roots, roots, tol, weights)
+            assert got == outcome(reference_clusters, roots, tol, weights)
+        assert numeric._double_filter([mpc(1), big]) is None
+        assert numeric._double_filter([mpc(1, big)]) is None
+        points, compare = numeric._double_filter([mpc(1), mpc(3)])
+        assert compare(*points, float(huge)) == 0
+        assert compare(*points, 1.0) == 1 and compare(*points, 3.0) == -1
+    with mp.workprec(15):
+        assert numeric._double_filter([mpc(1)]) is None
+
+
+def boundary_sides(precision):
+    """Sides A and B = s*A with one cluster of B moved radially so that the
+    scale s read off the others maps A's cluster (1 +- 2^-50) times
+    tol*(1 + |target|) from its target."""
+    with mp.workprec(precision):
+        t = +mpf(TOL)
+    rng = random.Random(f"match-boundary-{precision}")
+    pairs = []
+    with mp.workprec(300):
+        for _ in range(12):
+            scale = mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            anchor = mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            # the scale read off the small moved cluster misses the others
+            moved = mpc(rng.uniform(-9, 9), rng.uniform(-9, 9)) * rng.choice((1e-2, 1e-3))
+            others = [mpc(rng.randint(8, 80), rng.randint(-80, 80)) / 4 for _ in range(2)]
+            for f in NEAR:
+                m = abs(scale * moved)
+                rho = t * f * (1 + m) / (m * (1 - t * f))
+                side_a = [RootCluster(anchor, 1), RootCluster(moved, 2)]
+                side_b = [RootCluster(scale * anchor, 1), RootCluster(scale * moved * (1 + rho), 2)]
+                side_a += [RootCluster(z, 3) for z in others]
+                side_b += [RootCluster(scale * z, 3) for z in others]
+                pairs.append((side_a, side_b))
+    return pairs
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("mode", ["linear", "affine"])
+def test_match_filter_at_the_margin_agrees_with_all_pairs(precision, mode):
+    found = missed = 0
+    for side_a, side_b in boundary_sides(precision):
+        with mp.workprec(precision):
+            got = numeric_match(mode, side_a, side_b)
+            assert got == all_pairs_match(mode, side_a, side_b)
+        found, missed = found + (got is not None), missed + (got is None)
+    if mode == "linear":
+        assert found and missed
+
+
+def test_match_filter_falls_back_past_the_double_range():
+    with mp.workprec(168):
+        big = mpf(10) ** 400
+        for side in ([big, 1], [big * 1j, -big], [mpf(10) ** -350, 1, 2]):
+            side_a = [RootCluster(mpc(z), 1) for z in side]
+            for shift in (0, mpf(1.5 * TOL), 1):
+                side_b = [RootCluster(2 * c.center + (shift if k == 0 else 0), 1)
+                          for k, c in enumerate(side_a)]
+                for mode in ("linear", "affine"):
+                    assert numeric_match(mode, side_a, side_b) == all_pairs_match(
+                        mode, side_a, side_b)
+        # a tolerance below 2^-200 turns the filter off; one past the double
+        # range makes each of its bounds infinite
+        side_a = [RootCluster(mpc(1), 1), RootCluster(mpc(3), 1)]
+        side_b = [RootCluster(mpc(2), 1), RootCluster(mpc(6) + mpf(10) ** -70, 1)]
+        for tol in (mpf(10) ** -80, mpf(10) ** -65, mpf(10) ** 400):
+            assert numeric_match("linear", side_a, side_b, tol) == all_pairs_match(
+                "linear", side_a, side_b, tol)
+
+
+RECORDED = Path(__file__).resolve().parent / "data" / "numeric_pairs_seed7.jsonl"
+
+
+def test_numeric_route_tries_few_scales_and_keeps_every_verdict(monkeypatch):
+    # the 72 pairs of bench/corpus.numeric_pairs(7, 8), with the verdicts
+    # and printed scales and shifts recorded before the filter existed
+    # (1,094 greedy passes then): a greedy pass runs for at most two
+    # scales per pair, and every verdict and scale repeats to the bit
+    records = [json.loads(line) for line in RECORDED.read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 72
+    passes = []
+    real = numeric._greedy_pairing
+    monkeypatch.setattr(numeric, "_greedy_pairing", lambda *args: passes.append(1) or real(*args))
+    for rec in records:
+        verdict = decide_equivalence(parse_poly(rec["first"]), parse_poly(rec["second"]))
+        match = verdict.match
+        got = {"status": verdict.status, "mode": verdict.mode, "reason": verdict.reason,
+               "scale": None if match is None else repr(match.scale),
+               "shift": None if match is None else repr(match.shift)}
+        assert got == {key: rec[key] for key in got}
+    assert len(passes) <= 2 * len(records)
