@@ -27,7 +27,7 @@ import cmath
 import math
 
 from .errors import AmbiguousClusteringError, NonConvergenceError
-from .exact import GaussianRational, Record, UniPoly
+from .exact import GaussianRational, Record, UniPoly, _integral
 from .polyio import BivarPoly, power_table
 
 # typing.TYPE_CHECKING without loading typing; type checkers take it as true
@@ -207,13 +207,13 @@ def _bound(val, dval, lead, n):
     val bounds |p(z)| from above and dval |p'(z)| from below (0 when no
     positive lower bound is known); lead is the modulus of the leading
     coefficient. The Newton radius n*val/dval, or (val/lead)^(1/n) without a
-    derivative bound, but never below the floor val/(1 + lead*n).
+    derivative bound: either way the disc about z of that radius holds a
+    root of p (Bini & Robol, JCAM 272 (2014), section 4).
     """
     from mpmath import mpf
-    floor = val / (1 + lead * n)
     if dval > 0:
-        return mpf(max(n * val / dval, floor))
-    return mpf(max((val / lead) ** (mpf(1) / n), floor))
+        return n * val / dval
+    return (val / lead) ** (mpf(1) / n)
 
 
 def _shift(x: int, bits: int) -> int:
@@ -320,8 +320,7 @@ def _polish_fixed(coeffs, starts, precision):
     n = len(coeffs) - 1
     work = precision + 40
     frac = work + n + 8
-    den = math.lcm(*(c.d for c in coeffs))
-    ints = [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
+    den, ints = _integral(UniPoly(tuple(coeffs)))
     # the stop |p| <= 2^-(precision+20) * mag in units of 2^-frac
     stop = frac - precision - 20
     tables = {}
@@ -409,9 +408,10 @@ def find_roots(poly: UniPoly, precision: int = DEFAULT_PRECISION) -> list:
     |z|^k, so that multiple roots terminate as tight clusters instead of
     stalling. Each err is the Newton radius n*|p(z)|/|p'(z)|, from an upper
     bound on |p(z)| and a lower bound on |p'(z)| that carry the fixed-point
-    rounding, and at least |p(z)|/(1 + |a_n|*n). mpmath only builds the
-    returned values and bounds. Raises NonConvergenceError when a root does
-    not meet the stop; zero roots are split off first and returned exactly.
+    rounding, or (|p(z)|/|a_n|)^(1/n) where no positive lower bound on
+    |p'(z)| is known. mpmath only builds the returned values and bounds.
+    Raises NonConvergenceError when a root does not meet the stop; zero
+    roots are split off first and returned exactly.
     """
     from mpmath import mpc, mpf
     coeffs = list(poly.coeffs)
@@ -498,10 +498,11 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
     unsafe band: an inter-cluster gap below 2*tol, or a cluster whose
     diameter exceeds tol/2, either of which means the tolerance cannot be
     trusted to separate true roots from approximation scatter.
-    Every test is decided in doubles first, by _double_filter, and the mpc
-    distance is computed only where the doubles do not settle it, or where
-    it is kept for a gap message or can be the diameter in one; clusters
-    and messages are those of the mpc tests alone.
+    Each pair is tested in doubles first, by _double_filter: its mpc
+    distance is computed only where the doubles do not prove it farther
+    than both 2*tol and its error disks' reach, and for the diameter only
+    where they do not prove it within tol/2; clusters and messages are
+    those of the mpc tests alone.
     """
     from mpmath import mpf
     if not roots:
@@ -530,8 +531,8 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
     # each distance is measured once and kept when below 2*tol, the only
     # ones a gap check can fail on; a longer one within a cluster fails the
     # diameter check, which measures it again for its message. A pair the
-    # doubles prove at least 2*tol apart is not measured when they also
-    # settle whether its error disks reach
+    # doubles prove farther apart than both 2*tol and its error disks'
+    # reach is not measured
     filt = _double_filter(values)
     if filt:
         points, compare = filt
@@ -543,9 +544,6 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
             if filt:
                 x, y, reach = points[a], points[b], ferrs[a] + ferrs[b]
                 if compare(x, y, max(2 * ftol, reach)) > 0:
-                    continue
-                if compare(x, y, 2 * ftol) > 0 and compare(x, y, max(ftol, reach)) < 0:
-                    union(a, b)
                     continue
             d = abs(values[a] - values[b])
             if d < 2 * t:
@@ -560,17 +558,8 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
         pairs = [(a, b) for a in idxs for b in idxs if a < b]
         if filt:
             # the mpc maximum is taken over the pairs the doubles do not
-            # prove within tol/2, the only ones that can exceed it, and of
-            # those, once the longest is proven above some bound, over the
-            # ones not proven within that bound
+            # prove within tol/2, the only ones that can exceed it
             pairs = [(a, b) for a, b in pairs if compare(points[a], points[b], ftol / 2) >= 0]
-            if len(pairs) > 1:
-                dist = {(a, b): abs(points[a] - points[b]) for a, b in pairs}
-                a, b = max(pairs, key=dist.get)
-                bound = dist[a, b] * (1 - 2.0**-20)
-                if compare(points[a], points[b], bound) > 0:
-                    pairs = [(a, b) for a, b in pairs
-                             if compare(points[a], points[b], bound) >= 0]
         diameter = max((close.get((a, b)) or abs(values[a] - values[b]) for a, b in pairs),
                        default=mpf(0))
         if diameter > t / 2:

@@ -28,7 +28,7 @@ from conftest import (
     synthesize_equivalent,
     tame_witness_scalars,
 )
-from qhgerm import BivarPoly, cli, decide_equivalence, gq, parse_poly
+from qhgerm import BivarPoly, cli, decide_equivalence, engine, gq, parse_poly
 from qhgerm.engine import (
     STATUS_EQUIVALENT,
     STATUS_INEQUIVALENT,
@@ -160,6 +160,42 @@ def test_route_agreement_degree_24():
         f"prod (Y^2-2k.0*X^3) vs integer form: {verdict.status} ({verdict.mode})",
     )
     assert ok
+
+
+def _ladder_pair(degree, literal):
+    """prod (Y^2 - 2k<literal>*X^3) and prod (Y^2 - 14k*X^3), k = 1..degree."""
+    return (parse_poly("*".join(f"(Y^2-{2 * k}{literal}*X^3)" for k in range(1, degree + 1))),
+            parse_poly("*".join(f"(Y^2-{14 * k}*X^3)" for k in range(1, degree + 1))))
+
+
+@pytest.mark.parametrize("degree, precisions", [
+    (32, [128, 128]),
+    (48, [128, 128]),
+    (64, [128, 256, 128, 256]),
+    (100, [128, 256, 128, 256]),
+])
+def test_route_agreement_degree_sweep(monkeypatch, degree, precisions):
+    # error discs scale with the roots, so each side's roots cluster at 128
+    # bits up to d = 48 and at 256 bits beyond; the decimal pair goes the
+    # numeric route and its integer copy the exact route
+    exact = decide_equivalence(*_ladder_pair(degree, ""))
+    real, seen = engine.find_roots, []
+
+    def spy(poly, precision):
+        seen.append(precision)
+        return real(poly, precision)
+
+    monkeypatch.setattr(engine, "find_roots", spy)
+    numeric = decide_equivalence(*_ladder_pair(degree, ".0"))
+    ok = ((exact.mode, numeric.mode) == ("exact", "numeric")
+          and numeric.status == exact.status == STATUS_EQUIVALENT and seen == precisions)
+    record_acceptance(
+        f"numeric route on a degree-{degree} ladder",
+        ok,
+        f"prod (Y^2-2k.0*X^3) vs prod (Y^2-14k*X^3): {numeric.status} ({numeric.mode}), "
+        f"exact route {exact.status}; find_roots precisions {seen}",
+    )
+    assert ok, (numeric, exact, seen)
 
 
 def test_roots_of_a_degree_100_ladder(capsys):

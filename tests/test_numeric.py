@@ -310,6 +310,19 @@ class TestClusterRoots:
         with pytest.raises(AmbiguousClusteringError):
             clusters_of([0, 0.6e-9, 1.2e-9])
 
+    @pytest.mark.parametrize("big, tiny", [(200, 150), (20, 15)])
+    def test_wide_moduli_cluster_apart(self, big, tiny):
+        # each error disc scales with its root: the disc of 10^big leaves
+        # -3 and 10^-tiny outside, and that of -3 is far below tol
+        true_roots = [Fraction(10**big), Fraction(-3), Fraction(1, 10**tiny)]
+        roots = find_roots(UniPoly.from_roots([gq(r) for r in true_roots]), 128)
+        clusters = cluster_roots(roots, 1e-9, [1] * 3)
+        assert [c.multiplicity for c in clusters] == [1, 1, 1]
+        assert min(roots, key=lambda a: abs(a.value + 3)).err < mpf(2) ** -100
+        for cluster, r in zip(clusters, sorted(true_roots)):
+            exact = mpf(r.numerator) / r.denominator
+            assert abs(cluster.center - exact) <= abs(exact) * mpf(2) ** -50
+
     def test_empty(self):
         assert cluster_roots([], 1e-9, []) == []
 
