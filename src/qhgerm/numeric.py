@@ -10,11 +10,14 @@ numeric_match, nth_root and to_mpc compute at the caller's precision.
 find_roots polishes its roots in integer fixed point: Gaussian dyadic
 points, Horner on integers with an explicit bound on its rounding, for
 every input, including roots past the double range. mpmath only builds the
-mpc and mpf values it returns and _bound's error bounds. cluster_roots and
-numeric_match decide each distance test in doubles first, through the
-filtered comparison of _double_filter, and compute it in mpmath only
-where the doubles do not settle it; nth_root and eval_bivar compute in
-mpmath.
+mpc and mpf values it returns and _bound's error bounds. eval_bivar
+multiplies and adds in integers too, on (mantissa, exponent) pairs, each
+result rounded once, half-even, by mpf_add's rule (_dyadic_sum and
+_dyadic_mul), so its values have mpmath's bits at a fraction of mpmath's
+cost. cluster_roots and numeric_match decide each distance test in
+doubles first, through the filtered comparison of _double_filter, and
+compute it in mpmath only where the doubles do not settle it; nth_root
+computes in mpmath.
 
 mpmath is imported by each function that does mpmath arithmetic, on entry,
 not by this module: the exact route never needs it, so a process that
@@ -286,6 +289,51 @@ def _horner_fixed(pairs, wr: int, wi: int, frac: int):
         dr, di = ((dr * wr - di * wi) >> frac) + hr, ((dr * wi + di * wr) >> frac) + hi
         hr, hi = ((hr * wr - hi * wi) >> frac) + a, ((hr * wi + hi * wr) >> frac) + b
     return hr, hi, dr, di
+
+
+def _dyadic_sum(m: int, e: int, n: int, f: int, prec: int):
+    """m * 2^e + n * 2^f rounded half-even to prec bits, as (mantissa, exponent),
+    the mantissa odd or 0: the rounding and the canonical form of mpf_add.
+
+    The sum is exact and rounded once, with mpf_add's one exception: when
+    the lowest bits lie over 100 apart and one operand's top bit lies more
+    than prec + 4 bits below the other's, the smaller enters as a sticky
+    +-1 at prec + 4 bits below the larger's lowest bit. The work then grows
+    with the operands' lengths, not with the gap between them.
+    """
+    if not n:
+        if not m:
+            return 0, 0
+    elif not m:
+        m, e = n, f
+    else:
+        if e < f:
+            m, e, n, f = n, f, m, e
+        gap = e - f
+        if gap > 100 and m.bit_length() + gap - n.bit_length() > prec + 4:
+            m, e = (m << (prec + 4)) + (1 if n > 0 else -1), e - prec - 4
+        else:
+            m, e = (m << gap) + n, f
+            if not m:
+                return 0, 0
+    excess = m.bit_length() - prec
+    if excess > 0:
+        # floor((m + half - 1 + kept lowest bit) / 2^excess): half-even, either sign
+        m = (m + (1 << (excess - 1)) - 1 + ((m >> excess) & 1)) >> excess
+        e += excess
+    if m & 1:
+        return m, e
+    low = (m & -m).bit_length() - 1
+    return m >> low, e + low
+
+
+def _dyadic_mul(z, w, prec: int):
+    """The product of two Gaussian dyadics (re, re_exp, im, im_exp): ac - bd
+    and ad + bc exact, each rounded once by _dyadic_sum, as mpc_mul does."""
+    a, ea, b, eb = z
+    c, ec, d, ed = w
+    return (_dyadic_sum(a * c, ea + ec, -b * d, eb + ed, prec)
+            + _dyadic_sum(a * d, ea + ed, b * c, eb + ec, prec))
 
 
 def _dyadic_diff(a, b, frac: int) -> complex:
@@ -674,21 +722,59 @@ def numeric_match(mode: str, side_a, side_b, tol: float = DEFAULT_TOL):
 def eval_bivar(poly: BivarPoly, points, precision: int = DEFAULT_PRECISION) -> list:
     """Evaluate a bivariate polynomial at each (x, y) of points.
 
-    Returns one mpc per point, computed 20 bits finer than precision; the
-    coefficients become mpc once per call. The powers of x and y come from
-    power_table, stepped through only the exponents that occur, so a germ on
-    a weighted line costs O(terms) multiplications per point.
+    Returns one mpc per point, with the bits of mpmath's mpc arithmetic 20
+    bits finer than precision. mpmath converts the coefficients, once per
+    call, and the coordinates, and gives the seeds z^low and z^gap of
+    power_table. The steps, the products c * x^i * y^j and the running sum
+    are _dyadic_mul and _dyadic_sum on integers, which round as mpmath
+    does, so the bits are the same. A germ on a weighted line costs
+    O(terms) multiplications per point.
+
+    Raises ValueError naming the point when a coordinate is infinite or nan.
     """
     from mpmath import mp, mpc
-    with mp.workprec(precision + 20):
-        terms = [(i, j, to_mpc(c)) for (i, j), c in poly.terms.items()]
-        x_exps = {i for i, _, _ in terms}
-        y_exps = {j for _, j, _ in terms}
-        out = []
-        for x, y in points:
-            xp, yp = power_table(mpc(x), x_exps), power_table(mpc(y), y_exps)
-            acc = mpc(0)
-            for i, j, c in terms:
-                acc += c * xp[i] * yp[j]
-            out.append(acc)
-        return out
+    from mpmath.libmp import from_int, mpc_pow_int, mpf_div, round_nearest
+
+    prec = precision + 20
+
+    def dyadic(part):
+        sign, man, exp, _ = part
+        return -man if sign else man, exp
+
+    def mpf_part(m, e):
+        return (int(m < 0), abs(m), e, m.bit_length()) if m else (0, 0, 0, 0)
+
+    def coefficient(num, den):
+        g = math.gcd(num, den)
+        return dyadic(mpf_div(from_int(num // g, prec, round_nearest),
+                              from_int(den // g, prec, round_nearest), prec, round_nearest))
+
+    def seed(z, n):
+        re, im = mpc_pow_int(z, n, prec, round_nearest)
+        return dyadic(re) + dyadic(im)
+
+    def mul(z, w):
+        return _dyadic_mul(z, w, prec)
+
+    terms = [(i, j, coefficient(c.a, c.d) + coefficient(c.b, c.d))
+             for (i, j), c in poly.terms.items()]
+    x_exps = {i for i, _, _ in terms}
+    y_exps = {j for _, j, _ in terms}
+    points = list(points)
+    with mp.workprec(prec):
+        coords = [(mpc(x)._mpc_, mpc(y)._mpc_) for x, y in points]
+    out = []
+    for point, (x, y) in zip(points, coords):
+        if not all(man or not exp for _, man, exp, _ in x + y):
+            raise ValueError(f"eval_bivar needs finite coordinates, got the point {point!r}")
+        xp = power_table(x, x_exps, seed, mul)
+        yp = power_table(y, y_exps, seed, mul)
+        re, re_exp, im, im_exp = 0, 0, 0, 0
+        for i, j, c in terms:
+            tr, tr_exp, ti, ti_exp = _dyadic_mul(_dyadic_mul(c, xp[i], prec), yp[j], prec)
+            re, re_exp = _dyadic_sum(re, re_exp, tr, tr_exp, prec)
+            im, im_exp = _dyadic_sum(im, im_exp, ti, ti_exp, prec)
+        value = object.__new__(mpc)
+        value._mpc_ = (mpf_part(re, re_exp), mpf_part(im, im_exp))
+        out.append(value)
+    return out

@@ -29,6 +29,7 @@ superset of the documented form so that every printed polynomial re-parses.
 
 from __future__ import annotations
 
+import operator
 import re
 from math import gcd
 
@@ -198,8 +199,9 @@ _set_terms = BivarPoly.terms.__set__
 _set_mode = BivarPoly.mode.__set__
 
 
-def power_table(z, exponents) -> dict:
-    """{e: z**e for e in exponents}, for any z with ** and *.
+def power_table(z, exponents, raise_to=pow, mul=operator.mul) -> dict:
+    """{e: z**e for e in exponents}, for any z with ** and *, or with
+    raise_to(z, n) for z**n and mul(u, v) for u * v.
 
     Starts from z**low, the lowest exponent, and steps by z**gap, where gap
     is the gcd of the differences to low: one multiplication per exponent
@@ -210,11 +212,11 @@ def power_table(z, exponents) -> dict:
     gap = 0
     for e in exps:
         gap = gcd(gap, e - low)
-    power, step, at = z**low, z**gap, low
+    power, step, at = raise_to(z, low), raise_to(z, gap), low
     table = {}
     for e in exps:
         while at < e:
-            power, at = power * step, at + gap
+            power, at = mul(power, step), at + gap
         table[e] = power
     return table
 

@@ -505,12 +505,23 @@ class TestEvalBivar:
         assert any(abs(to_mpc(y)) > 1 for _, y in points)
         assert_eval_within_bound(poly, points)
 
+    @pytest.mark.parametrize("bad", [mpc(mpf("inf"), 1), mpc(0, mpf("nan")), float("-inf"),
+                                     complex(1, float("nan")), mpf("inf")])
+    def test_non_finite_coordinate_raises_naming_the_point(self, bad):
+        # also where the coordinate's exponent is 0, which gave a number before
+        for poly in (parse_poly("X^2*Y + Y^3"), parse_poly("Y^2"), parse_poly("X") - parse_poly("X")):
+            for point in ((bad, mpc(1, 2)), (mpc(1, 2), bad)):
+                with pytest.raises(ValueError, match="finite coordinates") as info:
+                    eval_bivar(poly, [(mpc(2), mpc(3)), point], 128)
+                assert repr(point) in str(info.value)
+
     def test_batch_matches_one_point_calls(self):
         rng = random.Random(43)
         poly = parse_poly("X*Y^6 + (-4+7/9i)*X^13*Y^3 + (-12-14/3i)*X^25")
         points = [(to_mpc(x), to_mpc(y)) for x, y in dyadic_points(rng, 8, 40)]
         batch = eval_bivar(poly, points, 128)
         assert len(batch) == len(points)
+        assert eval_bivar(poly, iter(points), 128) == batch
         for value, point in zip(batch, points):
             assert eval_bivar(poly, [point], 128) == [value]
 

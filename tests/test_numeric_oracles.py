@@ -13,6 +13,10 @@ reference that recomputes its answer the long way.
   clusters or the same exception.
 - numeric_match: the all-pairs candidate search over every pair of nonzero
   clusters gives the same scale and shift, or None alike.
+- eval_bivar: its integer kernel gives the same bits as the mpc loop it
+  replaced, kept here as reference_eval_bivar, on drawn polynomials and
+  points and on cases built to reach each rounding decision; and
+  verify_witness repeats the reports recorded before the kernel existed.
 
 Inputs are seeded and include root sets r * (roots of unity), zero roots or
 clusters, and mixed multiplicities.
@@ -20,18 +24,21 @@ clusters, and mixed multiplicities.
 
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from qhgerm import (AmbiguousClusteringError, NonConvergenceError, UniPoly, cluster_roots,
-                    decide_equivalence, find_roots, gq, numeric_match, parse_poly)
+from qhgerm import (AmbiguousClusteringError, BivarPoly, NonConvergenceError, UniPoly,
+                    build_witness, cluster_roots, decide_equivalence, eval_bivar, find_roots,
+                    gq, numeric_match, parse_poly, verify_witness)
 from qhgerm import numeric
 from qhgerm.numeric import ComplexApprox, NumericMatch, RootCluster, to_mpc
+from qhgerm.polyio import power_table
 
 from conftest import rand_gq
 
@@ -667,3 +674,210 @@ def test_numeric_route_tries_few_scales_and_keeps_every_verdict(monkeypatch):
                "shift": None if match is None else repr(match.shift)}
         assert got == {key: rec[key] for key in got}
     assert len(passes) <= 2 * len(records)
+
+
+def reference_eval_bivar(poly, points, precision: int = 128) -> list:
+    """eval_bivar as it was before its integer kernel: the mpc loop."""
+    with mp.workprec(precision + 20):
+        terms = [(i, j, to_mpc(c)) for (i, j), c in poly.terms.items()]
+        x_exps = {i for i, _, _ in terms}
+        y_exps = {j for _, j, _ in terms}
+        out = []
+        for x, y in points:
+            xp, yp = power_table(mpc(x), x_exps), power_table(mpc(y), y_exps)
+            acc = mpc(0)
+            for i, j, c in terms:
+                acc += c * xp[i] * yp[j]
+            out.append(acc)
+        return out
+
+
+def assert_same_bits(poly, points, precision):
+    got = eval_bivar(poly, points, precision)
+    assert all(type(v) is mpc for v in got)
+    assert [v._mpc_ for v in got] == [v._mpc_ for v in reference_eval_bivar(poly, points, precision)]
+
+
+def dyadic(man: int, exp: int) -> mpf:
+    """man * 2^exp as an mpf, exactly, however many bits man has."""
+    with mp.workprec(max(man.bit_length(), 1)):
+        return mpf((man, exp))
+
+
+def exact_mpc(re: mpf, im: mpf) -> mpc:
+    """re + i*im as an mpc, neither part rounded to mpmath's precision."""
+    z = mpc()
+    z._mpc_ = (re._mpf_, im._mpf_)
+    return z
+
+
+_PART = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+_WEIGHTS = [(1, 1), (1, 2), (2, 3), (3, 4), (2, 7), (3, 5), (1, 9)]
+
+
+@st.composite
+def bivariate_polys(draw):
+    """At most 8 terms with exponents up to 64, anywhere or on a weighted
+    line p*i + q*j = nu, with coefficients whose parts round at any precision."""
+    if draw(st.booleans()):
+        exps = draw(st.lists(st.tuples(st.integers(0, 64), st.integers(0, 64)),
+                             min_size=1, max_size=8, unique=True))
+    else:
+        p, q = draw(st.sampled_from(_WEIGHTS))
+        nu = draw(st.integers(1, 64))
+        line = [(i, (nu - p * i) // q) for i in range(nu // p + 1) if (nu - p * i) % q == 0]
+        assume(line)
+        exps = draw(st.lists(st.sampled_from(line), min_size=1, max_size=8, unique=True))
+    coeff = st.builds(gq, _PART, st.just(Fraction(0)) | _PART)
+    return BivarPoly.from_terms({e: draw(coeff) for e in exps})
+
+
+def coordinates(precision: int):
+    """mpc values with parts up to 40 bits finer than the working precision,
+    Python floats, complex numbers and ints, small and past the precision."""
+    work = precision + 20
+    part = st.builds(dyadic, st.integers(-2 ** (work + 40), 2 ** (work + 40)),
+                     st.integers(-work - 60, 4))
+    small = st.floats(-2, 2, allow_nan=False)
+    return st.one_of(
+        st.builds(exact_mpc, part, part),
+        small,
+        st.builds(complex, small, small),
+        st.integers(-8, 8) | st.integers(-2 ** (work + 30), 2 ** (work + 30)),
+    )
+
+
+@st.composite
+def evaluations(draw):
+    precision = draw(st.sampled_from([53, 128, 1024]))
+    coord = coordinates(precision)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=3))
+    return draw(bivariate_polys()), points, precision
+
+
+@seed(20261020)
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=evaluations())
+def test_eval_bivar_has_the_bits_of_the_mpc_loop(case):
+    assert_same_bits(*case)
+
+
+def sticky_cases(work: int) -> list:
+    """(poly, point) pairs whose real part ac - bd takes mpf_add's sticky
+    rule, ac with more than work bits and bd over work + 4 bits below it.
+
+    - ac = 3X, work + 1 bits: a tie that bd's sign decides, with the kept
+      lowest bit even and odd, so dropping the sticky bit changes one;
+    - ac = M*X, M the mantissa of 5/7, one unit above a tie, bd larger than
+      that unit: the sticky rounds up where the exact ac - bd rounds down.
+    """
+    cases = []
+    tiny = dyadic(1, -work - 200)
+    start = 2 ** work // 3 + 1
+    for x in (x for x in range(start, start + 4) if x % 2):
+        assert (3 * x).bit_length() == work + 1
+        for c in ("3 + i", "3 - i"):
+            cases.append((f"({c})*X", (exact_mpc(dyadic(x, -work), tiny), mpc(1))))
+    with mp.workprec(work):
+        _, m, _, _ = (mpf(5) / 7)._mpf_
+    for bits in range(2 * work, work, -1):
+        n = bits - work
+        # x = base + k*2^n has m*x = (tie + 1) mod 2^n; keep one that is
+        # work bits long at most, with m*x bits bits long
+        base = pow(m, -1, 1 << n) * ((1 << (n - 1)) + 1) % (1 << n)
+        fit = [x for x in (base + (k << n) for k in range(8))
+               if x.bit_length() <= work and (m * x).bit_length() == bits]
+        if fit:
+            break
+    y = (1 << (work - 1)) + 1
+    # in units of ac's lowest bit, bd = m*y*2^y_exp lies in [2^2, 2^4)
+    y_exp = 4 - 2 * work
+    point = exact_mpc(dyadic(fit[0], 0), dyadic(y, y_exp))
+    p_top, q_top = bits, (m * y).bit_length() + y_exp
+    assert y_exp < -100 and work + 4 < p_top - q_top and q_top >= 2
+    cases.append(("(5/7 + 5/7*i)*X", (point, mpc(1))))
+    return cases
+
+
+def explicit_cases(precision: int) -> list:
+    """(poly text, points) that reach each rounding decision of the kernel
+    at work = precision + 20 bits."""
+    work = precision + 20
+    one, half_ulp = dyadic(1, 0), dyadic(1, -work)
+    odd = dyadic((1 << (work - 1)) + 1, 1 - work)  # 1 + 2^(1 - work), kept lowest bit odd
+    cases = [
+        # half-ulp ties in the running sum, kept lowest bit even and odd, either sign
+        ("X + Y", [(one, half_ulp), (odd, half_ulp), (-one, -half_ulp), (-odd, -half_ulp)]),
+        # exact cancellation: in a product ((1+i)^2, ac = bd), in a square, in the sum
+        ("(1 + i)*X", [(mpc(1, 1), 0), (mpc(5, 3), 2)]),
+        ("(3 + 5*i)*X", [(mpc(5, 3), 1)]),
+        ("X^2 + 2*i*Y", [(mpc(1, 1), -1), (mpc(1, -1), 1)]),
+        ("X - Y", [(mpc(1, 2), mpc(1, 2)), (0.1, 0.1)]),
+        # zero real or imaginary parts, in points and coefficients
+        ("2*X*Y + 3*i*Y^2 - X^3", [(mpc(0, 1.5), mpc(2, 0)), (0, 0), (mpc(0), 1j), (2, -3)]),
+        # a seed power past mpc_pow_int's exact_size < 10000: 50 * (200 + 1)
+        ("X^50 + (2 - i)*X^60*Y^3", [(exact_mpc(one, dyadic(1, -200)), mpc(0.5, 0.25))]),
+    ]
+    # exponent gaps at the sticky threshold and far past it, in sums and products
+    for gap in (work + 3, work + 4, work + 5, 10**6):
+        small = dyadic(1, -gap)
+        cases.append(("X + Y", [(one, small), (one, -small), (dyadic(3, 0), -small),
+                                (odd, small), (-odd, small)]))
+        cases.append(("(1 + i)*X + (1/3 + 1/5*i)*Y",
+                      [(exact_mpc(one, small), exact_mpc(small, -one)),
+                       (exact_mpc(odd, -small), exact_mpc(dyadic(3, 0), small))]))
+    cases += [(poly, [point]) for poly, point in sticky_cases(work)]
+    return cases
+
+
+@pytest.mark.parametrize("precision", [53, 128, 1024])
+def test_eval_bivar_has_the_bits_of_the_mpc_loop_at_each_rounding_decision(precision):
+    for text, points in explicit_cases(precision):
+        assert_same_bits(parse_poly(text), points, precision)
+
+
+def test_sticky_case_rounds_as_mpmath_not_as_the_exact_difference():
+    # the last sticky case is one where mpc_mul is not correctly rounded;
+    # eval_bivar has mpmath's bits there, one unit away from the exact ones
+    text, (x, y) = sticky_cases(148)[-1]
+    got = eval_bivar(parse_poly(text), [(x, y)], 128)[0]
+    with mp.workprec(148):
+        c = mpf(5) / 7
+    with mp.workprec(800):
+        exact_re = c * x.real - c * x.imag
+        nearest = mpf(exact_re, prec=148)
+        assert nearest < exact_re < got.real
+        assert got.real - nearest == mpf(2) ** (mp.mag(nearest) - 148)
+
+
+def test_eval_bivar_is_quick_at_an_exponent_gap_of_a_million_bits():
+    tiny = dyadic(1, -10**6)
+    poly = parse_poly("(1+2i)*X^5*Y^3 + 3*X*Y^7 - X^9 + 1/3*Y^11 + X*Y")
+    points = [(exact_mpc(mpf(1), tiny), mpc(0.25, 0.5)),
+              (exact_mpc(tiny, mpf(-1)), exact_mpc(mpf(0.25), tiny))]
+    start = time.perf_counter()
+    got = eval_bivar(poly, points, 128)
+    assert time.perf_counter() - start < 1.0
+    assert [v._mpc_ for v in got] == [v._mpc_ for v in reference_eval_bivar(poly, points, 128)]
+
+
+RADICAL_REPORTS = Path(__file__).resolve().parent / "data" / "radical_reports_seed7.jsonl"
+
+
+def test_verify_witness_repeats_the_recorded_radical_reports():
+    # the 40 radical pairs of bench/corpus.witness_pairs(7, 4, radical=True),
+    # with the reports verify_witness gave under the mpc loop, at 3
+    # precisions and 2 seeds each
+    records = [json.loads(line)
+               for line in RADICAL_REPORTS.read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 40
+    for rec in records:
+        first, second = parse_poly(rec["first"]), parse_poly(rec["second"])
+        witness = build_witness(first, second, decide_equivalence(first, second))
+        for want in rec["reports"]:
+            report = verify_witness(first, second, witness, want["precision"], want["seed"])
+            got = {"passed": report.passed, "max_residual": report.max_residual,
+                   "tol": report.tol, "samples": report.samples,
+                   "precision": report.precision, "seed": want["seed"]}
+            assert not report.exact and got == want
