@@ -15,7 +15,7 @@ reproduces the second exactly: second = first o Psi.
 from __future__ import annotations
 
 import random
-from math import inf, lcm
+from math import lcm
 
 from .errors import (
     AmbiguousClusteringError,
@@ -40,7 +40,7 @@ from .numeric import (
     DEFAULT_PRECISION,
     DEFAULT_TOL,
     NumericMatch,
-    _double_filter,
+    _nearest_clusters,
     cluster_roots,
     eval_bivar,
     find_roots,
@@ -250,11 +250,9 @@ def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
     part of the cluster's multiplicity (exact True) when that cluster's
     center lies nearest the root. The cluster holding a root's
     approximation has its center within tol/2 of it and every other center
-    lies at least 3*tol/2 away, so the nearest center is that cluster's;
-    its multiplicity equals the part's only when it holds that root alone.
-    The nearest center is found in doubles when they prove it: the double
-    nearest lies below, and every other center above, the midpoint of the
-    two least double distances; else by the mpc distances.
+    lies at least 3*tol/2 away, so the nearest center (_nearest_clusters)
+    is that cluster's; its multiplicity equals the part's only when it
+    holds that root alone.
     """
     if ladder.degree < 1:
         return []
@@ -264,22 +262,8 @@ def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
     entries = [(cl.center, cl.multiplicity, False) for cl in clusters]
     exact = [(root, mult) for (part, mult), roots in zip(parts, found)
              for root in _rational_roots(part, den, prec, roots)]
-    zs = [to_mpc(root) for root, _ in exact]
-    filt = _double_filter([cl.center for cl in clusters] + zs)
-    if filt:
-        points, compare = filt
-        centers, points = points[:len(clusters)], points[len(clusters):]
-    for j, ((root, mult), z) in enumerate(zip(exact, zs)):
-        k = None
-        if filt:
-            ds = [abs(points[j] - c) for c in centers]
-            k = min(range(len(ds)), key=ds.__getitem__)
-            bound = (ds[k] + min((d for i, d in enumerate(ds) if i != k), default=inf)) / 2
-            if not all(compare(points[j], c, bound) == (-1 if i == k else 1)
-                       for i, c in enumerate(centers)):
-                k = None
-        if k is None:
-            k = min(range(len(clusters)), key=lambda k: abs(clusters[k].center - z))
+    nearest = _nearest_clusters(clusters, [to_mpc(root) for root, _ in exact])
+    for (root, mult), k in zip(exact, nearest):
         if clusters[k].multiplicity == mult:
             entries[k] = (root, mult, True)
     return entries
@@ -383,11 +367,9 @@ def decide_equivalence(
     if eff_mode == "exact":
         match = _exact_match(first_a, second_a)
     else:
-        clusters_first = _numeric_clusters(f1.ladder.squarefree_parts(), precision, tol)[0]
-        clusters_second = _numeric_clusters(f2.ladder.squarefree_parts(), precision, tol)[0]
-        match = numeric_match(
-            "affine" if affine else "linear", clusters_first, clusters_second, tol
-        )
+        clusters = [_numeric_clusters(f.ladder.squarefree_parts(), precision, tol)[0]
+                    for f in (f1, f2)]
+        match = numeric_match("affine" if affine else "linear", *clusters, tol)
     if match is None:
         kind = "an affine scale" if affine else "a scale"
         return verdict(
@@ -413,12 +395,7 @@ def witness_branch_count(verdict: Verdict) -> int:
 
 
 def _gq_bits(g: GaussianRational) -> int:
-    return max(
-        abs(g.re.numerator).bit_length(),
-        g.re.denominator.bit_length(),
-        abs(g.im.numerator).bit_length(),
-        g.im.denominator.bit_length(),
-    )
+    return max(max(abs(x.numerator), x.denominator).bit_length() for x in (g.re, g.im))
 
 
 def _exact_root(
@@ -550,8 +527,7 @@ def _witness_data(first_a: GermAnalysis, second_a: GermAnalysis):
     m_pow = w.p * m + w.q * e_pow
     if m_pow != w.nu:
         raise InternalInconsistencyError("exponent bookkeeping disagrees with nu")
-    r0 = f2.c0 / f1.c0
-    return w, m, e_pow, m_pow, r0
+    return w, m, e_pow, m_pow, f2.c0 / f1.c0, f1.c0, f2.c0
 
 
 def _rational_witness(first_a, second_a, match):
@@ -560,8 +536,7 @@ def _rational_witness(first_a, second_a, match):
     Exhaustive over Gaussian-rational roots at every stage, so failure here
     proves every witness for the pair needs an irrational radical.
     """
-    w, m, e_pow, m_pow, r0 = _witness_data(first_a, second_a)
-    c0, d0 = first_a.canonical.c0, second_a.canonical.c0
+    w, m, e_pow, m_pow, r0, c0, d0 = _witness_data(first_a, second_a)
     for a in _gaussian_roots(match.base, match.d):
         rhs = r0**w.q * a**-m
         for beta in _gaussian_roots(rhs, m_pow):
@@ -584,8 +559,7 @@ def _radical_witness(first_a, second_a, match, branch, precision):
     numerically and then identifying each scalar exactly as a pure radical.
     """
     from mpmath import mp, mpf
-    w, m, e_pow, m_pow, r0 = _witness_data(first_a, second_a)
-    c0, d0 = first_a.canonical.c0, second_a.canonical.c0
+    w, m, e_pow, m_pow, r0, c0, d0 = _witness_data(first_a, second_a)
     d = match.d
     base = match.base
     base_beta = r0 ** (w.q * d) * base**-m
@@ -679,10 +653,6 @@ def build_witness(
     return _radical_witness(first_a, second_a, match, 0, precision)
 
 
-def _scalar_is_rational(scalar) -> bool:
-    return scalar is None or isinstance(scalar, GaussianRational)
-
-
 def scalar_to_mpc(scalar, precision: int) -> mpc:
     from mpmath import mp
     with mp.workprec(precision + 20):
@@ -730,11 +700,8 @@ def verify_witness(
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     q = witness.weights.q
-    if (
-        _scalar_is_rational(witness.alpha)
-        and _scalar_is_rational(witness.beta)
-        and _scalar_is_rational(witness.gamma)
-    ):
+    if all(s is None or isinstance(s, GaussianRational)
+           for s in (witness.alpha, witness.beta, witness.gamma)):
         x_image = X.scale(witness.alpha)
         y_image = Y.scale(witness.beta)
         if witness.gamma is not None:

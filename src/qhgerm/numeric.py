@@ -14,10 +14,10 @@ mpc and mpf values it returns and _bound's error bounds. eval_bivar
 multiplies and adds in integers too, on (mantissa, exponent) pairs, each
 result rounded once, half-even, by mpf_add's rule (_dyadic_sum and
 _dyadic_mul), so its values have mpmath's bits at a fraction of mpmath's
-cost. cluster_roots and numeric_match decide each distance test in
-doubles first, through the filtered comparison of _double_filter, and
-compute it in mpmath only where the doubles do not settle it; nth_root
-computes in mpmath.
+cost. cluster_roots, numeric_match and _nearest_clusters decide each
+distance test in doubles first, through the filtered comparison of
+_double_filter, and compute it in mpmath only where the doubles do not
+settle it; nth_root computes in mpmath.
 
 mpmath is imported by each function that does mpmath arithmetic, on entry,
 not by this module: the exact route never needs it, so a process that
@@ -62,13 +62,26 @@ class NumericMatch(Record):
     __slots__ = ("scale", "shift")
 
 
+def _gaussian_mpc(value: GaussianRational, prec: int) -> tuple:
+    """value as an mpmath mpc tuple at prec bits: each part's numerator and
+    the denominator, reduced by their gcd, are rounded to nearest and then
+    divided with rounding to nearest, the bits of mpf(num) / mpf(den)."""
+    from mpmath.libmp import from_int, mpf_div, round_nearest
+
+    def part(num):
+        g = math.gcd(num, value.d)
+        return mpf_div(from_int(num // g, prec, round_nearest),
+                       from_int(value.d // g, prec, round_nearest), prec, round_nearest)
+
+    return part(value.a), part(value.b)
+
+
 def to_mpc(value) -> mpc:
-    """Convert a GaussianRational (or number) to mpc at the current precision."""
-    from mpmath import mpc, mpf
+    """Convert a GaussianRational (or number) to mpc at the current precision,
+    a GaussianRational by _gaussian_mpc, as eval_bivar rounds coefficients."""
+    from mpmath import mp, mpc
     if isinstance(value, GaussianRational):
-        re = mpf(value.re.numerator) / mpf(value.re.denominator)
-        im = mpf(value.im.numerator) / mpf(value.im.denominator)
-        return mpc(re, im)
+        return mp.make_mpc(_gaussian_mpc(value, mp.prec))
     return mpc(value)
 
 
@@ -392,10 +405,7 @@ def _polish_fixed(coeffs, starts, precision):
             pairs, mags, s = tables[e]
             hr, hi, dr, di = _horner_fixed(pairs, wr, wi, frac)
             size = abs(complex(_to_float(wr, -frac), _to_float(wi, -frac)))
-            mag = 0.0
-            for m in mags:
-                mag = mag * size + m
-            limit = int(math.ldexp(mag, stop))
+            limit = int(math.ldexp(_horner(mags, size), stop))
             if hr * hr + hi * hi <= limit * limit:
                 settled[k] = (s, hr, hi, dr, di)
                 continue
@@ -473,8 +483,13 @@ def find_roots(poly: UniPoly, precision: int = DEFAULT_PRECISION) -> list:
         return out
     starts = _newton_polygon_starts(coeffs)
     out += _polish_fixed(coeffs, _float_starts(coeffs, starts) or starts, precision)
-    out.sort(key=lambda r: (r.value.real, r.value.imag))
+    out.sort(key=lambda r: _root_order(r.value))
     return out
+
+
+def _root_order(z) -> tuple:
+    """Roots and cluster centers sort by real part, then imaginary part."""
+    return z.real, z.imag
 
 
 def _double_filter(values):
@@ -624,8 +639,32 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
         raise AmbiguousClusteringError(
             f"inter-cluster gap {gaps[0][2]} is below twice the tolerance {t}"
         )
-    out.sort(key=lambda cl: (cl.center.real, cl.center.imag))
+    out.sort(key=lambda cl: _root_order(cl.center))
     return out
+
+
+def _nearest_clusters(clusters: list, values: list) -> list:
+    """For each mpc value, the index of the cluster center nearest it by mpc
+    distance, the first on a tie. _double_filter's doubles decide it where
+    they prove that one center lies below, and every other above, the
+    midpoint of the two least double distances."""
+    centers = [cl.center for cl in clusters]
+    filt = _double_filter(centers + values)
+    if filt:
+        points, compare = filt
+        fcenters = points[:len(centers)]
+
+    def nearest(j, z):
+        if filt:
+            x = points[len(centers) + j]
+            ds = [abs(x - c) for c in fcenters]
+            near = sorted(ds)[:2] + [math.inf]
+            k, bound = ds.index(near[0]), (near[0] + near[1]) / 2
+            if all(compare(x, c, bound) == (-1 if i == k else 1) for i, c in enumerate(fcenters)):
+                return k
+        return min(range(len(centers)), key=lambda i: abs(centers[i] - z))
+
+    return [nearest(j, z) for j, z in enumerate(values)]
 
 
 def _greedy_pairing(mapped, targets, tol) -> bool:
@@ -662,8 +701,8 @@ def numeric_match(mode: str, side_a, side_b, tol: float = DEFAULT_TOL):
     from mpmath import mpc, mpf
     if mode not in ("linear", "affine"):
         raise ValueError(f"unknown mode {mode!r}")
-    a_cl = sorted(side_a, key=lambda c: (c.center.real, c.center.imag))
-    b_cl = sorted(side_b, key=lambda c: (c.center.real, c.center.imag))
+    a_cl = sorted(side_a, key=lambda c: _root_order(c.center))
+    b_cl = sorted(side_b, key=lambda c: _root_order(c.center))
     if sorted(c.multiplicity for c in a_cl) != sorted(c.multiplicity for c in b_cl):
         return None
     t = mpf(tol)
@@ -723,41 +762,34 @@ def eval_bivar(poly: BivarPoly, points, precision: int = DEFAULT_PRECISION) -> l
     """Evaluate a bivariate polynomial at each (x, y) of points.
 
     Returns one mpc per point, with the bits of mpmath's mpc arithmetic 20
-    bits finer than precision. mpmath converts the coefficients, once per
-    call, and the coordinates, and gives the seeds z^low and z^gap of
-    power_table. The steps, the products c * x^i * y^j and the running sum
-    are _dyadic_mul and _dyadic_sum on integers, which round as mpmath
-    does, so the bits are the same. A germ on a weighted line costs
-    O(terms) multiplications per point.
+    bits finer than precision. _gaussian_mpc rounds the coefficients, once
+    per call, as to_mpc does; mpmath converts the coordinates and gives the
+    seeds z^low and z^gap of power_table. The steps, the products
+    c * x^i * y^j and the running sum are _dyadic_mul and _dyadic_sum on
+    integers, which round as mpmath does, so the bits are the same. A germ
+    on a weighted line costs O(terms) multiplications per point.
 
     Raises ValueError naming the point when a coordinate is infinite or nan.
     """
     from mpmath import mp, mpc
-    from mpmath.libmp import from_int, mpc_pow_int, mpf_div, round_nearest
+    from mpmath.libmp import mpc_pow_int, round_nearest
 
     prec = precision + 20
 
-    def dyadic(part):
-        sign, man, exp, _ = part
-        return -man if sign else man, exp
+    def dyadic(z):
+        (re_sign, re, re_exp, _), (im_sign, im, im_exp, _) = z
+        return -re if re_sign else re, re_exp, -im if im_sign else im, im_exp
 
     def mpf_part(m, e):
         return (int(m < 0), abs(m), e, m.bit_length()) if m else (0, 0, 0, 0)
 
-    def coefficient(num, den):
-        g = math.gcd(num, den)
-        return dyadic(mpf_div(from_int(num // g, prec, round_nearest),
-                              from_int(den // g, prec, round_nearest), prec, round_nearest))
-
     def seed(z, n):
-        re, im = mpc_pow_int(z, n, prec, round_nearest)
-        return dyadic(re) + dyadic(im)
+        return dyadic(mpc_pow_int(z, n, prec, round_nearest))
 
     def mul(z, w):
         return _dyadic_mul(z, w, prec)
 
-    terms = [(i, j, coefficient(c.a, c.d) + coefficient(c.b, c.d))
-             for (i, j), c in poly.terms.items()]
+    terms = [(i, j, dyadic(_gaussian_mpc(c, prec))) for (i, j), c in poly.terms.items()]
     x_exps = {i for i, _, _ in terms}
     y_exps = {j for _, j, _ in terms}
     points = list(points)

@@ -39,7 +39,7 @@ from qhgerm import (
     witness_branch_count,
 )
 
-from qhgerm import engine
+from qhgerm import engine, numeric
 from qhgerm.errors import InternalInconsistencyError
 from qhgerm.exact import _make, integer_root
 from qhgerm.numeric import find_roots, nth_root, to_mpc
@@ -692,7 +692,7 @@ class TestLadderRoots:
     ], ids=["mixed", "one-cluster", "past-2^200"])
     def test_nearest_center_in_doubles_is_the_mpc_nearest(self, poly, monkeypatch):
         entries = ladder_roots(poly, 128, 1e-9)
-        monkeypatch.setattr(engine, "_double_filter", lambda values: None)
+        monkeypatch.setattr(numeric, "_double_filter", lambda values: None)
         assert ladder_roots(poly, 128, 1e-9) == entries
 
     @pytest.mark.parametrize("root", [

@@ -110,11 +110,18 @@ class TestFindRoots:
         for r in true_roots:
             assert any(abs(a.value - r) <= a.err for a in roots)
 
-    @pytest.mark.parametrize("big, tiny", [(200, 150), (400, 350)])
-    def test_out_of_double_range_starts_in_fixed_point(self, monkeypatch, big, tiny):
+    @pytest.mark.parametrize("true_roots", [
+        [Fraction(10**200), Fraction(-3), Fraction(1, 10**150)],
+        [Fraction(10**400), Fraction(-3), Fraction(1, 10**350)],
+        [Fraction(10**160), Fraction(-10**160)],
+        [Fraction(1, 10**165), Fraction(-1, 10**165)],
+    ], ids=["200-150", "400-350", "coefficient-overflow", "coefficient-underflow"])
+    def test_out_of_double_range_starts_in_fixed_point(self, monkeypatch, true_roots):
         # 10^200 overflows the hardware-float sweep (z^2), and 10^400 puts
-        # the coefficients and the starts themselves out of double range:
-        # either way the fixed-point stage starts from the Newton-polygon
+        # the coefficients and the starts themselves out of double range.
+        # The starts of w^2 - 10^320 and w^2 - 10^-330 lie in double range,
+        # but the coefficient 10^320 is past it and 10^-330 rounds to 0.0.
+        # Each way the fixed-point stage starts from the Newton-polygon
         # points
         refined = []
         float_starts = numeric._float_starts
@@ -124,13 +131,11 @@ class TestFindRoots:
             return refined[-1]
 
         monkeypatch.setattr(numeric, "_float_starts", spy)
-        true_roots = [Fraction(10**big), Fraction(-3), Fraction(1, 10**tiny)]
         roots = find_roots(UniPoly.from_roots([gq(r) for r in true_roots]), 128)
         assert refined == [None]
-        assert len(roots) == 3
-        # the computed |p(z)| can round to 0 at the approximation of
-        # 10^-tiny, so only the fixed-point rounding term keeps its bound
-        # above 0
+        assert len(roots) == len(true_roots)
+        # the computed |p(z)| can round to 0 at the approximation of a tiny
+        # root, so only the fixed-point rounding term keeps its bound above 0
         assert all(a.err > 0 for a in roots)
         with mp.workprec(4096):
             for r in true_roots:

@@ -17,6 +17,9 @@ reference that recomputes its answer the long way.
   replaced, kept here as reference_eval_bivar, on drawn polynomials and
   points and on cases built to reach each rounding decision; and
   verify_witness repeats the reports recorded before the kernel existed.
+- to_mpc and eval_bivar's coefficients: one rounding of Q(i) to binary
+  with the bits of the Fraction division it replaced, kept here as
+  reference_to_mpc.
 
 Inputs are seeded and include root sets r * (roots of unity), zero roots or
 clusters, and mixed multiplicities.
@@ -761,6 +764,43 @@ def evaluations(draw):
 @given(case=evaluations())
 def test_eval_bivar_has_the_bits_of_the_mpc_loop(case):
     assert_same_bits(*case)
+
+
+def reference_to_mpc(value) -> mpc:
+    """to_mpc as it was before its rounding moved into _gaussian_mpc: each
+    part an mpf division of the reduced Fraction's numerator and denominator."""
+    re = mpf(value.re.numerator) / mpf(value.re.denominator)
+    im = mpf(value.im.numerator) / mpf(value.im.denominator)
+    return mpc(re, im)
+
+
+_WIDE_PART = st.builds(Fraction, st.integers(-2**4096, 2**4096), st.integers(1, 2**4096))
+
+
+@seed(20261021)
+@settings(max_examples=150, deadline=None, database=None)
+@given(re=_WIDE_PART, im=st.just(Fraction(0)) | _WIDE_PART,
+       precision=st.sampled_from([53, 128, 1024]))
+@example(re=Fraction(6, 4), im=Fraction(0), precision=53)
+@example(re=Fraction(-1, 2), im=Fraction(1, 3), precision=53)
+@example(re=Fraction(1, 3), im=Fraction(-1, 10**30 + 1), precision=53)
+@example(re=Fraction(0), im=Fraction(-6, 4), precision=128)
+@example(re=Fraction(-10, 6), im=Fraction(0), precision=1024)
+@example(re=Fraction(-(2**4096) + 1, 3), im=Fraction(2**4095, 2**4096 - 1), precision=53)
+@example(re=Fraction(0), im=Fraction(0), precision=128)
+def test_rational_rounding_is_the_fraction_division(re, im, precision):
+    # to_mpc at precision, and eval_bivar's coefficient at its working
+    # precision (precision - 20 + 20), have the bits of the division of the
+    # reduced Fractions, which the reference rounds at precision. A
+    # GaussianRational keeps one denominator, so 1/3 beside 1/(10^30 + 1)
+    # has the real part (10^30 + 1)/(3 * (10^30 + 1)), whose two roundings
+    # to 53 bits without the gcd give another quotient
+    value = gq(re, im)
+    with mp.workprec(precision):
+        want = reference_to_mpc(value)._mpc_
+        assert to_mpc(value)._mpc_ == want
+    constant = BivarPoly.constant(value)
+    assert eval_bivar(constant, [(1, 1)], precision - 20)[0]._mpc_ == want
 
 
 def sticky_cases(work: int) -> list:
