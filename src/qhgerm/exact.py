@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import gcd, isqrt, lcm, log2
 from operator import mul
 
@@ -511,7 +512,7 @@ class UniPoly(Record):
         if self.degree < 1:
             return []
         f, _ = self.monic()
-        den, ints = _integral(f)
+        den, ints = _integral(f.coeffs)
         modulus, kept = 1, None
         for p, s in _primes():
             if den % p == 0:
@@ -556,20 +557,34 @@ class UniPoly(Record):
     def shift(self, c) -> "UniPoly":
         """Taylor shift: the polynomial w -> P(w + c), computed exactly.
 
-        Repeated synthetic division by c; pass k of the outer loop leaves the
-        coefficient of w^k behind.
+        It runs over Z[i]. With P = (sum P_k w^k)/D and c = u/v, u a
+        Gaussian integer and v the denominator of c, R(t) = D*v^n*P(t/v) =
+        sum P_k v^(n-k) t^k has Gaussian-integer coefficients, and
+        R(t + u) = sum s_k t^k equals D*v^n*P(w + c) at t = v*w. Repeated
+        synthetic division by u finds the s_k in integers, and the
+        coefficient of w^k is s_k*v^k/(D*v^n) = s_k/(D*v^(n-k)), reduced
+        once.
         """
         c = GaussianRational.of(c)
         if self.is_zero or c.is_zero:
             return self
-        work = list(self.coeffs)
-        n = len(work)
-        shifted_ascending = []
-        for k in range(n):
-            for i in range(1, n - k):
-                work[i] = work[i] + work[i - 1] * c
-            shifted_ascending.append(work[n - 1 - k])
-        return UniPoly.from_coeffs(reversed(shifted_ascending))
+        den, ints = _integral(self.coeffs)
+        v, ur, ui = c.d, c.a, c.b
+        # R degree-descending: the coefficient k levels below the top gains v^k
+        powers = [1]
+        for _ in ints[1:]:
+            powers.append(powers[-1] * v)
+        work = [(x * p, y * p) for (x, y), p in zip(ints, powers)]
+        step = lambda s, x: (s[0] * ur - s[1] * ui + x[0], s[0] * ui + s[1] * ur + x[1])
+        # pass k runs Horner's rule by u over the quotient that pass k - 1
+        # left, and its last value, the remainder, is s_k
+        shifted = []
+        while work:
+            work = list(accumulate(work, step))
+            shifted.append(work.pop())
+        # s_k, the coefficient of t^k, gives s_k/(D*v^(n-k)) for w^k
+        coeffs = [_make(x, y, den * p) for (x, y), p in zip(shifted, reversed(powers))]
+        return UniPoly.from_coeffs(reversed(coeffs))
 
     def __str__(self) -> str:
         return format_unipoly(self)
@@ -578,10 +593,13 @@ class UniPoly(Record):
 _set_coeffs = UniPoly.coeffs.__set__
 
 
-def _integral(poly: UniPoly) -> tuple[int, list[tuple[int, int]]]:
-    """(D, [(x, y), ...]): poly is sum (x + y*i) w^k / D, D the lcm of its denominators."""
-    den = lcm(*(c.d for c in poly.coeffs))
-    return den, [(c.a * (den // c.d), c.b * (den // c.d)) for c in poly.coeffs]
+def _integral(coeffs) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(x, y), ...]): coefficient k is (x_k + y_k*i)/D, D the lcm of the denominators.
+
+    coeffs is read twice: a sequence or a dict view, not an iterator.
+    """
+    den = lcm(*[c.d for c in coeffs])
+    return den, [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
 
 
 # Miller-Rabin with these bases decides primality of every n < 2^64
@@ -764,7 +782,7 @@ def _is_product(parts: list, den: int, ints: list) -> bool:
     the lowest nonzero coefficient of P would be a multiple of 2^K. Both
     sides are evaluated at 2^K as Gaussian integers.
     """
-    cleared = [(_integral(g), k) for g, k in parts]
+    cleared = [(_integral(g.coeffs), k) for g, k in parts]
     left_bound, right_bound = den, max(abs(x) + abs(y) for x, y in ints)
     for (d, coeffs), k in cleared:
         left_bound *= sum(abs(x) + abs(y) for x, y in coeffs) ** k

@@ -381,7 +381,7 @@ def _polish_fixed(coeffs, starts, precision):
     n = len(coeffs) - 1
     work = precision + 40
     frac = work + n + 8
-    den, ints = _integral(UniPoly(tuple(coeffs)))
+    den, ints = _integral(coeffs)
     # the stop |p| <= 2^-(precision+20) * mag in units of 2^-frac
     stop = frac - precision - 20
     tables = {}

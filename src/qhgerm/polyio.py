@@ -34,8 +34,8 @@ import re
 from math import gcd
 
 from .errors import EmptyInputError, NegativeExponentError, ParseError
-from .exact import (GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, Record, _make, format_terms, power,
-                    power_str)
+from .exact import (GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, Record, _integral, _make,
+                    format_terms, power, power_str)
 
 MODE_EXACT = "exact"
 MODE_NUMERIC = "numeric"
@@ -149,18 +149,19 @@ class BivarPoly(Record):
         return BivarPoly({k: -c for k, c in self.terms.items()}, self.mode)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
+        """The product, computed over Z[i].
+
+        Each operand's denominators are cleared once by their lcm, the terms
+        multiply and add as Gaussian integers in plain int arithmetic, and
+        each coefficient of the product is reduced once, over the product of
+        the two lcms.
+        """
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, GQ_ZERO) + c1 * c2
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return BivarPoly(out, _join_mode(self.mode, other.mode))
+        den, ints = _integral_terms(self.terms)
+        other_den, other_ints = _integral_terms(other.terms)
+        return _reduced(_add_product({}, ints, other_ints), den * other_den,
+                        _join_mode(self.mode, other.mode))
 
     def __pow__(self, exponent: int) -> "BivarPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -183,13 +184,31 @@ class BivarPoly(Record):
         return acc
 
     def substitute(self, x_image: "BivarPoly", y_image: "BivarPoly") -> "BivarPoly":
-        """Ring substitution X -> x_image, Y -> y_image."""
-        xp = power_table(x_image, {i for i, _ in self.terms})
-        yp = power_table(y_image, {j for _, j in self.terms})
-        acc = BivarPoly.zero(self.mode)
-        for (i, j), c in self.terms.items():
-            acc = acc + (xp[i] * yp[j]).scale(c)
-        return acc
+        """Ring substitution X -> x_image, Y -> y_image.
+
+        It runs over Z[i]. With self = (sum f_ij X^i Y^j)/D and the images
+        A/dx and B/dy cleared of denominators by their lcms, the result is
+        (sum f_ij dx^(I-i) dy^(J-j) A^i B^j)/L with L = D*dx^I*dy^J, I and
+        J the top exponents of X and Y: the power tables of A and B and
+        every product and sum are Gaussian-integer term dicts, and each
+        coefficient of the result is reduced once over L. The result's
+        mode joins the three modes; the zero polynomial keeps its own.
+        """
+        if not self.terms:
+            return BivarPoly({}, self.mode)
+        den, ints = _integral_terms(self.terms)
+        x_den, x_ints = _integral_terms(x_image.terms)
+        y_den, y_ints = _integral_terms(y_image.terms)
+        xp = power_table(x_ints, {i for i, _ in ints}, _gi_power, _gi_mul)
+        yp = power_table(y_ints, {j for _, j in ints}, _gi_power, _gi_mul)
+        top_i, top_j = max(xp), max(yp)
+        out = {}
+        for (i, j), (a, b) in ints.items():
+            # the missing powers of the image denominators
+            lift = x_den ** (top_i - i) * y_den ** (top_j - j)
+            _add_product(out, xp[i], yp[j], a * lift, b * lift)
+        mode = _join_mode(_join_mode(self.mode, x_image.mode), y_image.mode)
+        return _reduced(out, den * x_den**top_i * y_den**top_j, mode)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -197,6 +216,46 @@ class BivarPoly(Record):
 
 _set_terms = BivarPoly.terms.__set__
 _set_mode = BivarPoly.mode.__set__
+
+
+def _integral_terms(terms: dict) -> tuple[int, dict]:
+    """(D, {(i, j): (x, y)}) with terms[(i, j)] = (x + y*i)/D, D the lcm of the denominators."""
+    den, ints = _integral(terms.values())
+    return den, dict(zip(terms, ints))
+
+
+def _add_product(out: dict, a: dict, b: dict, x: int = 1, y: int = 0) -> dict:
+    """out plus (x + y*i)*a*b, over Gaussian-integer term dicts {(i, j): (re, im)}.
+
+    Adds into out and returns it; a sum that cancels stays as (0, 0).
+    """
+    get = out.get
+    for (i1, j1), (p, q) in a.items():
+        p, q = x * p - y * q, x * q + y * p
+        for (i2, j2), (r, s) in b.items():
+            key = (i1 + i2, j1 + j2)
+            old = get(key)
+            if old is None:
+                out[key] = (p * r - q * s, p * s + q * r)
+            else:
+                out[key] = (old[0] + p * r - q * s, old[1] + p * s + q * r)
+    return out
+
+
+def _gi_mul(a: dict, b: dict) -> dict:
+    return _add_product({}, a, b)
+
+
+_GI_ONE = {(0, 0): (1, 0)}
+
+
+def _gi_power(a: dict, n: int) -> dict:
+    return power(a, n, _GI_ONE, _gi_mul)
+
+
+def _reduced(ints: dict, den: int, mode: str) -> BivarPoly:
+    """The BivarPoly with the coefficients (x + y*i)/den of ints, each reduced once."""
+    return BivarPoly({k: _make(x, y, den) for k, (x, y) in ints.items() if x or y}, mode)
 
 
 def power_table(z, exponents, raise_to=pow, mul=operator.mul) -> dict:

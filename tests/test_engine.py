@@ -44,10 +44,14 @@ from qhgerm.errors import InternalInconsistencyError
 from qhgerm.exact import _make, integer_root
 from qhgerm.numeric import find_roots, nth_root, to_mpc
 
-from conftest import rand_germ, synthesize_equivalent
+from conftest import apply_change, rand_germ, synthesize_equivalent
 
 PAIR_FIRST = "(Y^2-X^3)*(Y^2-2*X^3)"
 PAIR_SECOND = "(Y^2-3*X^3)*(Y^2-6*X^3)"
+
+# a germ with a shear (p = 1) and a change with Gaussian alpha, beta and gamma
+GAUSSIAN_SHEAR_GERM = "Y*(Y-X^2)*(Y-3*X^2)"
+GAUSSIAN_CHANGE = (gq(Fraction(2, 3), 1), gq(-1, 2), gq(Fraction(1, 5), 1))
 
 
 def replace(record, **changes):
@@ -659,6 +663,33 @@ class TestWitness:
         report = verify_witness(first, second, replace(witness, **{field: bad}))
         assert not report.passed and not report.exact
         assert mpf(report.max_residual) > 1e6 * mpf(report.tol)
+
+    @pytest.mark.parametrize(
+        "first, change, field, nudge",
+        [
+            (GAUSSIAN_SHEAR_GERM, GAUSSIAN_CHANGE, "alpha", "relative"),
+            (GAUSSIAN_SHEAR_GERM, GAUSSIAN_CHANGE, "beta", "relative"),
+            (GAUSSIAN_SHEAR_GERM, GAUSSIAN_CHANGE, "gamma", "relative"),
+            ("Y^2 - X^3", (gq(1), gq(Fraction(3, 2**60)), None), "beta", "denominator"),
+        ],
+    )
+    def test_nudged_rational_witness_fails_exactly(self, first, change, field, nudge):
+        # one scalar off by a relative 2^-60 (or 1/(2^60 + 1), where only
+        # its denominator moves): the exact substitution must see it
+        first = parse_poly(first)
+        second = apply_change(first, analyze_germ(first).weights.q, *change)
+        witness = build_witness(first, second)
+        report = verify_witness(first, second, witness)
+        assert report.passed and report.exact
+        scalar = getattr(witness, field)
+        if nudge == "relative":
+            bad = scalar * gq(1 + Fraction(1, 2**60))
+        else:
+            assert scalar.d == 2**60
+            bad = _make(scalar.a, scalar.b, scalar.d + 1)
+            assert (bad.a, bad.b) == (scalar.a, scalar.b)
+        report = verify_witness(first, second, replace(witness, **{field: bad}))
+        assert report.exact and not report.passed
 
     def test_scalar_to_mpc_round_trip(self):
         witness = build_witness(parse_poly(PAIR_FIRST), parse_poly(PAIR_SECOND))
