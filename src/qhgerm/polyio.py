@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import operator
 import re
-from math import gcd
+from math import gcd, lcm
 
 from .errors import EmptyInputError, NegativeExponentError, ParseError
 from .exact import (GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, Record, _integral, _make,
@@ -149,19 +149,26 @@ class BivarPoly(Record):
         return BivarPoly({k: -c for k, c in self.terms.items()}, self.mode)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        """The product, computed over Z[i].
+        """The product, term by term in GaussianRational arithmetic.
 
-        Each operand's denominators are cleared once by their lcm, the terms
-        multiply and add as Gaussian integers in plain int arithmetic, and
-        each coefficient of the product is reduced once, over the product of
-        the two lcms.
+        Each coefficient product and sum is reduced as it is made, so its
+        numbers stay as wide as the coefficients it combines. The parser
+        multiplies input from outside the program here, and bounds each
+        product's result (MAX_COEFF_BITS); a common denominator of an
+        operand's terms could be far wider.
         """
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        den, ints = _integral_terms(self.terms)
-        other_den, other_ints = _integral_terms(other.terms)
-        return _reduced(_add_product({}, ints, other_ints), den * other_den,
-                        _join_mode(self.mode, other.mode))
+        out = {}
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                key = (i1 + i2, j1 + j2)
+                s = out.get(key, GQ_ZERO) + c1 * c2
+                if s.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return BivarPoly(out, _join_mode(self.mode, other.mode))
 
     def __pow__(self, exponent: int) -> "BivarPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -186,29 +193,44 @@ class BivarPoly(Record):
     def substitute(self, x_image: "BivarPoly", y_image: "BivarPoly") -> "BivarPoly":
         """Ring substitution X -> x_image, Y -> y_image.
 
-        It runs over Z[i]. With self = (sum f_ij X^i Y^j)/D and the images
-        A/dx and B/dy cleared of denominators by their lcms, the result is
-        (sum f_ij dx^(I-i) dy^(J-j) A^i B^j)/L with L = D*dx^I*dy^J, I and
-        J the top exponents of X and Y: the power tables of A and B and
-        every product and sum are Gaussian-integer term dicts, and each
-        coefficient of the result is reduced once over L. The result's
-        mode joins the three modes; the zero polynomial keeps its own.
+        It runs over Z[i]. The images are cleared of denominators by their
+        lcms, A/dx and B/dy, and the terms of self are split into runs over
+        a common denominator D (_denominator_runs). The image of a run
+        (sum f_ij X^i Y^j)/D is (sum f_ij dx^(I-i) dy^(J-j) A^i B^j)/L with
+        L = D*dx^I*dy^J, I and J the run's top exponents of X and Y: the
+        power tables of A and B and every product and sum are
+        Gaussian-integer term dicts. Where the images of several runs meet
+        on a term, they add over the lcm of their L. Each coefficient of
+        the result is reduced once. The result's mode joins the three
+        modes; the zero polynomial keeps its own.
         """
         if not self.terms:
             return BivarPoly({}, self.mode)
-        den, ints = _integral_terms(self.terms)
         x_den, x_ints = _integral_terms(x_image.terms)
         y_den, y_ints = _integral_terms(y_image.terms)
-        xp = power_table(x_ints, {i for i, _ in ints}, _gi_power, _gi_mul)
-        yp = power_table(y_ints, {j for _, j in ints}, _gi_power, _gi_mul)
-        top_i, top_j = max(xp), max(yp)
+        xp = power_table(x_ints, {i for i, _ in self.terms}, _gi_power, _gi_mul)
+        yp = power_table(y_ints, {j for _, j in self.terms}, _gi_power, _gi_mul)
         out = {}
-        for (i, j), (a, b) in ints.items():
-            # the missing powers of the image denominators
-            lift = x_den ** (top_i - i) * y_den ** (top_j - j)
-            _add_product(out, xp[i], yp[j], a * lift, b * lift)
+        for run in _denominator_runs(self.terms):
+            den, ints = _integral_terms(run)
+            top_i = max(i for i, _ in ints)
+            top_j = max(j for _, j in ints)
+            image = {}
+            for (i, j), (a, b) in ints.items():
+                # the missing powers of the image denominators
+                lift = x_den ** (top_i - i) * y_den ** (top_j - j)
+                _add_product(image, xp[i], yp[j], a * lift, b * lift)
+            den *= x_den**top_i * y_den**top_j
+            for key, (x, y) in image.items():
+                if key not in out:
+                    out[key] = x, y, den
+                    continue
+                x0, y0, d0 = out[key]
+                common = lcm(d0, den)
+                u, v = common // d0, common // den
+                out[key] = x0 * u + x * v, y0 * u + y * v, common
         mode = _join_mode(_join_mode(self.mode, x_image.mode), y_image.mode)
-        return _reduced(out, den * x_den**top_i * y_den**top_j, mode)
+        return BivarPoly({k: _make(x, y, d) for k, (x, y, d) in out.items() if x or y}, mode)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -222,6 +244,27 @@ def _integral_terms(terms: dict) -> tuple[int, dict]:
     """(D, {(i, j): (x, y)}) with terms[(i, j)] = (x + y*i)/D, D the lcm of the denominators."""
     den, ints = _integral(terms.values())
     return den, dict(zip(terms, ints))
+
+
+def _denominator_runs(terms: dict) -> list[dict]:
+    """terms split, in order, into runs whose denominators have a narrow lcm.
+
+    A run grows while the lcm of its denominators has at most w + 64 bits,
+    w the bits of the widest denominator in terms. Denominators that share
+    their factors, as those of the benchmark germs do, form one run; n
+    pairwise coprime wide ones form n runs, instead of one run whose lcm
+    is n times as wide as each of them.
+    """
+    limit = max(c.d for c in terms.values()).bit_length() + 64
+    runs, run, den = [], {}, 1
+    for key, c in terms.items():
+        den = lcm(den, c.d)
+        if den.bit_length() > limit:
+            runs.append(run)
+            run, den = {}, c.d
+        run[key] = c
+    runs.append(run)
+    return runs
 
 
 def _add_product(out: dict, a: dict, b: dict, x: int = 1, y: int = 0) -> dict:
@@ -251,11 +294,6 @@ _GI_ONE = {(0, 0): (1, 0)}
 
 def _gi_power(a: dict, n: int) -> dict:
     return power(a, n, _GI_ONE, _gi_mul)
-
-
-def _reduced(ints: dict, den: int, mode: str) -> BivarPoly:
-    """The BivarPoly with the coefficients (x + y*i)/den of ints, each reduced once."""
-    return BivarPoly({k: _make(x, y, den) for k, (x, y) in ints.items() if x or y}, mode)
 
 
 def power_table(z, exponents, raise_to=pow, mul=operator.mul) -> dict:

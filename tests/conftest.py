@@ -8,7 +8,7 @@ random.Random; nothing here touches global RNG state.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from qhgerm import (
     BivarPoly,
@@ -51,6 +51,17 @@ def rand_gq(rng, bound: int = 20, nonzero: bool = False, imag_rate: float = 0.3)
         z = gq(re, im)
         if not z.is_zero or not nonzero:
             return z
+
+
+def coprime_denominators(count: int, bits: int) -> list[int]:
+    """count pairwise coprime integers of at least bits bits: k*N + 1, k = 1..count.
+
+    Every prime up to count divides N. A common factor of j*N + 1 and
+    k*N + 1 is prime to N and divides k - j, so it is 1.
+    """
+    base = lcm(*range(1, count + 1))
+    n = base ** -(-bits // base.bit_length())
+    return [k * n + 1 for k in range(1, count + 1)]
 
 
 def rand_coprime_weights(rng, q_max: int = 7) -> tuple:

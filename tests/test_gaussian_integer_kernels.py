@@ -1,53 +1,49 @@
 """The exact polynomial kernels over Z[i] against the rational loops they replaced.
 
-BivarPoly.__mul__, BivarPoly.substitute and UniPoly.shift clear
-denominators once and work on Gaussian integers. The loops they replaced,
-which run in GaussianRational arithmetic term by term, are kept here as
-reference_mul, reference_substitute and reference_shift. Seeded Hypothesis
+BivarPoly.substitute and UniPoly.shift clear denominators once and work on
+Gaussian integers. The loops they replaced, which run in GaussianRational
+arithmetic term by term, are kept here as reference_substitute and
+reference_shift; the product kernel of substitute is checked against
+BivarPoly.__mul__, which still multiplies term by term. Seeded Hypothesis
 tests draw coefficients with denominators up to 2^64 and Gaussian parts,
 Y-degrees up to 32, zero and constant images, the zero polynomial and
 mixed exact/numeric modes, and compare the terms and the mode.
 """
 
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import coprime_denominators
 from qhgerm import GQ_ZERO, BivarPoly, UniPoly, X, Y, gq
-from qhgerm.exact import power
-from qhgerm.polyio import MODE_EXACT, MODE_NUMERIC, _join_mode, power_table
+from qhgerm.exact import _make
+from qhgerm.polyio import (MODE_EXACT, MODE_NUMERIC, _add_product, _denominator_runs,
+                           _integral_terms, _join_mode, power_table)
 
 SEEDED = settings(max_examples=60, deadline=None, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
 
 
-def reference_mul(a: BivarPoly, b: BivarPoly) -> BivarPoly:
-    """The product term by term in GaussianRational arithmetic."""
-    out = {}
-    for (i1, j1), c1 in a.terms.items():
-        for (i2, j2), c2 in b.terms.items():
-            key = (i1 + i2, j1 + j2)
-            s = out.get(key, GQ_ZERO) + c1 * c2
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return BivarPoly(out, _join_mode(a.mode, b.mode))
-
-
-def _reference_power(z: BivarPoly, n: int) -> BivarPoly:
-    return power(z, n, BivarPoly.constant(1, z.mode), reference_mul)
+def kernel_product(a: BivarPoly, b: BivarPoly, x: int = 1, y: int = 0) -> BivarPoly:
+    """(x + y*i)*a*b through _add_product on the operands cleared of denominators."""
+    den, ints = _integral_terms(a.terms)
+    other_den, other_ints = _integral_terms(b.terms)
+    out = _add_product({}, ints, other_ints, x, y)
+    return BivarPoly({k: _make(re, im, den * other_den) for k, (re, im) in out.items()
+                      if re or im}, _join_mode(a.mode, b.mode))
 
 
 def reference_substitute(poly: BivarPoly, x_image: BivarPoly, y_image: BivarPoly) -> BivarPoly:
-    """X -> x_image, Y -> y_image through reference_mul and GaussianRational sums."""
-    xp = power_table(x_image, {i for i, _ in poly.terms}, _reference_power, reference_mul)
-    yp = power_table(y_image, {j for _, j in poly.terms}, _reference_power, reference_mul)
+    """X -> x_image, Y -> y_image through BivarPoly products and sums."""
+    xp = power_table(x_image, {i for i, _ in poly.terms})
+    yp = power_table(y_image, {j for _, j in poly.terms})
     acc = BivarPoly.zero(poly.mode)
     for (i, j), c in poly.terms.items():
-        acc = acc + reference_mul(xp[i], yp[j]).scale(c)
+        acc = acc + (xp[i] * yp[j]).scale(c)
     return acc
 
 
@@ -106,24 +102,30 @@ any_images = st.one_of(
 )
 
 
+# the Gaussian-integer factor x + y*i that substitute passes to _add_product
+gaussian_integers = st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70))
+
+
 class TestProduct:
     @seed(20261101)
     @SEEDED
-    @given(bivar_polys(8, 8, 6), bivar_polys(8, 8, 6))
-    @example(BivarPoly.zero(MODE_NUMERIC), X)
-    @example(X + Y, BivarPoly.zero())
+    @given(bivar_polys(8, 8, 6), bivar_polys(8, 8, 6), gaussian_integers)
+    @example(BivarPoly.zero(MODE_NUMERIC), X, (1, 0))
+    @example(X + Y, BivarPoly.zero(), (1, 0))
+    @example(X, Y, (0, 0))
     # (1 + i)(1 - i) = 2: the imaginary part cancels
-    @example(BivarPoly.constant(gq(1, 1)), BivarPoly.constant(gq(1, -1), MODE_NUMERIC))
+    @example(BivarPoly.constant(gq(1, 1)), BivarPoly.constant(gq(1, -1), MODE_NUMERIC), (1, 0))
     # (1/2 + i/3)(1/3 + i/2): the real parts cancel, every product keeps a denominator
     @example(BivarPoly.constant(gq(Fraction(1, 2), Fraction(1, 3))) + X,
-             BivarPoly.constant(gq(Fraction(1, 3), Fraction(1, 2))) - Y)
+             BivarPoly.constant(gq(Fraction(1, 3), Fraction(1, 2))) - Y, (1, 0))
     # two Gaussian products land on X*Y: the second adds to the first
-    @example(X.scale(gq(1, 1)) + Y.scale(gq(1, 1)), X.scale(gq(2, -1)) + Y.scale(gq(1, 3)))
-    def test_matches_the_reference(self, f, g):
-        _same(f * g, reference_mul(f, g))
+    @example(X.scale(gq(1, 1)) + Y.scale(gq(1, 1)), X.scale(gq(2, -1)) + Y.scale(gq(1, 3)),
+             (2, -3))
+    def test_matches_the_term_by_term_product(self, f, g, factor):
+        _same(kernel_product(f, g, *factor), (f * g).scale(gq(*factor)))
 
     def test_terms_that_cancel_are_dropped(self):
-        product = (X + Y.scale(gq(1, 1))) * (X - Y.scale(gq(1, 1)))
+        product = kernel_product(X + Y.scale(gq(1, 1)), X - Y.scale(gq(1, 1)))
         assert product.terms == {(2, 0): gq(1), (0, 2): gq(0, -2)}
 
 
@@ -146,6 +148,42 @@ class TestSubstitute:
     @example(BivarPoly.constant(gq(3, 4)), BivarPoly.zero(), BivarPoly.zero(MODE_NUMERIC))
     def test_any_images_match_the_reference(self, f, x_image, y_image):
         _same(f.substitute(x_image, y_image), reference_substitute(f, x_image, y_image))
+
+    @pytest.mark.parametrize("gamma", [GQ_ZERO, gq(Fraction(5, 7), 1)])
+    def test_coprime_wide_denominators_match_the_reference(self, gamma):
+        # every term its own run; with gamma the images of the runs meet
+        dens = coprime_denominators(12, 200)
+        f = BivarPoly.from_terms({(k, 11 - k): gq(Fraction(k + 1, d), Fraction(k, d))
+                                  for k, d in enumerate(dens)})
+        f = f + BivarPoly.monomial(0, 11, gq(Fraction(1, dens[0] * dens[1])))
+        images = (X.scale(gq(Fraction(3, TOP + 1), 1)),
+                  Y.scale(gq(Fraction(-1, TOP - 1))) + BivarPoly.monomial(1, 0, gamma))
+        _same(f.substitute(*images), reference_substitute(f, *images))
+
+    def test_many_coprime_wide_denominators_stay_narrow(self):
+        # 200 terms with pairwise coprime denominators of about 3,600 bits
+        # and a linear witness: each term of the image comes from one term
+        # of the germ, and needs no wider denominator than that term's
+        dens = coprime_denominators(200, 3600)
+        f = BivarPoly.from_terms({(k, 199 - k): gq(Fraction(k + 1, d))
+                                  for k, d in enumerate(dens)})
+        images = (X.scale(gq(2)), Y.scale(gq(3, 1)))
+        start = time.perf_counter()
+        image = f.substitute(*images)
+        assert time.perf_counter() - start < 1
+        _same(image, reference_substitute(f, *images))
+
+    def test_runs_split_where_the_lcm_grows(self):
+        dens = coprime_denominators(4, 300)
+        wide = {(k, 0): gq(Fraction(1, d)) for k, d in enumerate(dens)}
+        assert [list(run) for run in _denominator_runs(wide)] == [[(k, 0)] for k in range(4)]
+        # 2^k * 3 share their factors: the lcm is the widest of them
+        shared = {(k, 0): gq(Fraction(1, 3 << k)) for k in range(70)}
+        assert _denominator_runs(shared) == [shared]
+        # 1/2^j for j < 64 join the run of 1/3: the lcm 3*2^63 stays within
+        # w + 64 bits, w = 64 the bits of 2^63
+        mixed = {(0, 0): gq(Fraction(1, 3)), **{(j, 1): gq(Fraction(1, 1 << j)) for j in range(64)}}
+        assert _denominator_runs(mixed) == [mixed]
 
     @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_NUMERIC])
     def test_zero_polynomial_keeps_its_mode(self, mode):
@@ -174,7 +212,8 @@ class TestShift:
     def test_matches_the_reference(self, poly, c):
         assert poly.shift(c) == reference_shift(poly, c)
 
-    @settings(max_examples=20)
+    @seed(20261105)
+    @settings(SEEDED, max_examples=20)
     @given(unipolys)
     def test_shift_by_zero_is_the_identity(self, poly):
         assert poly.shift(0) is poly

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, seed, settings
 from hypothesis import strategies as st
 
+from conftest import coprime_denominators
 from qhgerm import (
     BivarPoly,
     EmptyInputError,
@@ -266,6 +267,21 @@ class TestParseErrors:
         assert len(parse_poly(f"({xs})*({ys})").terms) == side * (MAX_PRODUCT_WORK // side)
         # the products inside a power are bounded alike
         assert len(parse_poly("(X+Y+1)^40").terms) == 861
+
+    def test_product_of_wide_coprime_denominators_stays_narrow(self):
+        # every coefficient 1/(p*q) of the product has under MAX_COEFF_BITS
+        # bits, and each of the 4,096 coefficient products works on numbers
+        # that wide; a common denominator of all 64 p, or of all 64 q,
+        # would be 64 times as wide
+        dens = coprime_denominators(128, 1800)
+        assert 2 * dens[-1].bit_length() <= MAX_COEFF_BITS
+        xs = " + ".join(f"1/{d}*X^{k}" for k, d in enumerate(dens[:64], 1))
+        ys = " + ".join(f"1/{d}*Y^{k}" for k, d in enumerate(dens[64:], 1))
+        start = time.perf_counter()
+        product = parse_poly(f"({xs})*({ys})")
+        assert time.perf_counter() - start < 2
+        assert len(product.terms) == 64 * 64
+        assert product.coeff(3, 5) == gq(Fraction(1, dens[2] * dens[68]))
 
     @pytest.mark.parametrize(
         "text, message, position",
