@@ -32,6 +32,7 @@ from .exact import (
     GaussianRational,
     Record,
     UniPoly,
+    _complex_root,
     _make,
     gcd_bezout,
     integer_root,
@@ -402,12 +403,12 @@ def _exact_root(
     value: GaussianRational, k: int, first: int, count: int = 1
 ) -> GaussianRational | None:
     """The first Gaussian-rational k-th root of value on branches first,
-    first + 1, ..., first + count - 1, or None.
+    first + 1, ..., first + count - 1, or None. Zero is its own root.
 
     Norm test: a root g has N(g)^k = N(value), so the numerator and the
     denominator of the reduced norm (a^2 + b^2)/d^2 must both be k-th powers
-    of integers. When one is not, no branch holds a root, and mpmath is
-    never called.
+    of integers. When one is not, no branch holds a root, and no root is
+    computed.
 
     Write value = A/n with A in Z[i] and n = value.d. A root g has
     (g*n)^k = A*n^(k-1) in Z[i], and Z[i] is integrally closed, so g*n is a
@@ -416,30 +417,30 @@ def _exact_root(
     the value alone: |g*n| < 2^bits, and prec = bits + 64 + k.bit_length().
 
     Branch scan in fixed point: z = root*n and the step e^(2*pi*i/k) are
-    computed once by mpmath at prec bits, so z is within a few units of
-    2^(bits - prec) = 2^-(64 + k.bit_length()) of g*n, and both are scaled
-    by 2^prec to Gaussian integers. Each step multiplies by the scaled step
-    and shifts back by prec bits with rounding: the step's error times
-    |z| < 2^bits, plus the rounding, adds a few more such units. Over the
-    count <= k < 2^k.bit_length() candidates the error stays within a few
-    units of 2^-64, far below 2^-32: a true root lies within 2^-32 of its
-    rounding, so none is missed, and a farther candidate is rejected
-    unpowered.
+    Gaussian integers scaled by 2^prec. _complex_root gives the root at
+    prec - lift bits, |root| < 2^lift, to within 1 unit; times n*2^lift, z is
+    within n*2^lift <= 2^bits units of 2^prec*root*n. It gives the step to
+    within 1 unit. Each step multiplies by the scaled step and shifts back
+    by prec bits with rounding: the step's error times |z| < 2^bits, plus
+    the rounding, adds less than 2^(bits+1) units. Over the
+    count <= k < 2^k.bit_length() candidates the error stays below
+    (2*k + 1)*2^bits units, that is 2^-62, far below 2^-32: a true root lies
+    within 2^-32 of its rounding, so none is missed, and a farther candidate
+    is rejected unpowered.
     """
+    if value.is_zero:
+        return value
     norm = value.norm_sq()
     if integer_root(norm.numerator, k) is None or integer_root(norm.denominator, k) is None:
         return None
-    from mpmath import mp, mpf
     n = value.d
     top = max(abs(value.a).bit_length(), abs(value.b).bit_length()) + 1
-    bits = -(-top // k) + n.bit_length()
+    lift = -(-top // k)
+    bits = lift + n.bit_length()
     prec = bits + 64 + k.bit_length()
-    with mp.workprec(prec):
-        z = mp.root(to_mpc(value), k, first) * n
-        step = mp.expjpi(mpf(2) / k) if count > 1 else mpf(1)
-        # z and step as Gaussian integers scaled by 2^prec
-        re, im = int(mp.ldexp(z.real, prec)), int(mp.ldexp(z.imag, prec))
-        sre, sim = int(mp.ldexp(step.real, prec)), int(mp.ldexp(step.imag, prec))
+    re, im = _complex_root(value.a, value.b, n, k, first, prec - lift)
+    re, im = (re * n) << lift, (im * n) << lift
+    sre, sim = _complex_root(1, 0, 1, k, 1, prec) if count > 1 else (1 << prec, 0)
     half = 1 << (prec - 1)
     near = 1 << 2 * (prec - 32)
     for _ in range(count):

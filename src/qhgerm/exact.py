@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import gcd, isqrt, lcm, log2
+from math import atan2, cos, floor, gcd, hypot, isqrt, lcm, ldexp, log2, sin, tau
 from operator import mul
 
 from .errors import ZeroPolynomialError
@@ -327,6 +327,65 @@ def _floor_root(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
+
+
+def _complex_root(a: int, b: int, d: int, k: int, branch: int, prec: int) -> tuple[int, int]:
+    """The branch-th k-th root r of (a + b*i)/d != 0, times 2^prec, as two
+    ints within distance 1 of 2^prec*r, for d >= 1 and 1 <= k < 2^40.
+
+    Branch b has argument (Arg + 2*pi*b)/k, Arg in (-pi, pi], as mpmath's
+    root. With 2^(e-1) <= |r| < 2^(e+1), a point z = r*(1 + h) is held as
+    a Gaussian integer in units 2^(e - p) at precision p, and Newton's step
+    z -> z + (t/z^(k-1) - z)/k for z^k = t takes |h| = eps to at most
+    2*k*eps^2 + 2^(3-p): 2*k*eps^2 when k*eps <= 1/4, and 3 units of floor
+    rounding, as z^(k-1) is kept to 13 bits more than p (its 2*k.bit_length()
+    truncating multiplies err by 2^-(p+4) or less). So eps <= 2^-a before a
+    step at precision p <= 2*a - k.bit_length() + 2 gives eps <= 2^(4-p)
+    after it. The start, from doubles with e read off the bit lengths, has
+    eps <= 2^-44, and the precision about doubles from step to step up to
+    P = prec + e + 8, where 2^(4-P)*|r| is 1/8 unit of 2^-prec; rounding
+    away the 8 bits adds at most 1/sqrt(2).
+    """
+    kbits = k.bit_length()
+    if kbits > 40:
+        raise ValueError("_complex_root needs k < 2^40")
+    # log2|t| = shift + log2(hypot(a_, b_)/d_), with a_, b_ and d_ the top
+    # 60 bits, and e = floor(log2|t|/k) kept apart from the fraction
+    s = max(max(a.bit_length(), b.bit_length()) - 60, 0)
+    sd = max(d.bit_length() - 60, 0)
+    shift = s - sd
+    x = (shift % k + log2(hypot(a >> s, b >> s)) - log2(d >> sd)) / k
+    e = shift // k + floor(x)
+    size = 2.0 ** (x - floor(x))
+    # floor shifts keep a negative b below zero, so Arg stays on its side of the cut
+    angle = (atan2(b >> s, a >> s) + tau * branch) / k
+    precs = [max(prec + e + 8, 48)]
+    while precs[-1] > 90 - kbits:
+        precs.append((precs[-1] + kbits + 7) // 2)
+    precs.reverse()
+    zre, zim = int(ldexp(size * cos(angle), precs[0])), int(ldexp(size * sin(angle), precs[0]))
+    for last, p in zip(precs[:1] + precs, precs):
+        zre, zim = zre << p - last, zim << p - last
+
+        # (re + im*i)*2^exp triples, cut back to p + 13 bits
+        def multiply(u, v, width=p + 13):
+            re, im = u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+            cut = max(re.bit_length(), im.bit_length()) - width
+            return (re >> cut, im >> cut, u[2] + v[2] + cut) if cut > 0 else (re, im, u[2] + v[2])
+
+        wre, wim, we = power((zre, zim, e - p), k - 1, (1, 0, 0), multiply)
+        # t/z^(k-1) in units 2^(e - p)
+        nre, nim, den = a * wre + b * wim, b * wre - a * wim, d * (wre * wre + wim * wim)
+        up = p - e - we
+        if up >= 0:
+            nre, nim = nre << up, nim << up
+        else:
+            den <<= -up
+        zre += (nre // den - zre) // k
+        zim += (nim // den - zim) // k
+    cut = p - e - prec
+    half = 1 << cut - 1
+    return (zre + half) >> cut, (zim + half) >> cut
 
 
 class UniPoly(Record):

@@ -1111,6 +1111,26 @@ class TestMpmathLoadedOnFirstUse:
         assert doc["code"] == 65
         assert doc["slow_start"] == []
 
+    @pytest.mark.parametrize("argv, stdin", [
+        pytest.param(("decide", "--witness", "Y^2 - X^3", "4*Y^2 - X^3"), None,
+                     id="rational-witness"),
+        pytest.param(("decide", "--witness", "(Y-X^2)*(Y-2*X^2)", "Y*(Y-X^2)"), None,
+                     id="shear-witness"),
+        pytest.param(("decide-batch", "-"), "".join(json.dumps(record) + "\n" for record in (
+            {"id": "a", "first": "Y^2 - X^3", "second": "4*Y^2 - X^3"},
+            {"id": "b", "first": "(Y-X^2)*(Y-2*X^2)", "second": "Y*(Y-X^2)"},
+        )), id="exact-batch"),
+    ])
+    def test_exact_witness_runs_with_mpmath_blocked(self, argv, stdin):
+        # an import of mpmath raises ImportError once sys.modules maps it to None
+        blocked = json.loads(self._python(
+            "-c", "import sys; sys.modules['mpmath'] = None\n" + _PROBE, *argv, stdin=stdin))
+        free = self._probe(*argv, stdin=stdin)
+        assert blocked["code"] == free["code"] == 0
+        assert blocked["out"] == free["out"]
+        if argv[0] == "decide":
+            assert "verification: exact pass\n" in blocked["out"]
+
     @pytest.mark.parametrize("argv", [
         ("roots", PAIR_FIRST),
         ("roots", "Y^2-2*X^4*Y+1/3*X^8", "--json"),

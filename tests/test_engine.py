@@ -450,22 +450,23 @@ class TestExactRootLayer:
         with mp.workprec(64):
             assert _branch_of(value, k, g) == k - 1
 
-    def test_norm_test_rejects_before_any_mpmath_root(self, monkeypatch):
+    def test_norm_test_rejects_before_any_root(self, monkeypatch):
         calls = []
-        root = mp.root
+        root = engine._complex_root
 
-        def counting_root(*args, **kwargs):
-            calls.append(args[1:])
-            return root(*args, **kwargs)
+        def counting_root(*args):
+            calls.append(args[:5])
+            return root(*args)
 
-        monkeypatch.setattr(mp, "root", counting_root)
+        monkeypatch.setattr(engine, "_complex_root", counting_root)
         # norm 4 is no cube, and 4/9 is no fifth power
         assert engine._exact_root(gq(2), 3, 0, 3) is None
         assert engine._exact_root(gq(Fraction(2, 3)), 5, 0, 5) is None
         assert calls == []
-        # a value that passes the test takes one root for the whole scan
+        # a value that passes the test takes one root and one step for the
+        # whole scan: the branch-0 cube root of i, and the branch-1 cube root of 1
         assert engine._exact_root(gq(0, -1) ** 3, 3, 0, 3) == gq(0, -1)
-        assert calls == [(3, 0)]
+        assert calls == [(0, 1, 1, 3, 0), (1, 0, 1, 3, 1)]
 
     @settings(max_examples=300, deadline=None)
     @given(problem=_root_problems(), data=st.data())

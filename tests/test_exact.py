@@ -3,12 +3,14 @@
 import copy
 import itertools
 import operator
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
 
 from qhgerm import (
     GQ_I,
@@ -20,7 +22,8 @@ from qhgerm import (
     gq,
 )
 from qhgerm import exact
-from qhgerm.exact import _prime, format_coefficient, format_unipoly, integer_root
+from qhgerm.exact import (_complex_root, _prime, format_coefficient, format_unipoly,
+                          integer_root)
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -471,6 +474,84 @@ class TestIntegerRoot:
     def test_rejects_negative_n_and_nonpositive_k(self, n, k):
         with pytest.raises(ValueError):
             integer_root(n, k)
+
+
+def mp_root_error(a: int, b: int, d: int, k: int, branch: int, prec: int) -> float:
+    """Distance of _complex_root(a, b, d, k, branch, prec) from 2^prec times
+    mpmath's branch-th k-th root of (a + b*i)/d, taken at enough bits that
+    its own error is below 2^-32 units of 2^-prec."""
+    x, y = _complex_root(a, b, d, k, branch, prec)
+    # |root| < 2^((bits of a, b) + 1)/k, and every bit of d shrinks it
+    work = prec + max(a.bit_length(), b.bit_length(), 1) // k + 64
+    with mp.workprec(work):
+        root = mp.root(mpc(a, b) / d, k, branch)
+        return float(abs(mpc(x, y) - root * mpf(2) ** prec))
+
+
+@st.composite
+def wide_values(draw):
+    """(a, b, d): Gaussian parts and a denominator of up to 64 bits, the
+    value then scaled by 2^s for s from -8000 to 8000 (into a and b, or
+    into d), so that |value| runs from about 2^-8064 to 2^8064."""
+    part = st.integers(-(2**64), 2**64)
+    a, b = draw(part), draw(part)
+    assume(a or b)
+    d = draw(st.integers(1, 2**64))
+    s = draw(st.integers(-8000, 8000))
+    return (a << s, b << s, d) if s >= 0 else (a, b, d << -s)
+
+
+class TestComplexRoot:
+    """_complex_root, the Newton iteration in Gaussian fixed point, against
+    mp.root: within 1 unit of 2^-prec on every branch mpmath numbers."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 227])
+    def test_every_branch(self, k):
+        rng = random.Random(k)
+        for branch in range(k):
+            a, b = rng.randint(-(2**200), 2**200), rng.randint(-(2**200), 2**200)
+            d, prec = rng.randint(1, 2**64), rng.randint(1, 300)
+            assert mp_root_error(a, b, d, k, branch, prec) < 1, (a, b, d, branch, prec)
+
+    def test_one_branch_at_the_largest_index_of_the_acceptance_sweep(self):
+        assert mp_root_error(3, -7, 5, 3820, 3819, 200) < 1
+        assert mp_root_error(1, 0, 1, 3820, 1, 200) < 1
+
+    @pytest.mark.parametrize("a, b", [
+        pytest.param(-1, 0, id="minus-one"),
+        pytest.param(-3, 0, id="negative-real"),
+        pytest.param(-(2**4000), 0, id="wide-negative-real"),
+        pytest.param(-(2**4000), -1, id="just-below-the-cut"),
+        pytest.param(-(2**4000), 1, id="just-above-the-cut"),
+        pytest.param(0, 1, id="i"),
+        pytest.param(0, -1, id="minus-i"),
+        pytest.param(0, 5**300, id="wide-imaginary"),
+        pytest.param(0, -(5**300), id="wide-negative-imaginary"),
+    ])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_the_cut_and_the_imaginary_axis(self, a, b, k):
+        for branch in range(k):
+            assert mp_root_error(a, b, 7, k, branch, 100) < 1, branch
+
+    @seed(20261020)
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(value=wide_values(), k=st.sampled_from([1, 2, 3, 4, 5, 7, 12, 227]),
+           data=st.data())
+    def test_wide_values_and_denominators(self, value, k, data):
+        branch = data.draw(st.integers(0, k - 1))
+        prec = data.draw(st.integers(0, 400))
+        assert mp_root_error(*value, k, branch, prec) < 1
+
+    def test_step_is_the_branch_one_root_of_one(self):
+        # the branch scan's step e^(2*pi*i/k), at the precisions it takes
+        for k in (2, 3, 4, 6, 227, 3820, 2**40 - 1):
+            prec = 64 + k.bit_length()
+            assert mp_root_error(1, 0, 1, k, 1, prec) < 1, k
+
+    def test_rejects_an_index_past_the_double_start(self):
+        with pytest.raises(ValueError):
+            _complex_root(1, 0, 1, 2**40, 1, 64)
 
 
 class TestFormatting:
