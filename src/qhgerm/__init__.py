@@ -98,79 +98,8 @@ from .engine import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AmbiguousClusteringError",
-    "BivarPoly",
-    "BranchOutOfRangeError",
-    "CanonicalForm",
-    "ComplexApprox",
-    "DEFAULT_PRECISION",
-    "DEFAULT_TOL",
-    "DegenerateConfigurationError",
-    "EmptyInputError",
-    "FormulaMismatchError",
-    "GQ_I",
-    "GQ_ONE",
-    "GQ_ZERO",
-    "GaussianRational",
-    "GermAnalysis",
-    "HOMOGENEOUS",
-    "InternalInconsistencyError",
-    "MIN_PRECISION",
-    "MODE_EXACT",
-    "MODE_NUMERIC",
-    "MONOMIAL_LIKE",
-    "NON_HOMOGENEOUS_QH",
-    "NegativeExponentError",
-    "NonConvergenceError",
-    "NotEquivalentVerdictError",
-    "NotQuasihomogeneousError",
-    "NumericMatch",
-    "ParseError",
-    "QhgermError",
-    "RadicalScalar",
-    "RootCluster",
-    "STATUS_EQUIVALENT",
-    "STATUS_INEQUIVALENT",
-    "STATUS_NOT_APPLICABLE",
-    "ScaleClass",
-    "ShearTerm",
-    "UniPoly",
-    "VerificationReport",
-    "Verdict",
-    "WeightMismatchError",
-    "WeightSignature",
-    "Witness",
-    "X",
-    "Y",
-    "ZeroPolynomialError",
-    "affine_multiset_match",
-    "analyze_germ",
-    "build_witness",
-    "cluster_roots",
-    "cross_ratio",
-    "decide_equivalence",
-    "eval_bivar",
-    "find_roots",
-    "format_coefficient",
-    "format_poly",
-    "format_unipoly",
-    "gcd_bezout",
-    "gq",
-    "infer_weights",
-    "j_from_cross_ratio",
-    "ladder_roots",
-    "linear_multiset_match",
-    "nth_root",
-    "numeric_match",
-    "parse_poly",
-    "scalar_to_mpc",
-    "to_mpc",
-    "validate_weights",
-    "verify_witness",
-    "whitney_compare",
-    "whitney_configuration",
-    "whitney_quartic",
-    "witness_branch_count",
-    "witness_to_mpc",
-]
+# every public name imported above, without the submodules that importing binds
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(engine))
+)

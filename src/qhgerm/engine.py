@@ -26,21 +26,21 @@ from .errors import (
     NotEquivalentVerdictError,
 )
 from .exact import (
-    GQ_I,
     GQ_ONE,
     GQ_ZERO,
     GaussianRational,
     Record,
     UniPoly,
-    _complex_root,
+    _exact_root,
+    _gaussian_roots,
     _make,
     gcd_bezout,
-    integer_root,
 )
 from .numeric import (
     DEFAULT_PRECISION,
     DEFAULT_TOL,
     NumericMatch,
+    _identify_branch,
     _nearest_clusters,
     cluster_roots,
     eval_bivar,
@@ -399,102 +399,8 @@ def _gq_bits(g: GaussianRational) -> int:
     return max(max(abs(x.numerator), x.denominator).bit_length() for x in (g.re, g.im))
 
 
-def _exact_root(
-    value: GaussianRational, k: int, first: int, count: int = 1
-) -> GaussianRational | None:
-    """The first Gaussian-rational k-th root of value on branches first,
-    first + 1, ..., first + count - 1, or None. Zero is its own root.
-
-    Norm test: a root g has N(g)^k = N(value), so the numerator and the
-    denominator of the reduced norm (a^2 + b^2)/d^2 must both be k-th powers
-    of integers. When one is not, no branch holds a root, and no root is
-    computed.
-
-    Write value = A/n with A in Z[i] and n = value.d. A root g has
-    (g*n)^k = A*n^(k-1) in Z[i], and Z[i] is integrally closed, so g*n is a
-    Gaussian integer: the numeric root times n, rounded, is the only
-    candidate, and an exact k-th power decides it. The precision comes from
-    the value alone: |g*n| < 2^bits, and prec = bits + 64 + k.bit_length().
-
-    Branch scan in fixed point: z = root*n and the step e^(2*pi*i/k) are
-    Gaussian integers scaled by 2^prec. _complex_root gives the root at
-    prec - lift bits, |root| < 2^lift, to within 1 unit; times n*2^lift, z is
-    within n*2^lift <= 2^bits units of 2^prec*root*n. It gives the step to
-    within 1 unit. Each step multiplies by the scaled step and shifts back
-    by prec bits with rounding: the step's error times |z| < 2^bits, plus
-    the rounding, adds less than 2^(bits+1) units. Over the
-    count <= k < 2^k.bit_length() candidates the error stays below
-    (2*k + 1)*2^bits units, that is 2^-62, far below 2^-32: a true root lies
-    within 2^-32 of its rounding, so none is missed, and a farther candidate
-    is rejected unpowered.
-    """
-    if value.is_zero:
-        return value
-    norm = value.norm_sq()
-    if integer_root(norm.numerator, k) is None or integer_root(norm.denominator, k) is None:
-        return None
-    n = value.d
-    top = max(abs(value.a).bit_length(), abs(value.b).bit_length()) + 1
-    lift = -(-top // k)
-    bits = lift + n.bit_length()
-    prec = bits + 64 + k.bit_length()
-    re, im = _complex_root(value.a, value.b, n, k, first, prec - lift)
-    re, im = (re * n) << lift, (im * n) << lift
-    sre, sim = _complex_root(1, 0, 1, k, 1, prec) if count > 1 else (1 << prec, 0)
-    half = 1 << (prec - 1)
-    near = 1 << 2 * (prec - 32)
-    for _ in range(count):
-        gre, gim = (re + half) >> prec, (im + half) >> prec
-        dre, dim = re - (gre << prec), im - (gim << prec)
-        if dre * dre + dim * dim <= near:
-            g = _make(gre, gim, n)
-            if g**k == value:
-                return g
-        re, im = (re * sre - im * sim + half) >> prec, (re * sim + im * sre + half) >> prec
-    return None
-
-
-def _gaussian_roots(value: GaussianRational, k: int) -> list:
-    """All Gaussian-rational k-th roots of value, in branch order.
-
-    Two such roots differ by a k-th root of unity in Q(i), that is by a unit
-    u of Z[i] with u^k = 1: 1 alone for odd k, +-1 for k = 2 mod 4, all four
-    units for k = 0 mod 4. Multiplying by a unit moves a root k/count
-    branches on, so the first k/count branches hold the lowest rational
-    root if there is one, and its unit multiples follow in branch order.
-    """
-    if k == 1:
-        return [value]
-    count = 4 if k % 4 == 0 else 2 if k % 2 == 0 else 1
-    g = _exact_root(value, k, 0, k // count)
-    if g is None:
-        return []
-    return [g * u for u in (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I)[:: 4 // count]]
-
-
-def _identify_branch(base: GaussianRational, index: int, target: mpc) -> int:
-    """Which index-th root of base equals target.
-
-    Branch b has argument (Arg(base) + 2*pi*b)/index, so index*arg(target)
-    - Arg(base) is 2*pi*b up to a multiple of 2*pi*index. Neighbouring
-    roots lie 2*pi/index apart in argument, so index.bit_length() bits tell
-    them apart, whatever the size of base; 64 more are the guard margin.
-    """
-    from mpmath import mp, mpf
-    with mp.workprec(index.bit_length() + 64):
-        z = to_mpc(base)
-        branch = int(mp.nint((index * mp.arg(target) - mp.arg(z)) / (2 * mp.pi))) % index
-        if index > 1:
-            root = mp.root(z, index, branch)
-            if abs(root - target) > abs(root) * mp.sinpi(mpf(1) / index) / 2:
-                raise InternalInconsistencyError(
-                    "radical branch identification failed: no root is close enough"
-                )
-    return branch
-
-
-def _simplify_scalar(base: GaussianRational, index: int, target: mpc):
-    """Reduce an index-th root to the lowest pure-radical form matching target.
+def _simplify_scalar(base: GaussianRational, index: int, target: mpc, branch: int):
+    """Reduce target, the branch-th index-th root of base, to its lowest radical form.
 
     If target is the b-th index-th root of base, then target^e is the
     (b mod index/e)-th (index/e)-th root of base for each divisor e of
@@ -503,7 +409,6 @@ def _simplify_scalar(base: GaussianRational, index: int, target: mpc):
     GaussianRational, and e = index always matches with g = base.
     """
     from mpmath import mp
-    branch = _identify_branch(base, index, target)
     g, e = base, index
     for div in range(1, index):
         if index % div == 0:
@@ -590,9 +495,14 @@ def _radical_witness(first_a, second_a, match, branch, precision):
                 "no consistent root branches for the witness scalar system"
             )
         alpha_num, beta_num = hit
-        beta = _simplify_scalar(base_beta, m_pow * d, beta_num)
-        alpha = _simplify_scalar(base_alpha, w.q * d * m_pow, alpha_num)
-        scale = _simplify_scalar(base, d, a_num)
+
+        # the scale is on branch; alpha, beta and gamma are on branches to be found
+        def radical(value, k, target):
+            return _simplify_scalar(value, k, target, _identify_branch(value, k, target))
+
+        beta = radical(base_beta, m_pow * d, beta_num)
+        alpha = radical(base_alpha, w.q * d * m_pow, alpha_num)
+        scale = _simplify_scalar(base, d, a_num, branch)
         gamma = None
         if match.centers is not None:
             # gamma = c1*alpha^q - c2*beta = (c1*a - c2)*beta, as u*rho with u
@@ -606,7 +516,7 @@ def _radical_witness(first_a, second_a, match, branch, precision):
                 u, rho, rho_power = c_first, alpha_num**w.q, base_alpha
             else:
                 u = None
-            gamma = ShearTerm(c_first, -c_second) if u is None else _simplify_scalar(
+            gamma = ShearTerm(c_first, -c_second) if u is None else radical(
                 u ** (m_pow * d) * rho_power, m_pow * d, to_mpc(u) * rho)
         return Witness(alpha, beta, gamma, scale, w, branch)
 

@@ -12,6 +12,10 @@ where i maps to either square root of -1 mod p, and rebuilds the factors
 over Q(i) by CRT and rational reconstruction. It returns them only once
 their product equals the input exactly, a check over Z[i] that certifies
 the split; no Euclidean gcd over Q(i) is taken.
+
+The exact route's k-th roots are here too, on integers only: integer_root,
+_complex_root (one branch, mpmath's rule, in Gaussian fixed point), and on
+them _exact_root and _gaussian_roots, which find Gaussian-rational roots.
 """
 
 from __future__ import annotations
@@ -386,6 +390,79 @@ def _complex_root(a: int, b: int, d: int, k: int, branch: int, prec: int) -> tup
     cut = p - e - prec
     half = 1 << cut - 1
     return (zre + half) >> cut, (zim + half) >> cut
+
+
+def _exact_root(
+    value: GaussianRational, k: int, first: int, count: int = 1
+) -> GaussianRational | None:
+    """The first Gaussian-rational k-th root of value on branches first,
+    first + 1, ..., first + count - 1, or None. Zero is its own root.
+
+    Norm test: a root g has N(g)^k = N(value), so the numerator and the
+    denominator of the reduced norm (a^2 + b^2)/d^2 must both be k-th powers
+    of integers. When one is not, no branch holds a root, and no root is
+    computed.
+
+    Write value = A/n with A in Z[i] and n = value.d. A root g has
+    (g*n)^k = A*n^(k-1) in Z[i], and Z[i] is integrally closed, so g*n is a
+    Gaussian integer: the numeric root times n, rounded, is the only
+    candidate, and an exact k-th power decides it. The precision comes from
+    the value alone: |g*n| < 2^bits, and prec = bits + 64 + k.bit_length().
+
+    Branch scan in fixed point: z = root*n and the step e^(2*pi*i/k) are
+    Gaussian integers scaled by 2^prec. _complex_root gives the root at
+    prec - lift bits, |root| < 2^lift, to within 1 unit; times n*2^lift, z is
+    within n*2^lift <= 2^bits units of 2^prec*root*n. It gives the step to
+    within 1 unit. Each step multiplies by the scaled step and shifts back
+    by prec bits with rounding: the step's error times |z| < 2^bits, plus
+    the rounding, adds less than 2^(bits+1) units. Over the
+    count <= k < 2^k.bit_length() candidates the error stays below
+    (2*k + 1)*2^bits units, that is 2^-62, far below 2^-32: a true root lies
+    within 2^-32 of its rounding, so none is missed, and a farther candidate
+    is rejected unpowered.
+    """
+    if value.is_zero:
+        return value
+    norm = value.norm_sq()
+    if integer_root(norm.numerator, k) is None or integer_root(norm.denominator, k) is None:
+        return None
+    n = value.d
+    top = max(abs(value.a).bit_length(), abs(value.b).bit_length()) + 1
+    lift = -(-top // k)
+    bits = lift + n.bit_length()
+    prec = bits + 64 + k.bit_length()
+    re, im = _complex_root(value.a, value.b, n, k, first, prec - lift)
+    re, im = (re * n) << lift, (im * n) << lift
+    sre, sim = _complex_root(1, 0, 1, k, 1, prec) if count > 1 else (1 << prec, 0)
+    half = 1 << (prec - 1)
+    near = 1 << 2 * (prec - 32)
+    for _ in range(count):
+        gre, gim = (re + half) >> prec, (im + half) >> prec
+        dre, dim = re - (gre << prec), im - (gim << prec)
+        if dre * dre + dim * dim <= near:
+            g = _make(gre, gim, n)
+            if g**k == value:
+                return g
+        re, im = (re * sre - im * sim + half) >> prec, (re * sim + im * sre + half) >> prec
+    return None
+
+
+def _gaussian_roots(value: GaussianRational, k: int) -> list:
+    """All Gaussian-rational k-th roots of value, in branch order.
+
+    Two such roots differ by a k-th root of unity in Q(i), that is by a unit
+    u of Z[i] with u^k = 1: 1 alone for odd k, +-1 for k = 2 mod 4, all four
+    units for k = 0 mod 4. Multiplying by a unit moves a root k/count
+    branches on, so the first k/count branches hold the lowest rational
+    root if there is one, and its unit multiples follow in branch order.
+    """
+    if k == 1:
+        return [value]
+    count = 4 if k % 4 == 0 else 2 if k % 2 == 0 else 1
+    g = _exact_root(value, k, 0, k // count)
+    if g is None:
+        return []
+    return [g * u for u in (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I)[:: 4 // count]]
 
 
 class UniPoly(Record):
@@ -941,9 +1018,9 @@ def format_terms(terms: Iterable) -> str:
     return " ".join(parts) or "0"
 
 
-def format_unipoly(poly: UniPoly, var: str = "w") -> str:
-    """Deterministic degree-descending rendering, e.g. "w^2 - 3*w + 2"."""
+def format_unipoly(poly: UniPoly) -> str:
+    """Deterministic degree-descending rendering in w, e.g. "w^2 - 3*w + 2"."""
     d = poly.degree
     return format_terms(
-        (c, power_str(var, d - i)) for i, c in enumerate(poly.coeffs) if not c.is_zero
+        (c, power_str("w", d - i)) for i, c in enumerate(poly.coeffs) if not c.is_zero
     )

@@ -4,8 +4,10 @@ Provides simultaneous root finding (Aberth-Ehrlich iteration), single-linkage
 root clustering with an explicit unsafe-regime guard, brute-force multiset
 matchers used as the independent oracle for the exact engine, and batched
 bivariate evaluation. Nothing here mutates mpmath's global precision.
-find_roots and eval_bivar scope their own working precision; cluster_roots,
-numeric_match, nth_root and to_mpc compute at the caller's precision.
+find_roots, eval_bivar and _identify_branch scope their own working
+precision; cluster_roots, numeric_match, nth_root and to_mpc compute at the
+caller's precision. nth_root holds the one branch rule, mpmath's, and
+_identify_branch inverts it.
 
 find_roots polishes its roots in integer fixed point: Gaussian dyadic
 points, Horner on integers with an explicit bound on its rounding, for
@@ -29,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import AmbiguousClusteringError, NonConvergenceError
+from .errors import AmbiguousClusteringError, InternalInconsistencyError, NonConvergenceError
 from .exact import GaussianRational, Record, UniPoly, _integral
 from .polyio import BivarPoly, power_table
 
@@ -98,6 +100,27 @@ def nth_root(value, index: int, branch: int = 0) -> mpc:
     if z == 0:
         return mpc(0)
     return mp.root(z, index, branch % index)
+
+
+def _identify_branch(base: GaussianRational, index: int, target: mpc) -> int:
+    """Which index-th root of base equals target.
+
+    Branch b has argument (Arg(base) + 2*pi*b)/index, so index*arg(target)
+    - Arg(base) is 2*pi*b up to a multiple of 2*pi*index. Neighbouring
+    roots lie 2*pi/index apart in argument, so index.bit_length() bits tell
+    them apart, whatever the size of base; 64 more are the guard margin.
+    """
+    from mpmath import mp, mpf
+    with mp.workprec(index.bit_length() + 64):
+        z = to_mpc(base)
+        branch = int(mp.nint((index * mp.arg(target) - mp.arg(z)) / (2 * mp.pi))) % index
+        if index > 1:
+            root = nth_root(z, index, branch)
+            if abs(root - target) > abs(root) * mp.sinpi(mpf(1) / index) / 2:
+                raise InternalInconsistencyError(
+                    "radical branch identification failed: no root is close enough"
+                )
+    return branch
 
 
 def _horner(coeffs, z):

@@ -39,7 +39,7 @@ from qhgerm import (
     witness_branch_count,
 )
 
-from qhgerm import engine, numeric
+from qhgerm import engine, exact, numeric
 from qhgerm.errors import InternalInconsistencyError
 from qhgerm.exact import _make, integer_root
 from qhgerm.numeric import find_roots, nth_root, to_mpc
@@ -342,10 +342,10 @@ class TestExactRoots:
                 engine._identify_branch(gq(1), 4, between)
 
     @pytest.mark.parametrize("base, index, branch, want", [
-        # no lower index: sqrt(2) stays (2)^(1/2), identified once
-        (gq(2), 2, 1, (gq(2), 2, 1, 1)),
-        # (4)^(1/4) branch 2 is -sqrt(2), that is (2)^(1/2) branch 1: two calls
-        (gq(4), 4, 2, (gq(2), 2, 1, 2)),
+        # no lower index: sqrt(2) stays (2)^(1/2) on the branch given, no call
+        (gq(2), 2, 1, (gq(2), 2, 1, 0)),
+        # (4)^(1/4) branch 2 is -sqrt(2), that is (2)^(1/2) branch 1: one call
+        (gq(4), 4, 2, (gq(2), 2, 1, 1)),
     ])
     def test_simplify_scalar_identifies_each_radical_once(self, monkeypatch, base, index,
                                                           branch, want):
@@ -358,7 +358,7 @@ class TestExactRoots:
 
         monkeypatch.setattr(engine, "_identify_branch", counted)
         with mp.workprec(128):
-            got = engine._simplify_scalar(base, index, nth_root(base, index, branch))
+            got = engine._simplify_scalar(base, index, nth_root(base, index, branch), branch)
         assert (got.base, got.index, got.branch, len(calls)) == want
 
     def test_root_precision_comes_from_the_value(self):
@@ -452,13 +452,13 @@ class TestExactRootLayer:
 
     def test_norm_test_rejects_before_any_root(self, monkeypatch):
         calls = []
-        root = engine._complex_root
+        root = exact._complex_root
 
         def counting_root(*args):
             calls.append(args[:5])
             return root(*args)
 
-        monkeypatch.setattr(engine, "_complex_root", counting_root)
+        monkeypatch.setattr(exact, "_complex_root", counting_root)
         # norm 4 is no cube, and 4/9 is no fifth power
         assert engine._exact_root(gq(2), 3, 0, 3) is None
         assert engine._exact_root(gq(Fraction(2, 3)), 5, 0, 5) is None

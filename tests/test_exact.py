@@ -563,5 +563,9 @@ class TestFormatting:
         poly = UniPoly.from_coeffs([gq(1), gq(0), gq(-1, 1)])
         assert format_unipoly(poly) == "w^2 + (-1+1i)"
 
+    def test_str_is_the_printed_form(self):
+        poly = UniPoly.from_roots([gq(1), gq(0, 2)])
+        assert str(poly) == format_unipoly(poly) == "w^2 + (-1-2i)*w + (0+2i)"
+
     def test_format_coefficient_plain_rational(self):
         assert format_coefficient(gq(Fraction(-5, 3))) == "-5/3"

@@ -12,6 +12,7 @@ from mpmath import mp, mpc, mpf
 from qhgerm import (
     AmbiguousClusteringError,
     BivarPoly,
+    NonConvergenceError,
     UniPoly,
     cluster_roots,
     eval_bivar,
@@ -237,6 +238,42 @@ class TestFindRoots:
             b = mpf(2) ** -600
             for r in ((-b + mp.sqrt(b * b + 4)) / 2, (-b - mp.sqrt(b * b + 4)) / 2):
                 assert any(abs(a.value - r) <= a.err for a in roots)
+
+    @pytest.mark.parametrize("start", [1.0, 3j])
+    def test_fixed_point_stage_raises_when_a_point_does_not_settle(self, start):
+        # from 2^-1001 the Aberth factor, taken in doubles, cancels the step
+        # that should bring the point up to the roots of w^2 + 2^-600 w - 1,
+        # and the point cycles until the sweep budget runs out
+        coeffs = [gq(1), gq(Fraction(1, 2**600)), gq(-1)]
+        with pytest.raises(NonConvergenceError):
+            numeric._polish_fixed(coeffs, [(0.5, -1000), (start, 0)], 2048)
+
+    def test_double_root_takes_the_radius_without_a_derivative_bound(self, monkeypatch):
+        # both points start exactly on the double root of (w - 1)^2, where
+        # p'(w) = 0: no positive lower bound on |p'| is known, and each err
+        # is (|p(z)|/|a_n|)^(1/2), a disc that still holds the root
+        dvals = []
+        bound = numeric._bound
+
+        def spy(val, dval, lead, n):
+            dvals.append(dval)
+            return bound(val, dval, lead, n)
+
+        monkeypatch.setattr(numeric, "_bound", spy)
+        coeffs = list(UniPoly.from_roots([gq(1), gq(1)]).coeffs)
+        roots = numeric._polish_fixed(coeffs, [(1.0, 0), (1.0, 0)], 128)
+        assert dvals == [0, 0]
+        with mp.workprec(200):
+            for r in roots:
+                assert 1e-27 < r.err < 1e-25
+                assert abs(r.value - 1) <= r.err
+
+    def test_float_stage_moves_a_critical_point(self):
+        # p'(0) = 0 for w^2 - 1: the point at 0 is nudged off, and both
+        # points still reach the roots -1 and 1
+        points = [0j, 0.5 + 0.5j]
+        assert numeric._aberth([1, 0, -1], points)
+        assert sorted(points, key=lambda z: z.real) == pytest.approx([-1, 1], abs=1e-12)
 
     def test_newton_polygon_starts_follow_the_root_moduli(self):
         true_roots = [gq(1), gq(100), gq(0, 100), gq(-100), gq(10**4), gq(10**6)]

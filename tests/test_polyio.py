@@ -491,6 +491,10 @@ class TestPrinting:
     def test_constant(self):
         assert format_poly(parse_poly("5/3")) == "5/3"
 
+    def test_str_is_the_printed_form(self):
+        poly = parse_poly("Y^2 - 3*X^3 + (1+2i)*X*Y")
+        assert str(poly) == format_poly(poly) == "Y^2 + (1+2i)*X*Y - 3*X^3"
+
     @given(polys)
     def test_round_trip(self, poly):
         assert parse_poly(format_poly(poly)) == poly
