@@ -47,6 +47,7 @@ from .numeric import (
     find_roots,
     nth_root,
     numeric_match,
+    refine_roots,
     to_mpc,
 )
 # parse_poly is not called here, but bench/tracing.py patches engine.parse_poly
@@ -219,24 +220,30 @@ def _side_invariants(analysis: GermAnalysis) -> dict:
     }
 
 
-def _numeric_clusters(parts, precision: int, tol: float):
-    """Cluster the roots of a ladder given as its square-free parts, doubling
-    precision while clustering is ambiguous or the root finder does not
-    converge, up to 1024 bits.
+def _numeric_clusters(parts, precision: int, tol: float, den: int = 0):
+    """Cluster the roots of a ladder given as its square-free parts, in the
+    one loop that raises precision: it doubles, up to 1024 bits, while
+    clustering is ambiguous or the root finder does not converge, then rises
+    by the bits den*err lacks while some disc has 4*den*err >= 1. A part's
+    first pass runs find_roots; a raise polishes its roots (refine_roots).
+    Returns the clusters, made once, and each part's roots.
 
-    The root finder only ever sees the simple roots of one exact part; each
-    approximation then enters the clustering carrying its part's
-    multiplicity as a weight. This keeps multiple roots from turning into
-    wide approximation clouds. Returns the clusters, the roots find_roots
-    gave for each part, and the precision they were found at.
+    The root finder only sees the simple roots of one exact part; each
+    approximation enters the clustering with its part's multiplicity as a
+    weight, so multiple roots do not turn into wide approximation clouds.
     """
-    prec = precision
+    prec, found, clusters = precision, [None] * len(parts), None
     while True:
         try:
-            found = [find_roots(factor, prec) for factor, _ in parts]
-            approx = [r for roots in found for r in roots]
-            weight = [mult for (_, mult), roots in zip(parts, found) for _ in roots]
-            return cluster_roots(approx, tol, weight), found, prec
+            found = [find_roots(part, prec) if roots is None else refine_roots(part, roots, prec)
+                     for (part, _), roots in zip(parts, found)]
+            if clusters is None:
+                clusters = cluster_roots([r for roots in found for r in roots], tol,
+                                         [m for (_, m), roots in zip(parts, found) for _ in roots])
+            lack = den and max((4 * den * r.err for roots in found for r in roots), default=0)
+            if lack < 1:
+                return clusters, found
+            prec += int(lack).bit_length() + 1
         except (AmbiguousClusteringError, NonConvergenceError):
             if prec >= 1024:
                 raise
@@ -259,10 +266,10 @@ def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
         return []
     parts = ladder.squarefree_parts()
     den = lcm(*(c.d for c in ladder.monic()[0].coeffs))
-    clusters, found, prec = _numeric_clusters(parts, precision, tol)
+    clusters, found = _numeric_clusters(parts, precision, tol, den)
     entries = [(cl.center, cl.multiplicity, False) for cl in clusters]
     exact = [(root, mult) for (part, mult), roots in zip(parts, found)
-             for root in _rational_roots(part, den, prec, roots)]
+             for root in _rational_roots(part, den, roots)]
     nearest = _nearest_clusters(clusters, [to_mpc(root) for root, _ in exact])
     for (root, mult), k in zip(exact, nearest):
         if clusters[k].multiplicity == mult:
@@ -270,25 +277,15 @@ def ladder_roots(ladder: UniPoly, precision: int, tol: float) -> list:
     return entries
 
 
-def _rational_roots(part: UniPoly, den: int, precision: int, roots: list) -> list:
-    """The roots of part in Q(i), read off the error discs of find_roots.
-
-    roots is find_roots(part, precision). den*r is a Gaussian integer for
-    every root r in Q(i) of a ladder, den the lcm of the denominators of
-    the monic ladder (rational root theorem in Z[i]), and part is a factor
-    of that ladder. The precision rises by the bits den*err lacks until
-    4*den*err < 1 for every disc; then den*z lies within 1/4 of den*r in
-    each component for the root r in the disc about z, so rounding den*z
-    gives den*r whenever r is in Q(i). A candidate is kept only where part
-    vanishes exactly, and once.
+def _rational_roots(part: UniPoly, den: int, roots: list) -> list:
+    """The roots of part in Q(i), read off its discs from _numeric_clusters,
+    where 4*den*err < 1. den*r is a Gaussian integer for every root r in
+    Q(i) of a ladder, den the lcm of the denominators of the monic ladder
+    (rational root theorem in Z[i]), and part is a factor of that ladder. So
+    den*z lies within 1/4 of den*r in each component for the root r in the
+    disc about z, and rounding den*z gives den*r whenever r is in Q(i). A
+    candidate is kept only where part vanishes exactly, and once.
     """
-    from mpmath import mp
-    while True:
-        lack = [mp.mag(4 * den * r.err) for r in roots if 4 * den * r.err >= 1]
-        if not lack:
-            break
-        precision += max(lack) + 1
-        roots = find_roots(part, precision)
     out = []
     for r in roots:
         candidate = _make(_round_scaled(r.value.real, den), _round_scaled(r.value.imag, den), den)

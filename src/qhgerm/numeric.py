@@ -4,9 +4,9 @@ Provides simultaneous root finding (Aberth-Ehrlich iteration), single-linkage
 root clustering with an explicit unsafe-regime guard, brute-force multiset
 matchers used as the independent oracle for the exact engine, and batched
 bivariate evaluation. Nothing here mutates mpmath's global precision.
-find_roots, eval_bivar and _identify_branch scope their own working
-precision; cluster_roots, numeric_match, nth_root and to_mpc compute at the
-caller's precision. nth_root holds the one branch rule, mpmath's, and
+find_roots, refine_roots, eval_bivar and _identify_branch scope their own
+working precision; cluster_roots, numeric_match, nth_root and to_mpc compute
+at the caller's precision. nth_root holds the one branch rule, mpmath's, and
 _identify_branch inverts it.
 
 find_roots polishes its roots in integer fixed point: Gaussian dyadic
@@ -384,9 +384,9 @@ def _dyadic_diff(a, b, frac: int) -> complex:
 def _polish_fixed(coeffs, starts, precision):
     """Aberth polishing on Gaussian dyadic points in integer arithmetic.
 
-    starts are pairs (c, e) for the points c * 2^e, and each becomes
-    (wr + i*wi) * 2^(e - frac) with 1/2 <= |w| < 1, exactly: the power of
-    two of c goes into e, so a point of any size keeps its bits. frac is
+    starts are pairs (c, e) for the points c * 2^e (c a double or mpc), and
+    each becomes (wr + i*wi) * 2^(e - frac) with 1/2 <= |w| < 1, exactly:
+    the power of two of c goes into e, so any point keeps its bits. frac is
     precision + 40 + n + 8 fractional bits, so Horner's rounding stays far
     below the stop. Before each evaluation a point is chopped to
     precision + 40 bits, so a settled point is exactly the mpc returned.
@@ -410,6 +410,11 @@ def _polish_fixed(coeffs, starts, precision):
     tables = {}
     state = []
     for c, e in starts:
+        if isinstance(c, mpc):  # its parts are integers times 2^low
+            low = min(c.real.man_exp[1], c.imag.man_exp[1])
+            state.append(_normalize(int(mp.ldexp(c.real, -low)), int(mp.ldexp(c.imag, -low)),
+                                    e + low + frac, frac))
+            continue
         top = math.frexp(max(abs(c.real), abs(c.imag)))[1]
         state.append(_normalize(_fixed(math.ldexp(c.real, -top), frac),
                                 _fixed(math.ldexp(c.imag, -top), frac), e + top, frac))
@@ -494,6 +499,12 @@ def find_roots(poly: UniPoly, precision: int = DEFAULT_PRECISION) -> list:
     Raises NonConvergenceError when a root does not meet the stop; zero
     roots are split off first and returned exactly.
     """
+    return refine_roots(poly, None, precision)
+
+
+def refine_roots(poly: UniPoly, roots: list | None, precision: int) -> list:
+    """find_roots(poly, precision) polished from roots, which find_roots or
+    refine_roots gave for poly, or from the Newton polygon for roots None."""
     from mpmath import mpc, mpf
     coeffs = list(poly.coeffs)
     if len(coeffs) < 2:
@@ -504,8 +515,12 @@ def find_roots(poly: UniPoly, precision: int = DEFAULT_PRECISION) -> list:
         coeffs.pop()
     if len(coeffs) == 1:
         return out
-    starts = _newton_polygon_starts(coeffs)
-    out += _polish_fixed(coeffs, _float_starts(coeffs, starts) or starts, precision)
+    if roots is None:
+        starts = _newton_polygon_starts(coeffs)
+        starts = _float_starts(coeffs, starts) or starts
+    else:
+        starts = [(r.value, 0) for r in roots if r.value != 0]
+    out += _polish_fixed(coeffs, starts, precision)
     out.sort(key=lambda r: _root_order(r.value))
     return out
 

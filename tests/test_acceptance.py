@@ -42,6 +42,7 @@ from qhgerm.engine import (
     witness_branch_count,
 )
 from qhgerm.exact import GQ_ONE, UniPoly, format_terms
+from qhgerm.numeric import _newton_polygon_starts
 from qhgerm.structure import analyze_germ, infer_weights
 
 CORPUS_SEED = 20260822
@@ -177,25 +178,50 @@ def _ladder_pair(degree, literal):
 def test_route_agreement_degree_sweep(monkeypatch, degree, precisions):
     # error discs scale with the roots, so each side's roots cluster at 128
     # bits up to d = 48 and at 256 bits beyond; the decimal pair goes the
-    # numeric route and its integer copy the exact route
+    # numeric route and its integer copy the exact route. Each side's part
+    # is found at 128 bits, and a raise polishes those roots (refine_roots)
     exact = decide_equivalence(*_ladder_pair(degree, ""))
-    real, seen = engine.find_roots, []
+    find, refine, seen, refined = engine.find_roots, engine.refine_roots, [], []
 
-    def spy(poly, precision):
+    def find_spy(poly, precision):
         seen.append(precision)
-        return real(poly, precision)
+        return find(poly, precision)
 
-    monkeypatch.setattr(engine, "find_roots", spy)
+    def refine_spy(poly, roots, precision):
+        seen.append(precision)
+        refined.append(len(seen) - 1)
+        return refine(poly, roots, precision)
+
+    monkeypatch.setattr(engine, "find_roots", find_spy)
+    monkeypatch.setattr(engine, "refine_roots", refine_spy)
     numeric = decide_equivalence(*_ladder_pair(degree, ".0"))
     ok = ((exact.mode, numeric.mode) == ("exact", "numeric")
-          and numeric.status == exact.status == STATUS_EQUIVALENT and seen == precisions)
+          and numeric.status == exact.status == STATUS_EQUIVALENT and seen == precisions
+          and refined == [k for k, prec in enumerate(seen) if prec > 128])
     record_acceptance(
         f"numeric route on a degree-{degree} ladder",
         ok,
         f"prod (Y^2-2k.0*X^3) vs prod (Y^2-14k*X^3): {numeric.status} ({numeric.mode}), "
-        f"exact route {exact.status}; find_roots precisions {seen}",
+        f"exact route {exact.status}; root-finder precisions {seen}, "
+        f"refined at positions {refined}",
     )
     assert ok, (numeric, exact, seen)
+
+
+def test_newton_polygon_is_read_once_per_part(monkeypatch):
+    # at d = 64 each side's one square-free part clusters only at 256 bits;
+    # that raise polishes the 128-bit roots, so the Newton polygon that
+    # find_roots starts from is read once per part
+    degrees = []
+
+    def spy(coeffs):
+        degrees.append(len(coeffs) - 1)
+        return _newton_polygon_starts(coeffs)
+
+    monkeypatch.setattr("qhgerm.numeric._newton_polygon_starts", spy)
+    verdict = decide_equivalence(*_ladder_pair(64, ".0"))
+    assert (verdict.mode, verdict.status) == ("numeric", STATUS_EQUIVALENT)
+    assert degrees == [64, 64]
 
 
 def test_roots_of_a_degree_100_ladder(capsys):

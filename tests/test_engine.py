@@ -779,7 +779,7 @@ class TestLadderRoots:
         big = 10**8
         a = 13 - big
         part = UniPoly.from_roots([gq(big)]) * ladder(1, 2 * a, a * a - 170)
-        assert engine._rational_roots(part, 1, 128, find_roots(part, 128)) == [gq(big)]
+        assert engine._rational_roots(part, 1, find_roots(part, 128)) == [gq(big)]
         entries = ladder_roots(part, 128, 1e-9)
         assert [exact for _, _, exact in entries] == [False, True, False]
         assert entries[1][0] == gq(big)
@@ -798,18 +798,35 @@ class TestLadderRoots:
             (r, 1, True) for r in roots]
 
     def test_precision_rises_until_the_discs_fit_the_denominator(self, monkeypatch):
-        # den = 10^60 + 7, about 2^199: at 128 bits 4*den*err is far above 1
-        real, seen = engine.find_roots, []
+        # den = 10^60 + 7, about 2^199: at 128 bits 4*den*err is far above 1,
+        # and each raise polishes the roots found at 128 bits
+        find, refine, seen = engine.find_roots, engine.refine_roots, []
 
-        def spy(poly, precision):
-            seen.append(precision)
-            return real(poly, precision)
+        def find_spy(poly, precision):
+            seen.append(("find", precision))
+            return find(poly, precision)
 
-        monkeypatch.setattr(engine, "find_roots", spy)
+        def refine_spy(poly, roots, precision):
+            seen.append(("refine", precision))
+            return refine(poly, roots, precision)
+
+        monkeypatch.setattr(engine, "find_roots", find_spy)
+        monkeypatch.setattr(engine, "refine_roots", refine_spy)
         root = gq(Fraction(1, 10**60 + 7))
         entries = ladder_roots(UniPoly.from_roots([root, gq(1)]), 128, 1e-9)
         assert entries == [(root, 1, True), (gq(1), 1, True)]
-        assert max(seen) > 128
+        assert seen[0] == ("find", 128) and max(prec for _, prec in seen) > 128
+        assert all(kind == "refine" for kind, _ in seen[1:])
+
+    def test_raise_keeps_every_bit_of_roots_closer_than_doubles_resolve(self):
+        # r and r + 10^-28 lie 2^-108 apart relative to r: den = 49 * 10^28
+        # makes the precision rise after the 128-bit roots cluster, and the
+        # raise polishes those roots with all their bits; rounded to doubles
+        # the two points would collapse onto one and the polish would stall
+        r = Fraction(315197, 7)
+        entries = ladder_roots(UniPoly.from_roots([gq(r), gq(r + Fraction(1, 10**28))]),
+                               128, 1e-9)
+        assert [(mult, exact) for _, mult, exact in entries] == [(2, False)]
 
     def test_each_part_is_solved_once(self, monkeypatch):
         # the rational roots start from the roots the clustering found, so

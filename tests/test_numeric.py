@@ -248,6 +248,20 @@ class TestFindRoots:
         with pytest.raises(NonConvergenceError):
             numeric._polish_fixed(coeffs, [(0.5, -1000), (start, 0)], 2048)
 
+    def test_refined_roots_settle_where_far_starts_cycle(self):
+        # refine_roots starts from the 128-bit roots of w^2 + 2^-600 w - 1,
+        # next to the roots, not from a point far below them as above, so
+        # the 2048-bit polish settles and each disc holds a true root
+        poly = UniPoly.from_coeffs([gq(1), gq(Fraction(1, 2**600)), gq(-1)])
+        roots = numeric.refine_roots(poly, find_roots(poly, 128), 2048)
+        assert len(roots) == 2
+        with mp.workprec(2400):
+            b = mpf(2) ** -600
+            true_roots = ((-b + mp.sqrt(b * b + 4)) / 2, (-b - mp.sqrt(b * b + 4)) / 2)
+            for a in roots:
+                assert any(abs(a.value - r) <= a.err for r in true_roots)
+                assert a.err < mpf(2) ** -2000
+
     def test_double_root_takes_the_radius_without_a_derivative_bound(self, monkeypatch):
         # both points start exactly on the double root of (w - 1)^2, where
         # p'(w) = 0: no positive lower bound on |p'| is known, and each err

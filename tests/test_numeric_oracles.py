@@ -4,10 +4,11 @@ reference that recomputes its answer the long way.
 - find_roots: every err holds the Newton radius n*|p(z)|/|p'(z)|, computed
   in exact rationals at the returned dyadic value, and is at most twice the
   mpc bound formula (Higham's rounding term in |p(z)|, then the Newton
-  radius) recomputed from scratch at that value. On ladders built from
-  known roots, the fixed-point polishing agrees with the mpc polishing it
-  replaced, kept here as reference_find_roots: the same root count, every
-  true root in a returned disc, and the same clusters.
+  radius) recomputed from scratch at that value; so is every err of
+  refine_roots, polishing the 128-bit roots at 256 and 1024 bits. On
+  ladders built from known roots, the fixed-point polishing agrees with the
+  mpc polishing it replaced, kept here as reference_find_roots: the same
+  root count, every true root in a returned disc, and the same clusters.
 - cluster_roots: a brute-force single linkage (adjacency matrix, depth-first
   components, every distance measured where it is read) gives the same
   clusters or the same exception.
@@ -103,22 +104,27 @@ def random_ladder(rng) -> UniPoly:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_find_roots_err_is_the_bound_at_the_returned_value(seed):
+    # find_roots at the drawn precision, and refine_roots from the 128-bit
+    # roots to 256 and to 1024 bits
     rng = random.Random(f"find-roots-oracle-{seed}")
     poly = random_ladder(rng)
     precision = rng.choice((128, 128, 192, 256))
-    roots = find_roots(poly, precision)
-    assert len(roots) == poly.degree
+    first = find_roots(poly, 128)
+    outputs = [(find_roots(poly, precision), precision)] + [
+        (numeric.refine_roots(poly, first, target), target) for target in (256, 1024)]
     stripped = UniPoly(tuple(poly.coeffs[:max(k for k, c in enumerate(poly.coeffs)
                                               if not c.is_zero) + 1]))
-    exact_zeros = 0
-    for approx in roots:
-        if approx.value == 0 and approx.err == 0:
-            exact_zeros += 1
-            continue
-        assert newton_radius_sq(stripped, approx.value) <= exact(approx.err) ** 2
-        assert approx.err <= 2 * reference_bound(poly, approx.value, precision)
     trailing = len(poly.coeffs) - max(k for k, c in enumerate(poly.coeffs) if not c.is_zero) - 1
-    assert exact_zeros == trailing
+    for roots, prec in outputs:
+        assert len(roots) == poly.degree
+        exact_zeros = 0
+        for approx in roots:
+            if approx.value == 0 and approx.err == 0:
+                exact_zeros += 1
+                continue
+            assert newton_radius_sq(stripped, approx.value) <= exact(approx.err) ** 2
+            assert approx.err <= 2 * reference_bound(poly, approx.value, prec)
+        assert exact_zeros == trailing
 
 
 def mpc_aberth(coeffs, points, limit):
