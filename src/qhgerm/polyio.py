@@ -25,6 +25,13 @@ MAX_PRODUCT_WORK pairs of terms. Decimal literals are exact
 ("0.3" is 3/10) but flag the polynomial as numeric-mode, recording that the
 user did not supply symbolic data. The leading optional sign is a strict
 superset of the documented form so that every printed polynomial re-parses.
+
+The parser is a recursive descent, but it reads each flat term of a sum
+(_FLAT: an optional number or Gaussian group "(r + s*i)", then X^a and
+Y^b, followed by the end of the sum) with one match, to the monomial the
+descent would read. Every other term, and every flat term over a limit or
+in error, goes through the descent, so the errors, their messages and
+positions are those of the descent alone.
 """
 
 from __future__ import annotations
@@ -46,8 +53,8 @@ MAX_NESTING = 200
 
 # Bound on every exponent and on the total degree of every product and
 # power, checked before expanding; the cost of expansion and of the ladder
-# grows with the degree, while the largest degree in the tests and the
-# benchmark corpora is 74.
+# grows with the degree, while the largest degree is 74 in the benchmark
+# corpora and 300 in the tests, apart from those of the limits.
 MAX_DEGREE = 1000
 
 # Bound on the bits of every numerator and denominator, checked on each
@@ -340,6 +347,29 @@ _TOKEN = re.compile(
     r"(?:(?<=[XYi)])\s*(?:\^|\*\*)\s*(\d*))?"
 )
 
+# A flat term, matched where a term starts and only when the next token ends
+# the sum ('+', '-', ')' or the end of the text): an optional coefficient,
+# then X^a and Y^b, each optional, with '*' between the parts present. The
+# coefficient is a number or a Gaussian group "(r + s*i)" or "(r+si)", the
+# forms that bench/corpus.py and format_coefficient print. The groups:
+# 1 (c) coefficient, 2-4 number (whole, denominator, decimals), 5 sign of r,
+# 6-8 r, 9 sign of s, 10-12 s, 13 (x) X, 14 a, 15 Y, 16 b.
+_NUMBER = r"(\d+)(?:/(\d+)|\.(\d+))?"
+_POWER = r"(?:\s*(?:\^|\*\*)\s*(\d+))?"
+_FLAT = re.compile(
+    rf"(?=[\d(XY])(?P<c>{_NUMBER}|\(\s*(?:([-+])\s*)?{_NUMBER}\s*([-+])\s*{_NUMBER}"
+    r"(?:\s*\*\s*)?i\s*\))?"
+    rf"(?:(?(c)\s*\*\s*)(?P<x>X){_POWER})?"
+    rf"(?:(?(c)\s*\*\s*|(?(x)\s*\*\s*))(Y){_POWER})?"
+    r"(?=\s*(?:[-+)]|\Z))"
+)
+
+# past its first digit a number gains over 3 bits a digit: a longer digit
+# string is refused unconverted (the result check sees the rest)
+_MAX_DIGITS = MAX_COEFF_BITS // 3
+# an exponent string this wide can hold MAX_DEGREE
+_EXPONENT_DIGITS = len(str(MAX_DEGREE))
+
 _I_POWERS = (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I)
 
 
@@ -363,12 +393,28 @@ def _as_value(terms: dict):
     return GQ_ZERO, 0, 0
 
 
+def _ratio(whole: str, den: str | None, decimals: str | None):
+    """(numerator, denominator) of a number literal; None where _Parser.number would raise."""
+    if len(whole) > _MAX_DIGITS:
+        return None
+    if den is not None:
+        d = len(den) <= _MAX_DIGITS and int(den)
+        return (int(whole), d) if d else None
+    if decimals is None:
+        return int(whole), 1
+    if len(decimals) > _MAX_DIGITS:
+        return None
+    scale = 10 ** len(decimals)
+    return int(whole) * scale + int(decimals), scale
+
+
 class _Parser:
     """Recursive descent over _TOKEN matches, one token read ahead.
 
     A term is carried as one monomial (c, i, j) while its factors are
     monomials; only a parenthesized group of more than one term makes it a
-    dict {(i, j): c}. The terms of a sum are added into one dict.
+    dict {(i, j): c}. The terms of a sum are added into one dict; flat()
+    reads a term first, and term() the terms it declines.
     """
 
     def __init__(self, text: str):
@@ -398,7 +444,7 @@ class _Parser:
         terms = {}
         while True:
             start = self.tok.start(1)
-            self.add(terms, start, self.term(), negate)
+            self.add(terms, start, self.flat(start) or self.term(), negate)
             op = self.tok[1]
             if op != "+" and op != "-":
                 return terms
@@ -448,6 +494,39 @@ class _Parser:
     def product(self, a: BivarPoly, b: BivarPoly, position: int) -> BivarPoly:
         self.limit_work(len(a.terms), len(b.terms), position)
         return a * b
+
+    def flat(self, start: int):
+        """The monomial (c, i, j) of a flat term (_FLAT) at start, read as
+        term() reads it, with the tokens after it; None, having read
+        nothing, where the term is not flat or term() would raise on it."""
+        m = _FLAT.match(self.text, start)
+        if m is None:
+            return None
+        _, n, nd, nf, rs, r, rd, rf, ss, s, sd, sf, x, a, y, b = m.groups()
+        if r is not None:
+            # the group's sum as poly() adds it: r, then s*i
+            real, imag = _ratio(r, rd, rf), _ratio(s, sd, sf)
+            if real is None or imag is None or self.depth == MAX_NESTING:
+                return None
+            (p, q), (u, v) = real, imag
+            c = _make(-p * v if rs == "-" else p * v, -u * q if ss == "-" else u * q, q * v)
+        elif n is not None:
+            ratio = _ratio(n, nd, nf)
+            if ratio is None:
+                return None
+            c = _make(ratio[0], 0, ratio[1])
+        else:
+            c = GQ_ONE
+        if len(a or "") > _EXPONENT_DIGITS or len(b or "") > _EXPONENT_DIGITS:
+            return None
+        i = 0 if x is None else 1 if a is None else int(a)
+        j = 0 if y is None else 1 if b is None else int(b)
+        if i + j > MAX_DEGREE or _coeff_bits((c,)) > MAX_COEFF_BITS:
+            return None
+        if nf is not None or rf is not None or sf is not None:
+            self.saw_decimal = True
+        self.tok = _TOKEN.match(self.text, m.end())
+        return c, i, j
 
     def term(self):
         start = self.tok.start(1)
@@ -551,9 +630,7 @@ class _Parser:
         return e
 
     def uint(self, digits: str, start: int) -> int:
-        # past its first digit a number gains over 3 bits a digit: refuse a
-        # longer string unconverted (the result check sees the rest)
-        if len(digits) > MAX_COEFF_BITS // 3:
+        if len(digits) > _MAX_DIGITS:
             raise ParseError(f"number of {len(digits)} digits exceeds the limit "
                              f"{MAX_COEFF_BITS} bits", start)
         return int(digits)

@@ -20,7 +20,7 @@ from qhgerm import (
     gq,
     parse_poly,
 )
-from qhgerm.exact import GaussianRational, UniPoly, power
+from qhgerm.exact import GaussianRational, UniPoly, power, power_str
 from qhgerm.polyio import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
@@ -28,6 +28,7 @@ from qhgerm.polyio import (
     MAX_PRODUCT_WORK,
     MODE_EXACT,
     MODE_NUMERIC,
+    _Parser,
     power_table,
 )
 
@@ -330,6 +331,14 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nesting too deep") as err:
             parse_poly("(" * 3000 + "X" + ")" * 3000)
         assert err.value.position == MAX_NESTING
+        # a Gaussian coefficient group one level too deep, read as a flat term
+        # where it is not nested too deep
+        nested = "(1+2i)"
+        assert parse_poly("(" * (MAX_NESTING - 1) + nested + ")" * (MAX_NESTING - 1)) == \
+            BivarPoly.constant(gq(1, 2))
+        with pytest.raises(ParseError, match="nesting too deep") as err:
+            parse_poly("(" * MAX_NESTING + nested + ")" * MAX_NESTING)
+        assert err.value.position == MAX_NESTING
 
 
 # Expression trees rendered to text, each with its value under BivarPoly
@@ -452,6 +461,144 @@ class TestParserProperties:
         except ParseError:
             return
         assert isinstance(poly, BivarPoly)
+
+
+class _Descent(_Parser):
+    """The parser without its flat-term reader: every term takes the descent."""
+
+    def flat(self, start):
+        return None
+
+
+def _outcome(parse, text):
+    """The terms in order and the mode, or the error's class, message and position."""
+    try:
+        poly = parse(text)
+    except ParseError as err:
+        return type(err), str(err), err.position
+    return list(poly.terms.items()), poly.mode
+
+
+def _assert_read_as_by_the_descent(text):
+    assert _outcome(parse_poly, text) == _outcome(lambda t: _Descent(t).parse(), text)
+
+
+def _hundredths_str(value: Fraction) -> str:
+    """value, whose denominator divides 100, as a decimal literal without sign."""
+    whole, rest = divmod(abs(value.numerator) * (100 // value.denominator), 100)
+    return f"{whole}.{rest:02d}"
+
+
+_HUNDREDTHS = st.integers(min_value=-999, max_value=999).map(lambda n: Fraction(n, 100))
+
+
+@st.composite
+def _corpus_text(draw):
+    """Expanded text as the benchmark corpora print it: "2*X^2*Y", "(r + s*i)*Y^3"
+    with r and s fractions or decimals, and '+'/'-' between the terms."""
+    show = draw(st.sampled_from([str, _hundredths_str]))
+    terms = draw(st.dictionaries(exponents, st.tuples(_HUNDREDTHS, _HUNDREDTHS),
+                                 min_size=1, max_size=5))
+    text = ""
+    for (i, j), (re, im) in sorted(terms.items()):
+        if im:
+            sign, body = "+", (f"({'-' if re < 0 else ''}{show(abs(re))} "
+                               f"{'-' if im < 0 else '+'} {show(abs(im))}*i)")
+        else:
+            sign, body = "-" if re < 0 else "+", show(abs(re))
+        mono = "*".join(filter(None, (power_str("X", i), power_str("Y", j))))
+        term = f"{body}*{mono}" if mono else body
+        text = f"{text} {sign} {term}" if text else ("-" if sign == "-" else "") + term
+    return text
+
+
+# the coefficient forms format_coefficient and the benchmark corpora print
+_PRINTED = st.one_of(polys.map(format_poly), _corpus_text())
+
+
+@st.composite
+def _corrupted(draw, texts):
+    """A text with one character inserted, deleted or replaced."""
+    text = draw(texts)
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    char = draw(st.sampled_from("XYi^*+-/.() 01279\u00b2\u0663\u00a0"))
+    return draw(st.sampled_from([text[:at] + char + text[at:], text[:at] + text[at + 1:],
+                                 text[:at] + char + text[at + 1:]]))
+
+
+_WIDE = 2**MAX_COEFF_BITS
+_DIGITS = MAX_COEFF_BITS // 3
+
+
+class TestFlatTermsAgreeWithTheDescent:
+    """parse_poly reads flat terms with one match; the descent alone must read
+    every text to the same terms, in the same order and mode, or fail on it
+    with the same error class, message and position."""
+
+    @seed(20261021)
+    @settings(max_examples=120, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(_sum())
+    def test_expression_trees(self, tree):
+        _assert_read_as_by_the_descent(tree[0])
+
+    @seed(20261022)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(_NEAR_GRAMMAR)
+    def test_near_grammar_text(self, text):
+        _assert_read_as_by_the_descent(text)
+
+    @seed(20261023)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_PRINTED)
+    def test_printed_text(self, text):
+        _assert_read_as_by_the_descent(text)
+
+    @seed(20261024)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_corrupted(st.one_of(_PRINTED, _sum(depth=1).map(lambda tree: tree[0]))))
+    def test_printed_text_with_one_character_corrupted(self, text):
+        _assert_read_as_by_the_descent(text)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("9" * _DIGITS + "*X - 1/" + "7" * _DIGITS, id="digits-at-limit"),
+        pytest.param("9" * (_DIGITS + 1) + "*X", id="digits-over"),
+        pytest.param("Y - 1/" + "3" * (_DIGITS + 1), id="denominator-digits-over"),
+        pytest.param("X + 0." + "1" * (_DIGITS + 1), id="decimals-over"),
+        pytest.param("(" + "1" * (_DIGITS + 1) + " + 2*i)*Y", id="group-real-digits-over"),
+        pytest.param("(1+2/" + "3" * (_DIGITS + 1) + "i)", id="group-imaginary-digits-over"),
+        pytest.param(f"X^{MAX_DEGREE} + Y^{MAX_DEGREE}", id="exponent-at-limit"),
+        pytest.param(f"Y - X^{MAX_DEGREE + 1}", id="exponent-over"),
+        pytest.param(f"2*X^0{MAX_DEGREE}*Y^0", id="exponent-wide-at-limit"),
+        pytest.param(f"X^0{MAX_DEGREE + 1}", id="exponent-wide-over"),
+        pytest.param("Y^" + "9" * 5000, id="exponent-digits-over"),
+        pytest.param("X^500*Y^500 - 3", id="degree-at-limit"),
+        pytest.param("(1 - i)*X^500*Y^501", id="degree-over"),
+        pytest.param("X - 3/00*Y", id="zero-denominator"),
+        pytest.param("(1/0 + 2*i)*X", id="group-zero-real-denominator"),
+        pytest.param("(1 - 2/0i)", id="group-zero-imaginary-denominator"),
+        pytest.param(f"{_WIDE - 1}*X + 1/{_WIDE - 1}", id="bits-at-limit"),
+        pytest.param(f"Y + {_WIDE}*X", id="bits-over"),
+        pytest.param(f"Y + {_WIDE}*X - {_WIDE}*X", id="bits-over-cancelled"),
+        pytest.param(f"(1/{2**2000 + 1} + 1/{3**1200}*i)*X", id="group-bits-at-limit"),
+        pytest.param(f"Y + (1/{2**2100 + 1} - 1/{3**1300}*i)*X", id="group-bits-over"),
+        pytest.param(f"(0 + {_WIDE}*i)*Y", id="group-imaginary-bits-over"),
+        pytest.param("(" * (MAX_NESTING - 1) + "(-1 - 2*i)*X + Y" + ")" * (MAX_NESTING - 1),
+                     id="nesting-at-limit"),
+        pytest.param("(" * MAX_NESTING + "(1+2i)" + ")" * MAX_NESTING, id="nesting-over"),
+        pytest.param("(" * MAX_NESTING + "X - 2*Y" + ")" * MAX_NESTING, id="nesting-over-no-group"),
+    ])
+    def test_text_at_a_limit(self, text):
+        _assert_read_as_by_the_descent(text)
+
+    def test_printed_terms_take_no_descent(self, monkeypatch):
+        texts = ["2*X^2*Y^3 + 9*X^4*Y^2 + 7*X^6*Y - 6*X^8",
+                 "(6 + 50/3*i)*X^4*Y^2 - (-0.5 - 1.25*i)*Y + 1/2*X^3",
+                 "(1+2i)*X*Y - 3/4 + (0-2/3i)*Y^2 + X**2"]
+        monkeypatch.setattr(_Descent, "term", _Parser.term)
+        monkeypatch.setattr(_Parser, "term", lambda parser: pytest.fail("descent taken"))
+        for text in texts:
+            assert parse_poly(text) == _Descent(text).parse()
 
 
 class TestModes:
