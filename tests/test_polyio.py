@@ -331,8 +331,7 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nesting too deep") as err:
             parse_poly("(" * 3000 + "X" + ")" * 3000)
         assert err.value.position == MAX_NESTING
-        # a Gaussian coefficient group one level too deep, read as a flat term
-        # where it is not nested too deep
+        # a Gaussian group, which parses as a flat term, is one group more
         nested = "(1+2i)"
         assert parse_poly("(" * (MAX_NESTING - 1) + nested + ")" * (MAX_NESTING - 1)) == \
             BivarPoly.constant(gq(1, 2))
@@ -573,7 +572,7 @@ class TestFlatTermsAgreeWithTheDescent:
         pytest.param(f"X^0{MAX_DEGREE + 1}", id="exponent-wide-over"),
         pytest.param("Y^" + "9" * 5000, id="exponent-digits-over"),
         pytest.param("X^500*Y^500 - 3", id="degree-at-limit"),
-        pytest.param("(1 - i)*X^500*Y^501", id="degree-over"),
+        pytest.param("(1 - 1*i)*X^500*Y^501", id="degree-over"),
         pytest.param("X - 3/00*Y", id="zero-denominator"),
         pytest.param("(1/0 + 2*i)*X", id="group-zero-real-denominator"),
         pytest.param("(1 - 2/0i)", id="group-zero-imaginary-denominator"),
