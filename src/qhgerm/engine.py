@@ -14,8 +14,7 @@ reproduces the second exactly: second = first o Psi.
 
 from __future__ import annotations
 
-import random
-from math import lcm
+from math import lcm, log2, pi, remainder, sin, tau
 
 from .errors import (
     AmbiguousClusteringError,
@@ -40,6 +39,7 @@ from .numeric import (
     DEFAULT_PRECISION,
     DEFAULT_TOL,
     NumericMatch,
+    _double_polar,
     _identify_branch,
     _nearest_clusters,
     cluster_roots,
@@ -454,14 +454,86 @@ def _rational_witness(first_a, second_a, match):
     return None
 
 
+def _sweep_tries(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
+    """For each jb in order, the ja that _branch_sweep must try: every ja but
+    those whose pair provably fails its test |lhs - d0| <= tol*(1 + |d0|),
+    tol = 2^-tol_bits.
+
+    lhs = c0*alpha^m*beta^E lies on the ray from 0 at its argument, and d0
+    lies at least |d0|*min(1, sin|D|) from that ray, D the angle from d0 to
+    lhs in (-pi, pi]. So a pair with |d0|*min(1, sin|D|) > tol*(1 + |d0|)
+    fails, whatever |lhs|; where tol*(1 + |d0|)/|d0| >= 1 none is skipped.
+
+    mpmath's root on branch j has argument (Arg + 2*pi*j)/k, so beta_jb has
+    theta = (Arg(rhs) + 2*pi*jb)/M, u = a*beta^p has Arg(u) = Arg(a) +
+    p*theta reduced to (-pi, pi], and D = Arg(c0) - Arg(d0) + m*(Arg(u) +
+    2*pi*ja)/q + E*theta mod 2*pi. The Args of rhs, a, c0 and d0 are read
+    off their mpcs in doubles (_double_polar), on mpmath's side of the cut.
+    The sums, of terms up to 2*pi*(m + E + 2) in size, are then within eps
+    = (m + E + 8)*(p + 2)*2^-40 of the arguments of the mpcs the sweep
+    computes at 96 bits or more. A pair is skipped when |D| - eps, capped
+    at pi/2, has a sine above the bound by a factor 2^(2^-20), which
+    covers the rounding of the doubles and of mpmath's test. Only Arg(u),
+    a sum reduced here and not read off an mpc, can land on the other side
+    of the cut from mpmath's, which moves D by 2*pi*m/q: where it lies
+    within eps of +-pi, every ja of that jb is tried.
+    """
+    every = range(w.q)
+    log_d0, arg_d0 = _double_polar(d0_num)
+    # log2 of tol*(1 + |d0|)/|d0|; at 0 or more no sine exceeds it
+    log_ratio = -tol_bits + (-log_d0 if log_d0 < -60 else log2(1 + 2.0**-log_d0))
+    eps = (m + e_pow + 8) * (w.p + 2) * 2.0**-40
+    arg_a, arg_rhs, arg_c0 = (_double_polar(z)[1] for z in (a_num, rhs_num, c0_num))
+    lead = arg_c0 - arg_d0
+    for jb in range(m_pow):
+        theta = (arg_rhs + tau * jb) / m_pow
+        arg_u = remainder(arg_a + w.p * theta, tau)
+        if pi - abs(arg_u) <= eps:
+            yield jb, every
+            continue
+        delta = lead + e_pow * theta + m * arg_u / w.q
+        tries = []
+        for ja in every:
+            off = abs(remainder(delta + m * tau * ja / w.q, tau)) - eps
+            if off <= 0 or log2(sin(min(off, pi / 2))) <= log_ratio + 2.0**-20:
+                tries.append(ja)
+        yield jb, tries
+
+
+def _branch_sweep(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
+    """The first pair (jb, ja), in order, with c0*alpha^m*beta^E = d0 to within
+    2^-tol_bits*(1 + |d0|), where beta is the jb-th M-th root of rhs and
+    alpha the ja-th q-th root of u = a*beta^p: (jb, ja, alpha, beta) as mpc
+    at the caller's precision. Pairs that _sweep_tries proves to fail are
+    not tried, and a jb with no pair left takes no root at all.
+    """
+    from mpmath import mpf
+    tol_id = mpf(2) ** -tol_bits
+    for jb, tries in _sweep_tries(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num,
+                                  tol_bits):
+        if not tries:
+            continue
+        beta_num = nth_root(rhs_num, m_pow, jb)
+        u_num = a_num * beta_num**w.p
+        for ja in tries:
+            alpha_num = nth_root(u_num, w.q, ja)
+            lhs = c0_num * alpha_num**m * beta_num**e_pow
+            if abs(lhs - d0_num) <= tol_id * (1 + abs(d0_num)):
+                return jb, ja, alpha_num, beta_num
+    raise InternalInconsistencyError(
+        "no consistent root branches for the witness scalar system"
+    )
+
+
 def _radical_witness(first_a, second_a, match, branch, precision):
     """Witness on a chosen scale branch, as exact radicals.
 
     The scalar system alpha^q = a*beta^p, c0*alpha^m*beta^E = d0 always has
     a complex solution on every branch, found by sweeping root branches
-    numerically and then identifying each scalar exactly as a pure radical.
+    numerically (_branch_sweep, which skips the pairs that provably miss)
+    and then identifying each scalar exactly as a pure radical.
     """
-    from mpmath import mp, mpf
+    from mpmath import mp
     w, m, e_pow, m_pow, r0, c0, d0 = _witness_data(first_a, second_a)
     d = match.d
     base = match.base
@@ -473,25 +545,8 @@ def _radical_witness(first_a, second_a, match, branch, precision):
     with mp.workprec(workbits):
         a_num = nth_root(to_mpc(base), d, branch)
         rhs_num = to_mpc(r0) ** w.q * a_num**-m
-        d0_num, c0_num = to_mpc(d0), to_mpc(c0)
-        tol_id = mpf(2) ** (-(workbits // 2))
-        hit = None
-        for jb in range(m_pow):
-            beta_num = nth_root(rhs_num, m_pow, jb)
-            u_num = a_num * beta_num**w.p
-            for ja in range(w.q):
-                alpha_num = nth_root(u_num, w.q, ja)
-                lhs = c0_num * alpha_num**m * beta_num**e_pow
-                if abs(lhs - d0_num) <= tol_id * (1 + abs(d0_num)):
-                    hit = (alpha_num, beta_num)
-                    break
-            if hit:
-                break
-        if hit is None:
-            raise InternalInconsistencyError(
-                "no consistent root branches for the witness scalar system"
-            )
-        alpha_num, beta_num = hit
+        _, _, alpha_num, beta_num = _branch_sweep(
+            w, m, e_pow, m_pow, a_num, rhs_num, to_mpc(c0), to_mpc(d0), workbits // 2)
 
         # the scale is on branch; alpha, beta and gamma are on branches to be found
         def radical(value, k, target):
@@ -617,6 +672,8 @@ def verify_witness(
         image = first.substitute(x_image, y_image)
         passed = image == second
         return VerificationReport(passed, True, "0", "0", 0, precision)
+    import random
+
     from mpmath import mp, mpc, mpf
     with mp.workprec(precision + 20):
         alpha_num, beta_num, gamma_num = witness_to_mpc(witness, precision)

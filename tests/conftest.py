@@ -6,17 +6,20 @@ ground truth it started from. All randomness flows through a caller-supplied
 random.Random; nothing here touches global RNG state.
 """
 
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
 from qhgerm import (
+    STATUS_EQUIVALENT,
     BivarPoly,
     GaussianRational,
     X,
     Y,
     decide_equivalence,
     gq,
+    witness_branch_count,
 )
 
 ACCEPTANCE_LINES = []
@@ -239,3 +242,20 @@ def rand_power_symmetric_germ(rng, q_max: int = 5, bound: int = 9):
     for u in inner:
         poly = poly * (yps - BivarPoly.monomial(q * s, 0, u)) ** rng.randint(1, 2)
     return poly, p, q, s
+
+
+def branch_completeness_pairs(count: int = 100):
+    """(first, second, verdict) for the first count images of power-symmetric
+    germs, seeded, whose verdict is not Equivalent or whose scale class has
+    d >= 2 branches: the pairs of test_branch_completeness."""
+    rng = random.Random(5)
+    collected = 0
+    while collected < count:
+        first, p, q, s = rand_power_symmetric_germ(rng)
+        alpha, beta, gamma = rand_witness_scalars(rng, p)
+        second = apply_change(first, q, alpha, beta, gamma)
+        verdict = decide_equivalence(first, second)
+        if verdict.status == STATUS_EQUIVALENT and witness_branch_count(verdict) < 2:
+            continue
+        yield first, second, verdict
+        collected += 1

@@ -18,11 +18,11 @@ import pytest
 from conftest import (
     GermParts,
     apply_change,
+    branch_completeness_pairs,
     germ_from_parts,
     mutate_inequivalent,
     rand_germ,
     rand_gq,
-    rand_power_symmetric_germ,
     rand_witness_scalars,
     record_acceptance,
     synthesize_equivalent,
@@ -285,22 +285,13 @@ def test_no_common_scale_family():
 
 
 def test_branch_completeness():
-    rng = random.Random(5)
-    collected = 0
     orders = set()
     failures = []
-    while collected < 100:
-        first, p, q, s = rand_power_symmetric_germ(rng)
-        alpha, beta, gamma = rand_witness_scalars(rng, p)
-        second = apply_change(first, q, alpha, beta, gamma)
-        verdict = decide_equivalence(first, second)
+    for collected, (first, second, verdict) in enumerate(branch_completeness_pairs()):
         if verdict.status != STATUS_EQUIVALENT:
             failures.append(f"pair {collected}: {verdict.status}")
-            collected += 1
             continue
         d = witness_branch_count(verdict)
-        if d < 2:
-            continue
         orders.add(d)
         for branch in range(d):
             witness = build_witness(first, second, verdict, branch)
@@ -309,7 +300,6 @@ def test_branch_completeness():
                 failures.append(
                     f"pair {collected} branch {branch}: residual {report.max_residual}"
                 )
-        collected += 1
     ok = not failures
     record_acceptance(
         "scale branch completeness",
