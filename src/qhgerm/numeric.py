@@ -14,15 +14,15 @@ integers.
 
 find_roots polishes its roots in integer fixed point: Gaussian dyadic
 points, Horner on integers with an explicit bound on its rounding, for
-every input, including roots past the double range. mpmath only builds the
-mpc and mpf values it returns and _bound's error bounds. eval_bivar
+every input, including roots past the double range; mpmath.libmp forms
+each value and error bound it returns once, from those integers. eval_bivar
 multiplies and adds in integers too, on (mantissa, exponent) pairs, each
 result rounded once, half-even, by mpf_add's rule (_dyadic_sum and
 _dyadic_mul), so its values have mpmath's bits at a fraction of mpmath's
 cost. cluster_roots, numeric_match and _nearest_clusters decide each
-distance test in doubles first, through the filtered comparison of
-_double_filter, and compute it in mpmath only where the doubles do not
-settle it; nth_root computes in mpmath.
+distance, nonzero and nearest-center test in doubles first, through the
+filtered comparison of _double_filter, and compute it in mpmath only where
+the doubles do not settle it; nth_root computes in mpmath.
 
 mpmath is imported by each function that does mpmath arithmetic, on entry,
 not by this module: the exact route never needs it, so a process that
@@ -291,19 +291,21 @@ def _float_starts(coeffs, starts):
     return [(z, 0) for z in points]
 
 
-def _bound(val, dval, lead, n):
+def _bound(val, dval, lead, n, prec):
     """The error bound of a root approximation z of a degree-n polynomial.
 
     val bounds |p(z)| from above and dval |p'(z)| from below (0 when no
     positive lower bound is known); lead is the modulus of the leading
-    coefficient. The Newton radius n*val/dval, or (val/lead)^(1/n) without a
-    derivative bound: either way the disc about z of that radius holds a
+    coefficient, all three mpf tuples. The Newton radius (n*val)/dval, or
+    (val/lead)^(1/n) without a derivative bound, rounded as mpf arithmetic
+    at prec rounds it: either way the disc about z of that radius holds a
     root of p (Bini & Robol, JCAM 272 (2014), section 4).
     """
-    from mpmath import mpf
-    if dval > 0:
-        return n * val / dval
-    return (val / lead) ** (mpf(1) / n)
+    from mpmath.libmp import fone, from_int, mpf_div, mpf_mul_int, mpf_pow, round_nearest
+    if dval:
+        return mpf_div(mpf_mul_int(val, n, prec, round_nearest), dval, prec, round_nearest)
+    return mpf_pow(mpf_div(val, lead, prec, round_nearest),
+                   mpf_div(fone, from_int(n), prec, round_nearest), prec, round_nearest)
 
 
 def _shift(x: int, bits: int) -> int:
@@ -451,7 +453,8 @@ def _polish_fixed(coeffs, starts, precision):
     step. Raises NonConvergenceError when a point does not settle within
     the sweep budget.
     """
-    from mpmath import mp, mpc, mpf
+    from mpmath import mp, mpc
+    from mpmath.libmp import from_int, from_man_exp, mpc_abs, mpf_div, mpf_shift, round_nearest
     n = len(coeffs) - 1
     work = precision + 40
     frac = work + n + 8
@@ -521,15 +524,20 @@ def _polish_fixed(coeffs, starts, precision):
             break
     if not all(settled):
         raise NonConvergenceError("root iteration did not reach the backward-error target")
+    lead = mpc_abs(_gaussian_mpc(coeffs[0], work), work, round_nearest)
+
+    def quotient(m, k):  # mpf(m) * 2^k / den, as mpf arithmetic at work rounds it
+        return mpf_div(mpf_shift(from_int(m, work, round_nearest), k), from_int(den), work,
+                       round_nearest)
+
     out = []
-    with mp.workprec(work):
-        lead = abs(to_mpc(coeffs[0]))
-        for (wr, wi, e), (s, hr, hi, dr, di) in zip(state, settled):
-            val = mp.ldexp(mpf(math.isqrt(hr * hr + hi * hi) + 1 + 3 * (n + 1)), s - frac) / den
-            low = math.isqrt(dr * dr + di * di) - 2 * (n + 1) ** 2
-            dval = mp.ldexp(mpf(low), s - e - frac) / den if low > 0 else mpf(0)
-            value = mpc(mpf((wr, e - frac)), mpf((wi, e - frac)))
-            out.append(ComplexApprox(value, _bound(val, dval, lead, n)))
+    for (wr, wi, e), (s, hr, hi, dr, di) in zip(state, settled):
+        val = quotient(math.isqrt(hr * hr + hi * hi) + 1 + 3 * (n + 1), s - frac)
+        low = math.isqrt(dr * dr + di * di) - 2 * (n + 1) ** 2
+        dval = quotient(low, s - e - frac) if low > 0 else 0
+        value = mp.make_mpc((from_man_exp(wr, e - frac, work, round_nearest),
+                             from_man_exp(wi, e - frac, work, round_nearest)))
+        out.append(ComplexApprox(value, mp.make_mpf(_bound(val, dval, lead, n, work))))
     return out
 
 
@@ -577,8 +585,10 @@ def refine_roots(poly: UniPoly, roots: list | None, precision: int) -> list:
 
 
 def _root_order(z) -> tuple:
-    """Roots and cluster centers sort by real part, then imaginary part."""
-    return z.real, z.imag
+    """Roots and cluster centers sort by real part, then imaginary part; a
+    part's double decides unless it ties, as rounding keeps order."""
+    re, im = z.real, z.imag
+    return float(re), re, float(im), im
 
 
 def _double_filter(values):
@@ -640,9 +650,9 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
     """Single-linkage clustering of numeric roots at distance tol.
 
     roots are the ComplexApprox values find_roots returns, and each counts
-    for its weight's number of roots: a cluster's multiplicity is the sum of
-    its members' weights, and its center their weighted mean.
-    Approximations also merge when their error disks overlap: a root of
+    for its weight's number of roots, a positive int: a cluster's
+    multiplicity is the sum of its members' weights, and its center their
+    weighted mean. Approximations also merge when their error disks overlap: a root of
     multiplicity k is only located to about the k-th root of the backward
     error, so its copies can scatter wider than tol while still being one
     true root, and the per-root bounds carry exactly that information.
@@ -656,15 +666,18 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
     where they do not prove it within tol/2; clusters and messages are
     those of the mpc tests alone.
     """
-    from mpmath import mpf
+    from mpmath import mp, mpf
+    from mpmath.libmp import mpc_pos, round_nearest
     if not roots:
         return []
     if len(weights) != len(roots):
         raise ValueError("weights must match roots one for one")
+    if not all(isinstance(w, int) and not isinstance(w, bool) and w > 0 for w in weights):
+        raise ValueError("weights must be positive integers")
     values = [r.value for r in roots]
     errs = [r.err for r in roots]
     t = mpf(tol)
-    if t <= 0:
+    if not t > 0:  # nan too
         raise ValueError("tol must be positive")
     n = len(values)
     parent = list(range(n))
@@ -713,13 +726,16 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
             # prove within tol/2, the only ones that can exceed it
             pairs = [(a, b) for a, b in pairs if compare(points[a], points[b], ftol / 2) >= 0]
         diameter = max((close.get((a, b)) or abs(values[a] - values[b]) for a, b in pairs),
-                       default=mpf(0))
-        if diameter > t / 2:
+                       default=None)
+        if diameter is not None and diameter > t / 2:
             raise AmbiguousClusteringError(
                 f"cluster diameter {diameter} exceeds half the tolerance {t}"
             )
         total = sum(weights[a] for a in idxs)
-        out.append(RootCluster(sum(values[a] * weights[a] for a in idxs) / total, total))
+        # a lone weight-1 member's mean sum(v * 1) / 1 is v rounded once
+        center = (mp.make_mpc(mpc_pos(values[idxs[0]]._mpc_, mp.prec, round_nearest)) if total == 1
+                  else sum(values[a] * weights[a] for a in idxs) / total)
+        out.append(RootCluster(center, total))
     # the first pair of clusters with members closer than 2*tol, least first
     cid = {a: k for k, idxs in enumerate(groups.values()) for a in idxs}
     gaps = sorted((min(cid[a], cid[b]), max(cid[a], cid[b]), d)
@@ -732,43 +748,57 @@ def cluster_roots(roots: list, tol: float, weights: list) -> list:
     return out
 
 
+def _nearest(x, points, compare):
+    """The index of the point nearest x by mpc distance, or None where the
+    doubles do not prove it: the only point, or the one that compare puts
+    below, and every other point above, the midpoint of the two least."""
+    if len(points) == 1:
+        return 0
+    ds = [abs(x - c) for c in points]
+    near = sorted(ds)[:2]
+    k, bound = ds.index(near[0]), (near[0] + near[1]) / 2
+    if all(compare(x, c, bound) == (-1 if i == k else 1) for i, c in enumerate(points)):
+        return k
+    return None
+
+
 def _nearest_clusters(clusters: list, values: list) -> list:
     """For each mpc value, the index of the cluster center nearest it by mpc
-    distance, the first on a tie. _double_filter's doubles decide it where
-    they prove that one center lies below, and every other above, the
-    midpoint of the two least double distances."""
+    distance, the first on a tie: _nearest's doubles decide it where they
+    can, and the mpc distances elsewhere."""
     centers = [cl.center for cl in clusters]
     filt = _double_filter(centers + values)
-    if filt:
-        points, compare = filt
-        fcenters = points[:len(centers)]
-
-    def nearest(j, z):
-        if filt:
-            x = points[len(centers) + j]
-            ds = [abs(x - c) for c in fcenters]
-            near = sorted(ds)[:2] + [math.inf]
-            k, bound = ds.index(near[0]), (near[0] + near[1]) / 2
-            if all(compare(x, c, bound) == (-1 if i == k else 1) for i, c in enumerate(fcenters)):
-                return k
-        return min(range(len(centers)), key=lambda i: abs(centers[i] - z))
-
-    return [nearest(j, z) for j, z in enumerate(values)]
+    out = []
+    for j, z in enumerate(values):
+        k = filt and _nearest(filt[0][len(centers) + j], filt[0][:len(centers)], filt[1])
+        out.append(min(range(len(centers)), key=lambda i: abs(centers[i] - z)) if k is None else k)
+    return out
 
 
-def _greedy_pairing(mapped, targets, tol) -> bool:
-    """Whether each mapped cluster pairs with an unused equal-multiplicity target."""
+def _greedy_pairing(side, targets, tol, scale, doubles) -> bool:
+    """Whether side, each center z mapped to scale*z (z for scale None),
+    pairs with targets: in side's order each takes the nearest unused target
+    of its multiplicity by mpc distance, the first on a tie, and fails
+    unless it lies within tol*(1 + |c|) of its center c. doubles is None or
+    (xs, ys, bounds, compare): the mapped and target centers and those
+    bounds in doubles, and _double_filter's compare, which decide each step
+    where they can; its mpc center and distances are formed only elsewhere.
+    """
     used = [False] * len(targets)
-    for z, mult in mapped:
-        best = None
-        best_d = None
-        for tdx, tcl in enumerate(targets):
-            if used[tdx] or tcl.multiplicity != mult:
-                continue
-            d = abs(z - tcl.center)
-            if best is None or d < best_d:
-                best, best_d = tdx, d
-        if best is None or best_d > tol * (1 + abs(targets[best].center)):
+    xs, ys, bounds, compare = doubles or (None,) * 4
+    for k, mult in enumerate(c.multiplicity for c in side):
+        free = [i for i, c in enumerate(targets) if not used[i] and c.multiplicity == mult]
+        if not free:
+            return False
+        pick = doubles and _nearest(xs[k], [ys[i] for i in free], compare)
+        best = None if pick is None else free[pick]
+        sure = 0 if best is None else compare(xs[k], ys[best], bounds[best])
+        if not sure:
+            z = side[k].center if scale is None else scale * side[k].center
+            dist = {i: abs(z - targets[i].center) for i in (free if best is None else [best])}
+            best = min(dist, key=dist.get)
+            sure = dist[best] > tol * (1 + abs(targets[best].center))
+        if sure > 0:
             return False
         used[best] = True
     return True
@@ -778,23 +808,42 @@ def numeric_match(mode: str, side_a, side_b, tol: float = DEFAULT_TOL):
     """Brute-force multiset matcher over root clusters.
 
     mode "linear" tries the scales a = cb/ca, row by row over pairs of
-    nonzero clusters of equal multiplicity, for a*A = B; "affine" reduces
-    to it after centering both sides on their multiplicity weighted
-    centroids. Returns the first NumericMatch the greedy pairing accepts,
-    or None. A scale is first tried in doubles, by _double_filter: when it
-    maps some cluster of A surely farther than tol*(1 + |c|) from every B
-    cluster c of its multiplicity, no greedy pass can accept it, and it is
-    dropped before its mpc quotient is formed. The oracle for the exact
-    matcher, it shares no code with it.
+    nonzero clusters (|c| > tol > 0) of equal multiplicity, for a*A = B;
+    "affine" reduces to it after centering both sides on their multiplicity
+    weighted centroids. Returns the first NumericMatch the greedy pairing
+    accepts, or None. The nonzero tests and the greedy steps are decided in
+    doubles by _double_filter where they can be, and in mpc elsewhere. A
+    scale that maps some cluster of A, in doubles, surely farther than
+    tol*(1 + |c|) from every B cluster c of its multiplicity is dropped
+    before its mpc quotient is formed. The oracle for the exact matcher, it
+    shares no code with it.
     """
     from mpmath import mpc, mpf
     if mode not in ("linear", "affine"):
         raise ValueError(f"unknown mode {mode!r}")
+    t = mpf(tol)
+    if not t > 0:  # nan too
+        raise ValueError("tol must be positive")
     a_cl = sorted(side_a, key=lambda c: _root_order(c.center))
     b_cl = sorted(side_b, key=lambda c: _root_order(c.center))
     if sorted(c.multiplicity for c in a_cl) != sorted(c.multiplicity for c in b_cl):
         return None
-    t = mpf(tol)
+    # the doubles of mapped A centers and of B's centers, B's bounds and
+    # compare. |ca|, |cb| > tol >= 2^-200 and parts up to 2^200 keep the
+    # double quotient q and each q*x in range and within 8w of the exact
+    # values (Smith's quotient, then one product); the mpc ones at P are
+    # within 3w, and each bound within 6w of the mpc threshold, inside the
+    # 16w _double_filter allows
+    ftol = float(t)
+
+    def filtered(centers):
+        filt = _double_filter(centers + [c.center for c in b_cl]) if ftol >= 2.0**-200 else None
+        if not filt:
+            return None
+        points, compare = filt
+        ys = points[len(centers):]
+        return points[:len(centers)], ys, [ftol * (1 + abs(y)) for y in ys], compare
+
     if mode == "affine":
         total = sum(c.multiplicity for c in a_cl)
         cen_a = sum((c.center * c.multiplicity for c in a_cl), mpc(0)) / total
@@ -806,43 +855,43 @@ def numeric_match(mode: str, side_a, side_b, tol: float = DEFAULT_TOL):
             return None
         a = inner.scale
         b = cen_b - a * cen_a
-        mapped = [(a * c.center + b, c.multiplicity) for c in a_cl]
-        return NumericMatch(a, b) if _greedy_pairing(mapped, b_cl, t) else None
-    nonzero_a = [k for k, c in enumerate(a_cl) if abs(c.center) > t]
-    nonzero_b = [k for k, c in enumerate(b_cl) if abs(c.center) > t]
+        mapped = [RootCluster(a * c.center + b, c.multiplicity) for c in a_cl]
+        doubles = filtered([c.center for c in mapped])
+        return NumericMatch(a, b) if _greedy_pairing(mapped, b_cl, t, None, doubles) else None
+    filt = filtered([c.center for c in a_cl])
+    fa, fb, bounds, compare = filt or (None,) * 4
+
+    def nonzero(side, fs):
+        sure = [compare(y, 0j, ftol) for y in fs] if filt else [0] * len(side)
+        return [k for k, c in enumerate(side) if sure[k] > 0 or not sure[k] and abs(c.center) > t]
+
+    nonzero_a, nonzero_b = nonzero(a_cl, fa), nonzero(b_cl, fb)
     if len(nonzero_a) != len(nonzero_b):
         return None
     if not nonzero_a:
-        mapped = [(c.center, c.multiplicity) for c in a_cl]
-        return NumericMatch(mpc(1), None) if _greedy_pairing(mapped, b_cl, t) else None
-    # a scale that maps some cluster of A, in doubles, surely farther than
-    # tol*(1 + |c|) from every B cluster c of its multiplicity fails the
-    # greedy pass whatever it has used. |ca|, |cb| > tol >= 2^-200 and parts
-    # up to 2^200 keep the double quotient q and each q*x in range and
-    # within 8w of the exact values (Smith's quotient, then one product);
-    # the mpc ones at P are within 3w, and each bound within 6w of the mpc
-    # threshold, inside the 16w _double_filter allows
-    ftol = float(t)
-    filt = _double_filter([c.center for c in a_cl + b_cl]) if ftol >= 2.0**-200 else None
+        return NumericMatch(mpc(1), None) if _greedy_pairing(a_cl, b_cl, t, None, filt) else None
     if filt:
-        points, compare = filt
-        fa, fb = points[:len(a_cl)], points[len(a_cl):]
         targets = {}
-        for c, y in zip(b_cl, fb):
-            targets.setdefault(c.multiplicity, []).append((y, ftol * (1 + abs(y))))
+        for c, y, bound in zip(b_cl, fb, bounds):
+            targets.setdefault(c.multiplicity, []).append((y, bound))
     for ka in nonzero_a:
         for kb in nonzero_b:
             ca, cb = a_cl[ka], b_cl[kb]
             if ca.multiplicity != cb.multiplicity:
                 continue
+            doubles = None
             if filt:
+                # a scale that maps some cluster of A, in doubles, surely
+                # farther than tol*(1 + |c|) from every B cluster c of its
+                # multiplicity fails the greedy pass whatever it has used
                 q = fb[kb] / fa[ka]
-                if any(all(compare(q * x, y, bound) > 0 for y, bound in targets[c.multiplicity])
-                       for c, x in zip(a_cl, fa)):
+                xs = [q * x for x in fa]
+                if any(all(compare(x, y, bound) > 0 for y, bound in targets[c.multiplicity])
+                       for c, x in zip(a_cl, xs)):
                     continue
+                doubles = xs, fb, bounds, compare
             a = cb.center / ca.center
-            mapped = ((a * c.center, c.multiplicity) for c in a_cl)
-            if _greedy_pairing(mapped, b_cl, t):
+            if _greedy_pairing(a_cl, b_cl, t, a, doubles):
                 return NumericMatch(a, None)
     return None
 

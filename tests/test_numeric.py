@@ -269,9 +269,9 @@ class TestFindRoots:
         dvals = []
         bound = numeric._bound
 
-        def spy(val, dval, lead, n):
+        def spy(val, dval, lead, n, prec):
             dvals.append(dval)
-            return bound(val, dval, lead, n)
+            return bound(val, dval, lead, n, prec)
 
         monkeypatch.setattr(numeric, "_bound", spy)
         coeffs = list(UniPoly.from_roots([gq(1), gq(1)]).coeffs)
@@ -385,12 +385,35 @@ class TestClusterRoots:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             cluster_roots([ComplexApprox(mpc(0), mpf(0))], 0.0, [1])
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cluster_roots([ComplexApprox(mpc(0), mpf(0))], float("nan"), [1])
 
     @pytest.mark.parametrize("weights", [[1], [1, 1, 1]])
     def test_rejects_weights_of_another_length(self, weights):
         roots = [ComplexApprox(mpc(0), mpf(0)), ComplexApprox(mpc(1), mpf(0))]
         with pytest.raises(ValueError, match="one for one"):
             cluster_roots(roots, 1e-9, weights)
+
+    @pytest.mark.parametrize("weight", [0, -1, 1.5, True, mpf(1)])
+    def test_rejects_weights_that_are_not_positive_integers(self, weight):
+        # a weight counts roots: 0 divided by zero, -1 and 1.5 gave clusters
+        # of multiplicity -1 and 1.5
+        roots = [ComplexApprox(mpc(1), mpf(0)), ComplexApprox(mpc(5), mpf(0))]
+        with pytest.raises(ValueError, match="weights must be positive integers"):
+            cluster_roots(roots, 1e-9, [1, weight])
+
+    def test_centers_sharing_a_double_real_part_sort_by_the_exact_part(self):
+        # 2^60 and 2^60 + 1 are one double: the imaginary parts must not
+        # decide, the exact real parts do
+        with mp.workprec(128):
+            base = mpf(2) ** 60
+            roots = [ComplexApprox(mpc(base + 1, 3), mpf(0)), ComplexApprox(mpc(base, 5), mpf(0))]
+            assert float(roots[0].value.real) == float(roots[1].value.real)
+            clusters = cluster_roots(roots, 1e-9, [1, 2])
+            assert [(c.center, c.multiplicity) for c in clusters] == [
+                (roots[1].value, 2), (roots[0].value, 1)]
+            keys = [numeric._root_order(c.center) for c in clusters]
+            assert keys == sorted(keys) and keys[0] < keys[1]
 
 
 class TestNthRoot:
@@ -459,6 +482,14 @@ class TestNumericMatch:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             numeric_match("projective", [], [])
+
+    @pytest.mark.parametrize("mode", ["linear", "affine"])
+    @pytest.mark.parametrize("tol", [0.0, -1, mpf(-1e-9), float("nan")])
+    def test_rejects_nonpositive_tolerance(self, mode, tol):
+        # with tol = -1 every nonempty input used to give None, and with nan
+        # {1, 2} matched {3, 6} at scale 1
+        with pytest.raises(ValueError, match="tol must be positive"):
+            numeric_match(mode, clusters_of([1, 2]), clusters_of([3, 6]), tol)
 
 
 def dyadic_points(rng, count, scale):

@@ -40,7 +40,7 @@ from mpmath import mp, mpc, mpf
 from qhgerm import (AmbiguousClusteringError, BivarPoly, NonConvergenceError, UniPoly,
                     build_witness, cluster_roots, decide_equivalence, eval_bivar, find_roots,
                     gq, numeric_match, parse_poly, verify_witness)
-from qhgerm import numeric
+from qhgerm import engine, numeric
 from qhgerm.numeric import ComplexApprox, NumericMatch, RootCluster, to_mpc
 from qhgerm.polyio import power_table
 
@@ -370,10 +370,11 @@ def test_cluster_oracle_meets_both_exceptions_and_clean_cases():
     assert kinds == {"clusters", "cluster", "inter-cluster"}
 
 
-def _all_pairs_pairing(mapped, targets, tol):
+def reference_greedy_pairing(mapped, targets, tol) -> bool:
+    """_greedy_pairing as it was before its steps were decided in doubles:
+    the mpc loop over (mapped mpc center, multiplicity) pairs."""
     used = [False] * len(targets)
-    pairing = []
-    for idx, (z, mult) in enumerate(mapped):
+    for z, mult in mapped:
         best = None
         best_d = None
         for tdx, tcl in enumerate(targets):
@@ -383,10 +384,9 @@ def _all_pairs_pairing(mapped, targets, tol):
             if best is None or d < best_d:
                 best, best_d = tdx, d
         if best is None or best_d > tol * (1 + abs(targets[best].center)):
-            return None
+            return False
         used[best] = True
-        pairing.append((idx, best))
-    return tuple(pairing)
+    return True
 
 
 def all_pairs_match(mode, side_a, side_b, tol=1e-9):
@@ -409,20 +409,19 @@ def all_pairs_match(mode, side_a, side_b, tol=1e-9):
             return None
         a = inner.scale
         b = cen_b - a * cen_a
-        pairing = _all_pairs_pairing([(a * c.center + b, c.multiplicity) for c in a_cl], b_cl, t)
-        return None if pairing is None else NumericMatch(a, b)
+        mapped = [(a * c.center + b, c.multiplicity) for c in a_cl]
+        return NumericMatch(a, b) if reference_greedy_pairing(mapped, b_cl, t) else None
     nonzero_a = [c for c in a_cl if abs(c.center) > t]
     nonzero_b = [c for c in b_cl if abs(c.center) > t]
     if len(nonzero_a) != len(nonzero_b):
         return None
     if not nonzero_a:
-        pairing = _all_pairs_pairing([(c.center, c.multiplicity) for c in a_cl], b_cl, t)
-        return None if pairing is None else NumericMatch(mpc(1), None)
+        mapped = [(c.center, c.multiplicity) for c in a_cl]
+        return NumericMatch(mpc(1), None) if reference_greedy_pairing(mapped, b_cl, t) else None
     candidates = [cb.center / ca.center for ca in nonzero_a for cb in nonzero_b
                   if ca.multiplicity == cb.multiplicity]
     for a in candidates:
-        pairing = _all_pairs_pairing([(a * c.center, c.multiplicity) for c in a_cl], b_cl, t)
-        if pairing is not None:
+        if reference_greedy_pairing([(a * c.center, c.multiplicity) for c in a_cl], b_cl, t):
             return NumericMatch(a, None)
     return None
 
@@ -605,26 +604,63 @@ def test_cluster_filter_falls_back_past_the_double_range():
 
 def boundary_sides(precision):
     """Sides A and B = s*A with one cluster of B moved radially so that the
-    scale s read off the others maps A's cluster (1 +- 2^-50) times
-    tol*(1 + |target|) from its target."""
+    scale s read off the others maps A's cluster (1 +- 2^-50), (1 +- 2^-52)
+    or (1 +- 2^(2-precision)) times tol*(1 + |target|) from its target;
+    then the undecided cases of tie_and_zero_sides."""
     with mp.workprec(precision):
         t = +mpf(TOL)
     rng = random.Random(f"match-boundary-{precision}")
     pairs = []
     with mp.workprec(300):
+        ulps = [1 + k * mpf(2) ** e for k in (-1, 1) for e in (-52, 2 - precision)]
         for _ in range(12):
             scale = mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
             anchor = mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
             # the scale read off the small moved cluster misses the others
             moved = mpc(rng.uniform(-9, 9), rng.uniform(-9, 9)) * rng.choice((1e-2, 1e-3))
             others = [mpc(rng.randint(8, 80), rng.randint(-80, 80)) / 4 for _ in range(2)]
-            for f in NEAR:
+            for f in NEAR + tuple(ulps):
                 m = abs(scale * moved)
                 rho = t * f * (1 + m) / (m * (1 - t * f))
                 side_a = [RootCluster(anchor, 1), RootCluster(moved, 2)]
                 side_b = [RootCluster(scale * anchor, 1), RootCluster(scale * moved * (1 + rho), 2)]
                 side_a += [RootCluster(z, 3) for z in others]
                 side_b += [RootCluster(scale * z, 3) for z in others]
+                pairs.append((side_a, side_b))
+    return pairs + tie_and_zero_sides(precision)
+
+
+def tie_and_zero_sides(precision):
+    """Sides whose tests the doubles cannot settle.
+
+    A tie: the scale -2 maps -1.5 to 3, which lies 2^-28 from the target
+    3 - 2^-28 and 2^-28 - delta from 3 + 2^-28 - delta. With delta = 0 the
+    first target wins, and -1.5 + 2^-29 is left the second, 2^-27 away, too
+    far; delta = 2^-100 makes the second target nearer at any precision
+    that tells the two apart, and the pairing succeeds. In doubles both
+    distances are 2^-28.
+
+    The nonzero test: a cluster of modulus within an ulp of tol, at 53 bits
+    or at precision, on each side, above or below it.
+    """
+    with mp.workprec(precision):
+        t = +mpf(TOL)
+    pairs = []
+    with mp.workprec(300):
+        d = mpf(2) ** -28
+        for delta in (0, mpf(2) ** -100):
+            side_a = [RootCluster(mpc(-4), 1), RootCluster(mpc(-1.5), 2),
+                      RootCluster(mpc(-1.5) + d / 2, 2)]
+            side_b = [RootCluster(mpc(8), 1), RootCluster(mpc(3) - d, 2),
+                      RootCluster(mpc(3) + d - delta, 2)]
+            pairs.append((side_a, side_b))
+        turn = mp.expjpi(mpf(0.3))
+        edges = [t * (1 + k * mpf(2) ** e) for k in (-1, 1) for e in (-52, 1 - precision)]
+        for tiny_a in edges:
+            for tiny_b in edges:
+                others = [mpc(1), mpc(-2, 3), mpc(4, 1)]
+                side_a = [RootCluster(tiny_a * turn, 2)] + [RootCluster(z, 1) for z in others]
+                side_b = [RootCluster(tiny_b * turn, 2)] + [RootCluster(1.5 * z, 1) for z in others]
                 pairs.append((side_a, side_b))
     return pairs
 
@@ -645,7 +681,9 @@ def test_match_filter_at_the_margin_agrees_with_all_pairs(precision, mode):
 def test_match_filter_falls_back_past_the_double_range():
     with mp.workprec(168):
         big = mpf(10) ** 400
-        for side in ([big, 1], [big * 1j, -big], [mpf(10) ** -350, 1, 2]):
+        # 2^201 is a double, but past the 2^200 the filter takes
+        for side in ([big, 1], [big * 1j, -big], [mpf(10) ** -350, 1, 2],
+                     [mpf(2) ** 201, 1], [mpc(3, mpf(2) ** 201), -1, 1j]):
             side_a = [RootCluster(mpc(z), 1) for z in side]
             for shift in (0, mpf(1.5 * TOL), 1):
                 side_b = [RootCluster(2 * c.center + (shift if k == 0 else 0), 1)
@@ -660,6 +698,11 @@ def test_match_filter_falls_back_past_the_double_range():
         for tol in (mpf(10) ** -80, mpf(10) ** -65, mpf(10) ** 400):
             assert numeric_match("linear", side_a, side_b, tol) == all_pairs_match(
                 "linear", side_a, side_b, tol)
+    # below 16 bits there is no filter, and every test is an mpc one
+    for side_a, side_b in tie_and_zero_sides(15):
+        with mp.workprec(15):
+            for mode in ("linear", "affine"):
+                assert numeric_match(mode, side_a, side_b) == all_pairs_match(mode, side_a, side_b)
 
 
 RECORDED = Path(__file__).resolve().parent / "data" / "numeric_pairs_seed7.jsonl"
@@ -669,12 +712,25 @@ def test_numeric_route_tries_few_scales_and_keeps_every_verdict(monkeypatch):
     # the 72 pairs of bench/corpus.numeric_pairs(7, 8), with the verdicts
     # and printed scales and shifts recorded before the filter existed
     # (1,094 greedy passes then): a greedy pass runs for at most two
-    # scales per pair, and every verdict and scale repeats to the bit
+    # scales per pair, every verdict and scale repeats to the bit, and the
+    # doubles settle every test of numeric_match (3,152 mpc moduli before
+    # its nonzero tests and greedy steps were decided in doubles)
     records = [json.loads(line) for line in RECORDED.read_text(encoding="utf-8").splitlines()]
     assert len(records) == 72
-    passes = []
+    passes, moduli, inside = [], [], []
     real = numeric._greedy_pairing
     monkeypatch.setattr(numeric, "_greedy_pairing", lambda *args: passes.append(1) or real(*args))
+    real_match, real_abs = engine.numeric_match, mpc.__abs__
+
+    def counting_match(*args):
+        inside.append(1)
+        try:
+            return real_match(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(engine, "numeric_match", counting_match)
+    monkeypatch.setattr(mpc, "__abs__", lambda z: (inside and moduli.append(1)) or real_abs(z))
     for rec in records:
         verdict = decide_equivalence(parse_poly(rec["first"]), parse_poly(rec["second"]))
         match = verdict.match
@@ -683,6 +739,116 @@ def test_numeric_route_tries_few_scales_and_keeps_every_verdict(monkeypatch):
                "shift": None if match is None else repr(match.shift)}
         assert got == {key: rec[key] for key in got}
     assert len(passes) <= 2 * len(records)
+    assert len(moduli) == 0
+
+
+BITS = Path(__file__).resolve().parent / "data" / "numeric_pairs_bits.jsonl"
+BIT_RECORDS = [json.loads(line) for line in BITS.read_text(encoding="utf-8").splitlines()]
+
+
+def mpc_parts(z) -> list:
+    """The mpf tuples of an mpc's parts, as the lists the bits file holds."""
+    return [list(part) for part in z._mpc_]
+
+
+@pytest.mark.parametrize("precision", [128, 512])
+@pytest.mark.parametrize("seed", [3, 11, 13])
+def test_numeric_route_keeps_the_bits_recorded_before_the_double_tests(
+        monkeypatch, seed, precision):
+    # the 18 pairs of bench/corpus.numeric_pairs(seed, 2), decided at 53
+    # bits with find_roots at precision, recorded before find_roots formed
+    # its values and bounds in libmp tuples and before numeric_match and the
+    # root order decided in doubles: every root value and error bound,
+    # cluster center and multiplicity, and match scale and shift repeats to
+    # the bit
+    records = [r for r in BIT_RECORDS if (r["seed"], r["precision"]) == (seed, precision)]
+    assert len(records) == 18
+    seen = {}
+
+    def spy(name, key, bits):
+        real_fn = getattr(engine, name)
+
+        def recording(*args):
+            got = real_fn(*args)
+            seen[key].append(bits(got))
+            return got
+
+        monkeypatch.setattr(engine, name, recording)
+
+    def root_bits(roots):
+        return [[mpc_parts(r.value), list(r.err._mpf_)] for r in roots]
+
+    spy("find_roots", "roots", root_bits)
+    spy("refine_roots", "roots", root_bits)
+    spy("cluster_roots", "clusters", lambda got: [[mpc_parts(c.center), c.multiplicity]
+                                                  for c in got])
+    for rec in records:
+        seen.update(roots=[], clusters=[])
+        with mp.workprec(53):
+            verdict = decide_equivalence(parse_poly(rec["first"]), parse_poly(rec["second"]),
+                                         precision=precision)
+        match = verdict.match
+        scale = None if match is None else mpc_parts(match.scale)
+        shift = None if match is None or match.shift is None else mpc_parts(match.shift)
+        assert (verdict.status, seen["roots"], seen["clusters"], scale, shift) == (
+            rec["status"], rec["roots"], rec["clusters"], rec["scale"], rec["shift"]), rec["id"]
+
+
+_REACH = (0, 0.5, 1 - 2.0**-50, 1 - 2.0**-52, 1, 1 + 2.0**-52, 1 + 2.0**-50, 3)
+
+
+@st.composite
+def pairings(draw):
+    """A side, a scale (None for the identity) and targets: each image of a
+    side cluster moved radially to f*tol*(1 + |target|) from it, f at and
+    around 1, some mirrored into a second target at the same distance, and
+    maybe two multiplicities swapped; at precisions on both sides of 16 and
+    53 bits, and at a tolerance below the filter's 2^-200."""
+    precision = draw(st.sampled_from([12, 30, 53, 168]))
+    with mp.workprec(precision):
+        t = +mpf(draw(st.sampled_from([TOL, TOL, 2.0**-30, 1e-80])))
+    scale = draw(st.sampled_from([None, mpc(2), mpc(-2), mpc(0, 1), mpc(-1.5, 0.25), mpc(1, 1) / 3]))
+    side, targets = [], []
+    with mp.workprec(300):
+        for _ in range(draw(st.integers(1, 5))):
+            center = mpc(draw(st.integers(-40, 40)), draw(st.integers(-40, 40))) / 8
+            mult = draw(st.integers(1, 3))
+            side.append(RootCluster(center, mult))
+            image = center if scale is None else scale * center
+            f, m = draw(st.sampled_from(_REACH)), abs(image)
+            # |image*rho| = f*t*(1 + m*(1 + rho)); for image 0, |d| = f*t*(1 + |d|)
+            step = image * f * t * (1 + m) / (m * (1 - f * t)) if m else f * t / (1 - f * t)
+            targets.append(RootCluster(image + step, mult))
+            if draw(st.booleans()):
+                targets.append(RootCluster(image - step, mult))
+    if len(targets) > 1 and draw(st.booleans()):
+        first, last = targets[0], targets[-1]
+        targets[0] = RootCluster(first.center, last.multiplicity)
+        targets[-1] = RootCluster(last.center, first.multiplicity)
+    order = draw(st.permutations(range(len(targets))))
+    return precision, t, side, scale, [targets[k] for k in order]
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=pairings())
+def test_greedy_pairing_has_the_outcome_of_the_mpc_loop(case):
+    # with doubles as numeric_match forms them (a double scale times the
+    # double centers) and without
+    precision, t, side, scale, targets = case
+    with mp.workprec(precision):
+        mapped = [(c.center if scale is None else scale * c.center, c.multiplicity) for c in side]
+        want = reference_greedy_pairing(mapped, targets, t)
+        assert numeric._greedy_pairing(side, targets, t, scale, None) == want
+        ftol = float(t)
+        filt = numeric._double_filter([c.center for c in side + targets])
+        if filt and ftol >= 2.0**-200:
+            points, compare = filt
+            q = 1 if scale is None else complex(scale)
+            ys = points[len(side):]
+            doubles = [q * x for x in points[:len(side)]], ys, [ftol * (1 + abs(y)) for y in ys], compare
+            assert numeric._greedy_pairing(side, targets, t, scale, doubles) == want
 
 
 def reference_eval_bivar(poly, points, precision: int = 128) -> list:
