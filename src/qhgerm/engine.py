@@ -41,6 +41,7 @@ from .numeric import (
     NumericMatch,
     _double_polar,
     _identify_branch,
+    _mpc_abs,
     _nearest_clusters,
     cluster_roots,
     eval_bivar,
@@ -657,9 +658,12 @@ def verify_witness(
     All-rational witnesses are verified by exact polynomial substitution.
     Radical witnesses are verified numerically at 8 seeded sample points in
     the half-unit bidisk, against the relative-residual tolerance
-    2^-(precision-48). precision must be at least MIN_PRECISION bits: at
-    fewer, the tolerance lets a wrong witness pass.
+    2^-(precision-48) (_sampled_check). precision must be an int of at
+    least MIN_PRECISION bits: at fewer, the tolerance lets a wrong witness
+    pass.
     """
+    if not isinstance(precision, int) or isinstance(precision, bool):
+        raise ValueError(f"precision must be an int, got {type(precision).__name__}")
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     q = witness.weights.q
@@ -672,36 +676,65 @@ def verify_witness(
         image = first.substitute(x_image, y_image)
         passed = image == second
         return VerificationReport(passed, True, "0", "0", 0, precision)
+    from mpmath import mp
+    from mpmath.libmp import mpf_le
+    worst, bound = _sampled_check(first, second, witness, precision, seed)
+    return VerificationReport(
+        mpf_le(worst, bound),
+        False,
+        mp.nstr(mp.make_mpf(worst), 8),
+        mp.nstr(mp.make_mpf(bound), 8),
+        _SAMPLES,
+        precision,
+    )
+
+
+def _sampled_check(first, second, witness, precision, seed):
+    """The sampled check of a witness: (worst, bound) as mpf tuples, worst
+    the largest relative residual |F(Psi(x, y)) - G(x, y)| / (1 + max of
+    the two moduli) over the 8 points and bound = 2^-(precision - 48).
+
+    Each point (x, y) has parts drawn as doubles from random.Random(seed),
+    and its image is (alpha*x, beta*y + gamma*x^q), alpha, beta and gamma
+    from witness_to_mpc. Points, images and residuals are mpmath.libmp
+    operations on tuples at precision + 20 bits, rounded to nearest, the
+    calls mpc's operators make, and each modulus is _mpc_abs, which has
+    mpc_abs's bits; so every value has the bits of the mpc expressions,
+    and each maximum keeps the first of equal values, as max does. Each
+    side goes through eval_bivar once, with all 8 points as mpc values.
+    """
     import random
 
-    from mpmath import mp, mpc, mpf
-    with mp.workprec(precision + 20):
-        alpha_num, beta_num, gamma_num = witness_to_mpc(witness, precision)
-        bound = mpf(2) ** (_SAMPLE_MARGIN - precision)
-        rng = random.Random(seed)
-        points, images = [], []
-        for _ in range(_SAMPLES):
-            x = mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
-            y = mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
-            py = beta_num * y
-            if gamma_num is not None:
-                py = py + gamma_num * x**q
-            points.append((x, y))
-            images.append((alpha_num * x, py))
-        worst = mpf(0)
-        lefts = eval_bivar(first, images, precision)
-        for left, right in zip(lefts, eval_bivar(second, points, precision)):
-            residual = abs(left - right)
-            scale = 1 + max(abs(left), abs(right))
-            worst = max(worst, residual / scale)
-        return VerificationReport(
-            worst <= bound,
-            False,
-            mp.nstr(worst, 8),
-            mp.nstr(bound, 8),
-            _SAMPLES,
-            precision,
-        )
+    from mpmath import mp
+    from mpmath.libmp import (fone, fzero, from_float, mpc_add, mpc_mul, mpc_pow_int, mpc_sub,
+                              mpf_add, mpf_div, mpf_gt, mpf_shift, round_nearest)
+    prec, rnd = precision + 20, round_nearest
+    q = witness.weights.q
+    alpha, beta, gamma = (None if s is None else s._mpc_
+                          for s in witness_to_mpc(witness, precision))
+    rng = random.Random(seed)
+    points, images = [], []
+    for _ in range(_SAMPLES):
+        x = (from_float(rng.uniform(-0.35, 0.35), prec, rnd),
+             from_float(rng.uniform(-0.35, 0.35), prec, rnd))
+        y = (from_float(rng.uniform(-0.35, 0.35), prec, rnd),
+             from_float(rng.uniform(-0.35, 0.35), prec, rnd))
+        py = mpc_mul(beta, y, prec, rnd)
+        if gamma is not None:
+            py = mpc_add(py, mpc_mul(gamma, mpc_pow_int(x, q, prec, rnd), prec, rnd), prec, rnd)
+        points.append((mp.make_mpc(x), mp.make_mpc(y)))
+        images.append((mp.make_mpc(mpc_mul(alpha, x, prec, rnd)), mp.make_mpc(py)))
+    worst = fzero
+    lefts = eval_bivar(first, images, precision)
+    for left, right in zip(lefts, eval_bivar(second, points, precision)):
+        left, right = left._mpc_, right._mpc_
+        residual = _mpc_abs(mpc_sub(left, right, prec, rnd), prec)
+        size_l, size_r = _mpc_abs(left, prec), _mpc_abs(right, prec)
+        scale = mpf_add(size_r if mpf_gt(size_r, size_l) else size_l, fone, prec, rnd)
+        ratio = mpf_div(residual, scale, prec, rnd)
+        if mpf_gt(ratio, worst):
+            worst = ratio
+    return worst, mpf_shift(fone, _SAMPLE_MARGIN - precision)
 
 
 def whitney_quartic(t) -> BivarPoly:

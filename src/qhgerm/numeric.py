@@ -16,13 +16,16 @@ find_roots polishes its roots in integer fixed point: Gaussian dyadic
 points, Horner on integers with an explicit bound on its rounding, for
 every input, including roots past the double range; mpmath.libmp forms
 each value and error bound it returns once, from those integers. eval_bivar
-multiplies and adds in integers too, on (mantissa, exponent) pairs, each
-result rounded once, half-even, by mpf_add's rule (_dyadic_sum and
-_dyadic_mul), so its values have mpmath's bits at a fraction of mpmath's
-cost. cluster_roots, numeric_match and _nearest_clusters decide each
-distance, nonzero and nearest-center test in doubles first, through the
-filtered comparison of _double_filter, and compute it in mpmath only where
-the doubles do not settle it; nth_root computes in mpmath.
+works in integers too, on (mantissa, exponent) pairs, each result rounded
+once, half-even, by mpf_add's rule (_dyadic_sum): the coefficients
+(_gaussian_mpc, which to_mpc shares), the seed powers where mpc_pow_int's
+own result is exact arithmetic rounded once, every step, product and sum,
+so its values have mpmath's bits at a fraction of mpmath's cost; _mpc_abs
+gives mpc_abs's bits the same way. cluster_roots, numeric_match and
+_nearest_clusters decide each distance, nonzero and nearest-center test in
+doubles first, through the filtered comparison of _double_filter, and
+compute it in mpmath only where the doubles do not settle it; nth_root
+computes in mpmath.
 
 mpmath is imported by each function that does mpmath arithmetic, on entry,
 not by this module: the exact route never needs it, so a process that
@@ -70,13 +73,14 @@ class NumericMatch(Record):
 def _gaussian_mpc(value: GaussianRational, prec: int) -> tuple:
     """value as an mpmath mpc tuple at prec bits: each part's numerator and
     the denominator, reduced by their gcd, are rounded to nearest and then
-    divided with rounding to nearest, the bits of mpf(num) / mpf(den)."""
-    from mpmath.libmp import from_int, mpf_div, round_nearest
+    divided with rounding to nearest, the bits of mpf(num) / mpf(den),
+    computed in integers (_round and _quotient)."""
 
     def part(num):
         g = math.gcd(num, value.d)
-        return mpf_div(from_int(num // g, prec, round_nearest),
-                       from_int(value.d // g, prec, round_nearest), prec, round_nearest)
+        n, n_exp = _round(num // g, 0, prec)
+        d, d_exp = _round(value.d // g, 0, prec)
+        return _mpf_tuple(*_quotient(n, d, n_exp - d_exp, prec))
 
     return part(value.a), part(value.b)
 
@@ -380,15 +384,53 @@ def _horner_fixed(pairs, wr: int, wi: int, frac: int):
     return hr, hi, dr, di
 
 
+def _round(m: int, e: int, prec: int):
+    """m * 2^e rounded half-even to prec bits, as (mantissa, exponent): the
+    rounding of mpmath's normalize, with no trailing zero bits stripped."""
+    excess = m.bit_length() - prec
+    if excess > 0:
+        # floor((m + half - 1 + kept lowest bit) / 2^excess): half-even, either sign
+        m = (m + (1 << (excess - 1)) - 1 + ((m >> excess) & 1)) >> excess
+        e += excess
+    return m, e
+
+
+def _quotient(n: int, d: int, e: int, prec: int):
+    """n/d * 2^e rounded half-even to prec bits, d > 0, as (mantissa,
+    exponent): the quotient to prec + 2 bits or more and a sticky bit for a
+    nonzero remainder, rounded once, so correctly rounded as mpf_div is."""
+    shift = max(prec + 2 - n.bit_length() + d.bit_length(), 0)
+    q, r = divmod(abs(n) << shift, d)
+    q = (q << 1) | (r != 0)
+    return _round(-q if n < 0 else q, e - shift - 1, prec)
+
+
+def _mpf_tuple(m: int, e: int) -> tuple:
+    """m * 2^e as a normalized mpmath mpf tuple: odd mantissa, or fzero."""
+    if not m:
+        return 0, 0, 0, 0
+    low = (m & -m).bit_length() - 1
+    m >>= low
+    return (0, m, e + low, m.bit_length()) if m > 0 else (1, -m, e + low, (-m).bit_length())
+
+
 def _dyadic_sum(m: int, e: int, n: int, f: int, prec: int):
     """m * 2^e + n * 2^f rounded half-even to prec bits, as (mantissa, exponent),
-    the mantissa odd or 0: the rounding and the canonical form of mpf_add.
+    with the bits of mpf_add on the normalized operands. Neither operands
+    nor result need be normalized: a mantissa may end in zero bits, which
+    _mpf_tuple strips when an mpf is built.
 
     The sum is exact and rounded once, with mpf_add's one exception: when
-    the lowest bits lie over 100 apart and one operand's top bit lies more
-    than prec + 4 bits below the other's, the smaller enters as a sticky
-    +-1 at prec + 4 bits below the larger's lowest bit. The work then grows
-    with the operands' lengths, not with the gap between them.
+    the larger operand's top bit lies more than prec + 4 bits above the
+    smaller's, and its normalized lowest bit over 100 bits above the
+    smaller's, the smaller enters as a sticky +-1 at prec + 4 bits below
+    the larger's lowest bit. Any nonzero sticky below the larger's lowest
+    bit, normalized or not, rounds alike, and rounds as the exact sum does
+    when the smaller lies wholly below that bit. So the trailing zeros are
+    only counted when the smaller reaches above the larger's lowest bit,
+    which needs a larger operand of over prec + 4 bits: an exact product,
+    never a value rounded here. The work grows with the operands' lengths,
+    not with the gap between them.
     """
     if not n:
         if not m:
@@ -396,24 +438,24 @@ def _dyadic_sum(m: int, e: int, n: int, f: int, prec: int):
     elif not m:
         m, e = n, f
     else:
-        if e < f:
-            m, e, n, f = n, f, m, e
-        gap = e - f
-        if gap > 100 and m.bit_length() + gap - n.bit_length() > prec + 4:
+        top_m, top_n = m.bit_length() + e, n.bit_length() + f
+        if top_m < top_n:
+            m, e, n, f, top_m, top_n = n, f, m, e, top_n, top_m
+        if top_m - top_n > prec + 4 and (
+                top_n <= e or e + (m & -m).bit_length() - f - (n & -n).bit_length() > 100):
             m, e = (m << (prec + 4)) + (1 if n > 0 else -1), e - prec - 4
+        elif e >= f:
+            m, e = (m << (e - f)) + n, f
         else:
-            m, e = (m << gap) + n, f
-            if not m:
-                return 0, 0
+            m += n << (f - e)
+        if not m:
+            return 0, 0
     excess = m.bit_length() - prec
     if excess > 0:
-        # floor((m + half - 1 + kept lowest bit) / 2^excess): half-even, either sign
+        # _round, inline
         m = (m + (1 << (excess - 1)) - 1 + ((m >> excess) & 1)) >> excess
         e += excess
-    if m & 1:
-        return m, e
-    low = (m & -m).bit_length() - 1
-    return m >> low, e + low
+    return m, e
 
 
 def _dyadic_mul(z, w, prec: int):
@@ -423,6 +465,39 @@ def _dyadic_mul(z, w, prec: int):
     c, ec, d, ed = w
     return (_dyadic_sum(a * c, ea + ec, -b * d, eb + ed, prec)
             + _dyadic_sum(a * d, ea + ed, b * c, eb + ec, prec))
+
+
+def _mpc_abs(z, prec: int) -> tuple:
+    """mpc_abs(z, prec, round_nearest) of an mpc tuple z, in integers: the
+    bits of mpf_hypot. A zero part leaves the other's modulus rounded to
+    prec; else a^2 + b^2 is rounded down to prec + 4 bits, with mpf_add's
+    sticky rule (the squares of odd mantissas are normalized, so their
+    lowest bits are the ones it compares), and its square root rounded
+    correctly, half-even, to prec bits: math.isqrt to prec + 2 bits or
+    more and a sticky bit for a nonzero remainder, as mpf_sqrt does."""
+    (_, a, a_exp, _), (_, b, b_exp, _) = z
+    if not a or not b:
+        return _mpf_tuple(*_round(a or b, a_exp if a else b_exp, prec))
+    m, e, n, f = a * a, 2 * a_exp, b * b, 2 * b_exp
+    top_m, top_n = m.bit_length() + e, n.bit_length() + f
+    if top_m < top_n:
+        m, e, n, f, top_m, top_n = n, f, m, e, top_n, top_m
+    if top_m - top_n > prec + 8 and e - f > 100:
+        m, e = (m << (prec + 8)) + 1, e - prec - 8
+    elif e >= f:
+        m, e = (m << (e - f)) + n, f
+    else:
+        m += n << (f - e)
+    excess = m.bit_length() - prec - 4
+    if excess > 0:
+        m, e = m >> excess, e + excess
+    if e & 1:
+        m, e = m << 1, e - 1
+    shift = max(2 * prec + 4 - m.bit_length(), 0)
+    shift += shift & 1
+    root = math.isqrt(m << shift)
+    root = (root << 1) | (root * root != m << shift)
+    return _mpf_tuple(*_round(root, (e - shift) // 2 - 1, prec))
 
 
 def _dyadic_diff(a, b, frac: int) -> complex:
@@ -900,39 +975,67 @@ def eval_bivar(poly: BivarPoly, points, precision: int = DEFAULT_PRECISION) -> l
     """Evaluate a bivariate polynomial at each (x, y) of points.
 
     Returns one mpc per point, with the bits of mpmath's mpc arithmetic 20
-    bits finer than precision. _gaussian_mpc rounds the coefficients, once
-    per call, as to_mpc does; mpmath converts the coordinates and gives the
-    seeds z^low and z^gap of power_table. The steps, the products
-    c * x^i * y^j and the running sum are _dyadic_mul and _dyadic_sum on
-    integers, which round as mpmath does, so the bits are the same. A germ
-    on a weighted line costs O(terms) multiplications per point.
+    bits finer than precision, an int of at least 1. _gaussian_mpc rounds
+    the coefficients, once per call, as to_mpc does; mpmath converts the
+    coordinates, but for an mpc whose parts fit, which keeps its bits. The
+    seeds z^low and z^gap of power_table are integers too
+    wherever mpc_pow_int's own result is exact arithmetic rounded once per
+    part (or, for a square, mpc_square's rounding, which _dyadic_sum has):
+    an exponent of 2 or more, both parts nonzero and, above 2, an exact
+    power of fewer than 10000 bits; elsewhere mpc_pow_int gives them. The
+    steps, the products c * x^i * y^j, multiplied inline, and the running
+    sum are _dyadic_sum on integers, which rounds as mpmath does, so the
+    bits are the same; a factor x^0 or y^0, exactly 1, is skipped, as
+    multiplying a rounded value by 1 returns it. A germ on a weighted line
+    costs O(terms) multiplications per point.
 
-    Raises ValueError naming the point when a coordinate is infinite or nan.
+    Raises ValueError for a precision that is not such an int, and naming
+    the point when a coordinate is infinite or nan.
     """
+    if not isinstance(precision, int) or isinstance(precision, bool):
+        raise ValueError(f"precision must be an int, got {type(precision).__name__}")
+    if precision < 1:
+        raise ValueError("precision must be at least 1 bit")
     from mpmath import mp, mpc
-    from mpmath.libmp import mpc_pow_int, round_nearest
+    from mpmath.libmp import complex_int_pow, mpc_pow_int, round_nearest
 
     prec = precision + 20
+    add = _dyadic_sum
 
     def dyadic(z):
         (re_sign, re, re_exp, _), (im_sign, im, im_exp, _) = z
         return -re if re_sign else re, re_exp, -im if im_sign else im, im_exp
 
-    def mpf_part(m, e):
-        return (int(m < 0), abs(m), e, m.bit_length()) if m else (0, 0, 0, 0)
-
     def seed(z, n):
+        (a_sign, a, a_exp, a_bc), (b_sign, b, b_exp, b_bc) = z
+        if n >= 2 and a and b:
+            a, b = -a if a_sign else a, -b if b_sign else b
+            if n == 2:  # mpc_square: a^2 - b^2 by mpf_sub, 2ab rounded once
+                return add(a * a, 2 * a_exp, -b * b, 2 * b_exp, prec) + _round(
+                    a * b, a_exp + b_exp + 1, prec)
+            low = min(a_exp, b_exp)
+            if n * (abs(a_exp - b_exp) + max(a_bc, b_bc)) < 10000:
+                re, im = complex_int_pow(a << (a_exp - low), b << (b_exp - low), n)
+                return _round(re, n * low, prec) + _round(im, n * low, prec)
         return dyadic(mpc_pow_int(z, n, prec, round_nearest))
 
     def mul(z, w):
         return _dyadic_mul(z, w, prec)
 
+    def coord(z):
+        # mpc(z)'s tuple at prec bits; that of an mpc whose parts fit is its own
+        if type(z) is mpc:
+            (_, _, _, re_bc), (_, _, _, im_bc) = parts = z._mpc_
+            if re_bc <= prec and im_bc <= prec:
+                return parts
+        with mp.workprec(prec):
+            return mpc(z)._mpc_
+
     terms = [(i, j, dyadic(_gaussian_mpc(c, prec))) for (i, j), c in poly.terms.items()]
     x_exps = {i for i, _, _ in terms}
     y_exps = {j for _, j, _ in terms}
     points = list(points)
-    with mp.workprec(prec):
-        coords = [(mpc(x)._mpc_, mpc(y)._mpc_) for x, y in points]
+    coords = [(coord(x), coord(y)) for x, y in points]
     out = []
     for point, (x, y) in zip(points, coords):
         if not all(man or not exp for _, man, exp, _ in x + y):
@@ -940,11 +1043,18 @@ def eval_bivar(poly: BivarPoly, points, precision: int = DEFAULT_PRECISION) -> l
         xp = power_table(x, x_exps, seed, mul)
         yp = power_table(y, y_exps, seed, mul)
         re, re_exp, im, im_exp = 0, 0, 0, 0
-        for i, j, c in terms:
-            tr, tr_exp, ti, ti_exp = _dyadic_mul(_dyadic_mul(c, xp[i], prec), yp[j], prec)
-            re, re_exp = _dyadic_sum(re, re_exp, tr, tr_exp, prec)
-            im, im_exp = _dyadic_sum(im, im_exp, ti, ti_exp, prec)
+        for i, j, (a, ea, b, eb) in terms:
+            if i:
+                c, ec, d, ed = xp[i]
+                (a, ea), (b, eb) = (add(a * c, ea + ec, -b * d, eb + ed, prec),
+                                    add(a * d, ea + ed, b * c, eb + ec, prec))
+            if j:
+                c, ec, d, ed = yp[j]
+                (a, ea), (b, eb) = (add(a * c, ea + ec, -b * d, eb + ed, prec),
+                                    add(a * d, ea + ed, b * c, eb + ec, prec))
+            re, re_exp = add(re, re_exp, a, ea, prec)
+            im, im_exp = add(im, im_exp, b, eb, prec)
         value = object.__new__(mpc)
-        value._mpc_ = (mpf_part(re, re_exp), mpf_part(im, im_exp))
+        value._mpc_ = (_mpf_tuple(re, re_exp), _mpf_tuple(im, im_exp))
         out.append(value)
     return out

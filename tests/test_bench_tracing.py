@@ -41,3 +41,22 @@ def test_install_and_uninstall_restore_the_originals(tracing):
     finally:
         tracer.uninstall()
     assert [owner.__dict__[attr] for owner, attr in names] == originals
+
+
+def test_traced_radical_check_sees_eval_bivar_and_nth_root(tracing):
+    # a radical witness's check takes its scalars through nth_root and
+    # evaluates each side once through eval_bivar, so the traced
+    # radical_witness run sees time and calls in both
+    from qhgerm import build_witness, parse_poly, verify_witness
+
+    first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
+    witness = build_witness(first, second)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert verify_witness(first, second, witness).passed
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("numeric.eval_bivar") == 2
+    assert names.count("numeric.nth_root") >= 1

@@ -601,6 +601,28 @@ class TestWitness:
             report = verify_witness(parts.poly, image, witness)
             assert report.passed
 
+    def test_sampled_check_calls_eval_bivar_once_per_side_with_every_point(self, monkeypatch):
+        # the benchmark's tracer times the check through engine.eval_bivar;
+        # the check must still call it there, with all 8 points as mpc values
+        calls = []
+
+        def recording(poly, points, precision):
+            points = list(points)
+            calls.append((poly, points, precision))
+            return numeric.eval_bivar(poly, points, precision)
+
+        monkeypatch.setattr(engine, "eval_bivar", recording)
+        for first_text, second_text in (("Y^2-X^3", "Y^2-3*X^3"),
+                                        ("Y*(Y-X^2)", "Y^2 - 2*X^2*Y + 1/2*X^4")):
+            first, second = parse_poly(first_text), parse_poly(second_text)
+            witness = build_witness(first, second)
+            calls.clear()
+            assert verify_witness(first, second, witness, 160).passed
+            assert [(poly, len(points), precision) for poly, points, precision in calls] == [
+                (first, 8, 160), (second, 8, 160)]
+            assert all(type(z) is mpc for _, points, _ in calls for point in points
+                       for z in point)
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sampled_check_needs_a_sample(self, samples):
         # a check of no points would accept this witness against a wrong
@@ -625,6 +647,15 @@ class TestWitness:
                 with pytest.raises(ValueError, match="at least 53 bits"):
                     verify_witness(first, wrong, witness, precision=precision)
         assert verify_witness(first, second, witness, precision=MIN_PRECISION).passed
+
+    @pytest.mark.parametrize("precision", [128.0, 53.5, True, "128", None])
+    def test_sampled_check_refuses_a_precision_that_is_not_an_int(self, precision):
+        # 128.0 failed inside the check with a TypeError; bool is not taken
+        # for an int either
+        first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
+        witness = build_witness(first, second)
+        with pytest.raises(ValueError, match="precision must be an int"):
+            verify_witness(first, second, witness, precision=precision)
 
     def test_tampered_witness_fails_verification(self):
         first = parse_poly("(Y-X^2)*(Y-2*X^2)")

@@ -3,6 +3,7 @@
 import importlib
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -601,6 +602,24 @@ class TestEvalBivar:
                 with pytest.raises(ValueError, match="finite coordinates") as info:
                     eval_bivar(poly, [(mpc(2), mpc(3)), point], 128)
                 assert repr(point) in str(info.value)
+
+    @pytest.mark.parametrize("precision", [0, -1, -20, -30, 128.0, 53.5, True, "128", None])
+    def test_precision_must_be_a_positive_int(self, precision):
+        # at -20 and below the working precision is 0 or less, where mpmath's
+        # from_int never returns, and a float failed inside the kernel with
+        # a TypeError; each is refused before any work
+        poly = parse_poly("X^2*Y + (1/3 + i)*Y^3")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="precision must be"):
+            eval_bivar(poly, [(mpc(0.25, 0.5), mpc(-0.75, 0.125))], precision)
+        assert time.perf_counter() - start < 1.0
+
+    def test_precision_of_one_bit_is_the_least(self):
+        # 21 working bits: 1/3 + i rounded there, the point exact
+        poly = parse_poly("(1/3 + i)*X")
+        (value,) = eval_bivar(poly, [(mpc(1), mpc(1))], 1)
+        with mp.workprec(21):
+            assert value == to_mpc(gq(Fraction(1, 3), 1))
 
     def test_batch_matches_one_point_calls(self):
         rng = random.Random(43)

@@ -930,12 +930,105 @@ def evaluations(draw):
     return draw(bivariate_polys()), points, precision
 
 
+def hensel_sqrt(c: int, bits: int) -> int:
+    """An odd x with x^2 = c mod 2^bits, for c = 1 mod 8."""
+    x = 1
+    for k in range(3, bits):
+        if (x * x - c) % (1 << (k + 1)):
+            x += 1 << (k - 1)
+    return x
+
+
+def square_sticky_point(work: int) -> mpc:
+    """A point a + b*i whose square's real part a^2 - b^2 takes mpf_sub's
+    sticky rule in mpc_square, where it rounds up and the exact difference
+    rounds down: a has work bits and a^2 lies one unit above a tie at work
+    bits; b^2, with its top 9 bits above a^2's lowest and its lowest 120
+    below, is far more than that unit but under 2^-(work + 4) of a^2."""
+    for excess in (work - 1, work):
+        root = hensel_sqrt((1 << (excess - 1)) + 1, excess)
+        for a in (r + (k << excess) for r in (root, (1 << excess) - root) for k in range(4)):
+            if a.bit_length() == work and (a * a).bit_length() == work + excess:
+                b = (1 << 64) + 1
+                point = exact_mpc(dyadic(a, -work), dyadic(b, -work - 60))
+                with mp.workprec(4 * work):
+                    p, q = point.real ** 2, point.imag ** 2
+                    assert mp.mag(p) - mp.mag(q) > work + 4
+                    assert q.man_exp[1] + 100 < p.man_exp[1] < mp.mag(q)
+                return point
+    raise AssertionError("no such point")
+
+
+def seed_cases(precision: int) -> list:
+    """(poly, points, precision) whose seeds z^low and z^gap reach each
+    branch of mpc_pow_int: exponents 0, 1, 2 and more, points on the real
+    and imaginary axes and at 0, an exact power past 10000 bits (parts
+    2^-5000 apart, cubed), a square's sticky rounding, and coefficients
+    whose numerator or denominator is wider than the working precision;
+    the generic points include one whose parts are a bit wider than it,
+    which the conversion to mpc rounds."""
+    work = precision + 20
+    generic = [(mpc(0.3125, -0.21875), mpc(-0.4375, 0.15625)),
+               (exact_mpc(dyadic(2 ** work // 3, -work), dyadic(-(2 ** work // 5), -work)),
+                exact_mpc(dyadic(-(2 ** work // 7), -work), dyadic(2 ** work // 11, -work))),
+               (exact_mpc(dyadic(2 ** work + 1, -work), dyadic(-(2 ** work + 3), -work - 1)),
+                exact_mpc(dyadic(2 ** work + 5, -work - 2), dyadic(2 ** work - 1, -work)))]
+    axes = [(mpc(0.3, 0), mpc(0, -0.7)), (mpc(0, 0.45), mpc(-0.55, 0)), (0, 0), (mpc(0, -1), 0)]
+    far = exact_mpc(dyadic(1, 0), dyadic(1, -5000))
+    wide = BivarPoly.from_terms({
+        (3, 1): gq(Fraction(2 ** (work + 80) + 1, 3 ** (work // 2)),
+                   Fraction(-(3 ** work), 2 ** (work + 90) + 7)),
+        (1, 4): gq(Fraction(5 ** work + 2, 7 ** work)),
+        (0, 2): gq(0, Fraction(1, 2 ** (work + 30) - 1)),
+    })
+    return [
+        # x: low 1, gap 2; y: low 0, gap 2
+        (parse_poly("X*Y^2 + X^3*Y^4 + (2 - i)*X^5"), generic + axes, precision),
+        # low and gap 3 and 4
+        (parse_poly("X^3*Y^7 + (1/3 + 2/5*i)*X^7*Y^3 - X^11*Y^11"), generic + axes, precision),
+        # a lone exponent: gap 0, and x^2 as a seed
+        (parse_poly("(1/7 - i)*X^2*Y^6"), generic + axes, precision),
+        (parse_poly("X^3*Y + X^6 + X^2*Y^2"), [(far, mpc(0.5, 0.25)), (mpc(0.5, 0.25), far)],
+         precision),
+        (parse_poly("X^2 + X^4*Y + Y^2"), [(square_sticky_point(work), square_sticky_point(work))],
+         precision),
+        (wide, generic + axes[:2], precision),
+    ]
+
+
 @seed(20261020)
 @settings(max_examples=80, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=evaluations())
+@example(case=seed_cases(53)[0])
+@example(case=seed_cases(53)[1])
+@example(case=seed_cases(128)[2])
+@example(case=seed_cases(128)[3])
+@example(case=seed_cases(53)[4])
+@example(case=seed_cases(128)[4])
+@example(case=seed_cases(1024)[4])
+@example(case=seed_cases(53)[5])
+@example(case=seed_cases(1024)[5])
 def test_eval_bivar_has_the_bits_of_the_mpc_loop(case):
     assert_same_bits(*case)
+
+
+@pytest.mark.parametrize("precision", [53, 128, 1024])
+def test_eval_bivar_seeds_have_the_bits_of_mpc_pow_int(precision):
+    for case in seed_cases(precision):
+        assert_same_bits(*case)
+
+
+def test_square_sticky_point_rounds_apart_from_the_exact_square():
+    # the case is one where mpc_square's real part is not the exact
+    # a^2 - b^2 rounded once, so a seed x^2 formed that way has other bits
+    for work in (73, 148, 1044):
+        z = square_sticky_point(work)
+        with mp.workprec(work):
+            got = (z ** 2).real
+        with mp.workprec(8 * work):
+            exact = z.real ** 2 - z.imag ** 2
+        assert got != mpf(exact, prec=work)
 
 
 def reference_to_mpc(value) -> mpc:
@@ -1093,3 +1186,212 @@ def test_verify_witness_repeats_the_recorded_radical_reports():
                    "tol": report.tol, "samples": report.samples,
                    "precision": report.precision, "seed": want["seed"]}
             assert not report.exact and got == want
+
+
+def reference_sampled_check(first, second, witness, precision: int, seed: int):
+    """verify_witness's sampled check as it was on mpc values, verbatim:
+    (worst, bound) as mpf values, and the report it gave."""
+    q = witness.weights.q
+    with mp.workprec(precision + 20):
+        alpha_num, beta_num, gamma_num = engine.witness_to_mpc(witness, precision)
+        bound = mpf(2) ** (48 - precision)
+        rng = random.Random(seed)
+        points, images = [], []
+        for _ in range(8):
+            x = mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
+            y = mpc(rng.uniform(-0.35, 0.35), rng.uniform(-0.35, 0.35))
+            py = beta_num * y
+            if gamma_num is not None:
+                py = py + gamma_num * x**q
+            points.append((x, y))
+            images.append((alpha_num * x, py))
+        worst = mpf(0)
+        lefts = eval_bivar(first, images, precision)
+        for left, right in zip(lefts, eval_bivar(second, points, precision)):
+            residual = abs(left - right)
+            scale = 1 + max(abs(left), abs(right))
+            worst = max(worst, residual / scale)
+        report = engine.VerificationReport(worst <= bound, False, mp.nstr(worst, 8),
+                                           mp.nstr(bound, 8), 8, precision)
+        return worst, bound, report
+
+
+# p = 1 pairs whose witness has an irrational shear, a ShearTerm
+SHEAR_PAIRS = [("Y*(Y-X^2)", "Y^2 - 2*X^2*Y + 1/2*X^4"),
+               ("(Y-X^2)*(Y-3*X^2)", "Y^2 - 5*X^2*Y + 5*X^4"),
+               ("Y*(Y-X^3)", "Y^2 - 2*X^3*Y + 1/3*X^6")]
+
+
+def sampled_witnesses() -> list:
+    """(first, second, witness, symmetric) with a radical scalar: every
+    branch of the pairs of conftest.branch_completeness_pairs(), whose
+    germs are power-symmetric, SHEAR_PAIRS, whose germs are even or odd
+    in X (symmetric True for both), and the radical pairs of
+    bench/corpus.witness_pairs(s, 4, radical=True) for s = 3 and 11."""
+    from conftest import branch_completeness_pairs
+    corpus = pytest.importorskip("corpus")
+    out = []
+    for first, second, verdict in branch_completeness_pairs():
+        if verdict.status == "Equivalent":
+            out += [(first, second, build_witness(first, second, verdict, branch=k), True)
+                    for k in range(engine.witness_branch_count(verdict))]
+    pairs = [(p["first_text"], p["second_text"]) for s in (3, 11)
+             for p in corpus.witness_pairs(s, 4, radical=True) if p["truth"] == "Equivalent"]
+    for pair in pairs + SHEAR_PAIRS:
+        first, second = map(parse_poly, pair)
+        out.append((first, second, build_witness(first, second), pair in SHEAR_PAIRS))
+    return [(f, s, w, sym) for f, s, w, sym in out
+            if not all(x is None or isinstance(x, engine.GaussianRational)
+                       for x in (w.alpha, w.beta, w.gamma))]
+
+
+@pytest.fixture(scope="module")
+def witnesses(monkeypatch_module):
+    return sampled_witnesses()
+
+
+@pytest.fixture(scope="module")
+def monkeypatch_module():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        yield patch
+
+
+@pytest.mark.parametrize("precision", [53, 128, 512])
+def test_sampled_check_has_the_bits_of_the_mpc_loop(witnesses, precision):
+    assert len(witnesses) > 250
+    assert any(isinstance(w.gamma, engine.ShearTerm) for _, _, w, _ in witnesses)
+    for first, second, witness, _ in witnesses:
+        for seed in (0, 3, 17):
+            worst, bound, want = reference_sampled_check(first, second, witness, precision, seed)
+            assert engine._sampled_check(first, second, witness, precision, seed) == (
+                worst._mpf_, bound._mpf_)
+            assert verify_witness(first, second, witness, precision, seed) == want
+            assert want.passed
+
+
+def corrupted(witness) -> list:
+    """(wrong, moved) witnesses made from a right one: a radical scalar on
+    the next branch (moved True), alpha and beta swapped where they differ,
+    and a ShearTerm with its beta coefficient negated."""
+    out = []
+    for name in ("alpha", "beta", "gamma"):
+        scalar = getattr(witness, name)
+        if isinstance(scalar, engine.RadicalScalar):
+            moved = engine.RadicalScalar(scalar.base, scalar.index,
+                                         (scalar.branch + 1) % scalar.index, scalar.approx)
+            out.append((engine.Witness(*(moved if field == name else getattr(witness, field)
+                                         for field in engine.Witness.__slots__)), True))
+    if witness.alpha != witness.beta:
+        out.append((engine.Witness(witness.beta, witness.alpha, witness.gamma, witness.scale,
+                                   witness.weights, witness.branch), False))
+    if isinstance(witness.gamma, engine.ShearTerm):
+        shear = engine.ShearTerm(witness.gamma.alpha_coeff, -witness.gamma.beta_coeff)
+        out.append((engine.Witness(witness.alpha, witness.beta, shear, witness.scale,
+                                   witness.weights, witness.branch), False))
+    return out
+
+
+def test_corrupted_witnesses_fail_with_the_reports_of_the_mpc_loop(witnesses):
+    # a symmetric germ has witnesses on other branches, so a scalar moved
+    # to the next branch may be right again there; and the 53-bit
+    # tolerance 2^-5 passes some corrupted witnesses of degree-16 germs,
+    # whose values at the sample points are about 1e-4. Every report is
+    # still the mpc loop's, and elsewhere each corrupted witness fails
+    # (precision, seed) go round (53, 0), (128, 3) and (512, 17)
+    grid = [(53, 0), (128, 3), (512, 17)]
+    fails = total = 0
+    for first, second, witness, symmetric in witnesses:
+        for wrong, moved in corrupted(witness):
+            precision, seed = grid[total % 3]
+            worst, bound, want = reference_sampled_check(first, second, wrong, precision, seed)
+            assert engine._sampled_check(first, second, wrong, precision, seed) == (
+                worst._mpf_, bound._mpf_)
+            assert verify_witness(first, second, wrong, precision, seed) == want
+            assert symmetric and moved or precision == 53 or not want.passed
+            fails += not want.passed
+            total += 1
+    assert total > len(witnesses) and fails > total // 2
+
+
+def random_part(rng, prec: int, long: bool):
+    """A signed odd mantissa and an exponent: 1 to 3*prec bits, or up to
+    6*prec bits when long, the exponent within a few lengths of 0."""
+    bits = rng.choice([1, 2, 3, 53, prec - 1, prec, prec + 1, prec + 5, 2 * prec, 3 * prec]
+                      + ([5 * prec, 6 * prec] if long else []))
+    man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+    exp = rng.randint(-4 * prec, 4 * prec) - bits
+    return -man if rng.random() < 0.5 else man, exp
+
+
+def sticky_shapes(rng, prec: int, slack: int):
+    """(m, e, n, f): a long m and an n whose top lies more than prec + slack
+    bits below m's, reaching above m's lowest bit or wholly below it, with
+    the lowest bits 100 apart give or take a few: the shapes where mpf_add's
+    sticky rule decides, and where it does not."""
+    m = rng.getrandbits(3 * prec) | 1 | (1 << (3 * prec - 1))
+    below = prec + slack + rng.randint(1, 2 * prec)
+    n_bits = rng.randint(1, 2 * prec)
+    n = rng.getrandbits(n_bits) | 1 | (1 << (n_bits - 1))
+    f = 3 * prec - below - n_bits
+    if rng.random() < 0.5:
+        f = rng.randint(-110, -90) - (n_bits if rng.random() < 0.5 else 0)
+        below = 3 * prec - n_bits - f
+    return (-m if rng.random() < 0.5 else m), 0, (-n if rng.random() < 0.5 else n), f
+
+
+def trailing_zero_cases(prec: int) -> list:
+    """(m, e, n, f, s, t): m * 2^e, 3*prec bits one unit above a tie at
+    prec bits, plus n * 2^f, below it by more than prec + 4 bits but over 2
+    units in size, so that mpf_add's sticky rule rounds up where the exact
+    sum rounds down; written with s and t trailing zero bits, which move
+    the lowest bits across the rule's 100-bit gap one way or the other."""
+    m = (((1 << (prec - 1)) + 1) << (2 * prec)) + (1 << (2 * prec - 1)) + 1
+    return [(m, 0, -((1 << 152) + 1), -150, 60, 0),  # gap 150, 90 as written
+            (m, 0, -((1 << 92) + 1), -90, 0, 20)]  # gap 90, 110 as written
+
+
+def test_dyadic_sum_has_the_bits_of_mpf_add_on_any_representation():
+    # operands with trailing zero bits stand for the same numbers as their
+    # normalized forms, and the sum has mpf_add's bits on those, sticky
+    # rule included, whichever operand comes first
+    from mpmath.libmp import from_man_exp, mpf_add, round_nearest
+
+    rng = random.Random(20261022)
+    cases = [case for prec in (53, 73, 148) for case in trailing_zero_cases(prec)]
+    for k in range(6000 + len(cases)):
+        prec = rng.choice([21, 53, 73, 148, 532])
+        s, t = rng.randint(0, 40), rng.randint(0, 40)
+        if k >= 6000:
+            m, e, n, f, s, t = cases[k - 6000]
+            prec = (m.bit_length() + 2) // 3
+        elif k % 3:
+            (m, e), (n, f) = random_part(rng, prec, True), random_part(rng, prec, True)
+            if rng.random() < 0.1:
+                n = 0
+        else:
+            m, e, n, f = sticky_shapes(rng, prec, 4)
+        want = mpf_add(from_man_exp(m, e), from_man_exp(n, f), prec, round_nearest)
+        got = numeric._dyadic_sum(m << s, e - s, n << t, f - t, prec)
+        assert numeric._mpf_tuple(*got) == want, (m, e, n, f, prec)
+        got = numeric._dyadic_sum(n << t, f - t, m << s, e - s, prec)
+        assert numeric._mpf_tuple(*got) == want, (m, e, n, f, prec)
+
+
+def test_mpc_abs_has_the_bits_of_mpmath():
+    # the modulus in integers against mpc_abs, which rounds the sum of
+    # squares down to prec + 4 bits, with mpf_add's sticky rule, before a
+    # correctly rounded square root
+    from mpmath.libmp import from_man_exp, fzero, mpc_abs, round_nearest
+
+    rng = random.Random(20261023)
+    for k in range(6000):
+        prec = rng.choice([21, 53, 73, 148, 532])
+        if k % 3:
+            a, b = (from_man_exp(*random_part(rng, prec, False)) if rng.random() > 0.05
+                    else fzero for _ in range(2))
+        else:
+            m, e, n, f = sticky_shapes(rng, prec // 2, 4)
+            a, b = from_man_exp(m, e), from_man_exp(n, (f - 1) // 2)
+        for z in ((a, b), (b, a)):
+            assert numeric._mpc_abs(z, prec) == mpc_abs(z, prec, round_nearest), (z, prec)
