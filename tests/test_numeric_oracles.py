@@ -1182,9 +1182,12 @@ def test_verify_witness_repeats_the_recorded_radical_reports():
             assert not report.exact and got == want
 
 
-def reference_sampled_check(first, second, witness, precision: int, seed: int):
+def reference_sampled_check(first, second, witness, precision: int, seed: int,
+                            evaluate=eval_bivar):
     """verify_witness's sampled check as it was on mpc values, verbatim:
-    (worst, bound) as mpf values, and the report it gave."""
+    (worst, bound) as mpf values, and the report it gave. evaluate stands
+    for eval_bivar, which reference_eval_bivar can replace; then only
+    to_mpc's rounding of the coefficients is shared with the kernel."""
     q = witness.weights.q
     with mp.workprec(precision + 20):
         alpha_num, beta_num, gamma_num = engine.witness_to_mpc(witness, precision)
@@ -1200,8 +1203,8 @@ def reference_sampled_check(first, second, witness, precision: int, seed: int):
             points.append((x, y))
             images.append((alpha_num * x, py))
         worst = mpf(0)
-        lefts = eval_bivar(first, images, precision)
-        for left, right in zip(lefts, eval_bivar(second, points, precision)):
+        lefts = evaluate(first, images, precision)
+        for left, right in zip(lefts, evaluate(second, points, precision)):
             residual = abs(left - right)
             scale = 1 + max(abs(left), abs(right))
             worst = max(worst, residual / scale)
@@ -1262,6 +1265,10 @@ def test_sampled_check_has_the_bits_of_the_mpc_loop(witnesses, precision):
                 worst._mpf_, bound._mpf_)
             assert verify_witness(first, second, witness, precision, seed) == want
             assert want.passed
+        # and at seed 0 the mpc loop with mpc evaluation too
+        worst, _, _ = reference_sampled_check(first, second, witness, precision, 0,
+                                              reference_eval_bivar)
+        assert engine._sampled_check(first, second, witness, precision, 0)[0] == worst._mpf_
 
 
 def corrupted(witness) -> list:
