@@ -92,13 +92,11 @@ _OPTIONS = {
                             "or QHGERM_PRECISION when set)"},
     "--tol": {"type": float, "default": engine.DEFAULT_TOL, "metavar": "X",
               "help": "numeric clustering/matching tolerance"},
-    "--seed": {"type": int, "default": 0, "metavar": "N",
-               "help": "seed for numeric verification sampling"},
     "--json": {"action": "store_true", "help": "emit JSON"},
 }
 _COMMAND_OPTIONS = {
     "analyze": ("--weights", "--json"),
-    "decide": ("--weights", "--mode", "--precision", "--tol", "--seed", "--json"),
+    "decide": ("--weights", "--mode", "--precision", "--tol", "--json"),
     "roots": ("--weights", "--precision", "--tol", "--json"),
     "demo-whitney": ("--json",),
     "decide-batch": ("--weights", "--mode", "--precision", "--tol"),
@@ -288,9 +286,7 @@ def _cmd_decide(args, out) -> int:
             # verdict as without --witness, then report the refusal
             refusal = exc
         else:
-            report = engine.verify_witness(
-                first, second, witness, precision=precision, seed=args.seed
-            )
+            report = engine.verify_witness(first, second, witness, precision=precision)
     if args.json:
         doc = {
             "schemaVersion": SCHEMA_VERSION,

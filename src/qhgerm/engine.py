@@ -32,6 +32,7 @@ from .exact import (
     UniPoly,
     _exact_root,
     _gaussian_roots,
+    _is_radical_product,
     _make,
     gcd_bezout,
 )
@@ -41,9 +42,9 @@ from .numeric import (
     NumericMatch,
     _double_polar,
     _identify_branch,
-    _mpc_abs,
     _nearest_clusters,
     cluster_roots,
+    # eval_bivar is not called here, but bench/tracing.py patches engine.eval_bivar
     eval_bivar,
     find_roots,
     nth_root,
@@ -64,12 +65,9 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from mpmath import mpc
 
-# the least working precision in bits; below it the sampled witness check's
-# tolerance 2^-(precision - 48) is 1/16 or more and passes wrong witnesses
+# the least working precision in bits, that of a double, that the CLI and
+# verify_witness accept
 MIN_PRECISION = 53
-# points the sampled witness check evaluates, and its tolerance's margin in bits
-_SAMPLES = 8
-_SAMPLE_MARGIN = 48
 
 STATUS_EQUIVALENT = "Equivalent"
 STATUS_INEQUIVALENT = "Inequivalent"
@@ -139,15 +137,20 @@ class Witness(Record):
 
     gamma is None exactly when p > 1. Scalars are GaussianRational when an
     exact rational witness exists, RadicalScalar (or ShearTerm for gamma)
-    otherwise. branch records which root of the scale class was taken; None
-    means the default search that prefers rational witnesses.
+    otherwise. scale is the root a of the scale class with alpha^q =
+    a*beta^p. branch records which root of the scale class was taken; None
+    means the default search that prefers rational witnesses. shears is
+    None when p > 1, and for p = 1 the Gaussian rationals (s_pre, s_post)
+    with gamma = s_pre*alpha^q + s_post*beta: not printed, and only a hint
+    to verify_witness, which proves whatever pair it is given.
     """
 
-    __slots__ = ("alpha", "beta", "gamma", "scale", "weights", "branch")
+    __slots__ = ("alpha", "beta", "gamma", "scale", "weights", "branch", "shears")
 
 
 class VerificationReport(Record):
-    """Outcome of verify_witness; max_residual and tol are text, "0" for an exact check."""
+    """Outcome of verify_witness. Every check is exact: max_residual and tol
+    are "0" and samples 0, fields kept for the shape of the --json report."""
 
     __slots__ = ("passed", "exact", "max_residual", "tol", "samples", "precision")
 
@@ -446,24 +449,23 @@ def _rational_witness(first_a, second_a, match):
         for beta in _gaussian_roots(rhs, m_pow):
             for alpha in _gaussian_roots(a * beta**w.p, w.q):
                 if c0 * alpha**m * beta**e_pow == d0:
-                    if match.centers is None:
-                        gamma = None
-                    else:
+                    gamma = shears = None
+                    if match.centers is not None:
                         c_first, c_second = match.centers
-                        gamma = (c_first * a - c_second) * beta
-                    return Witness(alpha, beta, gamma, a, w, None)
+                        gamma, shears = (c_first * a - c_second) * beta, (c_first, -c_second)
+                    return Witness(alpha, beta, gamma, a, w, None, shears)
     return None
 
 
 def _sweep_tries(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
     """For each jb in order, the ja that _branch_sweep must try: every ja but
-    those whose pair provably fails its test |lhs - d0| <= tol*(1 + |d0|),
-    tol = 2^-tol_bits.
+    those whose pair provably fails its test |lhs - d0| <= tol*|d0|, tol =
+    2^-tol_bits.
 
     lhs = c0*alpha^m*beta^E lies on the ray from 0 at its argument, and d0
     lies at least |d0|*min(1, sin|D|) from that ray, D the angle from d0 to
-    lhs in (-pi, pi]. So a pair with |d0|*min(1, sin|D|) > tol*(1 + |d0|)
-    fails, whatever |lhs|; where tol*(1 + |d0|)/|d0| >= 1 none is skipped.
+    lhs in (-pi, pi]. So a pair with min(1, sin|D|) > tol fails, whatever
+    |lhs|.
 
     mpmath's root on branch j has argument (Arg + 2*pi*j)/k, so beta_jb has
     theta = (Arg(rhs) + 2*pi*jb)/M, u = a*beta^p has Arg(u) = Arg(a) +
@@ -480,9 +482,7 @@ def _sweep_tries(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
     within eps of +-pi, every ja of that jb is tried.
     """
     every = range(w.q)
-    log_d0, arg_d0 = _double_polar(d0_num)
-    # log2 of tol*(1 + |d0|)/|d0|; at 0 or more no sine exceeds it
-    log_ratio = -tol_bits + (-log_d0 if log_d0 < -60 else log2(1 + 2.0**-log_d0))
+    arg_d0 = _double_polar(d0_num)[1]
     eps = (m + e_pow + 8) * (w.p + 2) * 2.0**-40
     arg_a, arg_rhs, arg_c0 = (_double_polar(z)[1] for z in (a_num, rhs_num, c0_num))
     lead = arg_c0 - arg_d0
@@ -496,14 +496,14 @@ def _sweep_tries(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
         tries = []
         for ja in every:
             off = abs(remainder(delta + m * tau * ja / w.q, tau)) - eps
-            if off <= 0 or log2(sin(min(off, pi / 2))) <= log_ratio + 2.0**-20:
+            if off <= 0 or log2(sin(min(off, pi / 2))) <= 2.0**-20 - tol_bits:
                 tries.append(ja)
         yield jb, tries
 
 
 def _branch_sweep(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
     """The first pair (jb, ja), in order, with c0*alpha^m*beta^E = d0 to within
-    2^-tol_bits*(1 + |d0|), where beta is the jb-th M-th root of rhs and
+    2^-tol_bits*|d0|, where beta is the jb-th M-th root of rhs and
     alpha the ja-th q-th root of u = a*beta^p: (jb, ja, alpha, beta) as mpc
     at the caller's precision. Pairs that _sweep_tries proves to fail are
     not tried, and a jb with no pair left takes no root at all.
@@ -519,7 +519,7 @@ def _branch_sweep(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
         for ja in tries:
             alpha_num = nth_root(u_num, w.q, ja)
             lhs = c0_num * alpha_num**m * beta_num**e_pow
-            if abs(lhs - d0_num) <= tol_id * (1 + abs(d0_num)):
+            if abs(lhs - d0_num) <= tol_id * abs(d0_num):
                 return jb, ja, alpha_num, beta_num
     raise InternalInconsistencyError(
         "no consistent root branches for the witness scalar system"
@@ -556,12 +556,13 @@ def _radical_witness(first_a, second_a, match, branch, precision):
         beta = radical(base_beta, m_pow * d, beta_num)
         alpha = radical(base_alpha, w.q * d * m_pow, alpha_num)
         scale = _simplify_scalar(base, d, a_num, branch)
-        gamma = None
+        gamma = shears = None
         if match.centers is not None:
             # gamma = c1*alpha^q - c2*beta = (c1*a - c2)*beta, as u*rho with u
             # in Q(i) and rho^(d*M) known: rho = beta when a is rational or
             # c1 = 0 (u = 0 simplifies to gamma = 0), rho = alpha^q when c2 = 0
             c_first, c_second = match.centers
+            shears = c_first, -c_second
             if c_first.is_zero or isinstance(scale, GaussianRational):
                 u = -c_second if c_first.is_zero else c_first * scale - c_second
                 rho, rho_power = beta_num, base_beta
@@ -571,7 +572,7 @@ def _radical_witness(first_a, second_a, match, branch, precision):
                 u = None
             gamma = ShearTerm(c_first, -c_second) if u is None else radical(
                 u ** (m_pow * d) * rho_power, m_pow * d, to_mpc(u) * rho)
-        return Witness(alpha, beta, gamma, scale, w, branch)
+        return Witness(alpha, beta, gamma, scale, w, branch, shears)
 
 
 def build_witness(
@@ -651,90 +652,114 @@ def verify_witness(
     second: BivarPoly,
     witness: Witness,
     precision: int = DEFAULT_PRECISION,
-    seed: int = 0,
 ) -> VerificationReport:
-    """Check that applying the witness to first reproduces second.
+    """Prove or refute that applying the witness to first reproduces second.
 
-    All-rational witnesses are verified by exact polynomial substitution.
-    Radical witnesses are verified numerically at 8 seeded sample points in
-    the half-unit bidisk, against the relative-residual tolerance
-    2^-(precision-48) (_sampled_check). precision must be an int of at
-    least MIN_PRECISION bits: at fewer, the tolerance lets a wrong witness
-    pass.
+    All-rational witnesses are verified by exact polynomial substitution,
+    radical witnesses by an exact certificate (_certify); either way the
+    report is exact, with residual and tol "0" and no samples. A radical
+    witness the certificate cannot prove fails. precision must be an int of
+    at least MIN_PRECISION bits; the check itself takes none.
     """
     if not isinstance(precision, int) or isinstance(precision, bool):
         raise ValueError(f"precision must be an int, got {type(precision).__name__}")
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
-    q = witness.weights.q
     if all(s is None or isinstance(s, GaussianRational)
            for s in (witness.alpha, witness.beta, witness.gamma)):
         x_image = X.scale(witness.alpha)
         y_image = Y.scale(witness.beta)
         if witness.gamma is not None:
-            y_image = y_image + BivarPoly.monomial(q, 0, witness.gamma)
-        image = first.substitute(x_image, y_image)
-        passed = image == second
-        return VerificationReport(passed, True, "0", "0", 0, precision)
-    from mpmath import mp
-    from mpmath.libmp import mpf_le
-    worst, bound = _sampled_check(first, second, witness, precision, seed)
-    return VerificationReport(
-        mpf_le(worst, bound),
-        False,
-        mp.nstr(mp.make_mpf(worst), 8),
-        mp.nstr(mp.make_mpf(bound), 8),
-        _SAMPLES,
-        precision,
-    )
+            y_image = y_image + BivarPoly.monomial(witness.weights.q, 0, witness.gamma)
+        passed = first.substitute(x_image, y_image) == second
+    else:
+        passed = _certify(first, second, witness)
+    return VerificationReport(passed, True, "0", "0", 0, precision)
 
 
-def _sampled_check(first, second, witness, precision, seed):
-    """The sampled check of a witness: (worst, bound) as mpf tuples, worst
-    the largest relative residual |F(Psi(x, y)) - G(x, y)| / (1 + max of
-    the two moduli) over the 8 points and bound = 2^-(precision - 48).
+def _radical(scalar) -> tuple:
+    """A witness scalar as (base, index, branch); a Gaussian rational g is (g, 1, 0)."""
+    if isinstance(scalar, RadicalScalar):
+        return scalar.base, scalar.index, scalar.branch
+    return scalar, 1, 0
 
-    Each point (x, y) has parts drawn as doubles from random.Random(seed),
-    and its image is (alpha*x, beta*y + gamma*x^q), alpha, beta and gamma
-    from witness_to_mpc. Points, images and residuals are mpmath.libmp
-    operations on tuples at precision + 20 bits, rounded to nearest, the
-    calls mpc's operators make, and each modulus is _mpc_abs, which has
-    mpc_abs's bits; so every value has the bits of the mpc expressions,
-    and each maximum keeps the first of equal values, as max does. Each
-    side goes through eval_bivar once, with all 8 points as mpc values.
+
+def _certify(first, second, witness) -> bool:
+    """Whether first o Psi = second, proved in Q(i) (exact._is_radical_product
+    proves each claim that a Gaussian rational is a product of the
+    witness's radicals).
+
+    Shear. For a pair (s_pre, s_post) with gamma = s_pre*alpha^q +
+    s_post*beta, Psi = S(s_pre) o D o S(s_post) as maps of the plane, with
+    S(s) = (X, Y + s*X^q) and D = (alpha*X, beta*Y); so first o Psi = second
+    iff H o D = K, H = first o S(s_pre) and K = second o S(-s_post), both
+    exact substitutions. A ShearTerm gamma is its own pair. Else the pair is
+    the witness's shears, a hint any pair that passes proves right (none
+    means gamma = 0): gamma = s_post*beta when s_pre = 0, s_pre*alpha^q
+    when s_post = 0. For p = 1 and a rational scale a, (A) below makes it
+    (s_pre*a + s_post)*beta, so the pair (0, s_pre*a + s_post) serves too,
+    with one substitution fewer.
+
+    Scaling. H o D = K iff their supports are equal and h_ij*alpha^i*beta^j
+    = k_ij on each. Take (i0, j0), the first term, and r0 = k_i0j0/h_i0j0:
+    (C) r0 = alpha^i0*beta^j0. A term (i0 + t*q, j0 - t*p) of the weighted
+    line then needs (k_ij/h_ij)/r0 = (alpha^q*beta^-p)^t, which is (B)
+    a^t once (A) alpha^q = a*beta^p holds; a is the witness's scale, of
+    small index, and the wide bases of alpha and beta enter (A) and (C)
+    only. Any other term, or every term when (A) fails, is checked as
+    k_ij/h_ij = alpha^i*beta^j.
     """
-    import random
+    p, q = witness.weights.p, witness.weights.q
+    alpha, beta, scale = map(_radical, (witness.alpha, witness.beta, witness.scale))
+    radicals = [alpha, beta, scale]
+    gamma = witness.gamma
+    if gamma is not None and not isinstance(gamma, ShearTerm):
+        radicals.append(_radical(gamma))
+    # one enclosure precision for every check, so each root is taken once
+    bits = (2 * lcm(*(k for _, k, _ in radicals)) * sum(k for _, k, _ in radicals)).bit_length()
+    roots = {}
 
-    from mpmath import mp
-    from mpmath.libmp import (fone, fzero, from_float, mpc_add, mpc_mul, mpc_pow_int, mpc_sub,
-                              mpf_add, mpf_div, mpf_gt, mpf_shift, round_nearest)
-    prec, rnd = precision + 20, round_nearest
-    q = witness.weights.q
-    alpha, beta, gamma = (None if s is None else s._mpc_
-                          for s in witness_to_mpc(witness, precision))
-    rng = random.Random(seed)
-    points, images = [], []
-    for _ in range(_SAMPLES):
-        x = (from_float(rng.uniform(-0.35, 0.35), prec, rnd),
-             from_float(rng.uniform(-0.35, 0.35), prec, rnd))
-        y = (from_float(rng.uniform(-0.35, 0.35), prec, rnd),
-             from_float(rng.uniform(-0.35, 0.35), prec, rnd))
-        py = mpc_mul(beta, y, prec, rnd)
-        if gamma is not None:
-            py = mpc_add(py, mpc_mul(gamma, mpc_pow_int(x, q, prec, rnd), prec, rnd), prec, rnd)
-        points.append((mp.make_mpc(x), mp.make_mpc(y)))
-        images.append((mp.make_mpc(mpc_mul(alpha, x, prec, rnd)), mp.make_mpc(py)))
-    worst = fzero
-    lefts = eval_bivar(first, images, precision)
-    for left, right in zip(lefts, eval_bivar(second, points, precision)):
-        left, right = left._mpc_, right._mpc_
-        residual = _mpc_abs(mpc_sub(left, right, prec, rnd), prec)
-        size_l, size_r = _mpc_abs(left, prec), _mpc_abs(right, prec)
-        scale = mpf_add(size_r if mpf_gt(size_r, size_l) else size_l, fone, prec, rnd)
-        ratio = mpf_div(residual, scale, prec, rnd)
-        if mpf_gt(ratio, worst):
-            worst = ratio
-    return worst, mpf_shift(fone, _SAMPLE_MARGIN - precision)
+    def holds(r, factors) -> bool:
+        return _is_radical_product(r, factors, bits, roots)
+
+    line = holds(GQ_ONE, ((alpha, q), (scale, -1), (beta, -p)))  # (A)
+    if gamma is None:
+        s_pre = s_post = GQ_ZERO
+    elif isinstance(gamma, ShearTerm):
+        s_pre, s_post = gamma.alpha_coeff, gamma.beta_coeff
+    else:
+        s_pre, s_post = witness.shears or (GQ_ZERO, GQ_ZERO)
+        rho = radicals[-1]
+        if s_pre.is_zero:
+            proved = holds(s_post, ((rho, 1), (beta, -1)))
+        elif s_post.is_zero:
+            proved = holds(s_pre, ((rho, 1), (alpha, -q)))
+        elif p == 1 and isinstance(witness.scale, GaussianRational) and line:
+            s_pre, s_post = GQ_ZERO, s_pre * witness.scale + s_post
+            proved = holds(s_post, ((rho, 1), (beta, -1)))
+        else:
+            proved = False
+        if not proved:
+            return False
+    h = first if s_pre.is_zero else first.substitute(X, Y + BivarPoly.monomial(q, 0, s_pre))
+    k = second if s_post.is_zero else second.substitute(X, Y - BivarPoly.monomial(q, 0, s_post))
+    if h.terms.keys() != k.terms.keys():
+        return False
+    if not h.terms:
+        return True
+    (i0, j0), *rest = h.terms
+    r0 = k.terms[i0, j0] / h.terms[i0, j0]
+    if not holds(r0, ((alpha, i0), (beta, j0))):
+        return False
+    for i, j in rest:
+        ratio = k.terms[i, j] / h.terms[i, j]
+        t, off = divmod(i - i0, q)
+        if not off and j0 - j == t * p and line:
+            if not holds(ratio / r0, ((scale, t),)):
+                return False
+        elif not holds(ratio, ((alpha, i), (beta, j))):
+            return False
+    return True
 
 
 def whitney_quartic(t) -> BivarPoly:

@@ -15,7 +15,10 @@ the split; no Euclidean gcd over Q(i) is taken.
 
 The exact route's k-th roots are here too, on integers only: integer_root,
 _complex_root (one branch, mpmath's rule, in Gaussian fixed point), and on
-them _exact_root and _gaussian_roots, which find Gaussian-rational roots.
+them _exact_root and _gaussian_roots, which find Gaussian-rational roots,
+and _is_radical_product, which proves that a Gaussian rational equals a
+product of powers of such roots (the certificate of radical witnesses);
+its one side effect is on the cache of roots its caller passes.
 """
 
 from __future__ import annotations
@@ -463,6 +466,85 @@ def _gaussian_roots(value: GaussianRational, k: int) -> list:
     if g is None:
         return []
     return [g * u for u in (GQ_ONE, GQ_I, -GQ_ONE, -GQ_I)[:: 4 // count]]
+
+
+def _unit_root(base: GaussianRational, k: int, branch: int, bits: int) -> tuple[int, int, int]:
+    """(re, im, s) for the branch-th k-th root rho of base != 0: re + im*i is
+    within distance 1 of 2^bits*x, where x = 2^s*rho and 1 <= |x| < 2^4.
+
+    With M the larger bit length of base's parts and n that of its
+    denominator, M - 1 - n < log2|base| < M - n + 3/2. So s = -floor((M - 1
+    - n)/k) puts log2|x| = log2|base|/k + s in (0, 1 + 5/(2k)), and
+    2^bits*x = 2^(bits + s)*rho is _complex_root's at bits + s.
+    """
+    a, b, d = base.a, base.b, base.d
+    s = -((max(abs(a).bit_length(), abs(b).bit_length()) - 1 - d.bit_length()) // k)
+    return (*_complex_root(a, b, d, k, branch, bits + s), s)
+
+
+def _is_radical_product(r: GaussianRational, factors, bits: int, roots: dict) -> bool:
+    """Whether r = prod rho^e over factors ((base, k, branch), e), rho the
+    branch-th k-th root of a Gaussian rational base (k = 1 for base itself);
+    a proof, with no tolerance.
+
+    A factor with e = 0 is 1. A zero rho makes the product 0 for e > 0 and
+    undefined for e < 0. Otherwise rho^e = base^(e // k)*rho^(e % k): the
+    whole powers move onto r, and 0 <= e < k is left. If no factor is left,
+    r must be 1. Else, with L = lcm(k), rho^L = base^(L/k) gives the
+    identity r^L = prod base^(e*L/k), checked over Z[i] with denominators
+    cleared; it holds iff r/prod rho^e is an L-th root of unity zeta.
+
+    The pin proves zeta = 1. Distinct L-th roots of unity lie 2*sin(pi/L)
+    >= 4/L apart (L >= 2). _unit_root gives each x = 2^s*rho, |x| >= 1, at
+    b >= bits bits, with 2^b > 2*E*L, E = sum(e): each to a relative 2^-b,
+    so P = prod z^e is 2^(b*E)*prod x^e to a relative (1 + 2^-b)^E - 1 <=
+    2*E*2^-b < 1/L. With T = r*2^(sum e*s) = zeta*prod x^e, |T*2^(b*E) - P|
+    is below |T|*2^(b*E)/L when zeta = 1 and above 3*|T|*2^(b*E)/L when not;
+    the test is against twice that. roots caches the enclosures by
+    (base, k, branch, b), so one b for all of a witness's checks (bits)
+    takes each root once.
+    """
+    live = [(rho, e) for rho, e in factors if e]
+    if any(base.is_zero for (base, _, _), _ in live):
+        return r.is_zero and all(e > 0 for (base, _, _), e in live if base.is_zero)
+    if r.is_zero:
+        return False
+    kept = []
+    for (base, k, branch), e in live:
+        whole, e = divmod(e, k)
+        if whole:
+            r = r / base**whole
+        if e:
+            kept.append((base, k, branch, e))
+    if not kept:
+        return r == GQ_ONE
+    order = lcm(*(k for _, k, _, _ in kept))
+    left, right = power((r.a, r.b), order, (1, 0), _gaussian_mul), (r.d**order, 0)
+    for base, k, _, e in kept:
+        f = e * order // k
+        den = base.d**f
+        left = (left[0] * den, left[1] * den)
+        right = _gaussian_mul(right, power((base.a, base.b), f, (1, 0), _gaussian_mul))
+    if left != right:
+        return False
+    total = sum(e for *_, e in kept)
+    bits = max(bits, (2 * total * order).bit_length())
+    pre, pim, shift = 1, 0, bits * total
+    for base, k, branch, e in kept:
+        key = (base, k, branch, bits)
+        if key not in roots:
+            roots[key] = _unit_root(base, k, branch, bits)
+        zre, zim, s = roots[key]
+        pre, pim = _gaussian_mul((pre, pim), power((zre, zim), e, (1, 0), _gaussian_mul))
+        shift += e * s
+    # T*2^(b*E) = (r.a + r.b*i)*2^shift/r.d against P, both times r.d
+    ta, tb = r.a, r.b
+    pre, pim = pre * r.d, pim * r.d
+    if shift >= 0:
+        ta, tb = ta << shift, tb << shift
+    else:
+        pre, pim = pre << -shift, pim << -shift
+    return order * order * ((ta - pre) ** 2 + (tb - pim) ** 2) <= 4 * (ta * ta + tb * tb)
 
 
 class UniPoly(Record):

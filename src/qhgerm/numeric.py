@@ -20,12 +20,11 @@ works in integers too, on (mantissa, exponent) pairs, each result rounded
 once, half-even, by mpf_add's rule (_dyadic_sum): the coefficients
 (_gaussian_mpc, which to_mpc shares), the seed powers where mpc_pow_int's
 own result is exact arithmetic rounded once, every step, product and sum,
-so its values have mpmath's bits at a fraction of mpmath's cost; _mpc_abs
-gives mpc_abs's bits the same way. cluster_roots, numeric_match and
-_nearest_clusters decide each distance, nonzero and nearest-center test in
-doubles first, through the filtered comparison of _double_filter, and
-compute it in mpmath only where the doubles do not settle it; nth_root
-computes in mpmath.
+so its values have mpmath's bits at a fraction of mpmath's cost.
+cluster_roots, numeric_match and _nearest_clusters decide each distance,
+nonzero and nearest-center test in doubles first, through the filtered
+comparison of _double_filter, and compute it in mpmath only where the
+doubles do not settle it; nth_root computes in mpmath.
 
 mpmath is imported by each function that does mpmath arithmetic, on entry,
 not by this module: the exact route never needs it, so a process that
@@ -465,39 +464,6 @@ def _dyadic_mul(z, w, prec: int):
     c, ec, d, ed = w
     return (_dyadic_sum(a * c, ea + ec, -b * d, eb + ed, prec)
             + _dyadic_sum(a * d, ea + ed, b * c, eb + ec, prec))
-
-
-def _mpc_abs(z, prec: int) -> tuple:
-    """mpc_abs(z, prec, round_nearest) of an mpc tuple z, in integers: the
-    bits of mpf_hypot. A zero part leaves the other's modulus rounded to
-    prec; else a^2 + b^2 is rounded down to prec + 4 bits, with mpf_add's
-    sticky rule (the squares of odd mantissas are normalized, so their
-    lowest bits are the ones it compares), and its square root rounded
-    correctly, half-even, to prec bits: math.isqrt to prec + 2 bits or
-    more and a sticky bit for a nonzero remainder, as mpf_sqrt does."""
-    (_, a, a_exp, _), (_, b, b_exp, _) = z
-    if not a or not b:
-        return _mpf_tuple(*_round(a or b, a_exp if a else b_exp, prec))
-    m, e, n, f = a * a, 2 * a_exp, b * b, 2 * b_exp
-    top_m, top_n = m.bit_length() + e, n.bit_length() + f
-    if top_m < top_n:
-        m, e, n, f, top_m, top_n = n, f, m, e, top_n, top_m
-    if top_m - top_n > prec + 8 and e - f > 100:
-        m, e = (m << (prec + 8)) + 1, e - prec - 8
-    elif e >= f:
-        m, e = (m << (e - f)) + n, f
-    else:
-        m += n << (f - e)
-    excess = m.bit_length() - prec - 4
-    if excess > 0:
-        m, e = m >> excess, e + excess
-    if e & 1:
-        m, e = m << 1, e - 1
-    shift = max(2 * prec + 4 - m.bit_length(), 0)
-    shift += shift & 1
-    root = math.isqrt(m << shift)
-    root = (root << 1) | (root * root != m << shift)
-    return _mpf_tuple(*_round(root, (e - shift) // 2 - 1, prec))
 
 
 def _dyadic_diff(a, b, frac: int) -> complex:

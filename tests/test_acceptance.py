@@ -5,6 +5,7 @@ terminal summary, and then asserts. Generators come from conftest so the
 ground truth of every random case is known by construction.
 """
 
+import importlib
 import random
 import time
 from collections import Counter
@@ -12,6 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,7 @@ from qhgerm.numeric import _newton_polygon_starts
 from qhgerm.structure import analyze_germ, infer_weights
 
 CORPUS_SEED = 20260822
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -296,18 +299,38 @@ def test_branch_completeness():
         for branch in range(d):
             witness = build_witness(first, second, verdict, branch)
             report = verify_witness(first, second, witness, precision=128)
-            if not report.passed or float(report.max_residual) > 1e-20:
-                failures.append(
-                    f"pair {collected} branch {branch}: residual {report.max_residual}"
-                )
+            if not (report.passed and report.exact):
+                failures.append(f"pair {collected} branch {branch}: not certified")
     ok = not failures
     record_acceptance(
         "scale branch completeness",
         ok,
         f"100 pairs with d >= 2 (orders {sorted(orders)}), every branch "
-        "verified at 1e-20",
+        "certified exactly",
     )
     assert ok, failures[:5]
+
+
+@pytest.mark.skipif(not (BENCH / "corpus.py").is_file(), reason="bench/corpus.py is absent")
+def test_small_coefficients_keep_the_radical_witness(monkeypatch, capsys):
+    # pair r0-s0 of the seed-3 radical corpus with both germs times 2^-300:
+    # scaling both sides changes no witness, so the sweep must find the
+    # unscaled pair's alpha, and its certificate must pass
+    monkeypatch.syspath_prepend(str(BENCH))
+    pairs = importlib.import_module("corpus").witness_pairs(3, 4, radical=True)
+    pair = next(p for p in pairs if p["id"] == "r0-s0")
+    texts = [f"(1/{2**300})*({pair[side]})" for side in ("first_text", "second_text")]
+    code = cli.run(["decide", "--witness", *texts])
+    out = capsys.readouterr().out
+    ok = code == 0 and "alpha = (-7/2i)^(1/7) branch 4 ~" in out
+    ok = ok and "verification: exact pass\n" in out
+    record_acceptance(
+        "radical witness of germs with small coefficients",
+        ok,
+        "pair r0-s0 of the seed-3 radical corpus scaled by 2^-300 gets the unscaled "
+        "pair's alpha, certified exactly",
+    )
+    assert ok, out
 
 
 def test_four_line_moduli():

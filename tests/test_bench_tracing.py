@@ -43,20 +43,21 @@ def test_install_and_uninstall_restore_the_originals(tracing):
     assert [owner.__dict__[attr] for owner, attr in names] == originals
 
 
-def test_traced_radical_check_sees_eval_bivar_and_nth_root(tracing):
-    # a radical witness's check takes its scalars through nth_root and
-    # evaluates each side once through eval_bivar, so the traced
-    # radical_witness run sees time and calls in both
-    from qhgerm import build_witness, parse_poly, verify_witness
+def test_traced_radical_witness_sees_nth_root_and_no_eval_bivar(tracing):
+    # the builder takes a radical witness's scalars through nth_root, and
+    # the certificate evaluates no point, so the traced radical_witness run
+    # sees calls to nth_root, time in verify_witness and none in eval_bivar
+    from qhgerm import engine, parse_poly
 
     first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
-    witness = build_witness(first, second)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert verify_witness(first, second, witness).passed
+        witness = engine.build_witness(first, second)
+        assert engine.verify_witness(first, second, witness).passed
     finally:
         tracer.uninstall()
     names = [name for name, *_ in tracer.spans]
-    assert names.count("numeric.eval_bivar") == 2
+    assert names.count("numeric.eval_bivar") == 0
     assert names.count("numeric.nth_root") >= 1
+    assert names.count("engine.verify_witness") == 1

@@ -211,11 +211,8 @@ class TestDecide:
         ver = doc["verification"]
         assert sorted(ver) == ["mode", "pass", "precision", "residual",
                                "samples", "tol"]
-        assert ver["mode"] == "numeric"
-        assert ver["pass"] is True
-        assert ver["precision"] == 128
-        assert ver["samples"] == 8
-        assert float(ver["residual"]) < 1e-30
+        assert ver == {"mode": "exact", "pass": True, "precision": 128, "residual": "0",
+                       "samples": 0, "tol": "0"}
 
     def test_witness_absent_without_flag(self):
         _, out, _ = run_cli("decide", PAIR_FIRST, PAIR_SECOND, "--json")
@@ -259,7 +256,7 @@ class TestDecide:
         assert "  alpha = (2)^(1/4) branch 0 ~ (1.1892071150027210667 + 0.0j)" in lines
         assert "  beta  = 1" in lines
         assert "  gamma = (1/2)*alpha^q + (-1)*beta" in lines
-        assert lines[-1].startswith("verification: numeric pass")
+        assert lines[-1] == "verification: exact pass"
 
     def test_zero_shear_prints_as_zero(self):
         # both centroids are 0 and the scale is irrational, so the shift is 0
@@ -268,7 +265,7 @@ class TestDecide:
         assert code == 0
         lines = out.splitlines()
         assert "  gamma = 0" in lines
-        assert lines[-1].startswith("verification: numeric pass")
+        assert lines[-1] == "verification: exact pass"
         code, out, _ = run_cli(*argv, "--json")
         doc = json.loads(out)
         assert doc["witness"]["gamma"] == {
@@ -289,7 +286,7 @@ class TestDecide:
             "  beta  = (30000000000000000019/20000000000000000011)^(1/2) branch 0 ~ "
             "(1.2247448713915890491 + 0.0j)"
         ) in lines
-        assert lines[-1].startswith("verification: numeric pass")
+        assert lines[-1] == "verification: exact pass"
 
     def test_pair_from_file(self, tmp_path):
         pair = tmp_path / "pair.txt"
@@ -437,7 +434,7 @@ class TestOptionSets:
 
     OPTIONS = {
         "analyze": {"--weights", "--json"},
-        "decide": {"--weights", "--mode", "--precision", "--tol", "--seed", "--json",
+        "decide": {"--weights", "--mode", "--precision", "--tol", "--json",
                    "--file", "--witness", "--branch"},
         "roots": {"--weights", "--precision", "--tol", "--json"},
         "demo-whitney": {"--json"},
@@ -452,13 +449,15 @@ class TestOptionSets:
                       for option in action.option_strings} - {"-h", "--help"}
                for name, command in sub.choices.items()}
         assert got == self.OPTIONS
-        assert sum(len(options) for options in got.values()) == 20
+        assert sum(len(options) for options in got.values()) == 19
 
     @pytest.mark.parametrize("argv", [
         ("analyze", "Y^2-X^3", "--seed", "3"),
         ("roots", "Y^2-X^3", "--mode", "exact"),
         ("demo-whitney", "2", "3", "--tol", "0.1"),
         ("decide-batch", "--json"),
+        # verification is exact and takes no seed
+        ("decide", "Y^2-X^3", "Y^2-2*X^3", "--witness", "--seed", "3"),
     ])
     def test_unread_option_is_usage_error(self, argv):
         record = json.dumps({"first": "Y^2-X^3", "second": "Y^2-2*X^3"}) + "\n"
@@ -889,7 +888,7 @@ class TestPrecisionEnvironment:
         assert (code, err) == (0, "")
         verification = json.loads(out)["verification"]
         assert verification["precision"] == cli.MAX_PRECISION
-        assert verification["mode"] == "numeric" and verification["pass"]
+        assert verification["mode"] == "exact" and verification["pass"]
         code, out, _ = run_cli("decide", "Y^2-1.5*X^3", "Y^2-X^3",
                                env={"QHGERM_PRECISION": str(cli.MAX_PRECISION)})
         assert code == 0

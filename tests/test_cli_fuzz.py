@@ -75,7 +75,7 @@ poly_text = st.one_of(
 
 _GOOD_FLAGS = [["--json"], ["--witness"], ["--mode", "exact"], ["--mode", "numeric"],
                ["--mode", "auto"], ["--weights", "2,3"], ["--precision", "53"],
-               ["--precision", "200"], ["--tol", "1e-6"], ["--branch", "1"], ["--seed", "3"]]
+               ["--precision", "200"], ["--tol", "1e-6"], ["--branch", "1"]]
 _BAD_FLAGS = [["--weights", "0,1"], ["--weights", "x"], ["--precision", "9000"],
               ["--tol", "0"], ["--branch", "-1"], ["--bogus"]]
 

@@ -1,7 +1,11 @@
 """Equivalence decisions, witness construction, and the quartic demo."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -20,6 +24,7 @@ from qhgerm import (
     ScaleClass,
     ShearTerm,
     UniPoly,
+    VerificationReport,
     Witness,
     affine_multiset_match,
     analyze_germ,
@@ -502,7 +507,7 @@ class TestWitness:
         assert witness.alpha.index == 3
         assert witness.beta == gq(1)
         report = verify_witness(first, second, witness)
-        assert report.passed and not report.exact
+        assert report == VerificationReport(True, True, "0", "0", 0, 128)
 
     def test_both_branches_of_an_even_class(self):
         first = parse_poly("Y^2-X^4")
@@ -578,7 +583,7 @@ class TestWitness:
         witness = build_witness(first, second, verdict)
         assert isinstance(witness.gamma, ShearTerm)
         report = verify_witness(first, second, witness)
-        assert report.passed and not report.exact
+        assert report.passed and report.exact
 
     def test_centered_image_gets_radical_shear(self):
         first = parse_poly("Y^2 - 2*X^2*Y + 1/2*X^4")
@@ -601,32 +606,52 @@ class TestWitness:
             report = verify_witness(parts.poly, image, witness)
             assert report.passed
 
-    def test_sampled_check_calls_eval_bivar_once_per_side_with_every_point(self, monkeypatch):
-        # the benchmark's tracer times the check through engine.eval_bivar;
-        # the check must still call it there, with all 8 points as mpc values
-        calls = []
+    def test_radical_certificate_evaluates_nothing(self, monkeypatch):
+        # the certificate is exact: no point is evaluated and no numeric root
+        # taken, and the precision is only checked
+        def refuse(*args):
+            raise AssertionError("numeric call")
 
-        def recording(poly, points, precision):
-            points = list(points)
-            calls.append((poly, points, precision))
-            return numeric.eval_bivar(poly, points, precision)
-
-        monkeypatch.setattr(engine, "eval_bivar", recording)
         for first_text, second_text in (("Y^2-X^3", "Y^2-3*X^3"),
-                                        ("Y*(Y-X^2)", "Y^2 - 2*X^2*Y + 1/2*X^4")):
+                                        ("Y*(Y-X^2)", "Y^2 - 2*X^2*Y + 1/2*X^4"),
+                                        ("Y^2 - 2*X^2*Y + 1/2*X^4", "Y^2 - 1/4*X^4")):
             first, second = parse_poly(first_text), parse_poly(second_text)
             witness = build_witness(first, second)
-            calls.clear()
-            assert verify_witness(first, second, witness, 160).passed
-            assert [(poly, len(points), precision) for poly, points, precision in calls] == [
-                (first, 8, 160), (second, 8, 160)]
-            assert all(type(z) is mpc for _, points, _ in calls for point in points
-                       for z in point)
+            with monkeypatch.context() as patch:
+                for name in ("eval_bivar", "nth_root", "to_mpc"):
+                    patch.setattr(engine, name, refuse)
+                for precision in (MIN_PRECISION, 160, 8192):
+                    report = verify_witness(first, second, witness, precision)
+                    assert report == VerificationReport(True, True, "0", "0", 0, precision)
+
+    def test_radical_certificate_imports_neither_mpmath_nor_random(self):
+        # 2^(1/4) and (1/2)^(1/8) map X*Y^2 - X^4 to X*Y^2 - 2*X^4, and alpha on
+        # another branch does not; the witnesses are given by hand, so nothing
+        # before verify_witness can load either module
+        code = (
+            "import sys\n"
+            "from qhgerm import WeightSignature, Witness, RadicalScalar, gq, parse_poly\n"
+            "from qhgerm import verify_witness\n"
+            "loaded = 'random' in sys.modules\n"
+            "first, second = parse_poly('X*Y^2 - X^4'), parse_poly('X*Y^2 - 2*X^4')\n"
+            "beta = RadicalScalar(gq(1) / 2, 8, 0, '')\n"
+            "for branch, passed in ((0, True), (1, False)):\n"
+            "    alpha = RadicalScalar(gq(2), 4, branch, '')\n"
+            "    w = Witness(alpha, beta, None, gq(2), WeightSignature(2, 3, 8), None, None)\n"
+            "    report = verify_witness(first, second, w)\n"
+            "    assert (report.passed, report.exact) == (passed, True), report\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "assert loaded or 'random' not in sys.modules\n"
+        )
+        src = Path(engine.__file__).resolve().parent.parent
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sampled_check_needs_a_sample(self, samples):
-        # a check of no points would accept this witness against a wrong
-        # target; the point count is fixed, so no caller can ask for fewer
+        # radical witnesses are certified, not sampled, so no caller can ask
+        # for a number of sample points; the wrong target still fails
         first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
         wrong = parse_poly("Y^2-5*X^3")
         witness = build_witness(first, second)
@@ -637,8 +662,9 @@ class TestWitness:
         assert verify_witness(first, second, witness).passed
 
     def test_sampled_check_refuses_low_precision(self):
-        # the wrong target leaves residual 0.128; the tolerance 2^-(precision-48)
-        # is 0.25 at 50 bits, where it would pass, and 2^-5 at the 53-bit floor
+        # verify_witness refuses a precision below the CLI's 53-bit floor; at
+        # the floor the certificate refutes the wrong targets and proves the
+        # right one
         first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
         witness = build_witness(first, second)
         for wrong in (parse_poly("Y^2-5*X^3"), parse_poly("X^7")):
@@ -650,8 +676,8 @@ class TestWitness:
 
     @pytest.mark.parametrize("precision", [128.0, 53.5, True, "128", None])
     def test_sampled_check_refuses_a_precision_that_is_not_an_int(self, precision):
-        # 128.0 failed inside the check with a TypeError; bool is not taken
-        # for an int either
+        # verify_witness's input check: 128.0 once failed inside the check
+        # with a TypeError; bool is not taken for an int either
         first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
         witness = build_witness(first, second)
         with pytest.raises(ValueError, match="precision must be an int"):
@@ -668,6 +694,7 @@ class TestWitness:
             witness.scale,
             witness.weights,
             witness.branch,
+            witness.shears,
         )
         assert not verify_witness(first, second, bad).passed
 
@@ -680,8 +707,8 @@ class TestWitness:
         ],
     )
     def test_nudged_radical_witness_fails_sampling(self, first, second, field):
-        # one scalar off by a relative 2^-50: the sampled check must see it,
-        # far above its tolerance, not only the exact path
+        # one scalar off by a relative 2^-50: the certificate of a radical
+        # witness refutes it exactly, as the substitution does a rational one
         first, second = parse_poly(first), parse_poly(second)
         witness = build_witness(first, second)
         assert verify_witness(first, second, witness).passed
@@ -693,8 +720,7 @@ class TestWitness:
             assert isinstance(scalar, RadicalScalar)
             bad = replace(scalar, base=scalar.base * nudge)
         report = verify_witness(first, second, replace(witness, **{field: bad}))
-        assert not report.passed and not report.exact
-        assert mpf(report.max_residual) > 1e6 * mpf(report.tol)
+        assert report == VerificationReport(False, True, "0", "0", 0, 128)
 
     @pytest.mark.parametrize(
         "first, change, field, nudge",

@@ -549,9 +549,107 @@ class TestComplexRoot:
             prec = 64 + k.bit_length()
             assert mp_root_error(1, 0, 1, k, 1, prec) < 1, k
 
+    @pytest.mark.parametrize("a, b, d, k, prec", [(2**4000, 0, 1, 3, -1300), (-(3**900), 5, 7, 230, -3),
+                                                  (1, -1, 2**3000, 2, 1520)])
+    def test_precision_below_the_root_size(self, a, b, d, k, prec):
+        # _unit_root asks for the root to a fixed number of bits whatever its
+        # size, so prec is negative where the root is wide
+        assert mp_root_error(a, b, d, k, 0, prec) < 1
+        assert mp_root_error(a, b, d, k, k - 1, prec) < 1
+
     def test_rejects_an_index_past_the_double_start(self):
         with pytest.raises(ValueError):
             _complex_root(1, 0, 1, 2**40, 1, 64)
+
+
+def mp_radical_product(r, factors) -> bool:
+    """Whether r = prod rho^e, rho mp.root's branch-th k-th root of base, to
+    a relative 2^-100 at 400 bits: far below the gap 4/L between r and any
+    other L-th root of unity times the product, L the lcm of the k."""
+    def point(z):
+        return mpc(mpf(z.a) / z.d, mpf(z.b) / z.d)
+
+    with mp.workprec(400):
+        value = mpc(1)
+        for (base, k, branch), e in factors:
+            if e:
+                value *= mp.root(point(base), k, branch) ** e
+        return abs(value - point(r)) <= abs(value) * mpf(2) ** -100
+
+
+wide_scalars = st.builds(gq, st.fractions(max_denominator=2**64),
+                         st.fractions(max_denominator=2**64)).filter(lambda z: not z.is_zero)
+
+
+@st.composite
+def radical_claims(draw):
+    """(r, factors): up to three radicals, each a root of g^k times 1, i,
+    -1 or 2 on any branch, and r the product of the g^e times a unit; the
+    claim is true on about one branch in k of each radical."""
+    r, factors = draw(st.sampled_from([GQ_ONE, GQ_ONE, GQ_I, -GQ_ONE, -GQ_I])), []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.one_of(nonzero_scalars, wide_scalars))
+        k = draw(st.sampled_from([1, 2, 3, 4, 6, 7, 12]))
+        twist = draw(st.sampled_from([GQ_ONE, GQ_ONE, GQ_I, -GQ_ONE, gq(2)]))
+        e = draw(st.integers(-2 * k, 2 * k))
+        factors.append(((g**k * twist, k, draw(st.integers(0, k - 1))), e))
+        r = r * g**e
+    return r, factors
+
+
+class TestRadicalProduct:
+    """_is_radical_product, the certificate's common step, against the
+    product of mpmath roots."""
+
+    @seed(20261024)
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(claim=radical_claims())
+    def test_agrees_with_mpmath(self, claim):
+        r, factors = claim
+        assert exact._is_radical_product(r, factors, 0, {}) == mp_radical_product(r, factors)
+
+    @pytest.mark.parametrize("g, branch", [(gq(3), 0), (gq(-3), 115), (gq(0, 3), 57),
+                                           (gq(Fraction(-2**389 + 1, 7), 1), 115)])
+    def test_one_branch_of_many_is_the_root(self, g, branch):
+        # the 230-th roots of g^230 lie 2*sin(pi/230) apart, and only one is g;
+        # the identity g^230 = g^230 holds on every branch, so the pin decides
+        roots, base = {}, g**230
+        got = [k for k in range(230)
+               if exact._is_radical_product(g, [((base, 230, k), 1)], 0, roots)]
+        assert got == [branch]
+
+    def test_root_of_unity_pinned_in_a_product(self):
+        # 2^(1/2)*2^(1/2) = 2 on equal branches; -2 when one branch moves
+        two = gq(2)
+        for b1, b2, want in ((0, 0, two), (1, 1, two), (0, 1, -two), (1, 0, -two)):
+            factors = [((two, 2, b1), 1), ((two, 2, b2), 1)]
+            assert exact._is_radical_product(want, factors, 0, {})
+            assert not exact._is_radical_product(-want, factors, 0, {})
+
+    def test_negative_and_whole_exponents(self):
+        # (3^(1/3))^-4 = 3^-2 * 3^(2/3), and a rational factor is its own root
+        rho = (gq(3), 3, 0)
+        assert exact._is_radical_product(gq(Fraction(1, 3)), [(rho, -3)], 0, {})
+        assert exact._is_radical_product(gq(Fraction(1, 3)), [(rho, -4), (rho, 1)], 0, {})
+        assert exact._is_radical_product(gq(6), [((gq(2), 1, 0), 1), (rho, 3)], 0, {})
+        assert not exact._is_radical_product(gq(Fraction(1, 9)), [(rho, -4)], 0, {})
+
+    def test_zero(self):
+        zero = (GQ_ZERO, 3, 0)
+        assert exact._is_radical_product(GQ_ZERO, [(zero, 2), ((gq(5), 2, 1), 1)], 0, {})
+        assert not exact._is_radical_product(GQ_ZERO, [(zero, -1)], 0, {})
+        assert not exact._is_radical_product(GQ_ONE, [(zero, 1)], 0, {})
+        assert not exact._is_radical_product(GQ_ZERO, [((gq(5), 2, 1), 1)], 0, {})
+        assert exact._is_radical_product(GQ_ONE, [(zero, 0)], 0, {})
+
+    def test_the_cache_holds_one_enclosure_per_root_and_precision(self):
+        # the identity holds for each e, so each claim is pinned
+        roots = {}
+        rho = (gq(32), 5, 3)
+        for e in range(1, 5):
+            assert not exact._is_radical_product(gq(2**e), [(rho, e)], 64, roots)
+        assert list(roots) == [(gq(32), 5, 3, 64)]
 
 
 class TestFormatting:

@@ -16,8 +16,13 @@ reference that recomputes its answer the long way.
   clusters gives the same scale and shift, or None alike.
 - eval_bivar: its integer kernel gives the same bits as the mpc loop it
   replaced, kept here as reference_eval_bivar, on drawn polynomials and
-  points and on cases built to reach each rounding decision; and
-  verify_witness repeats the reports recorded before the kernel existed.
+  points and on cases built to reach each rounding decision.
+- verify_witness on radical witnesses: the exact certificate proves every
+  witness of the radical corpora and of the branch-completeness pairs, and
+  refutes each corrupted witness, except a moved branch that is a witness
+  again; the sampled check it replaced, kept here as
+  reference_sampled_check, confirms those and a sample of the refuted ones
+  at 1024 bits.
 - to_mpc and eval_bivar's coefficients: one rounding of Q(i) to binary
   with the bits of the Fraction division it replaced, kept here as
   reference_to_mpc.
@@ -1166,8 +1171,9 @@ RADICAL_REPORTS = Path(__file__).resolve().parent / "data" / "radical_reports_se
 
 def test_verify_witness_repeats_the_recorded_radical_reports():
     # the 40 radical pairs of bench/corpus.witness_pairs(7, 4, radical=True),
-    # with the reports verify_witness gave under the mpc loop, at 3
-    # precisions and 2 seeds each
+    # with the reports the sampled check gave, at 3 precisions and 2 seeds
+    # each: every one passed, and the certificate proves every witness at
+    # each recorded precision
     records = [json.loads(line)
                for line in RADICAL_REPORTS.read_text(encoding="utf-8").splitlines()]
     assert len(records) == 40
@@ -1175,19 +1181,20 @@ def test_verify_witness_repeats_the_recorded_radical_reports():
         first, second = parse_poly(rec["first"]), parse_poly(rec["second"])
         witness = build_witness(first, second, decide_equivalence(first, second))
         for want in rec["reports"]:
-            report = verify_witness(first, second, witness, want["precision"], want["seed"])
-            got = {"passed": report.passed, "max_residual": report.max_residual,
-                   "tol": report.tol, "samples": report.samples,
-                   "precision": report.precision, "seed": want["seed"]}
-            assert not report.exact and got == want
+            assert want["passed"]
+            report = verify_witness(first, second, witness, want["precision"])
+            assert report == engine.VerificationReport(True, True, "0", "0", 0,
+                                                       want["precision"])
 
 
 def reference_sampled_check(first, second, witness, precision: int, seed: int,
                             evaluate=eval_bivar):
-    """verify_witness's sampled check as it was on mpc values, verbatim:
-    (worst, bound) as mpf values, and the report it gave. evaluate stands
-    for eval_bivar, which reference_eval_bivar can replace; then only
-    to_mpc's rounding of the coefficients is shared with the kernel."""
+    """The sampled check verify_witness made before its certificate, on mpc
+    values, verbatim: (worst, bound) as mpf values, and the report it gave.
+    evaluate stands for eval_bivar, which reference_eval_bivar can replace;
+    then only to_mpc's rounding of the coefficients is shared with the
+    kernel. At 1024 bits its bound is 2^-976, so it is an independent
+    high-precision check of a witness."""
     q = witness.weights.q
     with mp.workprec(precision + 20):
         alpha_num, beta_num, gamma_num = engine.witness_to_mpc(witness, precision)
@@ -1217,14 +1224,17 @@ def reference_sampled_check(first, second, witness, precision: int, seed: int,
 SHEAR_PAIRS = [("Y*(Y-X^2)", "Y^2 - 2*X^2*Y + 1/2*X^4"),
                ("(Y-X^2)*(Y-3*X^2)", "Y^2 - 5*X^2*Y + 5*X^4"),
                ("Y*(Y-X^3)", "Y^2 - 2*X^3*Y + 1/3*X^6")]
+# both germs times 2^-300: the witness is the unscaled pair's
+SMALL = f"(1/{2**300})*"
 
 
-def sampled_witnesses() -> list:
+def radical_witnesses() -> list:
     """(first, second, witness, symmetric) with a radical scalar: every
     branch of the pairs of conftest.branch_completeness_pairs(), whose
     germs are power-symmetric, SHEAR_PAIRS, whose germs are even or odd
     in X (symmetric True for both), and the radical pairs of
-    bench/corpus.witness_pairs(s, 4, radical=True) for s = 3 and 11."""
+    bench/corpus.witness_pairs(s, 4, radical=True) for s = 3, 7 and 11,
+    as they are and with both germs times 2^-300."""
     from conftest import branch_completeness_pairs
     corpus = pytest.importorskip("corpus")
     out = []
@@ -1232,8 +1242,9 @@ def sampled_witnesses() -> list:
         if verdict.status == "Equivalent":
             out += [(first, second, build_witness(first, second, verdict, branch=k), True)
                     for k in range(engine.witness_branch_count(verdict))]
-    pairs = [(p["first_text"], p["second_text"]) for s in (3, 11)
+    pairs = [(p["first_text"], p["second_text"]) for s in (3, 7, 11)
              for p in corpus.witness_pairs(s, 4, radical=True) if p["truth"] == "Equivalent"]
+    pairs += [(f"{SMALL}({first})", f"{SMALL}({second})") for first, second in pairs]
     for pair in pairs + SHEAR_PAIRS:
         first, second = map(parse_poly, pair)
         out.append((first, second, build_witness(first, second), pair in SHEAR_PAIRS))
@@ -1244,7 +1255,7 @@ def sampled_witnesses() -> list:
 
 @pytest.fixture(scope="module")
 def witnesses(monkeypatch_module):
-    return sampled_witnesses()
+    return radical_witnesses()
 
 
 @pytest.fixture(scope="module")
@@ -1254,21 +1265,15 @@ def monkeypatch_module():
         yield patch
 
 
-@pytest.mark.parametrize("precision", [53, 128, 512])
-def test_sampled_check_has_the_bits_of_the_mpc_loop(witnesses, precision):
-    assert len(witnesses) > 250
-    assert any(isinstance(w.gamma, engine.ShearTerm) for _, _, w, _ in witnesses)
+def test_certificate_proves_every_radical_witness(witnesses):
+    # every form of gamma: none (p > 1), a ShearTerm, one radical of beta
+    # or of alpha^q, and 0
+    assert len(witnesses) > 450
+    kinds = {type(w.gamma).__name__ for _, _, w, _ in witnesses}
+    assert kinds == {"NoneType", "ShearTerm", "RadicalScalar", "GaussianRational"}
     for first, second, witness, _ in witnesses:
-        for seed in (0, 3, 17):
-            worst, bound, want = reference_sampled_check(first, second, witness, precision, seed)
-            assert engine._sampled_check(first, second, witness, precision, seed) == (
-                worst._mpf_, bound._mpf_)
-            assert verify_witness(first, second, witness, precision, seed) == want
-            assert want.passed
-        # and at seed 0 the mpc loop with mpc evaluation too
-        worst, _, _ = reference_sampled_check(first, second, witness, precision, 0,
-                                              reference_eval_bivar)
-        assert engine._sampled_check(first, second, witness, precision, 0)[0] == worst._mpf_
+        report = verify_witness(first, second, witness)
+        assert report == engine.VerificationReport(True, True, "0", "0", 0, 128)
 
 
 def corrupted(witness) -> list:
@@ -1285,35 +1290,35 @@ def corrupted(witness) -> list:
                                          for field in engine.Witness.__slots__)), True))
     if witness.alpha != witness.beta:
         out.append((engine.Witness(witness.beta, witness.alpha, witness.gamma, witness.scale,
-                                   witness.weights, witness.branch), False))
+                                   witness.weights, witness.branch, witness.shears), False))
     if isinstance(witness.gamma, engine.ShearTerm):
         shear = engine.ShearTerm(witness.gamma.alpha_coeff, -witness.gamma.beta_coeff)
         out.append((engine.Witness(witness.alpha, witness.beta, shear, witness.scale,
-                                   witness.weights, witness.branch), False))
+                                   witness.weights, witness.branch, witness.shears), False))
     return out
 
 
 def test_corrupted_witnesses_fail_with_the_reports_of_the_mpc_loop(witnesses):
-    # a symmetric germ has witnesses on other branches, so a scalar moved
-    # to the next branch may be right again there; and the 53-bit
-    # tolerance 2^-5 passes many corrupted witnesses, as the residual is
-    # relative to 1 + max(|F|, |G|) and these germs are small at the
-    # sample points. Every report is still the mpc loop's, and elsewhere
-    # each corrupted witness fails
-    # (precision, seed) go round (53, 0), (128, 3) and (512, 17)
-    grid = [(53, 0), (128, 3), (512, 17)]
+    # the certificate refutes each corrupted witness at 53, 128 and 512
+    # bits alike. A symmetric germ has witnesses on other branches, so a
+    # scalar moved to the next branch may be right again there: such a
+    # witness must be proved, and pass the mpc loop's check at 1024 bits
+    # too, and so must every 25th refuted witness fail that check
     fails = total = 0
     for first, second, witness, symmetric in witnesses:
         for wrong, moved in corrupted(witness):
-            precision, seed = grid[total % 3]
-            worst, bound, want = reference_sampled_check(first, second, wrong, precision, seed)
-            assert engine._sampled_check(first, second, wrong, precision, seed) == (
-                worst._mpf_, bound._mpf_)
-            assert verify_witness(first, second, wrong, precision, seed) == want
-            assert symmetric and moved or precision == 53 or not want.passed
-            fails += not want.passed
+            passed = verify_witness(first, second, wrong, 53).passed
+            for precision in (53, 128, 512):
+                report = verify_witness(first, second, wrong, precision)
+                assert report == engine.VerificationReport(passed, True, "0", "0", 0,
+                                                           precision)
+            if passed or fails % 25 == 0:
+                _, _, reference = reference_sampled_check(first, second, wrong, 1024, 0)
+                assert reference.passed == passed
+            assert symmetric and moved or not passed
+            fails += not passed
             total += 1
-    assert total > len(witnesses) and fails > total // 2
+    assert total > len(witnesses) and total // 2 < fails < total
 
 
 def random_part(rng, prec: int, long: bool):
@@ -1378,22 +1383,3 @@ def test_dyadic_sum_has_the_bits_of_mpf_add_on_any_representation():
         assert numeric._mpf_tuple(*got) == want, (m, e, n, f, prec)
         got = numeric._dyadic_sum(n << t, f - t, m << s, e - s, prec)
         assert numeric._mpf_tuple(*got) == want, (m, e, n, f, prec)
-
-
-def test_mpc_abs_has_the_bits_of_mpmath():
-    # the modulus in integers against mpc_abs, which rounds the sum of
-    # squares down to prec + 4 bits, with mpf_add's sticky rule, before a
-    # correctly rounded square root
-    from mpmath.libmp import from_man_exp, fzero, mpc_abs, round_nearest
-
-    rng = random.Random(20261023)
-    for k in range(6000):
-        prec = rng.choice([21, 53, 73, 148, 532])
-        if k % 3:
-            a, b = (from_man_exp(*random_part(rng, prec, False)) if rng.random() > 0.05
-                    else fzero for _ in range(2))
-        else:
-            m, e, n, f = sticky_shapes(rng, prec // 2, 4)
-            a, b = from_man_exp(m, e), from_man_exp(n, (f - 1) // 2)
-        for z in ((a, b), (b, a)):
-            assert numeric._mpc_abs(z, prec) == mpc_abs(z, prec, round_nearest), (z, prec)

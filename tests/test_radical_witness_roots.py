@@ -176,7 +176,7 @@ def reference_sweep(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits
         for ja in range(w.q):
             alpha_num = nth_root(u_num, w.q, ja)
             lhs = c0_num * alpha_num**m * beta_num**e_pow
-            if abs(lhs - d0_num) <= tol_id * (1 + abs(d0_num)):
+            if abs(lhs - d0_num) <= tol_id * abs(d0_num):
                 return jb, ja, alpha_num, beta_num
     raise InternalInconsistencyError("no consistent root branches")
 
@@ -249,9 +249,10 @@ class TestBranchSweep:
 
     @pytest.mark.parametrize("d0_bits", [98, 100, 300])
     def test_tiny_d0_passes_every_pair(self, d0_bits):
-        # |lhs| = |d0| on every pair, and tol*(1 + |d0|)/|d0| >= 2 here, so
-        # |lhs - d0| <= 2*|d0| passes whatever the angle: the first pair hits,
-        # though d0 is the value of the last one
+        # |lhs| = |d0| on every pair, so the tolerance tol*(1 + |d0|) the
+        # sweep once had passed every pair here, whatever the angle, and gave
+        # the first, (0, 0); relative to |d0| the sweep gives the first pair
+        # whose lhs is d0, (0, 1), and d0 is the value of the last one
         w, m, e_pow, m_pow = SimpleNamespace(p=2, q=3), 1, 2, 8
         with mp.workprec(192):
             a_num, rhs_num = mpc(1, 1), mpc(-3, 1)
@@ -262,4 +263,6 @@ class TestBranchSweep:
             args = (w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, 96)
             hit = engine._branch_sweep(*args)
             assert bits(hit) == bits(reference_sweep(*args))
-        assert hit[:2] == (0, 0)
+            _, _, alpha, beta = hit
+            assert abs(c0_num * alpha**m * beta**e_pow - d0_num) < abs(d0_num) * mpf(2) ** -150
+        assert hit[:2] == (0, 1)
