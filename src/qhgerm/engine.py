@@ -14,7 +14,7 @@ reproduces the second exactly: second = first o Psi.
 
 from __future__ import annotations
 
-from math import lcm, log2, pi, remainder, sin, tau
+from math import lcm, tau
 
 from .errors import (
     AmbiguousClusteringError,
@@ -30,6 +30,7 @@ from .exact import (
     GaussianRational,
     Record,
     UniPoly,
+    _arg,
     _exact_root,
     _gaussian_roots,
     _is_radical_product,
@@ -40,7 +41,6 @@ from .numeric import (
     DEFAULT_PRECISION,
     DEFAULT_TOL,
     NumericMatch,
-    _double_polar,
     _identify_branch,
     _nearest_clusters,
     cluster_roots,
@@ -68,6 +68,10 @@ if TYPE_CHECKING:
 # the least working precision in bits, that of a double, that the CLI and
 # verify_witness accept
 MIN_PRECISION = 53
+
+# the bits at which RadicalScalar.approx evaluates its root: 20 digits with
+# room for their rounding, the same for every caller
+_APPROX_BITS = 192
 
 STATUS_EQUIVALENT = "Equivalent"
 STATUS_INEQUIVALENT = "Inequivalent"
@@ -109,13 +113,45 @@ class RadicalScalar(Record):
     """The branch-th index-th root of an exact Gaussian rational.
 
     Branch k means the root whose argument is (Arg(base) + 2*pi*k)/index,
-    with the principal argument taken in (-pi, pi].
+    with the principal argument taken in (-pi, pi]. approx, the digits
+    that str() prints after "~", is derived from the three fields.
     """
 
-    __slots__ = ("base", "index", "branch", "approx")
+    __slots__ = ("base", "index", "branch")
+
+    @property
+    def approx(self) -> str:
+        """The root to 20 significant digits, from nth_root at _APPROX_BITS
+        bits whatever the caller's precision, with a part that is exactly
+        zero printed as 0.0.
+
+        A root has a zero part only when base lies on an axis (the only
+        roots of unity in Q(i) are the powers of i): then Arg(base) =
+        A*pi/2 with A in {-1, 0, 1, 2}, and the root's argument is (A +
+        4*branch)/index times pi/2, so its imaginary part is 0 when that
+        quotient is an even integer and its real part when it is an odd one.
+        """
+        from mpmath import mp, mpc
+        with mp.workprec(_APPROX_BITS):
+            z = nth_root(self.base, self.index, self.branch)
+            quarters = _axis_quarters(self.base)
+            if quarters is not None:
+                half_turns, off = divmod(quarters + 4 * self.branch, self.index)
+                if not off:
+                    z = mpc(0, z.imag) if half_turns % 2 else mpc(z.real, 0)
+            return mp.nstr(z, 20)
 
     def __str__(self) -> str:
         return f"({self.base})^(1/{self.index}) branch {self.branch} ~ {self.approx}"
+
+
+def _axis_quarters(g: GaussianRational) -> int | None:
+    """2*Arg(g)/pi for g on an axis (-1, 0, 1 or 2), else None (0 included)."""
+    if g.b == 0 and g.a:
+        return 0 if g.a > 0 else 2
+    if g.a == 0 and g.b:
+        return 1 if g.b > 0 else -1
+    return None
 
 
 class ShearTerm(Record):
@@ -396,20 +432,18 @@ def witness_branch_count(verdict: Verdict) -> int:
     return verdict.match.d
 
 
-def _gq_bits(g: GaussianRational) -> int:
-    return max(max(abs(x.numerator), x.denominator).bit_length() for x in (g.re, g.im))
-
-
-def _simplify_scalar(base: GaussianRational, index: int, target: mpc, branch: int):
-    """Reduce target, the branch-th index-th root of base, to its lowest radical form.
+def _simplify_scalar(base: GaussianRational, index: int, branch: int):
+    """The branch-th index-th root of base in its lowest radical form.
 
     If target is the b-th index-th root of base, then target^e is the
     (b mod index/e)-th (index/e)-th root of base for each divisor e of
     index. The first e in ascending order where that root is a Gaussian
     rational g gives target = g^(1/e); e = 1 gives a plain
-    GaussianRational, and e = index always matches with g = base.
+    GaussianRational, and e = index always matches with g = base. The
+    branch of target among the e-th roots of g is read off its argument
+    (Arg(base) + 2*pi*b)/index, within 2^-48: 2^-50 from exact._arg, and
+    the rounding of a sum of at most 2*pi*index over index.
     """
-    from mpmath import mp
     g, e = base, index
     for div in range(1, index):
         if index % div == 0:
@@ -420,8 +454,8 @@ def _simplify_scalar(base: GaussianRational, index: int, target: mpc, branch: in
     if e == 1:
         return g
     if e < index:
-        branch = _identify_branch(g, e, target)
-    return RadicalScalar(g, e, branch, mp.nstr(target, 20))
+        branch = _identify_branch(g, e, (_arg(base.a, base.b) + tau * branch) / index, 2.0**-48)
+    return RadicalScalar(g, e, branch)
 
 
 def _witness_data(first_a: GermAnalysis, second_a: GermAnalysis):
@@ -457,122 +491,147 @@ def _rational_witness(first_a, second_a, match):
     return None
 
 
-def _sweep_tries(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
-    """For each jb in order, the ja that _branch_sweep must try: every ja but
-    those whose pair provably fails its test |lhs - d0| <= tol*|d0|, tol =
-    2^-tol_bits.
+def _turns(terms) -> int:
+    """The integer n with sum(c*Arg(g)) = 2*pi*n over the (c, g) of terms,
+    nonzero Gaussian rationals g whose product of the powers g^c is 1: the
+    sum in doubles, over 2*pi, rounded.
 
-    lhs = c0*alpha^m*beta^E lies on the ray from 0 at its argument, and d0
-    lies at least |d0|*min(1, sin|D|) from that ray, D the angle from d0 to
-    lhs in (-pi, pi]. So a pair with min(1, sin|D|) > tol fails, whatever
-    |lhs|.
-
-    mpmath's root on branch j has argument (Arg + 2*pi*j)/k, so beta_jb has
-    theta = (Arg(rhs) + 2*pi*jb)/M, u = a*beta^p has Arg(u) = Arg(a) +
-    p*theta reduced to (-pi, pi], and D = Arg(c0) - Arg(d0) + m*(Arg(u) +
-    2*pi*ja)/q + E*theta mod 2*pi. The Args of rhs, a, c0 and d0 are read
-    off their mpcs in doubles (_double_polar), on mpmath's side of the cut.
-    The sums, of terms up to 2*pi*(m + E + 2) in size, are then within eps
-    = (m + E + 8)*(p + 2)*2^-40 of the arguments of the mpcs the sweep
-    computes at 96 bits or more. A pair is skipped when |D| - eps, capped
-    at pi/2, has a sine above the bound by a factor 2^(2^-20), which
-    covers the rounding of the doubles and of mpmath's test. Only Arg(u),
-    a sum reduced here and not read off an mpc, can land on the other side
-    of the cut from mpmath's, which moves D by 2*pi*m/q: where it lies
-    within eps of +-pi, every ja of that jb is tried.
+    Each Arg is within 2^-50 (exact._arg). With S = sum(|c|), each product
+    and each sum of the (at most three) terms rounds by 2^-53 of at most
+    S*pi, and the quotient by 2^-53 of itself: it is within S*2^-51 of n.
+    The bound taken is S*2^-49. InternalInconsistencyError where it is 1/4
+    or more, for exponents (S >= 2^47) past any base this builder can form,
+    or where the quotient lies farther than it from n, which disproves
+    that the product is 1.
     """
-    every = range(w.q)
-    arg_d0 = _double_polar(d0_num)[1]
-    eps = (m + e_pow + 8) * (w.p + 2) * 2.0**-40
-    arg_a, arg_rhs, arg_c0 = (_double_polar(z)[1] for z in (a_num, rhs_num, c0_num))
-    lead = arg_c0 - arg_d0
+    total, size = 0.0, 0
+    for c, g in terms:
+        total += c * _arg(g.a, g.b)
+        size += abs(c)
+    turns = total / tau
+    n, err = round(turns), size * 2.0**-49
+    if err >= 0.25 or abs(turns - n) > err:
+        raise InternalInconsistencyError(
+            "branch arithmetic: the arguments are not a whole number of turns"
+        )
+    return n
+
+
+def _principal(k: int, order: int, power: GaussianRational) -> int:
+    """Branch k of the order-th roots of power, as the representative c or
+    c - order, c = k mod order, that makes (Arg(power) + 2*pi*c)/order the
+    root's principal argument, in (-pi, pi]. Decided in integers, on the
+    cut too.
+
+    With t = Arg(power)/(2*pi) in (-1/2, 1/2], (t + c)*2*pi/order is at
+    most pi iff t <= h = order/2 - c, which holds for h >= 1/2 and fails for
+    h <= -1/2. For h = 0 it holds iff Arg(power) <= 0, so a root on the
+    negative reals, which there is for a positive real power, takes pi, as
+    in mpmath's principal argument; for odd order that root belongs to a
+    negative real power, with h = t = 1/2.
+    """
+    c = k % order
+    twice_h = order - 2 * c
+    if twice_h > 0 or (twice_h == 0 and (power.b < 0 or (power.b == 0 and power.a > 0))):
+        return c
+    return c - order
+
+
+def _branch_sweep(w, m, e_pow, m_pow, r0, base, d, branch, base_beta, base_alpha):
+    """The first pair (jb, ja), in order, with alpha^m*beta^E = r0, where a
+    is the branch-th d-th root of base, beta the jb-th M-th root of rhs =
+    r0^q*a^-m and alpha the ja-th q-th root of u = a*beta^p, each branch
+    counted from the principal argument, as nth_root counts it. Returns
+    (jb, ja, k_beta, k_alpha, k_u): with K = d*M, beta is branch k_beta of
+    the K-th roots of base_beta = rhs^d, u branch k_u of the K-th roots of
+    base_alpha = u^K, and alpha branch k_alpha of its (q*K)-th roots (each
+    mod the index). Branch arithmetic on integers: no root is computed.
+
+    Write A(g) for Arg(g), so a has argument (A(base) + 2*pi*branch)/d.
+    _turns gives n1 and n2 with q*d*A(r0) - m*A(base) = A(base_beta) +
+    2*pi*n1 and M*A(base) + p*A(base_beta) = A(base_alpha) + 2*pi*n2
+    (base_beta = r0^(q*d)*base^-m, base_alpha = base^M*base_beta^p). So d
+    times rhs's argument is A(base_beta) + 2*pi*(n1 - m*branch), and rhs
+    has principal argument (A(base_beta) + 2*pi*k_rhs)/d, k_rhs from
+    _principal. beta has argument (A(rhs) + 2*pi*jb)/M = (A(base_beta) +
+    2*pi*k_beta)/K with k_beta = k_rhs + d*jb, and K times u's argument is
+    A(base_alpha) + 2*pi*(n2 + M*branch + p*k_beta), which _principal
+    reduces to k_u; alpha has argument (A(u) + 2*pi*ja)/q = (A(base_alpha)
+    + 2*pi*k_alpha)/(q*K), k_alpha = k_u + K*ja.
+
+    The hit. |alpha^m*beta^E| = |r0|, so the pair hits iff D =
+    m*arg(alpha) + E*arg(beta) - A(r0) is a multiple of 2*pi. The Args
+    cancel in q*K*D/(2*pi) = m*k_alpha + q*E*k_beta - m*n2 - M*n1, as M =
+    p*m + q*E, and it is K*(t + m*ja) with t = (m*k_u + q*E*k_beta - m*n2 -
+    M*n1)/K an integer, since alpha^m*beta^E/r0 is a q-th root of unity
+    (its q-th power is a^m*beta^M/r0^q = 1): the pair hits iff t + m*ja =
+    0 mod q. Stepping jb by one turns the set of those roots over all ja by
+    e^(2*pi*i*(p*m + q*E)/(q*M)), a primitive q-th root of unity, so some
+    pair with jb < q hits.
+    """
+    p, q = w.p, w.q
+    order = d * m_pow
+    n1 = _turns(((q * d, r0), (-m, base), (-1, base_beta)))
+    n2 = _turns(((m_pow, base), (p, base_beta), (-1, base_alpha)))
+    k_rhs = _principal(n1 - m * branch, d, base_beta)
     for jb in range(m_pow):
-        theta = (arg_rhs + tau * jb) / m_pow
-        arg_u = remainder(arg_a + w.p * theta, tau)
-        if pi - abs(arg_u) <= eps:
-            yield jb, every
-            continue
-        delta = lead + e_pow * theta + m * arg_u / w.q
-        tries = []
-        for ja in every:
-            off = abs(remainder(delta + m * tau * ja / w.q, tau)) - eps
-            if off <= 0 or log2(sin(min(off, pi / 2))) <= 2.0**-20 - tol_bits:
-                tries.append(ja)
-        yield jb, tries
-
-
-def _branch_sweep(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
-    """The first pair (jb, ja), in order, with c0*alpha^m*beta^E = d0 to within
-    2^-tol_bits*|d0|, where beta is the jb-th M-th root of rhs and
-    alpha the ja-th q-th root of u = a*beta^p: (jb, ja, alpha, beta) as mpc
-    at the caller's precision. Pairs that _sweep_tries proves to fail are
-    not tried, and a jb with no pair left takes no root at all.
-    """
-    from mpmath import mpf
-    tol_id = mpf(2) ** -tol_bits
-    for jb, tries in _sweep_tries(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num,
-                                  tol_bits):
-        if not tries:
-            continue
-        beta_num = nth_root(rhs_num, m_pow, jb)
-        u_num = a_num * beta_num**w.p
-        for ja in tries:
-            alpha_num = nth_root(u_num, w.q, ja)
-            lhs = c0_num * alpha_num**m * beta_num**e_pow
-            if abs(lhs - d0_num) <= tol_id * abs(d0_num):
-                return jb, ja, alpha_num, beta_num
+        k_beta = k_rhs + d * jb
+        k_u = _principal(n2 + m_pow * branch + p * k_beta, order, base_alpha)
+        t = (m * k_u + q * e_pow * k_beta - m * n2 - m_pow * n1) // order
+        for ja in range(q):
+            if (t + m * ja) % q == 0:
+                return jb, ja, k_beta, k_u + order * ja, k_u
     raise InternalInconsistencyError(
         "no consistent root branches for the witness scalar system"
     )
 
 
-def _radical_witness(first_a, second_a, match, branch, precision):
-    """Witness on a chosen scale branch, as exact radicals.
+def _radical_witness(first_a, second_a, match, branch):
+    """Witness on a chosen scale branch, as exact radicals, with no mpc value.
 
-    The scalar system alpha^q = a*beta^p, c0*alpha^m*beta^E = d0 always has
-    a complex solution on every branch, found by sweeping root branches
-    numerically (_branch_sweep, which skips the pairs that provably miss)
-    and then identifying each scalar exactly as a pure radical.
+    The scalar system alpha^q = a*beta^p, c0*alpha^m*beta^E = d0 always
+    has a solution on every branch a of the scale class; _branch_sweep
+    finds the first in order, and the branches of the roots it takes, by
+    branch arithmetic. Each scalar is then a root of a Gaussian rational,
+    reduced to its lowest radical (_simplify_scalar): a of base (index d),
+    beta of base_beta = r0^(q*d)*base^-m and alpha of base_alpha =
+    r0^(p*q*d)*base^(q*E) (indices d*M and q*d*M), and gamma of u^(d*M)
+    times one of the two. Nothing depends on a working precision.
     """
-    from mpmath import mp
-    w, m, e_pow, m_pow, r0, c0, d0 = _witness_data(first_a, second_a)
-    d = match.d
-    base = match.base
+    w, m, e_pow, m_pow, r0, _, _ = _witness_data(first_a, second_a)
+    d, base = match.d, match.base
+    order = d * m_pow
     base_beta = r0 ** (w.q * d) * base**-m
     base_alpha = r0 ** (w.p * w.q * d) * base ** (w.q * e_pow)
-    workbits = max(
-        precision + 64, _gq_bits(base_beta) + 96, _gq_bits(base_alpha) + 96
-    )
-    with mp.workprec(workbits):
-        a_num = nth_root(to_mpc(base), d, branch)
-        rhs_num = to_mpc(r0) ** w.q * a_num**-m
-        _, _, alpha_num, beta_num = _branch_sweep(
-            w, m, e_pow, m_pow, a_num, rhs_num, to_mpc(c0), to_mpc(d0), workbits // 2)
-
-        # the scale is on branch; alpha, beta and gamma are on branches to be found
-        def radical(value, k, target):
-            return _simplify_scalar(value, k, target, _identify_branch(value, k, target))
-
-        beta = radical(base_beta, m_pow * d, beta_num)
-        alpha = radical(base_alpha, w.q * d * m_pow, alpha_num)
-        scale = _simplify_scalar(base, d, a_num, branch)
-        gamma = shears = None
-        if match.centers is not None:
-            # gamma = c1*alpha^q - c2*beta = (c1*a - c2)*beta, as u*rho with u
-            # in Q(i) and rho^(d*M) known: rho = beta when a is rational or
-            # c1 = 0 (u = 0 simplifies to gamma = 0), rho = alpha^q when c2 = 0
-            c_first, c_second = match.centers
-            shears = c_first, -c_second
-            if c_first.is_zero or isinstance(scale, GaussianRational):
-                u = -c_second if c_first.is_zero else c_first * scale - c_second
-                rho, rho_power = beta_num, base_beta
-            elif c_second.is_zero:
-                u, rho, rho_power = c_first, alpha_num**w.q, base_alpha
-            else:
-                u = None
-            gamma = ShearTerm(c_first, -c_second) if u is None else radical(
-                u ** (m_pow * d) * rho_power, m_pow * d, to_mpc(u) * rho)
-        return Witness(alpha, beta, gamma, scale, w, branch, shears)
+    _, _, k_beta, k_alpha, k_u = _branch_sweep(
+        w, m, e_pow, m_pow, r0, base, d, branch, base_beta, base_alpha)
+    beta = _simplify_scalar(base_beta, order, k_beta % order)
+    alpha = _simplify_scalar(base_alpha, w.q * order, k_alpha % (w.q * order))
+    scale = _simplify_scalar(base, d, branch)
+    gamma = shears = None
+    if match.centers is not None:
+        # gamma = c1*alpha^q - c2*beta = (c1*a - c2)*beta, as u*rho with u
+        # in Q(i) and rho^(d*M) known: rho = beta when a is rational or
+        # c1 = 0 (u = 0 makes gamma = 0), rho = alpha^q = a*beta^p when c2 = 0
+        c_first, c_second = match.centers
+        shears = c_first, -c_second
+        if c_first.is_zero or isinstance(scale, GaussianRational):
+            u = -c_second if c_first.is_zero else c_first * scale - c_second
+            rho_power, k_rho = base_beta, k_beta
+        elif c_second.is_zero:
+            u, rho_power, k_rho = c_first, base_alpha, k_u
+        else:
+            u = None
+        if u is None:
+            gamma = ShearTerm(c_first, -c_second)
+        elif u.is_zero:
+            gamma = u
+        else:
+            # gamma's argument is Arg(u) + (A(rho_power) + 2*pi*k_rho)/(d*M)
+            power = u**order * rho_power
+            n = _turns(((order, u), (1, rho_power), (-1, power)))
+            gamma = _simplify_scalar(power, order, (n + k_rho) % order)
+    return Witness(alpha, beta, gamma, scale, w, branch, shears)
 
 
 def build_witness(
@@ -587,7 +646,10 @@ def build_witness(
     With branch None, searches for an all-rational witness first and falls
     back to radical scalars on the principal branch. An explicit branch
     selects one root of the scale class and always yields radical form
-    (reduced to rationals where the branch happens to be rational).
+    (reduced to rationals where the branch happens to be rational). Both
+    are built in exact arithmetic, radicals by branch arithmetic with no
+    numeric root: the witness does not depend on precision, which is kept
+    for callers and not read.
 
     The witness is built from the verdict's germ analyses and exact match;
     a numeric verdict gets the exact match of its analyses first. The
@@ -611,11 +673,11 @@ def build_witness(
     if branch is not None:
         if not 0 <= branch < match.d:
             raise BranchOutOfRangeError(f"branch {branch} outside 0..{match.d - 1}")
-        return _radical_witness(first_a, second_a, match, branch, precision)
+        return _radical_witness(first_a, second_a, match, branch)
     witness = _rational_witness(first_a, second_a, match)
     if witness is not None:
         return witness
-    return _radical_witness(first_a, second_a, match, 0, precision)
+    return _radical_witness(first_a, second_a, match, 0)
 
 
 def scalar_to_mpc(scalar, precision: int) -> mpc:

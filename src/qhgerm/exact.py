@@ -336,6 +336,19 @@ def _floor_root(n: int, k: int) -> int:
         x = y
 
 
+def _arg(a: int, b: int) -> float:
+    """Arg(a + b*i) in (-pi, pi] for (a, b) != (0, 0), within 2^-50, from
+    the top 60 bits of the parts, whatever their size.
+
+    The shifted parts move the point by less than sqrt(2) units at a
+    distance of 2^59 units or more, which turns it by less than 2^-58, and
+    atan2 rounds by 2^-51 or less. Floor shifts keep a negative b below
+    zero, so the value is on Arg's side of the cut along the negative reals.
+    """
+    s = max(max(a.bit_length(), b.bit_length()) - 60, 0)
+    return atan2(b >> s, a >> s)
+
+
 def _complex_root(a: int, b: int, d: int, k: int, branch: int, prec: int) -> tuple[int, int]:
     """The branch-th k-th root r of (a + b*i)/d != 0, times 2^prec, as two
     ints within distance 1 of 2^prec*r, for d >= 1 and 1 <= k < 2^40.
@@ -364,8 +377,7 @@ def _complex_root(a: int, b: int, d: int, k: int, branch: int, prec: int) -> tup
     x = (shift % k + log2(hypot(a >> s, b >> s)) - log2(d >> sd)) / k
     e = shift // k + floor(x)
     size = 2.0 ** (x - floor(x))
-    # floor shifts keep a negative b below zero, so Arg stays on its side of the cut
-    angle = (atan2(b >> s, a >> s) + tau * branch) / k
+    angle = (_arg(a, b) + tau * branch) / k
     precs = [max(prec + e + 8, 48)]
     while precs[-1] > 90 - kbits:
         precs.append((precs[-1] + kbits + 7) // 2)
@@ -488,21 +500,27 @@ def _is_radical_product(r: GaussianRational, factors, bits: int, roots: dict) ->
     a proof, with no tolerance.
 
     A factor with e = 0 is 1. A zero rho makes the product 0 for e > 0 and
-    undefined for e < 0. Otherwise rho^e = base^(e // k)*rho^(e % k): the
-    whole powers move onto r, and 0 <= e < k is left. If no factor is left,
-    r must be 1. Else, with L = lcm(k), rho^L = base^(L/k) gives the
-    identity r^L = prod base^(e*L/k), checked over Z[i] with denominators
-    cleared; it holds iff r/prod rho^e is an L-th root of unity zeta.
+    undefined for e < 0. Otherwise rho^e = base^w*rho^(e - w*k) for w =
+    e/k rounded toward zero: the whole powers move onto r, and 0 < |e| < k
+    is left, of e's sign. If no factor is left, r must be 1. Else the
+    factors with e < 0 move to r's side too, as r*prod_{e<0} rho^|e| =
+    prod_{e>0} rho^e; with L = lcm(k), rho^L = base^(L/k) gives the identity
+    r^L*prod_{e<0} base^(|e|*L/k) = prod_{e>0} base^(e*L/k), checked over
+    Z[i] with denominators cleared. It holds iff r*prod_{e<0} rho^|e| =
+    zeta*prod_{e>0} rho^e for an L-th root of unity zeta.
 
     The pin proves zeta = 1. Distinct L-th roots of unity lie 2*sin(pi/L)
     >= 4/L apart (L >= 2). _unit_root gives each x = 2^s*rho, |x| >= 1, at
-    b >= bits bits, with 2^b > 2*E*L, E = sum(e): each to a relative 2^-b,
-    so P = prod z^e is 2^(b*E)*prod x^e to a relative (1 + 2^-b)^E - 1 <=
-    2*E*2^-b < 1/L. With T = r*2^(sum e*s) = zeta*prod x^e, |T*2^(b*E) - P|
-    is below |T|*2^(b*E)/L when zeta = 1 and above 3*|T|*2^(b*E)/L when not;
-    the test is against twice that. roots caches the enclosures by
-    (base, k, branch, b), so one b for all of a witness's checks (bits)
-    takes each root once.
+    b >= bits bits, with 2^b > 2*E*L, E = sum(|e|): each to a relative
+    2^-b, so the products P- = prod_{e<0} z^|e| and P+ = prod_{e>0} z^e
+    of the enclosures z are 2^(b*E-)*prod x^|e| and 2^(b*E+)*prod x^e to
+    relative errors d- and d+ with d- + d+ <= 2*E*2^-b < 1/L. With shift =
+    sum(e*(s + b)) and X the exact value of P+, T = r*P-*2^shift is
+    zeta*X to within d-; so |T - P+| is below |X|/L when zeta = 1 and above
+    3*|X|/L when not, and |T| lies within |X|/L of |X|: the test is
+    L*|T - P+| <= 2*|T|.
+    roots caches the enclosures by (base, k, branch, b), so one b for all
+    of a witness's checks (bits) takes each root once.
     """
     live = [(rho, e) for rho, e in factors if e]
     if any(base.is_zero for (base, _, _), _ in live):
@@ -511,35 +529,36 @@ def _is_radical_product(r: GaussianRational, factors, bits: int, roots: dict) ->
         return False
     kept = []
     for (base, k, branch), e in live:
-        whole, e = divmod(e, k)
+        whole, rest = divmod(abs(e), k)
         if whole:
-            r = r / base**whole
-        if e:
-            kept.append((base, k, branch, e))
+            r = r / base**whole if e > 0 else r * base**whole
+        if rest:
+            kept.append((base, k, branch, rest if e > 0 else -rest))
     if not kept:
         return r == GQ_ONE
     order = lcm(*(k for _, k, _, _ in kept))
     left, right = power((r.a, r.b), order, (1, 0), _gaussian_mul), (r.d**order, 0)
     for base, k, _, e in kept:
-        f = e * order // k
-        den = base.d**f
-        left = (left[0] * den, left[1] * den)
-        right = _gaussian_mul(right, power((base.a, base.b), f, (1, 0), _gaussian_mul))
+        f = abs(e) * order // k
+        num, den = power((base.a, base.b), f, (1, 0), _gaussian_mul), base.d**f
+        if e > 0:
+            left, right = (left[0] * den, left[1] * den), _gaussian_mul(right, num)
+        else:
+            left, right = _gaussian_mul(left, num), (right[0] * den, right[1] * den)
     if left != right:
         return False
-    total = sum(e for *_, e in kept)
+    total = sum(abs(e) for *_, e in kept)
     bits = max(bits, (2 * total * order).bit_length())
-    pre, pim, shift = 1, 0, bits * total
+    # T = r*P-*2^shift against P+, both times r.d
+    sides, shift = [(r.a, r.b), (r.d, 0)], 0
     for base, k, branch, e in kept:
         key = (base, k, branch, bits)
         if key not in roots:
             roots[key] = _unit_root(base, k, branch, bits)
         zre, zim, s = roots[key]
-        pre, pim = _gaussian_mul((pre, pim), power((zre, zim), e, (1, 0), _gaussian_mul))
-        shift += e * s
-    # T*2^(b*E) = (r.a + r.b*i)*2^shift/r.d against P, both times r.d
-    ta, tb = r.a, r.b
-    pre, pim = pre * r.d, pim * r.d
+        sides[e > 0] = _gaussian_mul(sides[e > 0], power((zre, zim), abs(e), (1, 0), _gaussian_mul))
+        shift += e * (s + bits)
+    (ta, tb), (pre, pim) = sides
     if shift >= 0:
         ta, tb = ta << shift, tb << shift
     else:

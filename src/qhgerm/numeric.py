@@ -7,10 +7,10 @@ bivariate evaluation. Nothing here mutates mpmath's global precision.
 find_roots, refine_roots and eval_bivar scope their own working precision;
 cluster_roots, numeric_match, nth_root and to_mpc compute at the caller's
 precision. nth_root holds the one branch rule, mpmath's. _identify_branch
-inverts it with no mpmath call: it guesses the branch in doubles from the
-top bits of the parts and checks the guess against exact._complex_root,
-which computes the root on that branch by the same rule in Gaussian
-integers.
+inverts it with no mpmath call: it takes the branch of a root's argument,
+given in doubles with an error bound, and checks it against
+exact._complex_root, which computes the root on that branch by the same
+rule in Gaussian integers.
 
 find_roots polishes its roots in integer fixed point: Gaussian dyadic
 points, Horner on integers with an explicit bound on its rounding, for
@@ -37,7 +37,7 @@ import cmath
 import math
 
 from .errors import AmbiguousClusteringError, InternalInconsistencyError, NonConvergenceError
-from .exact import GaussianRational, Record, UniPoly, _complex_root, _integral
+from .exact import GaussianRational, Record, UniPoly, _arg, _complex_root, _integral
 from .polyio import BivarPoly, power_table
 
 # typing.TYPE_CHECKING without loading typing; type checkers take it as true
@@ -108,69 +108,32 @@ def nth_root(value, index: int, branch: int = 0) -> mpc:
     return mp.root(z, index, branch % index)
 
 
-def _mpc_top(z) -> int | None:
-    """floor(log2) + 1 of the larger part of mpc z, None for z = 0."""
-    return max((exp + bc for _, man, exp, bc in z._mpc_ if man), default=None)
+def _identify_branch(base: GaussianRational, index: int, theta: float, err: float) -> int:
+    """Which index-th root of base has argument theta, known to within err:
+    the branch b whose root's argument lies within pi/(2*index) - err of
+    theta, a quarter of the angle between neighbouring roots less the
+    error, else InternalInconsistencyError. Index 1 is branch 0 with no
+    check, and a zero base has only the root 0, branch 0.
 
-
-def _mpc_fixed(z, unit: int) -> tuple[int, int]:
-    """The parts of mpc z in units of 2^unit, floored. A floor shift keeps a
-    negative part below zero, so atan2 of the two is on Arg(z)'s side of
-    the cut along the negative reals."""
-    out = []
-    for sign, man, exp, _ in z._mpc_:
-        v = -man if sign else man
-        out.append(v << exp - unit if exp >= unit else v >> unit - exp)
-    return out[0], out[1]
-
-
-def _double_polar(z) -> tuple[float, float]:
-    """(log2|z|, Arg(z)) of mpc z != 0 in doubles, from the top 60 bits of
-    its parts, whatever their size: each within a few units in the last
-    place, and Arg on mpmath's side of the cut."""
-    top = _mpc_top(z)
-    x, y = _mpc_fixed(z, top - 60)
-    return top - 60 + math.log2(math.hypot(x, y)), math.atan2(y, x)
-
-
-def _identify_branch(base: GaussianRational, index: int, target: mpc) -> int:
-    """Which index-th root of base equals target: the branch b with
-    |target - root_b| <= |root_b|*sin(pi/index)/2, a quarter of the distance
-    between neighbouring roots, else InternalInconsistencyError. Index 1
-    is branch 0 with no check, and a zero base has only the root 0.
-
-    Branch b has argument (Arg(base) + 2*pi*b)/index, so index*arg(target)
-    - Arg(base) is 2*pi*b up to a multiple of 2*pi*index. A target within
-    the radius of root_b lies within pi/(2*index) of its argument, so the
-    quotient is within 1/4 of b. It is guessed in doubles from the top 60
-    bits of the parts of base and target, whatever their size: each Arg is
-    off by a few units in the last place, index*2^-50 < 2^-10 radians for
-    index < 2^40 (above that _complex_root raises ValueError), so the guess
-    rounds to b. The guess is then checked against _complex_root's root on
-    that branch, at index.bit_length() + 40 bits relative to the root, in
-    integers and doubles; no mpmath call. A target farther than the radius
-    from every root fails the check whatever the guess.
+    Branch b has argument (Arg(base) + 2*pi*b)/index, so index*theta -
+    Arg(base) is 2*pi*b up to a multiple of 2*pi*index and to index*err;
+    the guess rounds its quotient by 2*pi. It is then checked against
+    _complex_root's root on that branch, at index.bit_length() + 40 bits
+    relative to the root, give or take 2 (for index < 2^40; above that
+    _complex_root raises ValueError): its argument, read in doubles, is
+    within 2^-(index.bit_length() + 37) and atan2's rounding, and the
+    difference with theta within 2^-49 more. No mpmath call.
     """
-    if index == 1:
+    if index == 1 or base.is_zero:
         return 0
-    top = _mpc_top(target)
-    near, branch = base.is_zero and top is None, 0
-    if not (base.is_zero or top is None):
-        a, b, d = base.a, base.b, base.d
-        top_ab = max(a.bit_length(), b.bit_length())
-        s = max(top_ab - 60, 0)
-        turns = (index * _double_polar(target)[1] - math.atan2(b >> s, a >> s)) / math.tau
-        branch = round(turns) % index
-        # units of 2^-prec put the root at index.bit_length() + 40 bits, give or take 2
-        prec = index.bit_length() + 40 - (top_ab - d.bit_length()) // index
-        rre, rim = _complex_root(a, b, d, index, branch, prec)
-        # a target part of 2^(bits + 1) or more lies over 2^bits from the
-        # root's, which is over half the root's size: farther than the radius
-        if top + prec < max(abs(rre), abs(rim)).bit_length() + 2:
-            tre, tim = _mpc_fixed(target, -prec)
-            radius = math.hypot(rre, rim) * math.sin(math.pi / index) / 2
-            near = math.hypot(tre - rre, tim - rim) <= radius
-    if not near:
+    a, b, d = base.a, base.b, base.d
+    branch = round((index * theta - _arg(a, b)) / math.tau) % index
+    # units of 2^-prec put the root at index.bit_length() + 40 bits, give or take 2
+    prec = index.bit_length() + 40 - (max(a.bit_length(), b.bit_length()) - d.bit_length()) // index
+    rre, rim = _complex_root(a, b, d, index, branch, prec)
+    off = abs(math.remainder(theta - math.atan2(rim, rre), math.tau))
+    slack = 2.0 ** -(index.bit_length() + 37) + 2.0**-49
+    if off + err + slack > math.pi / (2 * index):
         raise InternalInconsistencyError(
             "radical branch identification failed: no root is close enough"
         )

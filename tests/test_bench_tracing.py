@@ -44,10 +44,11 @@ def test_install_and_uninstall_restore_the_originals(tracing):
 
 
 def test_traced_radical_witness_sees_nth_root_and_no_eval_bivar(tracing):
-    # the builder takes a radical witness's scalars through nth_root, and
-    # the certificate evaluates no point, so the traced radical_witness run
-    # sees calls to nth_root, time in verify_witness and none in eval_bivar
-    from qhgerm import engine, parse_poly
+    # the name is older than the builder: radical witnesses are now built by
+    # branch arithmetic, with no nth_root, and proved by a certificate that
+    # evaluates no point, so the traced radical_witness run sees time in
+    # build_witness and verify_witness and none in nth_root or eval_bivar
+    from qhgerm import RadicalScalar, engine, parse_poly
 
     first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
     tracer = tracing.Tracer()
@@ -57,7 +58,9 @@ def test_traced_radical_witness_sees_nth_root_and_no_eval_bivar(tracing):
         assert engine.verify_witness(first, second, witness).passed
     finally:
         tracer.uninstall()
+    assert isinstance(witness.alpha, RadicalScalar)
     names = [name for name, *_ in tracer.spans]
     assert names.count("numeric.eval_bivar") == 0
-    assert names.count("numeric.nth_root") >= 1
+    assert names.count("numeric.nth_root") == 0
+    assert names.count("engine.build_witness") == 1
     assert names.count("engine.verify_witness") == 1

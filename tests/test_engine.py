@@ -1,5 +1,6 @@
 """Equivalence decisions, witness construction, and the quartic demo."""
 
+import math
 import os
 import random
 import subprocess
@@ -336,15 +337,16 @@ class TestExactRoots:
     @settings(max_examples=60, deadline=None)
     @given(base=_NONZERO_GQ, e=st.integers(1, 24), data=st.data())
     def test_identify_branch_inverts_nth_root(self, base, e, data):
+        # the argument of nth_root's root, as a double, identifies its branch
         b = data.draw(st.integers(0, e - 1))
         with mp.workprec(128):
-            assert engine._identify_branch(base, e, nth_root(base, e, b)) == b
+            theta = float(mp.arg(nth_root(base, e, b)))
+        assert engine._identify_branch(base, e, theta, 2.0**-50) == b
 
     def test_identify_branch_rejects_a_point_between_roots(self):
-        with mp.workprec(128):
-            between = mp.expjpi(mpf(1) / 4)  # halfway between 1 and i
-            with pytest.raises(InternalInconsistencyError):
-                engine._identify_branch(gq(1), 4, between)
+        # pi/4 is halfway between the fourth roots 1 and i of 1
+        with pytest.raises(InternalInconsistencyError):
+            engine._identify_branch(gq(1), 4, math.pi / 4, 0.0)
 
     @pytest.mark.parametrize("base, index, branch, want", [
         # no lower index: sqrt(2) stays (2)^(1/2) on the branch given, no call
@@ -362,9 +364,26 @@ class TestExactRoots:
             return identify(*args)
 
         monkeypatch.setattr(engine, "_identify_branch", counted)
-        with mp.workprec(128):
-            got = engine._simplify_scalar(base, index, nth_root(base, index, branch), branch)
+        got = engine._simplify_scalar(base, index, branch)
         assert (got.base, got.index, got.branch, len(calls)) == want
+
+    @pytest.mark.parametrize("base, index, branch, want", [
+        # roots of bases on the axes: i, -2, -2i and -2.10...i have a zero part
+        (gq(-1), 2, 0, "(0.0 + 1.0j)"),
+        (gq(-8), 3, 1, "(-2.0 + 0.0j)"),
+        (gq(0, 8), 3, 2, "(0.0 - 2.0j)"),
+        (gq(384), 8, 6, "(0.0 - 2.1039790110172882544j)"),
+        # off the axes no part is zero
+        (gq(0, 1), 2, 0, "(0.7071067811865475244 + 0.7071067811865475244j)"),
+        (gq(2), 3, 1, "(-0.62996052494743658238 + 1.0911236359717214036j)"),
+    ])
+    def test_radical_digits_print_zero_parts_and_ignore_the_precision(self, base, index,
+                                                                       branch, want):
+        scalar = RadicalScalar(base, index, branch)
+        for prec in (53, 128, 2000):
+            with mp.workprec(prec):
+                assert scalar.approx == want
+        assert str(scalar) == f"({base})^(1/{index}) branch {branch} ~ {want}"
 
     def test_root_precision_comes_from_the_value(self):
         # 1 + 2^-300 needs about 300 bits to tell from 1; the caller's 53 do not
@@ -626,20 +645,28 @@ class TestWitness:
 
     def test_radical_certificate_imports_neither_mpmath_nor_random(self):
         # 2^(1/4) and (1/2)^(1/8) map X*Y^2 - X^4 to X*Y^2 - 2*X^4, and alpha on
-        # another branch does not; the witnesses are given by hand, so nothing
-        # before verify_witness can load either module
+        # another branch does not; those witnesses are given by hand. Then
+        # build_witness makes radical witnesses, one with a shear (p = 1), by
+        # branch arithmetic, and neither it nor verify_witness loads either
+        # module
         code = (
             "import sys\n"
             "from qhgerm import WeightSignature, Witness, RadicalScalar, gq, parse_poly\n"
-            "from qhgerm import verify_witness\n"
+            "from qhgerm import build_witness, verify_witness\n"
             "loaded = 'random' in sys.modules\n"
             "first, second = parse_poly('X*Y^2 - X^4'), parse_poly('X*Y^2 - 2*X^4')\n"
-            "beta = RadicalScalar(gq(1) / 2, 8, 0, '')\n"
+            "beta = RadicalScalar(gq(1) / 2, 8, 0)\n"
             "for branch, passed in ((0, True), (1, False)):\n"
-            "    alpha = RadicalScalar(gq(2), 4, branch, '')\n"
+            "    alpha = RadicalScalar(gq(2), 4, branch)\n"
             "    w = Witness(alpha, beta, None, gq(2), WeightSignature(2, 3, 8), None, None)\n"
             "    report = verify_witness(first, second, w)\n"
             "    assert (report.passed, report.exact) == (passed, True), report\n"
+            "for pair in (('Y^2-X^3', 'Y^2-3*X^3'), ('Y^2 - 2*X^2*Y + 1/2*X^4', 'Y^2 - 1/4*X^4'),\n"
+            "             ('X*Y^2 - X^4', 'X*Y^2 - 2*X^4')):\n"
+            "    first, second = map(parse_poly, pair)\n"
+            "    w = build_witness(first, second)\n"
+            "    assert isinstance(w.alpha, RadicalScalar), w\n"
+            "    assert verify_witness(first, second, w).passed\n"
             "assert 'mpmath' not in sys.modules\n"
             "assert loaded or 'random' not in sys.modules\n"
         )

@@ -634,6 +634,14 @@ class TestRadicalProduct:
         assert exact._is_radical_product(gq(Fraction(1, 3)), [(rho, -4), (rho, 1)], 0, {})
         assert exact._is_radical_product(gq(6), [((gq(2), 1, 0), 1), (rho, 3)], 0, {})
         assert not exact._is_radical_product(gq(Fraction(1, 9)), [(rho, -4)], 0, {})
+        # g^-3 as the cube of a 227-th root of a wide base: proved on g's
+        # branch and refuted on the next, the -3 kept on r's side
+        g = gq(Fraction(3**20 + 2, 7), 5)
+        base, branch = g**227, 0
+        while not exact._is_radical_product(g, [((base, 227, branch), 1)], 0, {}):
+            branch += 1
+        assert exact._is_radical_product(g**-3, [((base, 227, branch), -3)], 0, {})
+        assert not exact._is_radical_product(g**-3, [((base, 227, branch + 1), -3)], 0, {})
 
     def test_zero(self):
         zero = (GQ_ZERO, 3, 0)

@@ -1285,7 +1285,7 @@ def corrupted(witness) -> list:
         scalar = getattr(witness, name)
         if isinstance(scalar, engine.RadicalScalar):
             moved = engine.RadicalScalar(scalar.base, scalar.index,
-                                         (scalar.branch + 1) % scalar.index, scalar.approx)
+                                         (scalar.branch + 1) % scalar.index)
             out.append((engine.Witness(*(moved if field == name else getattr(witness, field)
                                          for field in engine.Witness.__slots__)), True))
     if witness.alpha != witness.beta:

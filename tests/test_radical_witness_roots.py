@@ -1,20 +1,25 @@
-"""Radical witness roots: branch identification and the pruned branch sweep.
+"""Radical witness roots: branch identification and the branch sweep.
 
-numeric._identify_branch guesses a branch in doubles and checks the guess
-against exact._complex_root, with no mpmath call; engine._branch_sweep skips
-the (jb, ja) pairs of its sweep that an angle bound in doubles proves to
-fail. The mpmath identification and the full sweep they replaced are kept
-here as reference_identify_branch and reference_sweep. Identification must
-give the reference's branch or raise where it raises, on bases with parts
-thousands of bits wide or far below 1, on the axes and the diagonals, at
-indices up to 2^40 - 1; the sweep must give the reference's pair and the
-same bits of alpha and beta.
+numeric._identify_branch takes the branch of a root from its argument,
+given in doubles with an error bound, and checks it against
+exact._complex_root, with no mpmath call. engine._branch_sweep finds the
+hit (jb, ja) of the witness scalar system, and the branches of beta, u and
+alpha, by branch arithmetic on integers, with no root taken. The mpmath
+identification and the mpc sweep they replaced are kept here as
+reference_identify_branch and reference_sweep, the latter at 1,024 bits.
+Identification must give the reference's branch or raise where it raises,
+on bases with parts thousands of bits wide or far below 1, on the axes and
+the diagonals, at indices up to 2^40 - 1; the sweep must give the
+reference's pair, and its branches must name the reference's roots, also
+where a, rhs or u lies on the negative real axis or 2^-200 off it.
 """
 
 import importlib
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,25 +38,30 @@ from qhgerm.numeric import _identify_branch, nth_root, to_mpc
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDED = settings(max_examples=150, deadline=None, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
+# the reference sweep's precision, and the tolerance of its test
+REFERENCE_BITS = 1024
 
 
-def reference_identify_branch(base, index, target):
-    """The mpmath identification: nearest branch by argument, then a root check."""
+def reference_identify_branch(base, index, theta, err):
+    """The mpmath identification: nearest branch by argument, then the
+    root's argument within a quarter of the spacing less err of theta."""
+    if index == 1 or base.is_zero:
+        return 0
     with mp.workprec(index.bit_length() + 64):
         z = to_mpc(base)
-        branch = int(mp.nint((index * mp.arg(target) - mp.arg(z)) / (2 * mp.pi))) % index
-        if index > 1:
-            root = nth_root(z, index, branch)
-            if abs(root - target) > abs(root) * mp.sinpi(mpf(1) / index) / 2:
-                raise InternalInconsistencyError(
-                    "radical branch identification failed: no root is close enough"
-                )
+        branch = int(mp.nint((index * mpf(theta) - mp.arg(z)) / (2 * mp.pi))) % index
+        off = abs(mpf(math.remainder(theta - float(mp.arg(nth_root(z, index, branch))),
+                                     2 * math.pi)))
+        if off + err > mp.pi / (2 * index):
+            raise InternalInconsistencyError(
+                "radical branch identification failed: no root is close enough"
+            )
     return branch
 
 
-def outcome(identify, base, index, target):
+def outcome(identify, base, index, theta, err=0.0):
     try:
-        return identify(base, index, target)
+        return identify(base, index, theta, err)
     except InternalInconsistencyError:
         return "raises"
 
@@ -79,13 +89,12 @@ def bases(draw):
 indices = st.one_of(st.integers(1, 2**20), st.integers(1, 12), st.just(2**40 - 1))
 
 
-def moved_root(base, index, branch, prec, fraction, turn):
-    """The branch-th root at prec bits, moved by fraction of the distance
-    between neighbouring roots in the direction turn*2*pi."""
+def moved_angle(base, index, branch, prec, fraction, sign):
+    """The argument of the branch-th root at prec bits, as a double, moved by
+    fraction of the angle between neighbouring roots, 2*pi/index, either way."""
     with mp.workprec(prec):
-        root = nth_root(base, index, branch)
-        spacing = 2 * abs(root) * mp.sin(mp.pi / index)
-        return root + fraction * spacing * mp.expjpi(2 * mpf(turn))
+        theta = mp.arg(nth_root(base, index, branch))
+        return float(theta + sign * fraction * 2 * mp.pi / index)
 
 
 class TestIdentifyBranch:
@@ -93,72 +102,78 @@ class TestIdentifyBranch:
     @SEEDED
     @given(base=bases(), index=indices, data=st.data())
     def test_roots_moved_by_up_to_a_quarter_spacing_keep_their_branch(self, base, index, data):
+        # the move and the error bound together stay below a quarter spacing
         branch = data.draw(st.integers(0, index - 1))
-        target = moved_root(base, index, branch, data.draw(st.integers(53, 1024)),
-                            data.draw(st.floats(0, 0.249)), data.draw(st.floats(0, 1)))
-        assert _identify_branch(base, index, target) == branch
-        assert reference_identify_branch(base, index, target) == branch
+        fraction = data.draw(st.floats(0, 0.249))
+        err = data.draw(st.floats(0, 0.249 - fraction)) * 2 * math.pi / index
+        theta = moved_angle(base, index, branch, data.draw(st.integers(53, 1024)), fraction,
+                            data.draw(st.sampled_from([1, -1])))
+        assert _identify_branch(base, index, theta, err) == branch
+        assert reference_identify_branch(base, index, theta, err) == branch
 
     @seed(20261202)
     @SEEDED
     @given(base=bases(), index=indices.filter(lambda k: k > 1), data=st.data())
     def test_points_past_a_quarter_spacing_raise(self, base, index, data):
-        # 0.26 to 0.49 of the spacing from one root is over half of it from the others
+        # 0.26 to 0.49 of the spacing from one root is over half of it from the
+        # others; so is a move of 0.2 with an error bound of 0.06 more
         branch = data.draw(st.integers(0, index - 1))
-        target = moved_root(base, index, branch, data.draw(st.integers(53, 1024)),
-                            data.draw(st.floats(0.26, 0.49)), data.draw(st.floats(0, 1)))
-        assert outcome(_identify_branch, base, index, target) == "raises"
-        assert outcome(reference_identify_branch, base, index, target) == "raises"
+        fraction, err = data.draw(st.sampled_from([(None, 0.0), (0.2, 0.06)]))
+        if fraction is None:
+            fraction = data.draw(st.floats(0.26, 0.49))
+        err *= 2 * math.pi / index
+        theta = moved_angle(base, index, branch, data.draw(st.integers(53, 1024)), fraction,
+                            data.draw(st.sampled_from([1, -1])))
+        assert outcome(_identify_branch, base, index, theta, err) == "raises"
+        assert outcome(reference_identify_branch, base, index, theta, err) == "raises"
 
     @seed(20261203)
     @SEEDED
     @given(base=bases(), index=indices.filter(lambda k: k > 1), data=st.data())
     def test_a_point_halfway_between_two_roots_raises(self, base, index, data):
         branch = data.draw(st.integers(0, index - 1))
-        with mp.workprec(data.draw(st.integers(53, 1024))):
-            target = nth_root(base, index, branch) * mp.expjpi(mpf(1) / index)
-        assert outcome(_identify_branch, base, index, target) == "raises"
-        assert outcome(reference_identify_branch, base, index, target) == "raises"
+        theta = moved_angle(base, index, branch, data.draw(st.integers(53, 1024)), 0.5, 1)
+        assert outcome(_identify_branch, base, index, theta) == "raises"
+        assert outcome(reference_identify_branch, base, index, theta) == "raises"
 
     @pytest.mark.parametrize("index", [1, 2, 7, 2**40 - 1])
     def test_zero_base(self, index):
-        zero = mpc(0)
-        assert _identify_branch(GQ_ZERO, index, zero) == reference_identify_branch(
-            GQ_ZERO, index, zero) == 0
-        if index > 1:
-            assert outcome(_identify_branch, GQ_ZERO, index, mpc(1)) == "raises"
-            assert outcome(reference_identify_branch, GQ_ZERO, index, mpc(1)) == "raises"
+        # zero has the one root 0, branch 0, whatever the angle
+        for theta in (0.0, 1.0, -math.pi / 2):
+            assert _identify_branch(GQ_ZERO, index, theta, 0.0) == reference_identify_branch(
+                GQ_ZERO, index, theta, 0.0) == 0
 
     @pytest.mark.parametrize("scale", [1.45, 1.9, 3, 2**64, 2**-64, mpf(2) ** 5000])
     @pytest.mark.parametrize("base, index", [
         (gq(5), 2), (gq(0, -7), 2), (gq(3, 3), 3), (_make(2**3000 + 1, -(2**2999), 3), 5)])
     def test_scaled_roots_agree(self, base, index, scale):
-        # a root times 1.45 is within the radius for index 2; the rest are past it
+        # identification reads the argument alone: a root times any positive
+        # scale keeps its branch, whether or not it lies within a quarter of
+        # the spacing of the root in the plane
         for branch in range(index):
             with mp.workprec(128):
-                target = nth_root(base, index, branch) * scale
-            assert outcome(_identify_branch, base, index, target) == outcome(
-                reference_identify_branch, base, index, target)
+                theta = float(mp.arg(nth_root(base, index, branch) * scale))
+            assert _identify_branch(base, index, theta, 2.0**-50) == reference_identify_branch(
+                base, index, theta, 2.0**-50) == branch
 
     def test_zero_target_of_a_nonzero_base_raises(self):
-        assert outcome(_identify_branch, gq(2), 3, mpc(0)) == "raises"
-        assert outcome(reference_identify_branch, gq(2), 3, mpc(0)) == "raises"
+        # a zero target has no argument: any angle, to within pi
+        for theta in (0.0, 2.0, -3.0):
+            assert outcome(_identify_branch, gq(2), 3, theta, math.pi) == "raises"
+            assert outcome(reference_identify_branch, gq(2), 3, theta, math.pi) == "raises"
 
     @pytest.mark.parametrize("index", [2**40, 2**41 + 3])
     def test_index_at_the_complex_root_limit_raises_value_error(self, index):
         with pytest.raises(ValueError):
-            _identify_branch(gq(2), index, mpc(1))
+            _identify_branch(gq(2), index, 0.0, 0.0)
 
     def test_makes_no_mpmath_call(self):
-        # a stand-in target with the mpc's parts: 2^(1/3) to 53 bits, and 0
         code = (
             "import sys\n"
-            "from types import SimpleNamespace\n"
             "from qhgerm.exact import gq\n"
             "from qhgerm.numeric import _identify_branch\n"
-            "man = round(2 ** (1 / 3) * 2**52)\n"
-            "target = SimpleNamespace(_mpc_=((0, man, -52, 53), (0, 0, 0, 0)))\n"
-            "assert _identify_branch(gq(2), 3, target) == 0\n"
+            "assert _identify_branch(gq(2), 3, 0.0, 0.0) == 0\n"
+            "assert _identify_branch(gq(-8), 3, 3.14159, 1e-5) == 1\n"
             "assert 'mpmath' not in sys.modules\n"
         )
         src = Path(engine.__file__).resolve().parent.parent
@@ -167,38 +182,70 @@ class TestIdentifyBranch:
         assert run.returncode == 0, run.stderr
 
 
+def on_axis(z, bits):
+    """z with a part below 2^-bits of |z| set to 0: rounding noise of mpc
+    arithmetic on a value that lies on an axis. Values off an axis by more,
+    like the 2^-200 of the cases below, keep both parts."""
+    floor = abs(z) * mpf(2) ** -bits
+    return mpc(z.real if abs(z.real) > floor else 0, z.imag if abs(z.imag) > floor else 0)
+
+
 def reference_sweep(w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, tol_bits):
-    """Every (jb, ja) in order until one passes the test, as before pruning."""
+    """Every (jb, ja) in order until one passes the test |lhs - d0| <=
+    2^-tol_bits*|d0|, the mpc sweep the builder had; rhs and u on the
+    negative real axis take Arg pi, as their exact values do."""
     tol_id = mpf(2) ** -tol_bits
+    rhs_num = on_axis(rhs_num, tol_bits)
     for jb in range(m_pow):
         beta_num = nth_root(rhs_num, m_pow, jb)
-        u_num = a_num * beta_num**w.p
+        u_num = on_axis(a_num * beta_num**w.p, tol_bits)
         for ja in range(w.q):
             alpha_num = nth_root(u_num, w.q, ja)
             lhs = c0_num * alpha_num**m * beta_num**e_pow
             if abs(lhs - d0_num) <= tol_id * abs(d0_num):
-                return jb, ja, alpha_num, beta_num
+                return jb, ja, alpha_num, beta_num, u_num
     raise InternalInconsistencyError("no consistent root branches")
 
 
-def bits(hit):
-    jb, ja, alpha, beta = hit
-    return jb, ja, alpha._mpc_, beta._mpc_
+def near(x, y):
+    return abs(x - y) <= abs(y) * mpf(2) ** -(REFERENCE_BITS // 2)
+
+
+def compare_sweep(args, hit):
+    """(the sweep's pair, the reference's, whether the sweep's branches of
+    beta, alpha and u name the reference's roots), for one call of
+    engine._branch_sweep with args and its result hit."""
+    w, m, e_pow, m_pow, r0, base, d, branch, base_beta, base_alpha = args
+    jb, ja, k_beta, k_alpha, k_u = hit
+    order = d * m_pow
+    with mp.workprec(REFERENCE_BITS):
+        a_num = nth_root(base, d, branch)
+        rhs_num = to_mpc(r0) ** w.q * a_num**-m
+        *want, alpha, beta, u = reference_sweep(w, m, e_pow, m_pow, a_num, rhs_num, mpc(1),
+                                                to_mpc(r0), REFERENCE_BITS // 2)
+        roots = (near(nth_root(base_beta, order, k_beta % order), beta)
+                 and near(nth_root(base_alpha, w.q * order, k_alpha % (w.q * order)), alpha)
+                 and near(nth_root(base_alpha, order, k_u % order), u))
+    return (jb, ja), tuple(want), roots
 
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Each call of engine._branch_sweep, as (bits of its hit, bits of reference_sweep's)."""
+    """Each call of engine._branch_sweep, as compare_sweep's triple."""
     seen = []
     sweep = engine._branch_sweep
 
     def both(*args):
         hit = sweep(*args)
-        seen.append((bits(hit), bits(reference_sweep(*args))))
+        seen.append(compare_sweep(args, hit))
         return hit
 
     monkeypatch.setattr(engine, "_branch_sweep", both)
     return seen
+
+
+def agree(seen):
+    return all(got == want and roots for got, want, roots in seen)
 
 
 def witness_every_branch(first, second, verdict):
@@ -206,63 +253,111 @@ def witness_every_branch(first, second, verdict):
         build_witness(first, second, verdict, branch)
 
 
+def sweep_args(p, q, m, e_pow, r0, base, d, branch):
+    """engine._branch_sweep's arguments for the system with these data."""
+    w = SimpleNamespace(p=p, q=q)
+    base_beta = r0 ** (q * d) * base**-m
+    base_alpha = r0 ** (p * q * d) * base ** (q * e_pow)
+    return w, m, e_pow, p * m + q * e_pow, r0, base, d, branch, base_beta, base_alpha
+
+
+def sweep_every_branch(p, q, m, e_pow, r0, base, d):
+    seen = []
+    for branch in range(d):
+        args = sweep_args(p, q, m, e_pow, r0, base, d, branch)
+        seen.append(compare_sweep(args, engine._branch_sweep(*args)))
+    return seen
+
+
+# the tuples of test_u_on_the_cut and test_rhs_on_the_cut: p, q, m, E, d
+CUT_CASES = [(1, 2, 1, 1, 4), (2, 3, 1, 2, 4), (2, 3, 2, 1, 8), (3, 4, 1, 3, 6),
+             (2, 5, 3, 2, 6), (1, 3, 2, 5, 9), (4, 7, 3, 2, 8), (2, 2, 1, 1, 2)]
+OFF_CUT = [Fraction(0), Fraction(1, 2**200), Fraction(-1, 2**200)]
+OFF_CUT_IDS = ["on", "above", "below"]
+# units of Q(i) and 1 +- i: some power of one of them is each of -1, 1, -4
+SMALL = [gq(1), gq(-1), gq(0, 1), gq(0, -1), gq(1, 1), gq(1, -1)]
+
+
 class TestBranchSweep:
     def test_branch_completeness_pairs(self, sweeps):
         for first, second, verdict in branch_completeness_pairs():
             witness_every_branch(first, second, verdict)
         assert len(sweeps) > 200
-        assert all(got == want for got, want in sweeps)
+        assert agree(sweeps)
 
     @pytest.mark.skipif(not (BENCH / "corpus.py").is_file(), reason="bench/corpus.py is absent")
     @pytest.mark.parametrize("corpus_seed", [3, 7, 11])
     def test_radical_corpus_every_branch(self, sweeps, monkeypatch, corpus_seed):
+        # as they are and with both germs times 2^-300
         monkeypatch.syspath_prepend(str(BENCH))
         corpus = importlib.import_module("corpus")
         for pair in corpus.witness_pairs(corpus_seed, 4, radical=True):
             if pair["truth"] == "Equivalent":
-                first, second = parse_poly(pair["first_text"]), parse_poly(pair["second_text"])
-                witness_every_branch(first, second, decide_equivalence(first, second))
-        assert len(sweeps) >= 40
-        assert all(got == want for got, want in sweeps)
+                for scale in ("", f"(1/{2**300})*"):
+                    first, second = (parse_poly(f"{scale}({pair[side]})")
+                                     for side in ("first_text", "second_text"))
+                    witness_every_branch(first, second, decide_equivalence(first, second))
+        assert len(sweeps) >= 80
+        assert agree(sweeps)
 
-    @pytest.mark.parametrize("p, q, m, e_pow, m_pow", [
-        (1, 2, 1, 1, 4), (2, 3, 1, 2, 4), (2, 3, 2, 1, 8), (3, 4, 1, 3, 6),
-        (2, 5, 3, 2, 6), (1, 3, 2, 5, 9), (4, 7, 3, 2, 8), (2, 2, 1, 1, 2)])
-    @pytest.mark.parametrize("a_imag", [0, 2**-200, -(2**-200)], ids=["on", "above", "below"])
-    def test_u_on_the_cut(self, p, q, m, e_pow, m_pow, a_imag):
-        # a = -1 and rhs = 1 make u = a*beta^p a negative real wherever p*jb
-        # is a multiple of M; a tiny imaginary part of a puts it just off the
-        # cut, on either side. d0 is the value of one such pair, so the sweep
-        # must find it (or an earlier pair of the same value)
-        w = SimpleNamespace(p=p, q=q)
-        with mp.workprec(192):
-            a_num, rhs_num, c0_num = mpc(-1, a_imag), mpc(1), mpc(mpf(3) / 7, mpf(-2) / 5)
-            for jb in range(m_pow):
-                if p * jb % m_pow:
-                    continue
-                beta = nth_root(rhs_num, m_pow, jb)
-                u = a_num * beta**p
-                for ja in range(q):
-                    d0_num = c0_num * nth_root(u, q, ja)**m * beta**e_pow
-                    args = (w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, 96)
-                    assert bits(engine._branch_sweep(*args)) == bits(reference_sweep(*args))
+    @pytest.mark.parametrize("p, q, m, e_pow, d", CUT_CASES)
+    @pytest.mark.parametrize("a_imag", OFF_CUT, ids=OFF_CUT_IDS)
+    def test_u_on_the_cut(self, p, q, m, e_pow, d, a_imag):
+        # a = -1 on the cut, or 2^-200 above or below it, as the branch of
+        # base = a^d that takes it, and r0 with r0^q*(-1)^-m = rhs a positive
+        # real; then u = a*beta^p is on the cut, or as far off it on a's side,
+        # at jb = 0. Every branch of base is swept
+        a = gq(-1) + gq(0, 1) * gq(a_imag)
+        r0 = next(r for r in SMALL if (r**q * gq(-1) ** m).im == 0 < (r**q * gq(-1) ** m).re)
+        *_, base_alpha = sweep_args(p, q, m, e_pow, r0, a**d, d, 0)
+        assert (base_alpha.b == 0) == (a_imag == 0)
+        assert agree(sweep_every_branch(p, q, m, e_pow, r0, a**d, d))
+
+    @pytest.mark.parametrize("p, q, m, e_pow, d", CUT_CASES)
+    @pytest.mark.parametrize("r0_imag", OFF_CUT, ids=OFF_CUT_IDS)
+    def test_rhs_on_the_cut(self, p, q, m, e_pow, d, r0_imag):
+        # base = 1, so a = 1 on branch 0, and r0 = z*(1 + r0_imag*i) with z^q
+        # a negative real: rhs = r0^q is on the cut, or about q*2^-200 off it
+        z = next((r for r in SMALL if (r**q).im == 0 > (r**q).re), None)
+        if z is None:
+            pytest.skip("no power of a unit or of 1 + i is a negative real here")
+        r0 = z * (gq(1) + gq(0, 1) * gq(r0_imag))
+        *_, base_beta, _ = sweep_args(p, q, m, e_pow, r0, gq(1), d, 0)
+        assert (base_beta.b == 0) == (r0_imag == 0)
+        assert agree(sweep_every_branch(p, q, m, e_pow, r0, gq(1), d))
 
     @pytest.mark.parametrize("d0_bits", [98, 100, 300])
     def test_tiny_d0_passes_every_pair(self, d0_bits):
         # |lhs| = |d0| on every pair, so the tolerance tol*(1 + |d0|) the
-        # sweep once had passed every pair here, whatever the angle, and gave
-        # the first, (0, 0); relative to |d0| the sweep gives the first pair
-        # whose lhs is d0, (0, 1), and d0 is the value of the last one
-        w, m, e_pow, m_pow = SimpleNamespace(p=2, q=3), 1, 2, 8
-        with mp.workprec(192):
-            a_num, rhs_num = mpc(1, 1), mpc(-3, 1)
-            c0_num = mpf(2) ** -d0_bits * mp.expjpi(mpf(1) / 3)
-            beta = nth_root(rhs_num, m_pow, m_pow - 1)
-            alpha = nth_root(a_num * beta**w.p, w.q, w.q - 1)
-            d0_num = c0_num * alpha**m * beta**e_pow
-            args = (w, m, e_pow, m_pow, a_num, rhs_num, c0_num, d0_num, 96)
-            hit = engine._branch_sweep(*args)
-            assert bits(hit) == bits(reference_sweep(*args))
-            _, _, alpha, beta = hit
-            assert abs(c0_num * alpha**m * beta**e_pow - d0_num) < abs(d0_num) * mpf(2) ** -150
-        assert hit[:2] == (0, 1)
+        # sweep once had passed every pair for a small enough d0, whatever
+        # the angle, and gave the first, (0, 0). The sweep reads r0 = d0/c0
+        # alone, and gives the pair whose lhs is d0, which the reference's
+        # relative test finds with c0 and d0 at 2^-d0_bits
+        args = sweep_args(2, 3, 1, 2, gq(-3, 1), gq(1, 1), 1, 0)
+        hit = engine._branch_sweep(*args)
+        with mp.workprec(REFERENCE_BITS):
+            w, m, e_pow, m_pow, r0, base = args[:6]
+            a_num = to_mpc(base)
+            c0_num = mpf(2) ** -d0_bits
+            want = reference_sweep(w, m, e_pow, m_pow, a_num, to_mpc(r0) ** w.q / a_num,
+                                   c0_num, c0_num * to_mpc(r0), REFERENCE_BITS // 2)
+        assert hit[:2] == want[:2] != (0, 0)
+        assert compare_sweep(args, hit)[2]
+
+    def test_bases_that_are_not_the_system_s_raise(self):
+        # base_alpha must be base^M*base_beta^p; times 2 + i, the arguments of
+        # the bases are no whole number of turns apart, and the sweep says so
+        # rather than take a rounded count of turns
+        w, m, e_pow, m_pow, r0, base, d, branch, base_beta, base_alpha = sweep_args(
+            2, 3, 1, 2, gq(-3, 1), gq(1, 1), 1, 0)
+        for wrong in ((base_beta * gq(2, 1), base_alpha), (base_beta, base_alpha * gq(2, 1))):
+            with pytest.raises(InternalInconsistencyError, match="whole number of turns"):
+                engine._branch_sweep(w, m, e_pow, m_pow, r0, base, d, branch, *wrong)
+
+
+def test_radical_witness_does_not_depend_on_precision():
+    first, second = parse_poly("Y^2-X^3"), parse_poly("Y^2-3*X^3")
+    verdict = decide_equivalence(first, second)
+    witnesses = {build_witness(first, second, verdict, 0, precision)
+                 for precision in (53, 128, 8192)}
+    assert len(witnesses) == 1

@@ -52,9 +52,9 @@ RECORDS = [
     AFFINE,
     (Verdict, {"status": "Equivalent", "mode": "exact", "first": ANALYSIS,
                "second": ANALYSIS, "match": SCALE, "reason": None}),
-    (RadicalScalar, {"base": gq(3), "index": 3, "branch": 1, "approx": "1.44"}),
+    (RadicalScalar, {"base": gq(3), "index": 3, "branch": 1}),
     (ShearTerm, {"alpha_coeff": gq(1, 2), "beta_coeff": gq(-1)}),
-    (Witness, {"alpha": gq(2), "beta": RadicalScalar(gq(3), 3, 0, "1.44"), "gamma": None,
+    (Witness, {"alpha": gq(2), "beta": RadicalScalar(gq(3), 3, 0), "gamma": None,
                "scale": gq(4), "weights": WEIGHTS, "branch": None, "shears": None}),
     (VerificationReport, {"passed": True, "exact": False, "max_residual": "1.0e-40",
                           "tol": "1.0e-30", "samples": 8, "precision": 128}),
