@@ -197,8 +197,10 @@ def linear_multiset_match(first: UniPoly, second: UniPoly) -> ScaleClass | None:
     Both arguments must be monic. Works purely on coefficients: a scale a
     works iff second's coefficient at top-offset i equals a^i times first's,
     for every i. Pairwise ratio consistency is not enough, so the class is
-    pinned through a Bezout combination and every ratio is rechecked against
-    the resulting base.
+    pinned through a Bezout combination of the active offsets, base = prod
+    (s_i/f_i)^x_i over the x_i != 0, and each offset i is then checked as
+    s_i == f_i*base^(i/d), the power stepped up with i: no division per
+    offset.
     """
     if first.is_zero or second.is_zero:
         raise ValueError("matcher requires nonzero polynomials")
@@ -206,22 +208,27 @@ def linear_multiset_match(first: UniPoly, second: UniPoly) -> ScaleClass | None:
         raise ValueError("matcher requires monic polynomials")
     if first.degree != second.degree:
         return None
-    degree = first.degree
-    active = [i for i in range(1, degree + 1) if not first.coeff_from_top(i).is_zero]
-    active_second = [
-        i for i in range(1, degree + 1) if not second.coeff_from_top(i).is_zero
-    ]
-    if active != active_second:
+    pairs = [(i, f, s) for i, (f, s) in enumerate(zip(first.coeffs, second.coeffs))
+             if i and not (f.is_zero and s.is_zero)]
+    if any(f.is_zero or s.is_zero for _, f, s in pairs):
         return None
-    if not active:
+    if not pairs:
         return ScaleClass(1, GQ_ONE, (), None)
-    ratios = {i: second.coeff_from_top(i) / first.coeff_from_top(i) for i in active}
+    active = [i for i, _, _ in pairs]
     d, bez = gcd_bezout(active)
-    base = GQ_ONE
-    for i, x in zip(active, bez):
-        base = base * ratios[i] ** x
-    for i in active:
-        if ratios[i] != base ** (i // d):
+    # base = num/den, each side a product of powers with positive exponents
+    num = den = GQ_ONE
+    for (_, f, s), x in zip(pairs, bez):
+        if x > 0:
+            num, den = num * s**x, den * f**x
+        elif x < 0:
+            num, den = num * f**-x, den * s**-x
+    base = num / den
+    power, at = GQ_ONE, 0
+    for i, f, s in pairs:
+        while at < i:
+            power, at = power * base, at + d
+        if s != f * power:
             return None
     return ScaleClass(d, base, tuple(active), None)
 
@@ -648,15 +655,15 @@ def build_witness(
     selects one root of the scale class and always yields radical form
     (reduced to rationals where the branch happens to be rational). Both
     are built in exact arithmetic, radicals by branch arithmetic with no
-    numeric root: the witness does not depend on precision, which is kept
-    for callers and not read.
+    numeric root: the witness does not depend on precision, which is the
+    working precision of the decision taken when verdict is None.
 
     The witness is built from the verdict's germ analyses and exact match;
     a numeric verdict gets the exact match of its analyses first. The
     verdict must have been decided on first and second.
     """
     if verdict is None:
-        verdict = decide_equivalence(first, second)
+        verdict = decide_equivalence(first, second, precision=precision)
     if verdict.status != STATUS_EQUIVALENT:
         raise NotEquivalentVerdictError(
             f"cannot build a witness from a {verdict.status} verdict"

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import atan2, cos, floor, gcd, hypot, isqrt, lcm, ldexp, log2, sin, tau
 from operator import mul
 
@@ -167,9 +167,10 @@ class GaussianRational(Record):
         return _make(a * d, -b * d, n)
 
     def __add__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         d, f = self.d, other.d
         if d == f:
             return _make(self.a + other.a, self.b + other.b, d)
@@ -178,9 +179,10 @@ class GaussianRational(Record):
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         d, f = self.d, other.d
         if d == f:
             return _make(self.a - other.a, self.b - other.b, d)
@@ -196,9 +198,10 @@ class GaussianRational(Record):
         return _new_triple(-self.a, -self.b, self.d)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b, c, e = self.a, self.b, other.a, other.b
         if not b and not e:
             return _make(a * c, 0, self.d * other.d)
@@ -794,32 +797,17 @@ class UniPoly(Record):
     def shift(self, c) -> "UniPoly":
         """Taylor shift: the polynomial w -> P(w + c), computed exactly.
 
-        It runs over Z[i]. With P = (sum P_k w^k)/D and c = u/v, u a
-        Gaussian integer and v the denominator of c, R(t) = D*v^n*P(t/v) =
-        sum P_k v^(n-k) t^k has Gaussian-integer coefficients, and
-        R(t + u) = sum s_k t^k equals D*v^n*P(w + c) at t = v*w. Repeated
-        synthetic division by u finds the s_k in integers, and the
-        coefficient of w^k is s_k*v^k/(D*v^n) = s_k/(D*v^(n-k)), reduced
-        once.
+        It runs over Z[i]. With P = (sum P_k w^k)/D, D the lcm of the
+        denominators and c = u/v, D*P has Gaussian-integer coefficients, and
+        _taylor_shift gives D*P(w + c) = sum s_k/v^(n-k) w^k: the
+        coefficient of w^k is s_k/(D*v^(n-k)), reduced once.
         """
         c = GaussianRational.of(c)
         if self.is_zero or c.is_zero:
             return self
         den, ints = _integral(self.coeffs)
-        v, ur, ui = c.d, c.a, c.b
-        # R degree-descending: the coefficient k levels below the top gains v^k
-        powers = [1]
-        for _ in ints[1:]:
-            powers.append(powers[-1] * v)
-        work = [(x * p, y * p) for (x, y), p in zip(ints, powers)]
-        step = lambda s, x: (s[0] * ur - s[1] * ui + x[0], s[0] * ui + s[1] * ur + x[1])
-        # pass k runs Horner's rule by u over the quotient that pass k - 1
-        # left, and its last value, the remainder, is s_k
-        shifted = []
-        while work:
-            work = list(accumulate(work, step))
-            shifted.append(work.pop())
-        # s_k, the coefficient of t^k, gives s_k/(D*v^(n-k)) for w^k
+        shifted, powers = _taylor_shift(ints, c)
+        # s_k gives s_k/(D*v^(n-k)) for w^k
         coeffs = [_make(x, y, den * p) for (x, y), p in zip(shifted, reversed(powers))]
         return UniPoly.from_coeffs(reversed(coeffs))
 
@@ -828,6 +816,31 @@ class UniPoly(Record):
 
 
 _set_coeffs = UniPoly.coeffs.__set__
+
+
+def _taylor_shift(ints: list, c: GaussianRational) -> tuple[list, list]:
+    """The Taylor shift by c = u/v over Z[i], on integers only.
+
+    ints holds the Gaussian integers (x, y) of R = sum R_k t^k
+    degree-descending, n = len(ints) - 1. Returns ([s_0, ..., s_n],
+    [v^0, ..., v^n]) with R(w + c) = sum s_k/v^(n-k) w^k. With T(t) =
+    v^n*R(t/v) = sum R_k v^(n-k) t^k, T(t + u) = v^n*R(w + c) at t = v*w,
+    and T(t + u) = sum s_k t^k, whose t^k is v^k*w^k. Repeated synthetic
+    division by u (Horner's method; von zur Gathen and Gerhard, ISSAC
+    1997) finds the s_k in O(n^2) steps.
+    """
+    ur, ui = c.a, c.b
+    powers = list(accumulate(repeat(c.d, len(ints) - 1), mul, initial=1))
+    # T degree-descending: the coefficient k levels below the top gains v^k
+    work = [(x * p, y * p) for (x, y), p in zip(ints, powers)]
+    step = lambda s, x: (s[0] * ur - s[1] * ui + x[0], s[0] * ui + s[1] * ur + x[1])
+    # pass k runs Horner's rule by u over the quotient that pass k - 1
+    # left, and its last value, the remainder, is s_k
+    shifted = []
+    while work:
+        work = list(accumulate(work, step))
+        shifted.append(work.pop())
+    return shifted, powers
 
 
 def _integral(coeffs) -> tuple[int, list[tuple[int, int]]]:

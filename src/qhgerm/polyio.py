@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import accumulate, repeat
 from math import gcd, lcm
 
 from .errors import EmptyInputError, NegativeExponentError, ParseError
-from .exact import (GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, Record, _integral, _make,
-                    format_terms, power, power_str)
+from .exact import (GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, Record, _gaussian_mul, _integral,
+                    _make, _taylor_shift, format_terms, power, power_str)
 
 MODE_EXACT = "exact"
 MODE_NUMERIC = "numeric"
@@ -200,42 +201,28 @@ class BivarPoly(Record):
     def substitute(self, x_image: "BivarPoly", y_image: "BivarPoly") -> "BivarPoly":
         """Ring substitution X -> x_image, Y -> y_image.
 
-        It runs over Z[i]. The images are cleared of denominators by their
-        lcms, A/dx and B/dy, and the terms of self are split into runs over
-        a common denominator D (_denominator_runs). The image of a run
-        (sum f_ij X^i Y^j)/D is (sum f_ij dx^(I-i) dy^(J-j) A^i B^j)/L with
-        L = D*dx^I*dy^J, I and J the run's top exponents of X and Y: the
-        power tables of A and B and every product and sum are
-        Gaussian-integer term dicts. Where the images of several runs meet
-        on a term, they add over the lcm of their L. Each coefficient of
-        the result is reduced once. The result's mode joins the three
-        modes; the zero polynomial keeps its own.
+        It runs over Z[i], on the terms of self split into runs over a
+        common denominator D (_denominator_runs), in one of two ways:
+
+        - weighted images, X -> alpha*X and Y -> beta*Y + gamma*X^q with q
+          >= 1 and any of alpha, beta, gamma zero, the images of witnesses
+          and shears: one weighted line i + q*j = w of a run at a time
+          (_substitute_weighted), by a Taylor shift of the line by gamma;
+        - any other images: each term expanded into the products of the
+          images' powers (_substitute_general).
+
+        Where the images of several runs meet on a term, they add over the
+        lcm of their denominators. Each coefficient of the result is
+        reduced once. The result's mode joins the three modes; the zero
+        polynomial keeps its own.
         """
         if not self.terms:
             return BivarPoly({}, self.mode)
-        x_den, x_ints = _integral_terms(x_image.terms)
-        y_den, y_ints = _integral_terms(y_image.terms)
-        xp = power_table(x_ints, {i for i, _ in self.terms}, _gi_power, _gi_mul)
-        yp = power_table(y_ints, {j for _, j in self.terms}, _gi_power, _gi_mul)
-        out = {}
-        for run in _denominator_runs(self.terms):
-            den, ints = _integral_terms(run)
-            top_i = max(i for i, _ in ints)
-            top_j = max(j for _, j in ints)
-            image = {}
-            for (i, j), (a, b) in ints.items():
-                # the missing powers of the image denominators
-                lift = x_den ** (top_i - i) * y_den ** (top_j - j)
-                _add_product(image, xp[i], yp[j], a * lift, b * lift)
-            den *= x_den**top_i * y_den**top_j
-            for key, (x, y) in image.items():
-                if key not in out:
-                    out[key] = x, y, den
-                    continue
-                x0, y0, d0 = out[key]
-                common = lcm(d0, den)
-                u, v = common // d0, common // den
-                out[key] = x0 * u + x * v, y0 * u + y * v, common
+        weighted = _weighted_images(x_image.terms, y_image.terms)
+        if weighted is None:
+            out = _substitute_general(self.terms, x_image.terms, y_image.terms)
+        else:
+            out = _substitute_weighted(self.terms, *weighted)
         mode = _join_mode(_join_mode(self.mode, x_image.mode), y_image.mode)
         return BivarPoly({k: _make(x, y, d) for k, (x, y, d) in out.items() if x or y}, mode)
 
@@ -274,6 +261,122 @@ def _denominator_runs(terms: dict) -> list[dict]:
     return runs
 
 
+def _add_fraction(out: dict, key, x: int, y: int, den: int):
+    """Add (x + y*i)/den to out[key], a triple (x0, y0, d0), over the lcm of d0 and den."""
+    old = out.get(key)
+    if old is None:
+        out[key] = x, y, den
+        return
+    x0, y0, d0 = old
+    common = lcm(d0, den)
+    u, v = common // d0, common // den
+    out[key] = x0 * u + x * v, y0 * u + y * v, common
+
+
+def _substitute_general(terms: dict, x_terms: dict, y_terms: dict) -> dict:
+    """{(i, j): (x, y, den)}, the image of terms under X -> x_terms, Y -> y_terms.
+
+    The images are cleared of denominators by their lcms, A/dx and B/dy.
+    The image of a run (sum f_ij X^i Y^j)/D is (sum f_ij dx^(I-i) dy^(J-j)
+    A^i B^j)/L with L = D*dx^I*dy^J, I and J the run's top exponents of X
+    and Y: the power tables of A and B and every product and sum are
+    Gaussian-integer term dicts.
+    """
+    x_den, x_ints = _integral_terms(x_terms)
+    y_den, y_ints = _integral_terms(y_terms)
+    xp = power_table(x_ints, {i for i, _ in terms}, _gi_power, _gi_mul)
+    yp = power_table(y_ints, {j for _, j in terms}, _gi_power, _gi_mul)
+    out = {}
+    for run in _denominator_runs(terms):
+        den, ints = _integral_terms(run)
+        top_i = max(i for i, _ in ints)
+        top_j = max(j for _, j in ints)
+        image = {}
+        for (i, j), (a, b) in ints.items():
+            # the missing powers of the image denominators
+            lift = x_den ** (top_i - i) * y_den ** (top_j - j)
+            _add_product(image, xp[i], yp[j], a * lift, b * lift)
+        den *= x_den**top_i * y_den**top_j
+        for key, (x, y) in image.items():
+            _add_fraction(out, key, x, y, den)
+    return out
+
+
+def _weighted_images(x_terms: dict, y_terms: dict):
+    """(alpha, beta, gamma, q) for images X -> alpha*X, Y -> beta*Y +
+    gamma*X^q with q >= 1 (1 when gamma is 0), else None."""
+    if not x_terms.keys() <= {(1, 0)}:
+        return None
+    shear = [key for key in y_terms if key != (0, 1)]
+    if len(shear) > 1:
+        return None
+    q, j = shear[0] if shear else (1, 0)
+    if j or not q:
+        return None
+    return (x_terms.get((1, 0), GQ_ZERO), y_terms.get((0, 1), GQ_ZERO),
+            y_terms.get((q, 0), GQ_ZERO), q)
+
+
+def _substitute_weighted(terms: dict, alpha: GaussianRational, beta: GaussianRational,
+                         gamma: GaussianRational, q: int) -> dict:
+    """{(i, j): (x, y, den)}, the image of terms under X -> alpha*X, Y ->
+    beta*Y + gamma*X^q, one weighted line of a run at a time.
+
+    X^i*(beta*Y + gamma*X^q)^j lies on the line i + q*j = w of X^i*Y^j.
+    With s = Y/X^q, a line's terms sum_j c_j X^(w - q*j) Y^j, c_j =
+    f_ij*alpha^i, map to X^w*P(beta*s + gamma), P(t) = sum c_j t^j. With
+    P(t + gamma) = sum s_k t^k, that is the sum of s_k*beta^k X^(w - q*k)
+    Y^k. So a line is scaled term by term by alpha^i, Taylor-shifted by
+    gamma (exact._taylor_shift; no shift when gamma is 0) and scaled at
+    t^k by beta^k, and the lines of a run meet on no term.
+
+    Over Z[i], with the run's ints F_ij/D, alpha = a/da, beta = b/db and
+    gamma = u/v: P = (sum F_ij a^i da^(I-i) t^j)/L, L = D*da^I and I the
+    line's top exponent of X, and the coefficient of X^(w - q*k) Y^k is
+    s_k*b^k/(L*v^(n-k)*db^k), n the line's top exponent of Y. A scalar 1
+    is not multiplied by.
+    """
+    a_pow = None
+    if alpha != GQ_ONE:
+        a_pow = power_table((alpha.a, alpha.b), {i for i, _ in terms}, _gaussian_power,
+                            _gaussian_mul)
+    b_pow = db_pow = None
+    if beta != GQ_ONE:
+        top_j = max(j for _, j in terms)
+        b_pow = list(accumulate(repeat((beta.a, beta.b), top_j), _gaussian_mul, initial=(1, 0)))
+        db_pow = list(accumulate(repeat(beta.d, top_j), operator.mul, initial=1))
+    shear = not gamma.is_zero
+    out = {}
+    for run in _denominator_runs(terms):
+        den, ints = _integral_terms(run)
+        lines = {}
+        for (i, j), z in ints.items():
+            lines.setdefault(i + q * j, {})[j] = z
+        for w, line in lines.items():
+            # {j: c_j} over L
+            line_den = den
+            if a_pow is not None:
+                top = w - q * min(line)
+                line_den *= alpha.d**top
+                for j, (x, y) in line.items():
+                    (ar, ai), lift = a_pow[w - q * j], alpha.d ** (top - w + q * j)
+                    line[j] = (x * ar - y * ai) * lift, (x * ai + y * ar) * lift
+            if shear:
+                n = max(line)
+                shifted, v_pow = _taylor_shift([line.get(j, (0, 0)) for j in range(n, -1, -1)],
+                                               gamma)
+                image = [(k, x, y, line_den * v_pow[n - k])
+                         for k, (x, y) in enumerate(shifted) if x or y]
+            else:
+                image = [(j, x, y, line_den) for j, (x, y) in line.items()]
+            for k, x, y, d in image:
+                if b_pow is not None:
+                    (br, bi), d = b_pow[k], d * db_pow[k]
+                    x, y = x * br - y * bi, x * bi + y * br
+                _add_fraction(out, (w - q * k, k), x, y, d)
+    return out
+
+
 def _add_product(out: dict, a: dict, b: dict, x: int = 1, y: int = 0) -> dict:
     """out plus (x + y*i)*a*b, over Gaussian-integer term dicts {(i, j): (re, im)}.
 
@@ -301,6 +404,10 @@ _GI_ONE = {(0, 0): (1, 0)}
 
 def _gi_power(a: dict, n: int) -> dict:
     return power(a, n, _GI_ONE, _gi_mul)
+
+
+def _gaussian_power(z: tuple, n: int) -> tuple:
+    return power(z, n, (1, 0), _gaussian_mul)
 
 
 def power_table(z, exponents, raise_to=pow, mul=operator.mul) -> dict:

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+import hypothesis
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -70,7 +71,76 @@ def ladder(*coeffs):
     return UniPoly.from_coeffs([gq(c) if not isinstance(c, Fraction) else gq(c) for c in coeffs])
 
 
+def reference_linear_match(first: UniPoly, second: UniPoly) -> ScaleClass | None:
+    """The ratio-based matcher: every ratio s_i/f_i against base^(i/d)."""
+    if first.degree != second.degree:
+        return None
+    degree = first.degree
+    active = [i for i in range(1, degree + 1) if not first.coeff_from_top(i).is_zero]
+    if active != [i for i in range(1, degree + 1) if not second.coeff_from_top(i).is_zero]:
+        return None
+    if not active:
+        return ScaleClass(1, gq(1), (), None)
+    ratios = {i: second.coeff_from_top(i) / first.coeff_from_top(i) for i in active}
+    d, bez = exact.gcd_bezout(active)
+    base = gq(1)
+    for i, x in zip(active, bez):
+        base = base * ratios[i] ** x
+    if any(ratios[i] != base ** (i // d) for i in active):
+        return None
+    return ScaleClass(d, base, tuple(active), None)
+
+
+_small_gaussians = st.builds(
+    gq, st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.one_of(st.just(0), st.fractions(min_value=-6, max_value=6, max_denominator=6)))
+_nonzero_small_gaussians = _small_gaussians.filter(lambda z: not z.is_zero)
+
+
+@st.composite
+def _ladder_pairs(draw):
+    """(first, second): a monic ladder whose active offsets are multiples of
+    a step, and its image under a scale, perturbed at one offset, or a second
+    ladder on the same offsets."""
+    degree = draw(st.integers(1, 9))
+    step = draw(st.integers(1, 3))
+    offsets = draw(st.sets(st.sampled_from(range(step, degree + 1, step) or [degree])))
+    coeffs = [gq(1)] + [draw(_nonzero_small_gaussians) if i in offsets else gq(0)
+                        for i in range(1, degree + 1)]
+    kind = draw(st.sampled_from(["image", "perturbed", "other"]))
+    if kind == "other":
+        image = [gq(1)] + [draw(_nonzero_small_gaussians) if i in offsets else gq(0)
+                           for i in range(1, degree + 1)]
+    else:
+        a = draw(_nonzero_small_gaussians)
+        image = [c * a**i for i, c in enumerate(coeffs)]
+        if kind == "perturbed":
+            i = draw(st.integers(1, degree))
+            image[i] = image[i] + draw(_nonzero_small_gaussians)
+    return UniPoly.from_coeffs(coeffs), UniPoly.from_coeffs(image), kind
+
+
 class TestLinearMatch:
+    @hypothesis.seed(20261108)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(_ladder_pairs())
+    # offsets 2 and 3: a negative Bezout coefficient (-1*2 + 1*3 = 1)
+    @example((ladder(1, 0, 3, -2), ladder(1, 0, 12, -16), "image"))
+    @example((ladder(1, 0, 3, -2), ladder(1, 0, 12, -15), "perturbed"))
+    # offsets 1 and 2: a zero Bezout coefficient (1*1 + 0*2 = 1)
+    @example((ladder(1, 2, 5), ladder(1, 6, 45), "image"))
+    @example((ladder(1, 2, 5), ladder(1, 6, 44), "perturbed"))
+    # offsets 4, 6 and 9: d = 1 from three offsets, a zero coefficient among them
+    @example((ladder(1, 0, 0, 0, 1, 0, 2, 0, 0, 3), ladder(1, 0, 0, 0, 16, 0, 128, 0, 0, 1536), "image"))
+    # offsets 4 and 6: d = 2
+    @example((ladder(1, 0, 0, 0, 1, 0, 2), ladder(1, 0, 0, 0, 81, 0, 1458), "image"))
+    def test_agrees_with_the_ratio_matcher(self, pair):
+        first, second, kind = pair
+        match = linear_multiset_match(first, second)
+        assert match == reference_linear_match(first, second)
+        if kind == "image":
+            assert match is not None
+
     def test_shifted_pair(self):
         match = linear_multiset_match(ladder(1, -3, 2), ladder(1, -9, 18))
         assert match == ScaleClass(1, gq(3), (1, 2), None)
@@ -549,6 +619,19 @@ class TestWitness:
     def test_no_witness_from_negative_verdict(self):
         with pytest.raises(NotEquivalentVerdictError):
             build_witness(parse_poly("Y^2-X^3"), parse_poly("(Y^2-X^3)^2"))
+
+    def test_decision_takes_the_callers_precision(self, monkeypatch):
+        precisions = []
+        decide = engine.decide_equivalence
+
+        def recording(*args, **kwargs):
+            precisions.append(kwargs.get("precision"))
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "decide_equivalence", recording)
+        first, second = parse_poly("Y^2 - X^3"), parse_poly("Y^2 - 0.5*X^3")
+        build_witness(first, second, precision=512)
+        assert precisions == [512]
 
     def test_numeric_verdict_without_exact_match_gives_no_witness(self):
         first = parse_poly("(Y^2-X^3)*(Y^2-1.0000000001*X^3)")

@@ -18,11 +18,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import coprime_denominators
-from qhgerm import GQ_ZERO, BivarPoly, UniPoly, X, Y, gq
+from conftest import apply_change, coprime_denominators
+from qhgerm import (GQ_ZERO, BivarPoly, UniPoly, Witness, X, Y, analyze_germ, build_witness, gq,
+                    parse_poly, verify_witness)
 from qhgerm.exact import _make
 from qhgerm.polyio import (MODE_EXACT, MODE_NUMERIC, _add_product, _denominator_runs,
-                           _integral_terms, _join_mode, power_table)
+                           _integral_terms, _join_mode, _weighted_images, power_table)
 
 SEEDED = settings(max_examples=60, deadline=None, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -173,6 +174,26 @@ class TestSubstitute:
         assert time.perf_counter() - start < 1
         _same(image, reference_substitute(f, *images))
 
+    def test_weighted_shear_of_many_coprime_wide_denominators_stays_narrow(self):
+        # 200 terms with pairwise coprime denominators of about 3,600 bits,
+        # three to a weighted line i + j = w, and a shear by X: each run is
+        # shifted on its own, so the denominator of a term of the image
+        # divides the product of those of its line times v^2 = 7^2
+        dens = coprime_denominators(200, 3600)
+        keys = [(w - j, j) for w in range(70) for j in range(3) if j <= w][:200]
+        f = BivarPoly.from_terms({key: gq(Fraction(k + 1, d), Fraction(k, d))
+                                  for k, (key, d) in enumerate(zip(keys, dens))})
+        images = (X.scale(gq(2, -1)), Y.scale(gq(3, 1)) + BivarPoly.monomial(1, 0, gq(Fraction(5, 7), 1)))
+        assert _weighted_images(images[0].terms, images[1].terms) is not None
+        start = time.perf_counter()
+        image = f.substitute(*images)
+        assert time.perf_counter() - start < 1
+        line_dens = {}
+        for (i, j), d in zip(keys, dens):
+            line_dens[i + j] = line_dens.get(i + j, 1) * d
+        assert all(49 * line_dens[i + j] % c.d == 0 for (i, j), c in image.terms.items())
+        _same(image, reference_substitute(f, *images))
+
     def test_runs_split_where_the_lcm_grows(self):
         dens = coprime_denominators(4, 300)
         wide = {(k, 0): gq(Fraction(1, d)) for k, d in enumerate(dens)}
@@ -197,6 +218,91 @@ class TestSubstitute:
         assert (X + Y).substitute(X, Y).mode == MODE_EXACT
 
 
+# alpha, beta and gamma, any of them zero
+scalars = st.one_of(st.just(GQ_ZERO), gaussians)
+
+
+class TestWeightedPath:
+    """Images X -> alpha*X, Y -> beta*Y + gamma*X^q take the line-by-line path."""
+
+    @pytest.mark.parametrize("x_image, y_image, want", [
+        (X.scale(gq(2)), Y.scale(gq(3)) + BivarPoly.monomial(4, 0, gq(1, 1)), (gq(2), gq(3), gq(1, 1), 4)),
+        (X, Y, (gq(1), gq(1), GQ_ZERO, 1)),
+        (BivarPoly.zero(), BivarPoly.zero(), (GQ_ZERO, GQ_ZERO, GQ_ZERO, 1)),
+        (X, BivarPoly.monomial(3, 0, gq(5)), (gq(1), GQ_ZERO, gq(5), 3)),
+        (X, Y + BivarPoly.constant(gq(1)), None),
+        (X, Y + X + BivarPoly.monomial(2, 0, gq(1)), None),
+        (X, Y * Y, None),
+        (X, Y + X * Y, None),
+        (X + Y, Y, None),
+        (BivarPoly.constant(gq(2)), Y, None),
+        (Y, X, None),
+    ])
+    def test_which_images_are_weighted(self, x_image, y_image, want):
+        assert _weighted_images(x_image.terms, y_image.terms) == want
+
+    @seed(20261106)
+    @SEEDED
+    @given(bivar_polys(12, 12, 8), scalars, scalars, scalars, st.integers(1, 5))
+    def test_zero_scalars_match_the_reference(self, f, alpha, beta, gamma, q):
+        images = (BivarPoly.monomial(1, 0, alpha),
+                  BivarPoly.from_terms({(0, 1): beta, (q, 0): gamma}))
+        _same(f.substitute(*images), reference_substitute(f, *images))
+
+    @pytest.mark.parametrize("alpha, beta, gamma", [
+        (GQ_ZERO, gq(2, 1), gq(Fraction(1, 3))),
+        (gq(2, 1), GQ_ZERO, gq(Fraction(1, 3))),
+        (gq(2, 1), gq(Fraction(-1, 5)), GQ_ZERO),
+        (GQ_ZERO, GQ_ZERO, gq(Fraction(1, 3))),
+        (GQ_ZERO, GQ_ZERO, GQ_ZERO),
+    ])
+    def test_zero_scalars_on_a_germ(self, alpha, beta, gamma):
+        f = BivarPoly.monomial(1, 0, gq(3)) * (Y - X * X) ** 3 * (Y - BivarPoly.monomial(2, 0, gq(2, 1)))
+        images = (BivarPoly.monomial(1, 0, alpha),
+                  BivarPoly.from_terms({(0, 1): beta, (2, 0): gamma}))
+        _same(f.substitute(*images), reference_substitute(f, *images))
+
+    @pytest.mark.parametrize("q", [1, 3, 7])
+    def test_a_q_off_the_germ_s_line(self, q):
+        # the germ lies on the line i + 2*j = 13; with q != 2 each of its
+        # terms lies on a line of its own, which the shift expands term by term
+        f = BivarPoly.monomial(1, 0, gq(Fraction(3, 7))) * (Y - X * X) ** 4 * (
+            Y - BivarPoly.monomial(2, 0, gq(Fraction(2, 5), 1))) ** 2
+        images = (X.scale(gq(Fraction(1, 2), 1)),
+                  Y.scale(gq(-2, 3)) + BivarPoly.monomial(q, 0, gq(Fraction(4, 9), -1)))
+        _same(f.substitute(*images), reference_substitute(f, *images))
+
+    def test_several_lines_with_several_terms_each(self):
+        f = ((Y - X * X) ** 3 + (Y - X) ** 4 * X + BivarPoly.constant(gq(Fraction(1, 11)))
+             + (X * Y) ** 2 * (Y - X.scale(gq(0, 1))))
+        images = (X.scale(gq(Fraction(2, 3))), Y.scale(gq(1, 1)) + X.scale(gq(Fraction(-3, 4))))
+        _same(f.substitute(*images), reference_substitute(f, *images))
+
+    @pytest.mark.parametrize("modes", [(MODE_NUMERIC, MODE_EXACT, MODE_EXACT),
+                                       (MODE_EXACT, MODE_NUMERIC, MODE_EXACT),
+                                       (MODE_EXACT, MODE_EXACT, MODE_NUMERIC),
+                                       (MODE_EXACT, MODE_EXACT, MODE_EXACT)])
+    def test_mode_joins_all_three(self, modes):
+        f_mode, x_mode, y_mode = modes
+        f = BivarPoly.from_terms({(2, 0): gq(1), (0, 1): gq(-1)}, f_mode)
+        images = (BivarPoly.monomial(1, 0, gq(3), x_mode),
+                  BivarPoly.from_terms({(0, 1): gq(2), (2, 0): gq(1, 1)}, y_mode))
+        image = f.substitute(*images)
+        _same(image, reference_substitute(f, *images))
+        assert image.mode == (MODE_NUMERIC if MODE_NUMERIC in modes else MODE_EXACT)
+
+    @pytest.mark.parametrize("alpha, beta", [(GQ_ZERO, gq(1)), (gq(1), GQ_ZERO), (GQ_ZERO, GQ_ZERO)])
+    @pytest.mark.parametrize("germ", ["(Y-X^2)*(Y-2*X^2)", "(Y^2-X^3)*(Y^2-2*X^3)"])
+    def test_degenerate_witnesses_fail(self, germ, alpha, beta):
+        first = parse_poly(germ)
+        weights = analyze_germ(first).weights
+        second = apply_change(first, weights.q, gq(2), gq(3), gq(1) if weights.p == 1 else None)
+        witness = build_witness(first, second)
+        assert verify_witness(first, second, witness).passed
+        witness = Witness(alpha, beta, *(getattr(witness, name) for name in Witness.__slots__[2:]))
+        assert not verify_witness(first, second, witness).passed
+
+
 class TestShift:
     unipolys = st.lists(gaussians, min_size=0, max_size=12).map(UniPoly.from_coeffs)
     centers = st.one_of(st.just(GQ_ZERO), gaussians)
@@ -210,6 +316,15 @@ class TestShift:
     @example(UniPoly.zero(), gq(Fraction(1, 3)))
     @example(UniPoly.one(), gq(5, 5))
     def test_matches_the_reference(self, poly, c):
+        assert poly.shift(c) == reference_shift(poly, c)
+
+    @seed(20261107)
+    @SEEDED
+    @given(st.dictionaries(st.integers(0, 40), gaussians, max_size=4), centers)
+    @example({40: gq(1), 3: gq(Fraction(-2, 3), 1)}, gq(Fraction(5, TOP + 1), 2))
+    def test_sparse_polynomials_match_the_reference(self, coeffs, c):
+        # at most 4 terms up to degree 40: long runs of zeros between them
+        poly = sum((UniPoly.monomial(k, z) for k, z in coeffs.items()), UniPoly.zero())
         assert poly.shift(c) == reference_shift(poly, c)
 
     @seed(20261105)
