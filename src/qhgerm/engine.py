@@ -41,7 +41,6 @@ from .numeric import (
     DEFAULT_PRECISION,
     DEFAULT_TOL,
     NumericMatch,
-    _identify_branch,
     _nearest_clusters,
     cluster_roots,
     # eval_bivar is not called here, but bench/tracing.py patches engine.eval_bivar
@@ -446,10 +445,14 @@ def _simplify_scalar(base: GaussianRational, index: int, branch: int):
     (b mod index/e)-th (index/e)-th root of base for each divisor e of
     index. The first e in ascending order where that root is a Gaussian
     rational g gives target = g^(1/e); e = 1 gives a plain
-    GaussianRational, and e = index always matches with g = base. The
-    branch of target among the e-th roots of g is read off its argument
-    (Arg(base) + 2*pi*b)/index, within 2^-48: 2^-50 from exact._arg, and
-    the rounding of a sum of at most 2*pi*index over index.
+    GaussianRational, and e = index always matches with g = base.
+
+    The branch k of target among the e-th roots of g, by branch arithmetic:
+    with s = index/e, _turns gives n with s*Arg(g) = Arg(base) + 2*pi*n, as
+    g^s = base, and target has argument (Arg(base) + 2*pi*b)/index =
+    (Arg(g) + 2*pi*k)/e up to a whole turn, so s*k = b - n mod index: k =
+    (b - n)/s mod e. The quotient is exact, as target^e = g makes n = b
+    mod s.
     """
     g, e = base, index
     for div in range(1, index):
@@ -461,7 +464,8 @@ def _simplify_scalar(base: GaussianRational, index: int, branch: int):
     if e == 1:
         return g
     if e < index:
-        branch = _identify_branch(g, e, (_arg(base.a, base.b) + tau * branch) / index, 2.0**-48)
+        step = index // e
+        branch = (branch - _turns(((step, g), (-1, base)))) // step % e
     return RadicalScalar(g, e, branch)
 
 

@@ -6,21 +6,13 @@ matchers used as the independent oracle for the exact engine, and batched
 bivariate evaluation. Nothing here mutates mpmath's global precision.
 find_roots, refine_roots and eval_bivar scope their own working precision;
 cluster_roots, numeric_match, nth_root and to_mpc compute at the caller's
-precision. nth_root holds the one branch rule, mpmath's. _identify_branch
-inverts it with no mpmath call: it takes the branch of a root's argument,
-given in doubles with an error bound, and checks it against
-exact._complex_root, which computes the root on that branch by the same
-rule in Gaussian integers.
+precision. nth_root holds the one numeric branch rule, mpmath's.
 
 find_roots polishes its roots in integer fixed point: Gaussian dyadic
 points, Horner on integers with an explicit bound on its rounding, for
 every input, including roots past the double range; mpmath.libmp forms
 each value and error bound it returns once, from those integers. eval_bivar
-works in integers too, on (mantissa, exponent) pairs, each result rounded
-once, half-even, by mpf_add's rule (_dyadic_sum): the coefficients
-(_gaussian_mpc, which to_mpc shares), the seed powers where mpc_pow_int's
-own result is exact arithmetic rounded once, every step, product and sum,
-so its values have mpmath's bits at a fraction of mpmath's cost.
+is the plain mpc loop, its coefficients rounded by to_mpc.
 cluster_roots, numeric_match and _nearest_clusters decide each distance,
 nonzero and nearest-center test in doubles first, through the filtered
 comparison of _double_filter, and compute it in mpmath only where the
@@ -35,9 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
-from .errors import AmbiguousClusteringError, InternalInconsistencyError, NonConvergenceError
-from .exact import GaussianRational, Record, UniPoly, _arg, _complex_root, _integral
+from .errors import AmbiguousClusteringError, NonConvergenceError
+from .exact import GaussianRational, Record, UniPoly, _integral
 from .polyio import BivarPoly, power_table
 
 # typing.TYPE_CHECKING without loading typing; type checkers take it as true
@@ -69,27 +62,16 @@ class NumericMatch(Record):
     __slots__ = ("scale", "shift")
 
 
-def _gaussian_mpc(value: GaussianRational, prec: int) -> tuple:
-    """value as an mpmath mpc tuple at prec bits: each part's numerator and
-    the denominator, reduced by their gcd, are rounded to nearest and then
-    divided with rounding to nearest, the bits of mpf(num) / mpf(den),
-    computed in integers (_round and _quotient)."""
-
-    def part(num):
-        g = math.gcd(num, value.d)
-        n, n_exp = _round(num // g, 0, prec)
-        d, d_exp = _round(value.d // g, 0, prec)
-        return _mpf_tuple(*_quotient(n, d, n_exp - d_exp, prec))
-
-    return part(value.a), part(value.b)
-
-
 def to_mpc(value) -> mpc:
-    """Convert a GaussianRational (or number) to mpc at the current precision,
-    a GaussianRational by _gaussian_mpc, as eval_bivar rounds coefficients."""
-    from mpmath import mp, mpc
+    """Convert a GaussianRational, a Fraction or another number to mpc at the
+    current precision. Each part of a rational is mpf(numerator) /
+    mpf(denominator) of its reduced Fraction: both are rounded to the
+    precision, then their quotient is."""
+    from mpmath import mpc, mpf
+    if isinstance(value, Fraction):
+        value = GaussianRational(value)
     if isinstance(value, GaussianRational):
-        return mp.make_mpc(_gaussian_mpc(value, mp.prec))
+        return mpc(*(mpf(part.numerator) / mpf(part.denominator) for part in (value.re, value.im)))
     return mpc(value)
 
 
@@ -106,38 +88,6 @@ def nth_root(value, index: int, branch: int = 0) -> mpc:
     if z == 0:
         return mpc(0)
     return mp.root(z, index, branch % index)
-
-
-def _identify_branch(base: GaussianRational, index: int, theta: float, err: float) -> int:
-    """Which index-th root of base has argument theta, known to within err:
-    the branch b whose root's argument lies within pi/(2*index) - err of
-    theta, a quarter of the angle between neighbouring roots less the
-    error, else InternalInconsistencyError. Index 1 is branch 0 with no
-    check, and a zero base has only the root 0, branch 0.
-
-    Branch b has argument (Arg(base) + 2*pi*b)/index, so index*theta -
-    Arg(base) is 2*pi*b up to a multiple of 2*pi*index and to index*err;
-    the guess rounds its quotient by 2*pi. It is then checked against
-    _complex_root's root on that branch, at index.bit_length() + 40 bits
-    relative to the root, give or take 2 (for index < 2^40; above that
-    _complex_root raises ValueError): its argument, read in doubles, is
-    within 2^-(index.bit_length() + 37) and atan2's rounding, and the
-    difference with theta within 2^-49 more. No mpmath call.
-    """
-    if index == 1 or base.is_zero:
-        return 0
-    a, b, d = base.a, base.b, base.d
-    branch = round((index * theta - _arg(a, b)) / math.tau) % index
-    # units of 2^-prec put the root at index.bit_length() + 40 bits, give or take 2
-    prec = index.bit_length() + 40 - (max(a.bit_length(), b.bit_length()) - d.bit_length()) // index
-    rre, rim = _complex_root(a, b, d, index, branch, prec)
-    off = abs(math.remainder(theta - math.atan2(rim, rre), math.tau))
-    slack = 2.0 ** -(index.bit_length() + 37) + 2.0**-49
-    if off + err + slack > math.pi / (2 * index):
-        raise InternalInconsistencyError(
-            "radical branch identification failed: no root is close enough"
-        )
-    return branch
 
 
 def _horner(coeffs, z):
@@ -346,89 +296,6 @@ def _horner_fixed(pairs, wr: int, wi: int, frac: int):
     return hr, hi, dr, di
 
 
-def _round(m: int, e: int, prec: int):
-    """m * 2^e rounded half-even to prec bits, as (mantissa, exponent): the
-    rounding of mpmath's normalize, with no trailing zero bits stripped."""
-    excess = m.bit_length() - prec
-    if excess > 0:
-        # floor((m + half - 1 + kept lowest bit) / 2^excess): half-even, either sign
-        m = (m + (1 << (excess - 1)) - 1 + ((m >> excess) & 1)) >> excess
-        e += excess
-    return m, e
-
-
-def _quotient(n: int, d: int, e: int, prec: int):
-    """n/d * 2^e rounded half-even to prec bits, d > 0, as (mantissa,
-    exponent): the quotient to prec + 2 bits or more and a sticky bit for a
-    nonzero remainder, rounded once, so correctly rounded as mpf_div is."""
-    shift = max(prec + 2 - n.bit_length() + d.bit_length(), 0)
-    q, r = divmod(abs(n) << shift, d)
-    q = (q << 1) | (r != 0)
-    return _round(-q if n < 0 else q, e - shift - 1, prec)
-
-
-def _mpf_tuple(m: int, e: int) -> tuple:
-    """m * 2^e as a normalized mpmath mpf tuple: odd mantissa, or fzero."""
-    if not m:
-        return 0, 0, 0, 0
-    low = (m & -m).bit_length() - 1
-    m >>= low
-    return (0, m, e + low, m.bit_length()) if m > 0 else (1, -m, e + low, (-m).bit_length())
-
-
-def _dyadic_sum(m: int, e: int, n: int, f: int, prec: int):
-    """m * 2^e + n * 2^f rounded half-even to prec bits, as (mantissa, exponent),
-    with the bits of mpf_add on the normalized operands. Neither operands
-    nor result need be normalized: a mantissa may end in zero bits, which
-    _mpf_tuple strips when an mpf is built.
-
-    The sum is exact and rounded once, with mpf_add's one exception: when
-    the larger operand's top bit lies more than prec + 4 bits above the
-    smaller's, and its normalized lowest bit over 100 bits above the
-    smaller's, the smaller enters as a sticky +-1 at prec + 4 bits below
-    the larger's lowest bit. Any nonzero sticky below the larger's lowest
-    bit, normalized or not, rounds alike, and rounds as the exact sum does
-    when the smaller lies wholly below that bit. So the trailing zeros are
-    only counted when the smaller reaches above the larger's lowest bit,
-    which needs a larger operand of over prec + 4 bits: an exact product,
-    never a value rounded here. The work grows with the operands' lengths,
-    not with the gap between them.
-    """
-    if not n:
-        if not m:
-            return 0, 0
-    elif not m:
-        m, e = n, f
-    else:
-        top_m, top_n = m.bit_length() + e, n.bit_length() + f
-        if top_m < top_n:
-            m, e, n, f, top_m, top_n = n, f, m, e, top_n, top_m
-        if top_m - top_n > prec + 4 and (
-                top_n <= e or e + (m & -m).bit_length() - f - (n & -n).bit_length() > 100):
-            m, e = (m << (prec + 4)) + (1 if n > 0 else -1), e - prec - 4
-        elif e >= f:
-            m, e = (m << (e - f)) + n, f
-        else:
-            m += n << (f - e)
-        if not m:
-            return 0, 0
-    excess = m.bit_length() - prec
-    if excess > 0:
-        # _round, inline
-        m = (m + (1 << (excess - 1)) - 1 + ((m >> excess) & 1)) >> excess
-        e += excess
-    return m, e
-
-
-def _dyadic_mul(z, w, prec: int):
-    """The product of two Gaussian dyadics (re, re_exp, im, im_exp): ac - bd
-    and ad + bc exact, each rounded once by _dyadic_sum, as mpc_mul does."""
-    a, ea, b, eb = z
-    c, ec, d, ed = w
-    return (_dyadic_sum(a * c, ea + ec, -b * d, eb + ed, prec)
-            + _dyadic_sum(a * d, ea + ed, b * c, eb + ec, prec))
-
-
 def _dyadic_diff(a, b, frac: int) -> complex:
     """The difference of two fixed-point points (wr, wi, e), exactly, then as
     a complex in units of 2^e of the first."""
@@ -528,7 +395,8 @@ def _polish_fixed(coeffs, starts, precision):
             break
     if not all(settled):
         raise NonConvergenceError("root iteration did not reach the backward-error target")
-    lead = mpc_abs(_gaussian_mpc(coeffs[0], work), work, round_nearest)
+    with mp.workprec(work):
+        lead = mpc_abs(to_mpc(coeffs[0])._mpc_, work, round_nearest)
 
     def quotient(m, k):  # mpf(m) * 2^k / den, as mpf arithmetic at work rounds it
         return mpf_div(mpf_shift(from_int(m, work, round_nearest), k), from_int(den), work,
@@ -903,20 +771,10 @@ def numeric_match(mode: str, side_a, side_b, tol: float = DEFAULT_TOL):
 def eval_bivar(poly: BivarPoly, points, precision: int = DEFAULT_PRECISION) -> list:
     """Evaluate a bivariate polynomial at each (x, y) of points.
 
-    Returns one mpc per point, with the bits of mpmath's mpc arithmetic 20
-    bits finer than precision, an int of at least 1. _gaussian_mpc rounds
-    the coefficients, once per call, as to_mpc does; mpmath converts the
-    coordinates, but for an mpc whose parts fit, which keeps its bits. The
-    seeds z^low and z^gap of power_table are integers too
-    wherever mpc_pow_int's own result is exact arithmetic rounded once per
-    part (or, for a square, mpc_square's rounding, which _dyadic_sum has):
-    an exponent of 2 or more, both parts nonzero and, above 2, an exact
-    power of fewer than 10000 bits; elsewhere mpc_pow_int gives them. The
-    steps, the products c * x^i * y^j, multiplied inline, and the running
-    sum are _dyadic_sum on integers, which rounds as mpmath does, so the
-    bits are the same; a factor x^0 or y^0, exactly 1, is skipped, as
-    multiplying a rounded value by 1 returns it. A germ on a weighted line
-    costs O(terms) multiplications per point.
+    Returns one mpc per point, in mpc arithmetic 20 bits finer than
+    precision, an int of at least 1: the sum, in term order, of each term
+    to_mpc(c) * x^i * y^j, with the powers from power_table. A germ on a
+    weighted line costs O(terms) multiplications per point.
 
     Raises ValueError for a precision that is not such an int, and naming
     the point when a coordinate is infinite or nan.
@@ -926,64 +784,18 @@ def eval_bivar(poly: BivarPoly, points, precision: int = DEFAULT_PRECISION) -> l
     if precision < 1:
         raise ValueError("precision must be at least 1 bit")
     from mpmath import mp, mpc
-    from mpmath.libmp import complex_int_pow, mpc_pow_int, round_nearest
-
-    prec = precision + 20
-    add = _dyadic_sum
-
-    def dyadic(z):
-        (re_sign, re, re_exp, _), (im_sign, im, im_exp, _) = z
-        return -re if re_sign else re, re_exp, -im if im_sign else im, im_exp
-
-    def seed(z, n):
-        (a_sign, a, a_exp, a_bc), (b_sign, b, b_exp, b_bc) = z
-        if n >= 2 and a and b:
-            a, b = -a if a_sign else a, -b if b_sign else b
-            if n == 2:  # mpc_square: a^2 - b^2 by mpf_sub, 2ab rounded once
-                return add(a * a, 2 * a_exp, -b * b, 2 * b_exp, prec) + _round(
-                    a * b, a_exp + b_exp + 1, prec)
-            low = min(a_exp, b_exp)
-            if n * (abs(a_exp - b_exp) + max(a_bc, b_bc)) < 10000:
-                re, im = complex_int_pow(a << (a_exp - low), b << (b_exp - low), n)
-                return _round(re, n * low, prec) + _round(im, n * low, prec)
-        return dyadic(mpc_pow_int(z, n, prec, round_nearest))
-
-    def mul(z, w):
-        return _dyadic_mul(z, w, prec)
-
-    def coord(z):
-        # mpc(z)'s tuple at prec bits; that of an mpc whose parts fit is its own
-        if type(z) is mpc:
-            (_, _, _, re_bc), (_, _, _, im_bc) = parts = z._mpc_
-            if re_bc <= prec and im_bc <= prec:
-                return parts
-        with mp.workprec(prec):
-            return mpc(z)._mpc_
-
-    terms = [(i, j, dyadic(_gaussian_mpc(c, prec))) for (i, j), c in poly.terms.items()]
-    x_exps = {i for i, _, _ in terms}
-    y_exps = {j for _, j, _ in terms}
-    points = list(points)
-    coords = [(coord(x), coord(y)) for x, y in points]
-    out = []
-    for point, (x, y) in zip(points, coords):
-        if not all(man or not exp for _, man, exp, _ in x + y):
-            raise ValueError(f"eval_bivar needs finite coordinates, got the point {point!r}")
-        xp = power_table(x, x_exps, seed, mul)
-        yp = power_table(y, y_exps, seed, mul)
-        re, re_exp, im, im_exp = 0, 0, 0, 0
-        for i, j, (a, ea, b, eb) in terms:
-            if i:
-                c, ec, d, ed = xp[i]
-                (a, ea), (b, eb) = (add(a * c, ea + ec, -b * d, eb + ed, prec),
-                                    add(a * d, ea + ed, b * c, eb + ec, prec))
-            if j:
-                c, ec, d, ed = yp[j]
-                (a, ea), (b, eb) = (add(a * c, ea + ec, -b * d, eb + ed, prec),
-                                    add(a * d, ea + ed, b * c, eb + ec, prec))
-            re, re_exp = add(re, re_exp, a, ea, prec)
-            im, im_exp = add(im, im_exp, b, eb, prec)
-        value = object.__new__(mpc)
-        value._mpc_ = (_mpf_tuple(re, re_exp), _mpf_tuple(im, im_exp))
-        out.append(value)
+    with mp.workprec(precision + 20):
+        terms = [(i, j, to_mpc(c)) for (i, j), c in poly.terms.items()]
+        x_exps = {i for i, _, _ in terms}
+        y_exps = {j for _, j, _ in terms}
+        out = []
+        for point in points:
+            x, y = map(mpc, point)
+            if not (mp.isfinite(x) and mp.isfinite(y)):
+                raise ValueError(f"eval_bivar needs finite coordinates, got the point {point!r}")
+            xp, yp = power_table(x, x_exps), power_table(y, y_exps)
+            acc = mpc(0)
+            for i, j, c in terms:
+                acc += c * xp[i] * yp[j]
+            out.append(acc)
     return out

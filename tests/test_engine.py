@@ -1,6 +1,5 @@
 """Equivalence decisions, witness construction, and the quartic demo."""
 
-import math
 import os
 import random
 import subprocess
@@ -47,7 +46,6 @@ from qhgerm import (
 )
 
 from qhgerm import engine, exact, numeric
-from qhgerm.errors import InternalInconsistencyError
 from qhgerm.exact import _make, integer_root
 from qhgerm.numeric import find_roots, nth_root, to_mpc
 
@@ -404,38 +402,15 @@ class TestExactRoots:
         # 3 is a Gaussian prime, so 3*g^k has 3-adic valuation 1 mod k
         assert engine._gaussian_roots(3 * g**k, k) == []
 
-    @settings(max_examples=60, deadline=None)
-    @given(base=_NONZERO_GQ, e=st.integers(1, 24), data=st.data())
-    def test_identify_branch_inverts_nth_root(self, base, e, data):
-        # the argument of nth_root's root, as a double, identifies its branch
-        b = data.draw(st.integers(0, e - 1))
-        with mp.workprec(128):
-            theta = float(mp.arg(nth_root(base, e, b)))
-        assert engine._identify_branch(base, e, theta, 2.0**-50) == b
-
-    def test_identify_branch_rejects_a_point_between_roots(self):
-        # pi/4 is halfway between the fourth roots 1 and i of 1
-        with pytest.raises(InternalInconsistencyError):
-            engine._identify_branch(gq(1), 4, math.pi / 4, 0.0)
-
     @pytest.mark.parametrize("base, index, branch, want", [
-        # no lower index: sqrt(2) stays (2)^(1/2) on the branch given, no call
-        (gq(2), 2, 1, (gq(2), 2, 1, 0)),
-        # (4)^(1/4) branch 2 is -sqrt(2), that is (2)^(1/2) branch 1: one call
-        (gq(4), 4, 2, (gq(2), 2, 1, 1)),
+        # no lower index: sqrt(2) stays (2)^(1/2) on the branch given
+        (gq(2), 2, 1, (gq(2), 2, 1)),
+        # (4)^(1/4) branch 2 is -sqrt(2), that is (2)^(1/2) branch 1
+        (gq(4), 4, 2, (gq(2), 2, 1)),
     ])
-    def test_simplify_scalar_identifies_each_radical_once(self, monkeypatch, base, index,
-                                                          branch, want):
-        calls = []
-        identify = engine._identify_branch
-
-        def counted(*args):
-            calls.append(args)
-            return identify(*args)
-
-        monkeypatch.setattr(engine, "_identify_branch", counted)
+    def test_simplify_scalar_identifies_each_radical_once(self, base, index, branch, want):
         got = engine._simplify_scalar(base, index, branch)
-        assert (got.base, got.index, got.branch, len(calls)) == want
+        assert (got.base, got.index, got.branch) == want
 
     @pytest.mark.parametrize("base, index, branch, want", [
         # roots of bases on the axes: i, -2, -2i and -2.10...i have a zero part

@@ -14,9 +14,9 @@ reference that recomputes its answer the long way.
   clusters or the same exception.
 - numeric_match: the all-pairs candidate search over every pair of nonzero
   clusters gives the same scale and shift, or None alike.
-- eval_bivar: its integer kernel gives the same bits as the mpc loop it
-  replaced, kept here as reference_eval_bivar, on drawn polynomials and
-  points and on cases built to reach each rounding decision.
+- eval_bivar: the same bits as the mpc loop written out here as
+  reference_eval_bivar, on drawn polynomials and points and on cases built
+  to reach each rounding decision of mpmath's arithmetic.
 - verify_witness on radical witnesses: the exact certificate proves every
   witness of the radical corpora and of the branch-completeness pairs, and
   refutes each corrupted witness, except a moved branch that is a witness
@@ -24,8 +24,8 @@ reference that recomputes its answer the long way.
   reference_sampled_check, confirms those and a sample of the refuted ones
   at 1024 bits.
 - to_mpc and eval_bivar's coefficients: one rounding of Q(i) to binary
-  with the bits of the Fraction division it replaced, kept here as
-  reference_to_mpc.
+  with the bits of the Fraction division written out as reference_to_mpc;
+  a Fraction rounds as the GaussianRational it equals.
 
 Inputs are seeded and include root sets r * (roots of unity), zero roots or
 clusters, and mixed multiplicities.
@@ -46,7 +46,7 @@ from qhgerm import (AmbiguousClusteringError, BivarPoly, NonConvergenceError, Un
                     build_witness, cluster_roots, decide_equivalence, eval_bivar, find_roots,
                     gq, numeric_match, parse_poly, verify_witness)
 from qhgerm import engine, numeric
-from qhgerm.numeric import ComplexApprox, NumericMatch, RootCluster, to_mpc
+from qhgerm.numeric import ComplexApprox, NumericMatch, RootCluster, nth_root, to_mpc
 from qhgerm.polyio import power_table
 
 from conftest import rand_gq
@@ -857,7 +857,7 @@ def test_greedy_pairing_has_the_outcome_of_the_mpc_loop(case):
 
 
 def reference_eval_bivar(poly, points, precision: int = 128) -> list:
-    """eval_bivar as it was before its integer kernel: the mpc loop."""
+    """eval_bivar written out as the mpc loop, the oracle of its bits."""
     with mp.workprec(precision + 20):
         terms = [(i, j, to_mpc(c)) for (i, j), c in poly.terms.items()]
         x_exps = {i for i, _, _ in terms}
@@ -1031,8 +1031,8 @@ def test_square_sticky_point_rounds_apart_from_the_exact_square():
 
 
 def reference_to_mpc(value) -> mpc:
-    """to_mpc as it was before its rounding moved into _gaussian_mpc: each
-    part an mpf division of the reduced Fraction's numerator and denominator."""
+    """to_mpc written out: each part an mpf division of the reduced
+    Fraction's numerator and denominator."""
     re = mpf(value.re.numerator) / mpf(value.re.denominator)
     im = mpf(value.im.numerator) / mpf(value.im.denominator)
     return mpc(re, im)
@@ -1066,6 +1066,19 @@ def test_rational_rounding_is_the_fraction_division(re, im, precision):
     constant = BivarPoly.constant(value)
     assert eval_bivar(constant, [(1, 1)], precision - 20)[0]._mpc_ == want
 
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(-6, 4), Fraction(0),
+                                   Fraction(-(2**300) - 1, 3**200)])
+def test_to_mpc_and_nth_root_take_a_fraction(value):
+    # a Fraction rounds as the GaussianRational with that real part, so its
+    # roots are that rational's roots
+    for precision in (53, 1024):
+        with mp.workprec(precision):
+            want = reference_to_mpc(gq(value))._mpc_
+            assert to_mpc(value)._mpc_ == to_mpc(gq(value))._mpc_ == want
+            for branch in range(3):
+                assert nth_root(value, 3, branch)._mpc_ == nth_root(gq(value), 3, branch)._mpc_
 
 def sticky_cases(work: int) -> list:
     """(poly, point) pairs whose real part ac - bd takes mpf_add's sticky
@@ -1105,7 +1118,7 @@ def sticky_cases(work: int) -> list:
 
 
 def explicit_cases(precision: int) -> list:
-    """(poly text, points) that reach each rounding decision of the kernel
+    """(poly text, points) that reach each rounding decision of the mpc arithmetic
     at work = precision + 20 bits."""
     work = precision + 20
     one, half_ulp = dyadic(1, 0), dyadic(1, -work)
@@ -1191,9 +1204,8 @@ def reference_sampled_check(first, second, witness, precision: int, seed: int,
                             evaluate=eval_bivar):
     """The sampled check verify_witness made before its certificate, on mpc
     values, verbatim: (worst, bound) as mpf values, and the report it gave.
-    evaluate stands for eval_bivar, which reference_eval_bivar can replace;
-    then only to_mpc's rounding of the coefficients is shared with the
-    kernel. At 1024 bits its bound is 2^-976, so it is an independent
+    evaluate stands for eval_bivar, which reference_eval_bivar can replace.
+    At 1024 bits its bound is 2^-976, so it is an independent
     high-precision check of a witness."""
     q = witness.weights.q
     with mp.workprec(precision + 20):
@@ -1319,67 +1331,3 @@ def test_corrupted_witnesses_fail_with_the_reports_of_the_mpc_loop(witnesses):
             fails += not passed
             total += 1
     assert total > len(witnesses) and total // 2 < fails < total
-
-
-def random_part(rng, prec: int, long: bool):
-    """A signed odd mantissa and an exponent: 1 to 3*prec bits, or up to
-    6*prec bits when long, the exponent within a few lengths of 0."""
-    bits = rng.choice([1, 2, 3, 53, prec - 1, prec, prec + 1, prec + 5, 2 * prec, 3 * prec]
-                      + ([5 * prec, 6 * prec] if long else []))
-    man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
-    exp = rng.randint(-4 * prec, 4 * prec) - bits
-    return -man if rng.random() < 0.5 else man, exp
-
-
-def sticky_shapes(rng, prec: int, slack: int):
-    """(m, e, n, f): a long m and an n whose top lies more than prec + slack
-    bits below m's, reaching above m's lowest bit or wholly below it, with
-    the lowest bits 100 apart give or take a few: the shapes where mpf_add's
-    sticky rule decides, and where it does not."""
-    m = rng.getrandbits(3 * prec) | 1 | (1 << (3 * prec - 1))
-    below = prec + slack + rng.randint(1, 2 * prec)
-    n_bits = rng.randint(1, 2 * prec)
-    n = rng.getrandbits(n_bits) | 1 | (1 << (n_bits - 1))
-    f = 3 * prec - below - n_bits
-    if rng.random() < 0.5:
-        f = rng.randint(-110, -90) - (n_bits if rng.random() < 0.5 else 0)
-        below = 3 * prec - n_bits - f
-    return (-m if rng.random() < 0.5 else m), 0, (-n if rng.random() < 0.5 else n), f
-
-
-def trailing_zero_cases(prec: int) -> list:
-    """(m, e, n, f, s, t): m * 2^e, 3*prec bits one unit above a tie at
-    prec bits, plus n * 2^f, below it by more than prec + 4 bits but over 2
-    units in size, so that mpf_add's sticky rule rounds up where the exact
-    sum rounds down; written with s and t trailing zero bits, which move
-    the lowest bits across the rule's 100-bit gap one way or the other."""
-    m = (((1 << (prec - 1)) + 1) << (2 * prec)) + (1 << (2 * prec - 1)) + 1
-    return [(m, 0, -((1 << 152) + 1), -150, 60, 0),  # gap 150, 90 as written
-            (m, 0, -((1 << 92) + 1), -90, 0, 20)]  # gap 90, 110 as written
-
-
-def test_dyadic_sum_has_the_bits_of_mpf_add_on_any_representation():
-    # operands with trailing zero bits stand for the same numbers as their
-    # normalized forms, and the sum has mpf_add's bits on those, sticky
-    # rule included, whichever operand comes first
-    from mpmath.libmp import from_man_exp, mpf_add, round_nearest
-
-    rng = random.Random(20261022)
-    cases = [case for prec in (53, 73, 148) for case in trailing_zero_cases(prec)]
-    for k in range(6000 + len(cases)):
-        prec = rng.choice([21, 53, 73, 148, 532])
-        s, t = rng.randint(0, 40), rng.randint(0, 40)
-        if k >= 6000:
-            m, e, n, f, s, t = cases[k - 6000]
-            prec = (m.bit_length() + 2) // 3
-        elif k % 3:
-            (m, e), (n, f) = random_part(rng, prec, True), random_part(rng, prec, True)
-            if rng.random() < 0.1:
-                n = 0
-        else:
-            m, e, n, f = sticky_shapes(rng, prec, 4)
-        want = mpf_add(from_man_exp(m, e), from_man_exp(n, f), prec, round_nearest)
-        got = numeric._dyadic_sum(m << s, e - s, n << t, f - t, prec)
-        assert numeric._mpf_tuple(*got) == want, (m, e, n, f, prec)
-        got = numeric._dyadic_sum(n << t, f - t, m << s, e - s, prec)
-        assert numeric._mpf_tuple(*got) == want, (m, e, n, f, prec)

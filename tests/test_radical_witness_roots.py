@@ -1,17 +1,18 @@
-"""Radical witness roots: branch identification and the branch sweep.
+"""Radical witness roots: the branches of reduced radicals and the branch sweep.
 
-numeric._identify_branch takes the branch of a root from its argument,
-given in doubles with an error bound, and checks it against
-exact._complex_root, with no mpmath call. engine._branch_sweep finds the
-hit (jb, ja) of the witness scalar system, and the branches of beta, u and
-alpha, by branch arithmetic on integers, with no root taken. The mpmath
-identification and the mpc sweep they replaced are kept here as
+engine._simplify_scalar reduces the branch-th index-th root of a base to
+its lowest radical, a root of a Gaussian rational g of a lower index e,
+and reads the branch of that root among the e-th roots of g by branch
+arithmetic (engine._turns), with no mpmath call. engine._branch_sweep
+finds the hit (jb, ja) of the witness scalar system, and the branches of
+beta, u and alpha, the same way, with no root taken. The mpmath
+identification and the mpc sweep the builder once had are kept here as
 reference_identify_branch and reference_sweep, the latter at 1,024 bits.
-Identification must give the reference's branch or raise where it raises,
-on bases with parts thousands of bits wide or far below 1, on the axes and
-the diagonals, at indices up to 2^40 - 1; the sweep must give the
-reference's pair, and its branches must name the reference's roots, also
-where a, rhs or u lies on the negative real axis or 2^-200 off it.
+Each reduced radical must name nth_root's root at 1,024 bits, on the
+branch the reference identifies, on bases with parts thousands of bits
+wide or far below 1, on the axes and the diagonals; the sweep must give
+the reference's pair, and its branches must name the reference's roots,
+also where a, rhs or u lies on the negative real axis or 2^-200 off it.
 """
 
 import importlib
@@ -29,11 +30,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from conftest import branch_completeness_pairs
-from qhgerm import GQ_ZERO, build_witness, decide_equivalence, gq, parse_poly, witness_branch_count
+from qhgerm import (GQ_ZERO, GaussianRational, build_witness, decide_equivalence, gq,
+                    parse_poly, witness_branch_count)
 from qhgerm import engine
 from qhgerm.errors import InternalInconsistencyError
 from qhgerm.exact import _make
-from qhgerm.numeric import _identify_branch, nth_root, to_mpc
+from qhgerm.numeric import nth_root, to_mpc
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDED = settings(max_examples=150, deadline=None, database=None,
@@ -59,13 +61,6 @@ def reference_identify_branch(base, index, theta, err):
     return branch
 
 
-def outcome(identify, base, index, theta, err=0.0):
-    try:
-        return identify(base, index, theta, err)
-    except InternalInconsistencyError:
-        return "raises"
-
-
 parts = st.one_of(st.integers(-50, 50), st.integers(-(2**64), 2**64),
                   st.integers(-(2**3000), 2**3000))
 denominators = st.one_of(st.just(1), st.integers(1, 2**64), st.integers(2**2000, 2**4000))
@@ -86,94 +81,67 @@ def bases(draw):
     return _make(a, b, d)
 
 
-indices = st.one_of(st.integers(1, 2**20), st.integers(1, 12), st.just(2**40 - 1))
-
-
-def moved_angle(base, index, branch, prec, fraction, sign):
-    """The argument of the branch-th root at prec bits, as a double, moved by
-    fraction of the angle between neighbouring roots, 2*pi/index, either way."""
-    with mp.workprec(prec):
-        theta = mp.arg(nth_root(base, index, branch))
-        return float(theta + sign * fraction * 2 * mp.pi / index)
+def reduced_branches(base, index):
+    """(the reduced radical of each branch of base^(1/index), the root it
+    names at REFERENCE_BITS, nth_root's root there, and, for a radical, the
+    branch the reference identifies from the argument of nth_root's root)."""
+    out = []
+    for branch in range(index):
+        got = engine._simplify_scalar(base, index, branch)
+        with mp.workprec(REFERENCE_BITS):
+            want = nth_root(base, index, branch)
+            if isinstance(got, GaussianRational):
+                out.append((got, to_mpc(got), want, None))
+                continue
+            theta = float(mp.arg(want))
+            out.append((got, nth_root(got.base, got.index, got.branch), want,
+                        reference_identify_branch(got.base, got.index, theta, 2.0**-50)))
+    return out
 
 
 class TestIdentifyBranch:
+    """The branch of each reduced radical of engine._simplify_scalar."""
+
     @seed(20261201)
     @SEEDED
-    @given(base=bases(), index=indices, data=st.data())
-    def test_roots_moved_by_up_to_a_quarter_spacing_keep_their_branch(self, base, index, data):
-        # the move and the error bound together stay below a quarter spacing
-        branch = data.draw(st.integers(0, index - 1))
-        fraction = data.draw(st.floats(0, 0.249))
-        err = data.draw(st.floats(0, 0.249 - fraction)) * 2 * math.pi / index
-        theta = moved_angle(base, index, branch, data.draw(st.integers(53, 1024)), fraction,
-                            data.draw(st.sampled_from([1, -1])))
-        assert _identify_branch(base, index, theta, err) == branch
-        assert reference_identify_branch(base, index, theta, err) == branch
-
-    @seed(20261202)
-    @SEEDED
-    @given(base=bases(), index=indices.filter(lambda k: k > 1), data=st.data())
-    def test_points_past_a_quarter_spacing_raise(self, base, index, data):
-        # 0.26 to 0.49 of the spacing from one root is over half of it from the
-        # others; so is a move of 0.2 with an error bound of 0.06 more
-        branch = data.draw(st.integers(0, index - 1))
-        fraction, err = data.draw(st.sampled_from([(None, 0.0), (0.2, 0.06)]))
-        if fraction is None:
-            fraction = data.draw(st.floats(0.26, 0.49))
-        err *= 2 * math.pi / index
-        theta = moved_angle(base, index, branch, data.draw(st.integers(53, 1024)), fraction,
-                            data.draw(st.sampled_from([1, -1])))
-        assert outcome(_identify_branch, base, index, theta, err) == "raises"
-        assert outcome(reference_identify_branch, base, index, theta, err) == "raises"
-
-    @seed(20261203)
-    @SEEDED
-    @given(base=bases(), index=indices.filter(lambda k: k > 1), data=st.data())
-    def test_a_point_halfway_between_two_roots_raises(self, base, index, data):
-        branch = data.draw(st.integers(0, index - 1))
-        theta = moved_angle(base, index, branch, data.draw(st.integers(53, 1024)), 0.5, 1)
-        assert outcome(_identify_branch, base, index, theta) == "raises"
-        assert outcome(reference_identify_branch, base, index, theta) == "raises"
+    @given(g=bases(), r=st.integers(1, 4), e=st.integers(1, 6))
+    def test_reduced_radicals_name_the_roots_of_nth_root(self, g, r, e):
+        # the roots of g^r of index e*r are those of g of index e times the
+        # r-th roots of unity, so the reduced radicals take every lower index
+        for got, named, want, branch in reduced_branches(g**r, e * r):
+            assert near(named, want)
+            assert branch is None or got.branch == branch
 
     @pytest.mark.parametrize("index", [1, 2, 7, 2**40 - 1])
     def test_zero_base(self, index):
-        # zero has the one root 0, branch 0, whatever the angle
-        for theta in (0.0, 1.0, -math.pi / 2):
-            assert _identify_branch(GQ_ZERO, index, theta, 0.0) == reference_identify_branch(
-                GQ_ZERO, index, theta, 0.0) == 0
+        # zero has the one root 0, whatever the branch
+        for branch in (0, 1, index - 1):
+            assert engine._simplify_scalar(GQ_ZERO, index, branch) == GQ_ZERO
 
-    @pytest.mark.parametrize("scale", [1.45, 1.9, 3, 2**64, 2**-64, mpf(2) ** 5000])
+    @pytest.mark.parametrize("scale", [1.45, 1.9, 3, 2**64, 2**-64, Fraction(2) ** 5000])
     @pytest.mark.parametrize("base, index", [
         (gq(5), 2), (gq(0, -7), 2), (gq(3, 3), 3), (_make(2**3000 + 1, -(2**2999), 3), 5)])
     def test_scaled_roots_agree(self, base, index, scale):
-        # identification reads the argument alone: a root times any positive
-        # scale keeps its branch, whether or not it lies within a quarter of
-        # the spacing of the root in the plane
-        for branch in range(index):
-            with mp.workprec(128):
-                theta = float(mp.arg(nth_root(base, index, branch) * scale))
-            assert _identify_branch(base, index, theta, 2.0**-50) == reference_identify_branch(
-                base, index, theta, 2.0**-50) == branch
-
-    def test_zero_target_of_a_nonzero_base_raises(self):
-        # a zero target has no argument: any angle, to within pi
-        for theta in (0.0, 2.0, -3.0):
-            assert outcome(_identify_branch, gq(2), 3, theta, math.pi) == "raises"
-            assert outcome(reference_identify_branch, gq(2), 3, theta, math.pi) == "raises"
-
-    @pytest.mark.parametrize("index", [2**40, 2**41 + 3])
-    def test_index_at_the_complex_root_limit_raises_value_error(self, index):
-        with pytest.raises(ValueError):
-            _identify_branch(gq(2), index, 0.0, 0.0)
+        # the branch arithmetic reads arguments alone: base^2 times a positive
+        # s^(2*index) has s times the roots of base^2, which reduce to
+        # radicals of index e with bases s^e times the unscaled ones, on the
+        # same branches
+        s = gq(Fraction(scale))
+        plain = reduced_branches(base**2, 2 * index)
+        scaled = reduced_branches(s ** (2 * index) * base**2, 2 * index)
+        for (got, named, want, branch), (s_got, s_named, s_want, s_branch) in zip(plain, scaled):
+            assert (s_got.base, s_got.index, s_got.branch) == (s**got.index * got.base,
+                                                                got.index, got.branch)
+            assert got.index == index and got.branch == branch == s_branch
+            assert near(named, want) and near(s_named, s_want)
 
     def test_makes_no_mpmath_call(self):
         code = (
             "import sys\n"
+            "from qhgerm import engine\n"
             "from qhgerm.exact import gq\n"
-            "from qhgerm.numeric import _identify_branch\n"
-            "assert _identify_branch(gq(2), 3, 0.0, 0.0) == 0\n"
-            "assert _identify_branch(gq(-8), 3, 3.14159, 1e-5) == 1\n"
+            "assert engine._simplify_scalar(gq(4), 4, 2) == engine.RadicalScalar(gq(2), 2, 1)\n"
+            "assert engine._simplify_scalar(gq(9), 6, 1) == engine.RadicalScalar(gq(-3), 3, 0)\n"
             "assert 'mpmath' not in sys.modules\n"
         )
         src = Path(engine.__file__).resolve().parent.parent
