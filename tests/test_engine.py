@@ -46,6 +46,7 @@ from qhgerm import (
 )
 
 from qhgerm import engine, exact, numeric
+from qhgerm.errors import InternalInconsistencyError
 from qhgerm.exact import _make, integer_root
 from qhgerm.numeric import find_roots, nth_root, to_mpc
 
@@ -401,6 +402,23 @@ class TestExactRoots:
     def test_three_times_a_power_has_no_root(self, g, k):
         # 3 is a Gaussian prime, so 3*g^k has 3-adic valuation 1 mod k
         assert engine._gaussian_roots(3 * g**k, k) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=_NONZERO_GQ, e=st.integers(1, 24), s=st.integers(1, 3), data=st.data())
+    def test_identify_branch_inverts_nth_root(self, base, e, s, data):
+        # the branch _simplify_scalar reads for a root of base^s of index e*s,
+        # which reduces to a root of base or lower, names nth_root's root
+        b = data.draw(st.integers(0, e * s - 1))
+        got = engine._simplify_scalar(base**s, e * s, b)
+        with mp.workprec(128):
+            want = nth_root(base**s, e * s, b)
+        assert abs(scalar_to_mpc(got, 128) - want) <= abs(want) * mpf(2) ** -100
+
+    def test_identify_branch_rejects_a_point_between_roots(self):
+        # Arg(1 + i) = pi/4 is halfway between the fourth roots 1 and i of 1:
+        # an eighth of a turn, which the branch arithmetic does not round
+        with pytest.raises(InternalInconsistencyError, match="whole number of turns"):
+            engine._turns(((1, gq(1, 1)),))
 
     @pytest.mark.parametrize("base, index, branch, want", [
         # no lower index: sqrt(2) stays (2)^(1/2) on the branch given

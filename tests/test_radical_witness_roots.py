@@ -112,6 +112,27 @@ class TestIdentifyBranch:
             assert near(named, want)
             assert branch is None or got.branch == branch
 
+    @seed(20261202)
+    @SEEDED
+    @given(g=bases(), r=st.integers(1, 4), e=st.integers(1, 6), data=st.data())
+    def test_roots_moved_by_up_to_a_quarter_spacing_keep_their_branch(self, g, r, e, data):
+        # the reference reads the branch of the reduced radical from the
+        # argument of nth_root's root moved by up to a quarter of the spacing
+        # of the reduced index, less the error bound, either way
+        branch = data.draw(st.integers(0, e * r - 1))
+        got = engine._simplify_scalar(g**r, e * r, branch)
+        with mp.workprec(REFERENCE_BITS):
+            want = nth_root(g**r, e * r, branch)
+            if isinstance(got, GaussianRational):
+                assert near(to_mpc(got), want)
+                return
+            spacing = 2 * math.pi / got.index
+            fraction = data.draw(st.floats(0, 0.249))
+            err = data.draw(st.floats(0, 0.249 - fraction)) * spacing
+            theta = float(mp.arg(want) + data.draw(st.sampled_from([1, -1])) * fraction
+                          * 2 * mp.pi / got.index)
+        assert reference_identify_branch(got.base, got.index, theta, err) == got.branch
+
     @pytest.mark.parametrize("index", [1, 2, 7, 2**40 - 1])
     def test_zero_base(self, index):
         # zero has the one root 0, whatever the branch
